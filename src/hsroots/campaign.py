@@ -10,6 +10,7 @@ pinned to 0).
 """
 
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,6 +148,8 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
             return pair, _solve_pair(d, n, config.solver, config.certify), None
         except (HsrootsError, ValueError) as exc:
             return pair, None, f"d={d} n={n}: {exc}"
+        except Exception:  # any other failure is reported; the other pairs still flush
+            return pair, None, f"d={d} n={n}: {traceback.format_exc().rstrip()}"
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

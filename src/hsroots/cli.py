@@ -20,7 +20,7 @@ from .bounds import (
     check_migi,
     rouche_margin,
 )
-from .campaign import CampaignConfig, run_campaign
+from .campaign import ROOTS_HEADER, CampaignConfig, roots_csv_lines, run_campaign
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import HsrootsError
 from .lattice import CountQuery, count_points
@@ -32,10 +32,6 @@ EXIT_OK = 0
 EXIT_NUMERIC_ONLY = 1
 EXIT_BAD_ARGS = 2
 EXIT_FAILED = 3
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
 
 
 def _solver_from_args(args) -> SolverConfig:
@@ -88,12 +84,7 @@ def cmd_count(args) -> int:
 def cmd_roots(args) -> int:
     params = HypersimplexParams(args.d, args.n)
     rootset = find_roots(params, _solver_from_args(args))
-    lines = ["d,n,root_index,re,im,residual"]
-    for index, (root, res) in enumerate(zip(rootset.roots, rootset.residuals)):
-        lines.append(
-            f"{args.d},{args.n},{index},{_fmt(root.real)},{_fmt(root.imag)},{_fmt(res)}"
-        )
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([ROOTS_HEADER, *roots_csv_lines(args.d, args.n, rootset)]) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -4,9 +4,15 @@ The polynomial is evaluated in product form (never from expanded monomial
 coefficients): each alternating-sum term is a product of n-1 linear factors,
 accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
-coefficients would overflow doubles.  The solver is the Ehrlich-Aberth
-simultaneous iteration with deterministic, seed-rotated initial points on
-circles read off the coefficient Newton polygon.
+coefficients would overflow doubles.  One batched evaluator, `_eval_vec`,
+does this for all d terms and a whole array of points at once; each point
+gets the same bits alone as in any batch.  The solver sweeps, the residual
+certificates, the real-axis snap and the single-point functions
+(`evaluate_scaled`, `log_derivative`, `residual`) all call it.
+
+The solver is the Ehrlich-Aberth simultaneous iteration with deterministic,
+seed-rotated initial points on circles read off the coefficient Newton
+polygon; each sweep evaluates only the roots that have not yet converged.
 """
 
 import math
@@ -78,41 +84,22 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
     return float(value >> shift if shift else value), shift
 
 
-def _scalar_sum(params: HypersimplexParams, z: complex, derivative: bool):
-    """Alternating sum of the factor products (and optionally derivatives).
-
-    Returns scaled values of (n-1)! * p(z) and, when requested,
-    (n-1)! * p'(z).
-    """
-    d, n = params.d, params.n
-    z = complex(z)
-    total = ScaledComplex(0j)
-    total_d = ScaledComplex(0j)
-    for s in range(d):
-        slope = float(d - s)
-        prod = ScaledComplex(1.0 + 0j)
-        prod_d = ScaledComplex(0j)
-        for k in range(1, n):
-            factor = ScaledComplex(slope * z + (k - s))
-            if derivative:
-                prod_d = prod_d * factor + prod * slope
-            prod = prod * factor
-        coef = ScaledComplex.from_int((-1) ** s * math.comb(n, s))
-        total = total + coef * prod
-        if derivative:
-            total_d = total_d + coef * prod_d
-    return total, total_d
+def _point_sums(params: HypersimplexParams, z: complex):
+    """Scaled (n-1)! * p(z) and (n-1)! * p'(z) at one point (`_eval_vec` of size 1)."""
+    S, Sp, E = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    exponent = int(E[0])
+    return ScaledComplex(S[0], exponent), ScaledComplex(Sp[0], exponent)
 
 
 def evaluate_scaled(params: HypersimplexParams, z: complex) -> ScaledComplex:
     """Value of the counting polynomial at a complex point, in scaled form."""
-    total, _ = _scalar_sum(params, z, derivative=False)
+    total, _ = _point_sums(params, z)
     return total / ScaledComplex.from_int(math.factorial(params.n - 1))
 
 
 def log_derivative(params: HypersimplexParams, z: complex) -> complex:
     """p'(z)/p(z), accumulated by the product rule so vanishing factors are safe."""
-    total, total_d = _scalar_sum(params, z, derivative=True)
+    total, total_d = _point_sums(params, z)
     if total.is_zero:
         raise EvaluationAtRoot(f"polynomial value vanished at {z}")
     return (total_d / total).to_complex()
@@ -160,34 +147,46 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
 
     Returns mantissas (S, Sp) and the per-point exponent E so that
     (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E.
+
+    The d alternating-sum terms are rows of (d, len(z)) arrays, built up
+    one linear factor at a time.  A row is rescaled by powers of two when
+    any of its entries strays beyond 2**+-200; that multiplies the others by
+    exactly 1, so every point gets the same bits whether it is evaluated
+    alone or in a batch.
     """
-    size = z.shape[0]
-    acc = acc_d = None
-    acc_e = None
+    index = np.arange(d)[:, None]
+    # complex constants spare numpy a cast per operation; the values are exact
+    slope = (d - index).astype(complex)
+    offsets = (np.arange(1, n)[:, None, None] - index).astype(complex)
+    slope_z = slope * z[None, :]
+    prod = np.ones(slope_z.shape, dtype=complex)
+    prod_d = np.zeros(slope_z.shape, dtype=complex)
+    exps = np.zeros(slope_z.shape, dtype=np.int64)
+    for k in range(1, n):
+        factor = slope_z + offsets[k - 1]
+        # out of place on purpose: numpy's in-place complex multiply rounds
+        # differently on a one-element array, which would break batch-independence
+        prod_d = prod_d * factor + prod * slope
+        prod = prod * factor
+        if k % 16 == 0 or k == n - 1:
+            mag = np.maximum(np.abs(prod), np.abs(prod_d))
+            _, e = np.frexp(mag)
+            adjust = np.where(np.abs(e) > 200, e, 0)
+            rows = adjust.any(axis=1)
+            if rows.any():
+                adjust = adjust[rows]
+                scale = np.ldexp(1.0, -adjust)
+                prod[rows] *= scale
+                prod_d[rows] *= scale
+                exps[rows] += adjust
+    acc = acc_d = acc_e = None
     for s in range(d):
-        slope = float(d - s)
-        prod = np.ones(size, dtype=complex)
-        prod_d = np.zeros(size, dtype=complex)
-        exps = np.zeros(size, dtype=np.int64)
-        for k in range(1, n):
-            factor = slope * z + (k - s)
-            prod_d = prod_d * factor + prod * slope
-            prod = prod * factor
-            if k % 16 == 0 or k == n - 1:
-                mag = np.maximum(np.abs(prod), np.abs(prod_d))
-                _, e = np.frexp(mag)
-                adjust = np.where(np.abs(e) > 200, e, 0).astype(np.int64)
-                if adjust.any():
-                    scale = np.ldexp(1.0, (-adjust).astype(np.int32))
-                    prod *= scale
-                    prod_d *= scale
-                    exps += adjust
         cm, ce = _int_mantissa_exponent(math.comb(n, s))
         if s % 2:
             cm = -cm
-        term = prod * cm
-        term_d = prod_d * cm
-        term_e = exps + ce
+        term = prod[s] * cm
+        term_d = prod_d[s] * cm
+        term_e = exps[s] + ce
         if acc is None:
             acc, acc_d, acc_e = term, term_d, term_e
             continue
@@ -211,7 +210,9 @@ def _residual_logs(
     terms[0, :] = coeff_logs[0]  # k=0 term is |c_0| even at z=0
     np.nan_to_num(terms, copy=False, nan=-np.inf)  # 0 * log(0) rows at z=0
     top = terms.max(axis=0)
-    denom = top + np.log2(np.exp2(terms - top[None, :]).sum(axis=0))
+    # summed row after row, as sum(axis=0) does for two or more points (it
+    # sums a single column pairwise), so a point's residual is batch-independent
+    denom = top + np.log2(np.cumsum(np.exp2(terms - top[None, :]), axis=0)[-1])
     return np.exp2(value_log2 - denom)
 
 
@@ -241,21 +242,26 @@ def _extended_precision_roots(params: HypersimplexParams) -> Optional[np.ndarray
     return np.array([complex(float(mp.re(r)), float(mp.im(r))) for r in found])
 
 
+def _residuals(params: HypersimplexParams, coeff_logs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    S, _, E = _eval_vec(params.d, params.n, z)
+    value_log2 = _values_log2(S, E) - _log2_int(math.factorial(params.n - 1))
+    return _residual_logs(coeff_logs, value_log2, z)
+
+
 def _finish(params, z, tol, iterations, clean_exit, coeff_logs) -> RootSet:
-    d, n = params.d, params.n
-    S, _, E = _eval_vec(d, n, z)
-    value_log2 = _values_log2(S, E) - _log2_int(math.factorial(n - 1))
-    residuals = _residual_logs(coeff_logs, value_log2, z)
+    residuals = _residuals(params, coeff_logs, z)
 
     # snap numerically-real roots onto the axis when the certificate allows
     snapped = z.copy()
-    for i in range(n - 1):
-        if snapped[i].imag != 0 and abs(snapped[i].imag) <= 10 * tol * (1 + abs(snapped[i].real)):
-            candidate = complex(snapped[i].real, 0.0)
-            r = residual(params, candidate, _coeff_logs=coeff_logs)
-            if r <= tol:
-                snapped[i] = candidate
-                residuals[i] = r
+    near = np.flatnonzero(
+        (z.imag != 0) & (np.abs(z.imag) <= 10 * tol * (1 + np.abs(z.real)))
+    )
+    if near.size:
+        candidates = z.real[near].astype(complex)
+        snap_residuals = _residuals(params, coeff_logs, candidates)
+        ok = snap_residuals <= tol
+        snapped[near[ok]] = candidates[ok]
+        residuals[near[ok]] = snap_residuals[ok]
     order = np.lexsort((snapped.imag, snapped.real))
     snapped = snapped[order]
     residuals = residuals[order]
@@ -292,22 +298,23 @@ def find_roots(
     active = np.ones(degree, dtype=bool)
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
-        S, Sp, _ = _eval_vec(d, n, z)
+        idx = np.flatnonzero(active)
+        z_active = z[idx]
+        S, Sp, _ = _eval_vec(d, n, z_active)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = S / Sp  # shared exponent cancels in p/p'
         w[~np.isfinite(w)] = 0.0
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        diff = z_active[:, None] - z[None, :]
+        diff[np.arange(idx.size), idx] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             repulsion = (1.0 / diff).sum(axis=1)
         denom = 1.0 - w * repulsion
         with np.errstate(divide="ignore", invalid="ignore"):
             correction = np.where(denom != 0, w / denom, w)
         correction[~np.isfinite(correction)] = 0.0
-        correction[~active] = 0.0
-        z = z - correction
-        done = np.abs(correction) <= tol * (1.0 + np.abs(z))
-        active &= ~done
+        z[idx] = z_active - correction
+        done = np.abs(correction) <= tol * (1.0 + np.abs(z[idx]))
+        active[idx[done]] = False
         if not active.any():
             break
 
@@ -321,13 +328,7 @@ def find_roots(
     return retried if retried.converged else result
 
 
-def residual(params: HypersimplexParams, root: complex, _coeff_logs=None) -> float:
+def residual(params: HypersimplexParams, root: complex) -> float:
     """Relative backward error |p(root)| / sum_k |c_k| |root|^k."""
-    if _coeff_logs is None:
-        _coeff_logs = _coefficient_logs(params)
-    total, _ = _scalar_sum(params, root, derivative=False)
-    value_log2 = total.log2_abs() - _log2_int(math.factorial(params.n - 1))
-    out = _residual_logs(
-        _coeff_logs, np.array([value_log2]), np.array([complex(root)])
-    )
-    return float(out[0])
+    coeff_logs = _coefficient_logs(params)
+    return float(_residuals(params, coeff_logs, np.array([complex(root)]))[0])

@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
-half an hour of exact table work) runs when HSR_FULL=1 is set.
+six minutes of exact table work) runs when HSR_FULL=1 is set.
 """
 
 import cmath
@@ -89,7 +89,7 @@ def test_criterion_3_strip_certification_smoke():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (4<=d<=10, ~30 min of exact tables); set HSR_FULL=1",
+    reason="full tier (4<=d<=10, ~6 min of exact tables); set HSR_FULL=1",
 )
 def test_criterion_3_strip_certification_full():
     with Stopwatch("3 strip certification (full, d<=10)", 2700):

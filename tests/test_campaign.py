@@ -1,5 +1,6 @@
 import pytest
 
+import hsroots.campaign
 from hsroots.campaign import (
     CampaignConfig,
     run_campaign,
@@ -76,6 +77,28 @@ def test_campaign_partial_results_on_error(tmp_path):
     assert [(r.d, r.n) for r in report.rows] == [(3, 6), (3, 7)]
     assert (tmp_path / "out" / "report.csv").exists()
     assert not report.all_certified
+
+
+def test_campaign_survives_unexpected_error(tmp_path, monkeypatch):
+    real_find_roots = hsroots.campaign.find_roots
+
+    def flaky(params, solver):
+        if (params.d, params.n) == (2, 5):
+            raise RuntimeError("solver exploded")
+        return real_find_roots(params, solver)
+
+    monkeypatch.setattr(hsroots.campaign, "find_roots", flaky)
+    config = CampaignConfig(d_min=2, d_max=2, certify=False, output_dir=tmp_path / "out")
+    report = run_campaign(config)
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith("d=2 n=5: ")
+    assert "RuntimeError: solver exploded" in report.errors[0]
+    kept = [(2, 4), (2, 6), (2, 7), (2, 8)]
+    assert [(r.d, r.n) for r in report.rows] == kept
+    report_lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
+    assert [tuple(map(int, line.split(",")[:2])) for line in report_lines[1:]] == kept
+    roots_lines = (tmp_path / "out" / "roots.csv").read_text().splitlines()
+    assert len(roots_lines) - 1 == sum(n - 1 for _, n in kept)
 
 
 def test_campaign_svg_outputs(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
@@ -9,6 +10,8 @@ from hsroots.errors import EvaluationAtRoot
 from hsroots.roots import (
     RootSet,
     SolverConfig,
+    _eval_vec,
+    _int_mantissa_exponent,
     evaluate_scaled,
     find_roots,
     log_derivative,
@@ -205,3 +208,79 @@ def test_solver_config_validation():
 def test_rootset_max_residual():
     rs = RootSet(roots=(1j,), residuals=(1e-12,), iterations=3, converged=True)
     assert rs.max_residual == 1e-12
+
+
+def loop_eval(d, n, z):
+    """The evaluator with one pass over the points per alternating-sum term:
+    the same float operations as `_eval_vec`, in the same order."""
+    acc = acc_d = acc_e = None
+    for s in range(d):
+        slope = float(d - s)
+        prod = np.ones(z.shape[0], dtype=complex)
+        prod_d = np.zeros(z.shape[0], dtype=complex)
+        exps = np.zeros(z.shape[0], dtype=np.int64)
+        for k in range(1, n):
+            factor = slope * z + (k - s)
+            prod_d = prod_d * factor + prod * slope
+            prod = prod * factor
+            if k % 16 == 0 or k == n - 1:
+                _, e = np.frexp(np.maximum(np.abs(prod), np.abs(prod_d)))
+                adjust = np.where(np.abs(e) > 200, e, 0)
+                if adjust.any():
+                    scale = np.ldexp(1.0, -adjust)
+                    prod = prod * scale
+                    prod_d = prod_d * scale
+                    exps += adjust
+        cm, ce = _int_mantissa_exponent(math.comb(n, s))
+        if s % 2:
+            cm = -cm
+        term, term_d, term_e = prod * cm, prod_d * cm, exps + ce
+        if acc is None:
+            acc, acc_d, acc_e = term, term_d, term_e
+            continue
+        top = np.maximum(acc_e, term_e)
+        down_old = np.ldexp(1.0, np.maximum(acc_e - top, -1074).astype(np.int32))
+        down_new = np.ldexp(1.0, np.maximum(term_e - top, -1074).astype(np.int32))
+        acc = acc * down_old + term * down_new
+        acc_d = acc_d * down_old + term_d * down_new
+        acc_e = top
+    return acc, acc_d, acc_e
+
+
+def mixed_points(d, n):
+    """Points in the root strip, from near the real axis to far above it."""
+    re = -n / (2 * d) + np.linspace(-0.4, 0.4, 5) * n / d
+    im = np.array([1e-3, 0.3, 4.0, 60.0])
+    return (re[:, None] + 1j * im[None, :]).ravel()
+
+
+def as_bytes(triple):
+    return [a.tobytes() for a in triple]
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (3, 6), (7, 63), (22, 44)])
+def test_eval_vec_matches_loop_reference(d, n):
+    z = mixed_points(d, n)
+    assert as_bytes(_eval_vec(d, n, z)) == as_bytes(loop_eval(d, n, z))
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (7, 63), (22, 44)])
+def test_eval_vec_batch_equals_single(d, n):
+    z = mixed_points(d, n)
+    batch = _eval_vec(d, n, z)
+    singles = [_eval_vec(d, n, z[i:i + 1]) for i in range(z.size)]
+    if n > 16:
+        # points that need rescaling at different factors share the term
+        # rows, so rows are rescaled with some of their entries left alone
+        assert len({int(one[2][0]) for one in singles}) > 1
+    for i, one in enumerate(singles):
+        assert as_bytes(one) == as_bytes(tuple(a[i:i + 1] for a in batch))
+
+
+@pytest.mark.parametrize("d,n", [(3, 6), (7, 53), (10, 40)])
+def test_residual_matches_find_roots_bitwise(d, n):
+    params = HypersimplexParams(d, n)
+    rs = find_roots(params)
+    assert any(r.imag == 0 for r in rs.roots)  # includes roots snapped to the axis
+    for root, res in zip(rs.roots, rs.residuals):
+        assert residual(params, root) == res

@@ -13,6 +13,13 @@ certificates, the real-axis snap and the single-point functions
 The solver is the Ehrlich-Aberth simultaneous iteration with deterministic,
 seed-rotated initial points on circles read off the coefficient Newton
 polygon; each sweep evaluates only the roots that have not yet converged.
+The evaluator also returns the summed moduli of the alternating-sum terms,
+which bound its rounding error.  Near n = 2d the sum cancels below that
+noise floor; a root whose value sinks into the noise leaves the double
+sweep, and the iterates are then refined by further sweeps whose Newton
+ratios come from a fixed-point Gaussian-integer Horner scheme on the exact
+integer coefficients (`_horner_fixed`).  Only each ratio is rounded to
+double; the repulsion and the update stay in doubles.
 """
 
 import math
@@ -20,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import EvaluationAtRoot
 from .scaled import ScaledComplex
+from .stability import _integer_coefficients
 
 _GOLDEN = 0.6180339887498949
 
@@ -56,12 +63,20 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All complex roots (with multiplicity), each with a residual certificate."""
+    """All complex roots (with multiplicity), each with a residual certificate.
+
+    `iterations` counts the double-precision sweeps.  When the roots were
+    refined with exact coefficients, `extended_bits` is the fixed-point
+    precision of that refinement and `extended_sweeps` its sweep count;
+    otherwise they are None and 0.
+    """
 
     roots: Tuple[complex, ...]
     residuals: Tuple[float, ...]
     iterations: int
     converged: bool
+    extended_bits: Optional[int] = None
+    extended_sweeps: int = 0
 
     @property
     def max_residual(self) -> float:
@@ -86,7 +101,7 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
 
 def _point_sums(params: HypersimplexParams, z: complex):
     """Scaled (n-1)! * p(z) and (n-1)! * p'(z) at one point (`_eval_vec` of size 1)."""
-    S, Sp, E = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    S, Sp, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
     exponent = int(E[0])
     return ScaledComplex(S[0], exponent), ScaledComplex(Sp[0], exponent)
 
@@ -145,8 +160,10 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
 def _eval_vec(d: int, n: int, z: np.ndarray):
     """Vectorized product-form evaluation with shared power-of-two exponents.
 
-    Returns mantissas (S, Sp) and the per-point exponent E so that
-    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E.
+    Returns mantissas (S, Sp), the per-point exponent E so that
+    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the
+    magnitude A = sum_s C(n, s) |term_s| * 2**-E of the alternating sum's
+    terms, which scales the rounding error of S.
 
     The d alternating-sum terms are rows of (d, len(z)) arrays, built up
     one linear factor at a time.  A row is rescaled by powers of two when
@@ -179,24 +196,26 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
                 prod[rows] *= scale
                 prod_d[rows] *= scale
                 exps[rows] += adjust
-    acc = acc_d = acc_e = None
-    for s in range(d):
-        cm, ce = _int_mantissa_exponent(math.comb(n, s))
-        if s % 2:
-            cm = -cm
-        term = prod[s] * cm
-        term_d = prod_d[s] * cm
-        term_e = exps[s] + ce
-        if acc is None:
-            acc, acc_d, acc_e = term, term_d, term_e
-            continue
-        top = np.maximum(acc_e, term_e)
-        down_old = np.ldexp(1.0, np.maximum(acc_e - top, -1074).astype(np.int32))
-        down_new = np.ldexp(1.0, np.maximum(term_e - top, -1074).astype(np.int32))
-        acc = acc * down_old + term * down_new
-        acc_d = acc_d * down_old + term_d * down_new
-        acc_e = top
-    return acc, acc_d, acc_e
+    cm, ce = (
+        np.array(column)[:, None]
+        for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(d)))
+    )
+    # the binomial mantissas are real, so multiplying them in one broadcast
+    # rounds as multiplying row by row does
+    signed = np.where(index % 2, -cm, cm)
+    terms, terms_d, term_exps = prod * signed, prod_d * signed, exps + ce
+    # the sum over s keeps the running maximum of the term exponents
+    tops = np.maximum.accumulate(term_exps, axis=0)
+    down_old = np.ldexp(1.0, np.maximum(tops[:-1] - tops[1:], -1074).astype(np.int32))
+    down_new = np.ldexp(1.0, np.maximum(term_exps[1:] - tops[1:], -1074).astype(np.int32))
+    acc, acc_d, acc_e = terms[0], terms_d[0], tops[-1]
+    for s in range(1, d):
+        acc = acc * down_old[s - 1] + terms[s] * down_new[s - 1]
+        acc_d = acc_d * down_old[s - 1] + terms_d[s] * down_new[s - 1]
+    shift = np.maximum(term_exps - acc_e, -1100).astype(np.int32)
+    # summed row after row, so that a point's A is batch-independent
+    magnitude = np.cumsum(np.ldexp(np.abs(prod) * cm, shift), axis=0)[-1]
+    return acc, acc_d, acc_e, magnitude
 
 
 def _residual_logs(
@@ -221,34 +240,110 @@ def _values_log2(mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
         return np.log2(np.abs(mantissa)) + exponent
 
 
-def _extended_precision_roots(params: HypersimplexParams) -> Optional[np.ndarray]:
-    """Root approximations at a working precision sized to the coefficients.
-
-    Near the root cloud of strongly cancelling instances (n close to 2d with
-    large d) the alternating sum loses more digits than a double carries, so
-    the simultaneous iteration is repeated on the exact coefficients with
-    enough guard bits to cover the coefficient spread.
-    """
-    poly = ehrhart_polynomial(params)
-    logs = [_log2_fraction(c) for c in poly.coeffs if c != 0]
-    spread = max(logs) - min(logs)
-    extraprec = int(1.5 * max(spread, 0.0)) + 96
-    try:
-        with mp.workprec(extraprec + 70):
-            cs = [mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in reversed(poly.coeffs)]
-            found = mp.polyroots(cs, maxsteps=400, extraprec=extraprec)
-    except mp.libmp.NoConvergence:
-        return None
-    return np.array([complex(float(mp.re(r)), float(mp.im(r))) for r in found])
-
-
 def _residuals(params: HypersimplexParams, coeff_logs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    S, _, E = _eval_vec(params.d, params.n, z)
+    S, _, E, _ = _eval_vec(params.d, params.n, z)
     value_log2 = _values_log2(S, E) - _log2_int(math.factorial(params.n - 1))
     return _residual_logs(coeff_logs, value_log2, z)
 
 
-def _finish(params, z, tol, iterations, clean_exit, coeff_logs) -> RootSet:
+def _to_fixed(value: float, bits: int) -> int:
+    """floor(value * 2**bits); exact when value has no bits below 2**-bits."""
+    num, den = value.as_integer_ratio()
+    return (num << bits) // den
+
+
+def _horner_fixed(coeffs: list, x: int, y: int, bits: int) -> Tuple[int, int, int, int]:
+    """p and p' at z = (x + iy) / 2**bits by Horner's rule on Gaussian integers.
+
+    `coeffs` are integers, lowest degree first.  Returns (P_re, P_im, D_re,
+    D_im), the fixed-point values of p(z) and p'(z) scaled by 2**bits.  Each
+    Horner step truncates its product with z once per component, so with
+    N = len(coeffs) - 1 and G = sum_{j<N} |z|**j the truncation errors are
+    |P / 2**bits - p(z)| <= 2**(1-bits) * G and
+    |D / 2**bits - p'(z)| <= 2**(1-bits) * N * G.
+    """
+    x_plus_y, y_minus_x = x + y, y - x
+    pr, pi = coeffs[-1] << bits, 0
+    dr = di = 0
+    for c in reversed(coeffs[:-1]):
+        # (a + ib)(x + iy) from three products: with k = x(a + b), the real
+        # part is k - b(x + y) and the imaginary part k + a(y - x)
+        k = x * (dr + di)
+        dr, di = ((k - di * x_plus_y) >> bits) + pr, ((k + dr * y_minus_x) >> bits) + pi
+        k = x * (pr + pi)
+        pr, pi = ((k - pi * x_plus_y) >> bits) + (c << bits), (k + pr * y_minus_x) >> bits
+    return pr, pi, dr, di
+
+
+def _exact_ratios(coeffs: list, bits: int, points: np.ndarray):
+    """Newton ratios p/p' from `_horner_fixed`, each rounded once to double.
+
+    Python's int / int division rounds correctly; a ratio it cannot
+    represent comes back non-finite, as a double ratio would.  No point is
+    noise-limited.
+    """
+    w = np.empty(points.size, dtype=complex)
+    for i, z in enumerate(points):
+        pr, pi, dr, di = _horner_fixed(
+            coeffs, _to_fixed(z.real, bits), _to_fixed(z.imag, bits), bits
+        )
+        norm = dr * dr + di * di
+        try:
+            w[i] = complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
+        except (ZeroDivisionError, OverflowError):
+            w[i] = math.inf
+    return w, np.zeros(points.size, dtype=bool)
+
+
+def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int) -> Tuple[int, bool]:
+    """Ehrlich-Aberth sweeps that move z in place; returns (sweeps, settled).
+
+    `ratios(points)` returns the Newton ratios p/p' at the points and a mask
+    of the points where p is below its evaluation noise.  A root leaves the
+    sweep once its correction is at most tol * (1 + |z|), or once it is
+    noise-limited: from there its corrections only wander.  `settled` is
+    True when every root left by the correction test.
+    """
+    active = np.ones(z.size, dtype=bool)
+    noise_limited = False
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
+        idx = np.flatnonzero(active)
+        z_active = z[idx]
+        w, noisy = ratios(z_active)
+        w[~np.isfinite(w)] = 0.0
+        diff = z_active[:, None] - z[None, :]
+        diff[np.arange(idx.size), idx] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            repulsion = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - w * repulsion
+        with np.errstate(divide="ignore", invalid="ignore"):
+            correction = np.where(denom != 0, w / denom, w)
+        correction[~np.isfinite(correction)] = 0.0
+        z[idx] = z_active - correction
+        done = np.abs(correction) <= tol * (1.0 + np.abs(z[idx]))
+        noise_limited |= bool((noisy & ~done).any())
+        active[idx[done | noisy]] = False
+        if not active.any():
+            break
+    return sweeps, not (noise_limited or active.any())
+
+
+def _double_ratios(d: int, n: int, points: np.ndarray):
+    """Newton ratios from `_eval_vec`, and where |S| is within its rounding noise.
+
+    Each term of the alternating sum carries about n roundings and the sum
+    d more, so |S| <= 4 (n + d) 2**-53 A means S may be all noise.
+    """
+    S, Sp, _, A = _eval_vec(d, n, points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = S / Sp  # shared exponent cancels in p/p'
+    return w, np.abs(S) <= 4 * (n + d) * 2.0**-53 * A
+
+
+def _finish(
+    params, z, tol, iterations, clean_exit, coeff_logs, extended_bits=None, extended_sweeps=0
+) -> RootSet:
     residuals = _residuals(params, coeff_logs, z)
 
     # snap numerically-real roots onto the axis when the certificate allows
@@ -272,6 +367,8 @@ def _finish(params, z, tol, iterations, clean_exit, coeff_logs) -> RootSet:
         residuals=tuple(float(r) for r in residuals),
         iterations=iterations,
         converged=converged,
+        extended_bits=extended_bits,
+        extended_sweeps=extended_sweeps,
     )
 
 
@@ -281,12 +378,16 @@ def find_roots(
     """All n-1 complex roots by Ehrlich-Aberth iteration.
 
     Deterministic given the seed.  Convergence demands both a small final
-    correction and a residual certificate at or below the tolerance.  If the
-    double-precision sweep cannot meet that (evaluation noise exceeds the
-    target when the alternating sum cancels too deeply), the roots are
-    recomputed once at extended precision; `iterations` always reports the
-    double-precision sweeps.  Failing both, the best iterate is returned
-    with converged=False.
+    correction and a residual certificate at or below the tolerance.  The
+    sweeps first run in doubles; a root whose product-form value sinks into
+    its rounding noise (the alternating sum cancels deeply near n = 2d) stops
+    there.  If any root stopped that way, or the double result misses the
+    certificate, the same iterates are refined by further sweeps whose
+    Newton ratios come from exact integer coefficients in fixed point, with
+    1.5 times the coefficients' log2 spread plus 96 fractional bits.
+    `iterations` counts the double sweeps, `extended_bits` and
+    `extended_sweeps` the refinement.  A result that still misses the
+    certificate is returned with converged=False.
     """
     config = config or SolverConfig()
     d, n = params.d, params.n
@@ -295,37 +396,24 @@ def find_roots(
     coeff_logs = _coefficient_logs(params)
 
     z = _initial_points(params, config.seed)
-    active = np.ones(degree, dtype=bool)
-    iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        idx = np.flatnonzero(active)
-        z_active = z[idx]
-        S, Sp, _ = _eval_vec(d, n, z_active)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = S / Sp  # shared exponent cancels in p/p'
-        w[~np.isfinite(w)] = 0.0
-        diff = z_active[:, None] - z[None, :]
-        diff[np.arange(idx.size), idx] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            repulsion = (1.0 / diff).sum(axis=1)
-        denom = 1.0 - w * repulsion
-        with np.errstate(divide="ignore", invalid="ignore"):
-            correction = np.where(denom != 0, w / denom, w)
-        correction[~np.isfinite(correction)] = 0.0
-        z[idx] = z_active - correction
-        done = np.abs(correction) <= tol * (1.0 + np.abs(z[idx]))
-        active[idx[done]] = False
-        if not active.any():
-            break
+    iterations, settled = _ea_sweeps(
+        z, lambda points: _double_ratios(d, n, points), tol, config.max_iterations
+    )
+    if settled:
+        result = _finish(params, z, tol, iterations, True, coeff_logs)
+        if result.converged:
+            return result
 
-    result = _finish(params, z, tol, iterations, not active.any(), coeff_logs)
-    if result.converged:
-        return result
-    fallback = _extended_precision_roots(params)
-    if fallback is None:
-        return result
-    retried = _finish(params, fallback, tol, iterations, True, coeff_logs)
-    return retried if retried.converged else result
+    finite = coeff_logs[np.isfinite(coeff_logs)]
+    bits = int(1.5 * max(finite.max() - finite.min(), 0.0)) + 96
+    coeffs = _integer_coefficients(ehrhart_polynomial(params))
+    sweeps, settled = _ea_sweeps(
+        z,
+        lambda points: _exact_ratios(coeffs, bits, points),
+        tol,
+        config.max_iterations,
+    )
+    return _finish(params, z, tol, iterations, settled, coeff_logs, bits, sweeps)
 
 
 def residual(params: HypersimplexParams, root: complex) -> float:

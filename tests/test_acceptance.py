@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
-six minutes of exact table work) runs when HSR_FULL=1 is set.
+six minutes of exact table work) runs when HSR_FULL=1 is set, together with
+a numeric sweep of the diagonal n = 2d for d = 4..75 (about three minutes).
 """
 
 import cmath
 import math
 import os
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from hsroots.cli import main
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
 from hsroots.lattice import CountQuery, count_points
 from hsroots.polynomial import RationalPolynomial
-from hsroots.roots import find_roots
+from hsroots.roots import SolverConfig, find_roots
 from hsroots.stability import verify_half_plane, verify_strip
 
 
@@ -96,6 +98,24 @@ def test_criterion_3_strip_certification_full():
         for d in range(4, 11):
             for n in range(2 * d, d * d + 2 * d + 1):
                 assert verify_strip(HypersimplexParams(d, n)).overall, (d, n)
+
+
+@pytest.mark.skipif(
+    os.environ.get("HSR_FULL") != "1",
+    reason="full tier (numeric diagonal n = 2d up to d = 75, ~3 min); set HSR_FULL=1",
+)
+def test_diagonal_numeric_full():
+    # deepest cancellation of the alternating sum: every root still meets the
+    # residual tolerance, and the largest instance stays within its budget
+    config = SolverConfig()
+    with Stopwatch("diagonal n = 2d, d = 4..75", 600):
+        for d in range(4, 76):
+            n = 2 * d
+            with Stopwatch("diagonal d = 75", 15) if d == 75 else nullcontext():
+                rootset = find_roots(HypersimplexParams(d, n), config)
+            assert rootset.converged, d
+            assert rootset.max_residual <= config.resolved_tolerance(n - 1), d
+            assert all(-n / d < r.real < 0 for r in rootset.roots), d
 
 
 def test_criterion_4_d3_theorem_instances():

@@ -2,21 +2,26 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
 from hsroots.errors import EvaluationAtRoot
+from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     RootSet,
     SolverConfig,
     _eval_vec,
+    _horner_fixed,
     _int_mantissa_exponent,
+    _to_fixed,
     evaluate_scaled,
     find_roots,
     log_derivative,
     residual,
 )
+from hsroots.stability import _integer_coefficients
 
 
 def gaussian_eval(poly, re: Fraction, im: Fraction):
@@ -208,12 +213,14 @@ def test_solver_config_validation():
 def test_rootset_max_residual():
     rs = RootSet(roots=(1j,), residuals=(1e-12,), iterations=3, converged=True)
     assert rs.max_residual == 1e-12
+    assert rs.extended_bits is None and rs.extended_sweeps == 0
 
 
 def loop_eval(d, n, z):
     """The evaluator with one pass over the points per alternating-sum term:
     the same float operations as `_eval_vec`, in the same order."""
     acc = acc_d = acc_e = None
+    terms = []
     for s in range(d):
         slope = float(d - s)
         prod = np.ones(z.shape[0], dtype=complex)
@@ -232,6 +239,7 @@ def loop_eval(d, n, z):
                     prod_d = prod_d * scale
                     exps += adjust
         cm, ce = _int_mantissa_exponent(math.comb(n, s))
+        terms.append((np.abs(prod) * cm, exps + ce))
         if s % 2:
             cm = -cm
         term, term_d, term_e = prod * cm, prod_d * cm, exps + ce
@@ -244,7 +252,10 @@ def loop_eval(d, n, z):
         acc = acc * down_old + term * down_new
         acc_d = acc_d * down_old + term_d * down_new
         acc_e = top
-    return acc, acc_d, acc_e
+    magnitude = 0.0
+    for mag, e in terms:
+        magnitude = magnitude + np.ldexp(mag, np.maximum(e - acc_e, -1100).astype(np.int32))
+    return acc, acc_d, acc_e, magnitude
 
 
 def mixed_points(d, n):
@@ -284,3 +295,78 @@ def test_residual_matches_find_roots_bitwise(d, n):
     assert any(r.imag == 0 for r in rs.roots)  # includes roots snapped to the axis
     for root, res in zip(rs.roots, rs.residuals):
         assert residual(params, root) == res
+
+
+def test_eval_vec_noise_magnitude():
+    # A sums the moduli of the terms whose signed sum is S, so |S| <= A up to
+    # rounding, with equality when there is a single term
+    S, _, _, A = _eval_vec(22, 44, mixed_points(22, 44))
+    assert (np.abs(S) <= A * (1 + 1e-12)).all()
+    S, _, _, A = _eval_vec(1, 5, np.array([2.0 + 1j]))
+    assert A[0] == abs(S[0])
+    # exact sum of the term moduli at a real point
+    d, n, z = 3, 6, 1
+    exact = sum(
+        math.comb(n, s) * abs(math.prod((d - s) * z + k - s for k in range(1, n)))
+        for s in range(d)
+    )
+    _, _, E, A = _eval_vec(d, n, np.array([complex(z)]))
+    assert math.ldexp(A[0], int(E[0])) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("d,n", [(16, 32), (22, 44)])
+def test_horner_fixed_within_truncation_bound(d, n):
+    coeffs = _integer_coefficients(ehrhart_polynomial(HypersimplexParams(d, n)))
+    degree = len(coeffs) - 1
+    poly = RationalPolynomial(coeffs)
+    deriv = RationalPolynomial([k * c for k, c in enumerate(coeffs)][1:])
+    bits = 128
+    unit = Fraction(1, 2**bits)
+    for z in mixed_points(d, n):
+        x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
+        re, im = x * unit, y * unit
+        assert (re, im) == (Fraction(z.real), Fraction(z.imag))  # exact point
+        pr, pi, dr, di = _horner_fixed(coeffs, x, y, bits)
+        # the stated bounds, with |re| + |im| >= |z| in the geometric sum
+        geometric = sum((abs(re) + abs(im)) ** j for j in range(degree))
+        for (got_re, got_im), oracle, bound in (
+            ((pr, pi), poly, 2 * unit * geometric),
+            ((dr, di), deriv, 2 * unit * degree * geometric),
+        ):
+            want_re, want_im = gaussian_eval(oracle, re, im)
+            err2 = (got_re * unit - want_re) ** 2 + (got_im * unit - want_im) ** 2
+            assert err2 <= bound**2
+            # the bound is far below the value, so the check has teeth
+            assert bound**2 < (want_re**2 + want_im**2) * Fraction(1, 2**80)
+
+
+def test_find_roots_refines_noise_limited_iterates():
+    # at (16, 32) the double sweep hits the evaluation noise and the iterates
+    # are refined with exact coefficients; compare with an independent solver
+    params = HypersimplexParams(16, 32)
+    rs = find_roots(params)
+    assert rs.converged
+    assert rs.extended_bits is not None and rs.extended_sweeps > 0
+    assert rs.iterations < SolverConfig().max_iterations
+    poly = ehrhart_polynomial(params)
+    with mp.workprec(256):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
+        reference = [complex(r) for r in mp.polyroots(cs, maxsteps=400, extraprec=256)]
+    for ours, theirs in ((rs.roots, reference), (reference, rs.roots)):
+        for root in ours:
+            assert min(abs(root - other) for other in theirs) <= 1e-12 * (1 + abs(root))
+
+
+@pytest.mark.parametrize("d,n", [(7, 63), (9, 96)])
+def test_find_roots_stays_in_doubles_off_the_diagonal(d, n):
+    for seed in range(3):
+        rs = find_roots(HypersimplexParams(d, n), SolverConfig(seed=seed))
+        assert rs.converged
+        assert rs.extended_bits is None and rs.extended_sweeps == 0
+
+
+def test_find_roots_diagonal_d40_in_strip():
+    rs = find_roots(HypersimplexParams(40, 80))
+    assert rs.converged
+    assert len(rs.roots) == 79
+    assert all(-2.0 < r.real < 0.0 for r in rs.roots)

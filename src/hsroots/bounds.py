@@ -7,19 +7,27 @@ the order parameter on the right and left edges, the explicit bound on the
 horizontal edges, boundary margins for the comparison itself, and the
 inequality chain used for the d >= 4 half-plane results.  Everything here is
 numerical evidence at sampled points, not proof.
+
+The product terms come from the factor loop of `roots` (`_term_products`).
+`_ratios` evaluates all d modulus ratios on blocks of up to `_BLOCK` points;
+`phi`, `f_term_modulus` and `check_aida` are calls of size 1.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath as mp
+import numpy as np
 
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
+from .roots import _term_products
 from .scaled import ScaledComplex, scaled_polar
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
+_BLOCK = 4096  # points per evaluator call
 
 IMAGINARY_AXIS = "imaginary_axis"
 LEFT_EDGE = "left_edge"
@@ -34,52 +42,48 @@ def _validate_indices(n: int, d: int, s: int, smallest: int = 0):
         )
 
 
-def _log2_term_modulus(n: int, d: int, s: int, z: complex) -> float:
-    """log2 of |C(n,s) * prod_{k=1}^{n-1} ((d-s)z + k - s)|; -inf if it vanishes."""
-    slope = float(d - s)
-    x, y = z.real, z.imag
-    im = slope * y
-    im2 = im * im
-    total = 0.0
-    log2 = math.log2
-    for k in range(1, n):
-        re = slope * x + (k - s)
-        m2 = re * re + im2
-        if m2 == 0.0:
-            return -math.inf
-        total += log2(m2)
-    return math.log2(math.comb(n, s)) + 0.5 * total
+def _log2_terms(n: int, d: int, z: np.ndarray) -> np.ndarray:
+    """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| as a (d, len(z)) array,
+    -inf where a factor vanishes; batch-independent like `_term_products`."""
+    prod, _, exps = _term_products(d, n, z)
+    log_binom = np.array([math.log2(math.comb(n, s)) for s in range(d)])
+    with np.errstate(divide="ignore"):
+        return np.log2(np.abs(prod)) + exps + log_binom[:, None]
+
+
+def _ratios(n: int, d: int, z: np.ndarray) -> np.ndarray:
+    """phi for s = 0..d-1 as a (d, len(z)) array, by exponent difference."""
+    logs = _log2_terms(n, d, z)
+    poles = np.flatnonzero(logs[0] == -np.inf)
+    if poles.size:
+        raise DivisionByZeroTerm(f"dominant term vanishes at z={complex(z[poles[0]])}")
+    gap = logs - logs[0]
+    ratios = np.exp2(np.minimum(gap, 1020.0))
+    ratios[gap > 1020] = np.inf
+    ratios[0] = 1.0
+    return ratios
+
+
+def _blocks(values, dtype=complex):
+    """The values as arrays of at most _BLOCK entries, so memory stays bounded."""
+    values = iter(values)
+    while (block := np.fromiter(itertools.islice(values, _BLOCK), dtype=dtype)).size:
+        yield block
 
 
 def f_term_modulus(n: int, d: int, s: int, z: complex) -> ScaledComplex:
     """|C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)| as a scaled magnitude."""
     _validate_indices(n, d, s)
-    lg = _log2_term_modulus(n, d, s, complex(z))
+    lg = float(_log2_terms(n, d, np.array([complex(z)]))[s, 0])
     if lg == -math.inf:
         return ScaledComplex(0j)
     return scaled_polar(lg)
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
-    """Modulus ratio of the s-th product term to the dominant (s=0) one.
-
-    Computed by exponent difference of the scaled magnitudes, so the huge
-    individual products never materialize.
-    """
+    """Modulus ratio of the s-th product term to the dominant (s=0) one."""
     _validate_indices(n, d, s)
-    z = complex(z)
-    log_den = _log2_term_modulus(n, d, 0, z)
-    if log_den == -math.inf:
-        raise DivisionByZeroTerm(f"dominant term vanishes at z={z}")
-    if s == 0:
-        return 1.0
-    log_num = _log2_term_modulus(n, d, s, z)
-    gap = log_num - log_den
-    if gap == -math.inf:
-        return 0.0
-    if gap > 1020:
-        return math.inf
-    return 2.0 ** gap
+    return float(_ratios(n, d, np.array([complex(z)]))[s, 0])
 
 
 def default_beta_grid(n: int, points: int = 400):
@@ -96,6 +100,18 @@ def _strictly_less(lhs: float, rhs: float) -> bool:
     return lhs < rhs * (1.0 - RELATIVE_SLACK)
 
 
+def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, heights):
+    """Whether phi_s of order n_next at re_next + i*t is strictly below phi_s of
+    order n at re + i*t at every height t where not both of them vanish."""
+    for t in _blocks(heights, float):
+        larger = _ratios(n, d, re + 1j * t)[s]
+        smaller = _ratios(n_next, d, re_next + 1j * t)[s]
+        both_zero = (smaller == 0.0) & (larger == 0.0)
+        if not (both_zero | (smaller < larger * (1.0 - RELATIVE_SLACK))).all():
+            return False
+    return True
+
+
 def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
     """On the imaginary axis, the ratio for order n+1 sits strictly below
     the ratio for order n, at every sampled height.
@@ -107,15 +123,7 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
     _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
         beta_samples = default_beta_grid(n)
-    for beta in beta_samples:
-        z = complex(0.0, beta)
-        larger = phi(n, d, s, z)
-        smaller = phi(n + 1, d, s, z)
-        if larger == 0.0 and smaller == 0.0:
-            continue
-        if not _strictly_less(smaller, larger):
-            return False
-    return True
+    return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, beta_samples)
 
 
 def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
@@ -129,16 +137,7 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
         beta_samples = default_beta_grid(n)
-    for beta in beta_samples:
-        z_here = complex(-n / d, -beta)
-        z_next = complex(-(n + d) / d, -beta)
-        larger = phi(n, d, s, z_here)
-        smaller = phi(n + d, d, s, z_next)
-        if larger == 0.0 and smaller == 0.0:
-            continue
-        if not _strictly_less(smaller, larger):
-            return False
-    return True
+    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, (-b for b in beta_samples))
 
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:
@@ -241,19 +240,19 @@ def rouche_margin(spec: ContourSpec) -> MarginReport:
     max_ratio = 0.0
     argmax = complex(0.0, 0.0)
     nudged = 0
-    for z in spec.points():
-        if abs(z.imag) < 1e-9:
-            # zeros of the dominant term sit at -k/d, k = 1..n-1
-            k = round(-z.real * d)
-            if 1 <= k <= n - 1 and abs(z.real + k / d) < 1e-9:
-                z = complex(z.real + 1e-6, z.imag)
-                nudged += 1
-        total = 0.0
-        for s in range(1, d):
-            total += phi(n, d, s, z)
-        if total > max_ratio:
-            max_ratio = total
-            argmax = z
+    for z in _blocks(spec.points()):
+        # zeros of the dominant term sit at -k/d, k = 1..n-1
+        k = np.rint(-z.real * d)
+        near = (np.abs(z.imag) < 1e-9) & (1 <= k) & (k <= n - 1)
+        near &= np.abs(z.real + k / d) < 1e-9
+        z.real[near] += 1e-6
+        nudged += int(near.sum())
+        ratios = _ratios(n, d, z)
+        total = sum(ratios[1:], np.zeros(z.size))  # row after row, in s order
+        best = int(np.argmax(total))
+        if total[best] > max_ratio:
+            max_ratio = float(total[best])
+            argmax = complex(z[best])
     return MarginReport(
         max_ratio=max_ratio,
         argmax_point=argmax,

@@ -1,23 +1,22 @@
 """Batch verification over (d, n) grids with CSV artifacts.
 
-Each pair is processed independently (optionally across a thread pool):
-numeric roots with residual certificates, plus the exact strip certificate
-when requested.  Results are gathered, sorted by (d, n), and written as
+Each pair is processed independently, one after another: numeric roots
+with residual certificates, plus the exact strip certificate when
+requested.  Results are gathered, sorted by (d, n), and written as
 `report.csv` and `roots.csv`.  File contents are deterministic for a given
-configuration and seed, independent of the thread count: wall-clock timings
+configuration and seed, byte for byte from run to run: wall-clock timings
 are reported on the console and kept out of the CSV (its millis column is
 pinned to 0).
 """
 
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
 from .ehrhart import HypersimplexParams
-from .errors import HsrootsError
+from .errors import HsrootsError, InvalidParams
 from .roots import RootSet, SolverConfig, find_roots
 from .stability import verify_strip
 
@@ -40,19 +39,19 @@ class CampaignConfig:
     n_max: Optional[int] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     certify: bool = True
-    threads: int = 1
     output_dir: Optional[Path] = None
     svg: bool = False
 
     def __post_init__(self):
         if self.d_min < 1 or self.d_max < self.d_min:
-            raise ValueError(f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+            raise InvalidParams(f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if self.n_rule not in (PAPER_GRID, DIAGONAL, RANGE):
-            raise ValueError(f"unknown n_rule {self.n_rule!r}")
+            raise InvalidParams(f"unknown n_rule {self.n_rule!r}")
         if self.n_rule == RANGE and (self.n_min is None or self.n_max is None):
-            raise ValueError("range rule needs n_min and n_max")
+            raise InvalidParams("range rule needs n_min and n_max")
+        if not self.pairs():
+            span = f"d in {self.d_min}..{self.d_max}, n in {self.n_min}..{self.n_max}"
+            raise InvalidParams(f"the grid has no pair with n > d ({span})")
 
     def pairs(self) -> Tuple[Tuple[int, int], ...]:
         out = []
@@ -138,30 +137,15 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     Partial results are still flushed when instances error; the report
     carries the error descriptions and the console summary marks FAILURE.
     """
-    pairs = config.pairs()
     results = {}
     errors = []
-
-    def work(pair):
-        d, n = pair
+    for d, n in config.pairs():
         try:
-            return pair, _solve_pair(d, n, config.solver, config.certify), None
+            results[d, n] = _solve_pair(d, n, config.solver, config.certify)
         except (HsrootsError, ValueError) as exc:
-            return pair, None, f"d={d} n={n}: {exc}"
+            errors.append(f"d={d} n={n}: {exc}")
         except Exception:  # any other failure is reported; the other pairs still flush
-            return pair, None, f"d={d} n={n}: {traceback.format_exc().rstrip()}"
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(work, pairs))
-    else:
-        outcomes = [work(p) for p in pairs]
-
-    for pair, result, error in outcomes:
-        if error is not None:
-            errors.append(error)
-        else:
-            results[pair] = result
+            errors.append(f"d={d} n={n}: {traceback.format_exc().rstrip()}")
 
     rows = tuple(results[pair][0] for pair in sorted(results))
     report = VerificationReport(rows=rows, errors=tuple(errors), certify=config.certify)
@@ -192,7 +176,7 @@ def write_report_csv(path: Path, report: VerificationReport):
                     _format_float(r.re_max),
                     _format_float(r.im_max),
                     _format_float(r.max_residual),
-                    "0",  # pinned: byte-identical output across thread counts
+                    "0",  # pinned: timings vary from run to run; the CSV must not
                 ]
             )
         )

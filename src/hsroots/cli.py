@@ -7,7 +7,6 @@ Exit codes: 0 success/certified, 1 numeric-only pass without certification,
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -90,8 +89,14 @@ def cmd_roots(args) -> int:
     else:
         sys.stdout.write(text)
     if not rootset.converged:
+        sweeps = f"{rootset.iterations} iterations"
+        if rootset.extended_bits is not None:
+            sweeps += (
+                f" and {rootset.extended_sweeps} exact sweeps at "
+                f"{rootset.extended_bits} fractional bits"
+            )
         print(
-            f"warning: not converged after {rootset.iterations} iterations "
+            f"warning: not converged after {sweeps} "
             f"(max residual {rootset.max_residual:.3e})",
             file=sys.stderr,
         )
@@ -175,9 +180,6 @@ def _campaign_config(args) -> CampaignConfig:
         tolerance=pick(args.tolerance, "tolerance"),
         seed=pick(args.seed, "seed", 0),
     )
-    threads = pick(args.threads, "threads")
-    if threads is None:
-        threads = int(os.environ.get("HSR_THREADS", "1"))
     certify = args.certify or bool(file_conf.get("certify", False))
     return CampaignConfig(
         d_min=pick(args.d_min, "d_min", 4),
@@ -187,7 +189,6 @@ def _campaign_config(args) -> CampaignConfig:
         n_max=pick(args.n_max, "n_max"),
         solver=solver,
         certify=certify,
-        threads=int(threads),
         output_dir=Path(pick(args.out, "out", "campaign_out")),
         svg=args.svg or bool(file_conf.get("svg", False)),
     )
@@ -290,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--tolerance", type=float)
     p_campaign.add_argument("--max-iter", type=int)
     p_campaign.add_argument("--seed", type=int)
-    p_campaign.add_argument("--threads", type=int, help="default from HSR_THREADS")
     p_campaign.add_argument("--certify", action="store_true", help="run the exact strip test")
     p_campaign.add_argument("--svg", action="store_true", help="emit per-d SVG scatter")
     p_campaign.add_argument("--out", help="output directory")

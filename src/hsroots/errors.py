@@ -6,7 +6,7 @@ class HsrootsError(Exception):
 
 
 class InvalidParams(HsrootsError, ValueError):
-    """Hypersimplex parameters outside 1 <= d < n."""
+    """Parameters outside their documented range, such as 1 <= d < n."""
 
 
 class InvalidTermIndex(HsrootsError, ValueError):

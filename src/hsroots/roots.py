@@ -4,11 +4,12 @@ The polynomial is evaluated in product form (never from expanded monomial
 coefficients): each alternating-sum term is a product of n-1 linear factors,
 accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
-coefficients would overflow doubles.  One batched evaluator, `_eval_vec`,
-does this for all d terms and a whole array of points at once; each point
-gets the same bits alone as in any batch.  The solver sweeps, the residual
-certificates, the real-axis snap and the single-point functions
-(`evaluate_scaled`, `log_derivative`, `residual`) all call it.
+coefficients would overflow doubles.  One factor loop, `_term_products`,
+builds all d terms for a whole array of points at once, each point with the
+same bits alone as in any batch.  `_eval_vec` sums them for the solver, the
+residual certificates, the real-axis snap and the single-point functions
+(`evaluate_scaled`, `log_derivative`, `residual`); `bounds` takes its
+modulus ratios from the same terms.
 
 The solver is the Ehrlich-Aberth simultaneous iteration with deterministic,
 seed-rotated initial points on circles read off the coefficient Newton
@@ -30,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
-from .errors import EvaluationAtRoot
+from .errors import EvaluationAtRoot, InvalidParams
 from .scaled import ScaledComplex
 from .stability import _integer_coefficients
 
@@ -51,9 +52,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InvalidParams("max_iterations must be >= 1")
         if self.tolerance is not None and not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            raise InvalidParams("tolerance must be positive")
 
     def resolved_tolerance(self, degree: int) -> float:
         if self.tolerance is not None:
@@ -157,19 +158,15 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _eval_vec(d: int, n: int, z: np.ndarray):
-    """Vectorized product-form evaluation with shared power-of-two exponents.
+def _term_products(d: int, n: int, z: np.ndarray):
+    """The d alternating-sum terms and their derivatives in scaled form.
 
-    Returns mantissas (S, Sp), the per-point exponent E so that
-    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the
-    magnitude A = sum_s C(n, s) |term_s| * 2**-E of the alternating sum's
-    terms, which scales the rounding error of S.
-
-    The d alternating-sum terms are rows of (d, len(z)) arrays, built up
-    one linear factor at a time.  A row is rescaled by powers of two when
-    any of its entries strays beyond 2**+-200; that multiplies the others by
-    exactly 1, so every point gets the same bits whether it is evaluated
-    alone or in a batch.
+    Row s of the (d, len(z)) arrays holds prod_{k=1}^{n-1} ((d-s)z + k - s)
+    as prod[s] * 2**exps[s] and its z-derivative as prod_d[s] * 2**exps[s],
+    built up one linear factor at a time (a vanishing factor leaves an exact
+    0).  A row is rescaled by powers of two when any of its entries strays
+    beyond 2**+-200; that multiplies the others by exactly 1, so every point
+    gets the same bits whether it is evaluated alone or in a batch.
     """
     index = np.arange(d)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
@@ -196,6 +193,19 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
                 prod[rows] *= scale
                 prod_d[rows] *= scale
                 exps[rows] += adjust
+    return prod, prod_d, exps
+
+
+def _eval_vec(d: int, n: int, z: np.ndarray):
+    """Vectorized product-form evaluation with shared power-of-two exponents.
+
+    Returns mantissas (S, Sp), the per-point exponent E so that
+    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the
+    magnitude A = sum_s C(n, s) |term_s| * 2**-E of the alternating sum's
+    terms (from `_term_products`), which scales the rounding error of S.
+    """
+    prod, prod_d, exps = _term_products(d, n, z)
+    index = np.arange(d)[:, None]
     cm, ce = (
         np.array(column)[:, None]
         for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(d)))

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import hsroots.bounds
 from hsroots.bounds import (
     ContourSpec,
     aida_bound,
@@ -19,6 +21,8 @@ from hsroots.bounds import (
     phi,
     ratio_bound,
     rouche_margin,
+    _log2_terms,
+    _ratios,
 )
 from hsroots.errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
 
@@ -217,3 +221,97 @@ def test_lgamma_matches_factorial_at_integers():
         assert math.lgamma(s + 1) == pytest.approx(
             math.log(math.factorial(s)), rel=1e-13
         )
+
+
+def log2_term_modulus_oracle(n: int, d: int, s: int, z: complex) -> float:
+    """The former scalar evaluator: log2 |C(n,s) prod_k ((d-s)z + k - s)| as a
+    sum of per-factor logs; -inf if a factor vanishes."""
+    slope = float(d - s)
+    im2 = (slope * z.imag) ** 2
+    total = 0.0
+    for k in range(1, n):
+        re = slope * z.real + (k - s)
+        m2 = re * re + im2
+        if m2 == 0.0:
+            return -math.inf
+        total += math.log2(m2)
+    return math.log2(math.comb(n, s)) + 0.5 * total
+
+
+def kernel_points(n: int, d: int):
+    """Points on the three edges at default-grid heights, zeros of some terms
+    (0 for every s >= 1, -1/d for s = 0) and points of large modulus."""
+    beta = default_beta_grid(n, 12)
+    points = [complex(0.0, b) for b in beta] + [complex(-n / d, b) for b in beta]
+    points += [complex(-a, math.sqrt(2) * n) for a in np.linspace(0.0, n / d, 7)]
+    points += [0j, complex(-1.0 / d, 0.0), complex(-2.0 / d, 0.0)]
+    points += [complex(3e6, -4e6), complex(-2e7, 5e7), complex(0.0, -1e8)]
+    return np.array(points)
+
+
+KERNEL_CASES = [(7, 3), (12, 4), (33, 5), (41, 5), (64, 7)]
+
+
+def test_log2_terms_match_per_factor_oracle():
+    for n, d in KERNEL_CASES:
+        z = kernel_points(n, d)
+        logs = _log2_terms(n, d, z)
+        assert logs.shape == (d, z.size)
+        for s in range(d):
+            for i, point in enumerate(z):
+                expected = log2_term_modulus_oracle(n, d, s, complex(point))
+                if expected == -math.inf:
+                    assert logs[s, i] == -math.inf, (n, d, s, point)
+                else:
+                    assert abs(logs[s, i] - expected) <= 1e-12 * max(1.0, abs(expected)), (
+                        n, d, s, point
+                    )
+    # the zero-factor points really are zeros
+    assert _log2_terms(7, 3, np.array([0j]))[1:, 0].tolist() == [-math.inf, -math.inf]
+    assert _log2_terms(7, 3, np.array([complex(-1.0 / 3, 0.0)]))[0, 0] == -math.inf
+
+
+def test_log2_terms_and_ratios_batch_independent():
+    for n, d in KERNEL_CASES:
+        z = kernel_points(n, d)
+        logs = _log2_terms(n, d, z)
+        for i, point in enumerate(z):
+            single = _log2_terms(n, d, np.array([point]))[:, 0]
+            assert single.tobytes() == logs[:, i].tobytes(), (n, d, point)
+        z = z[_log2_terms(n, d, z)[0] > -math.inf]  # phi needs f_0 != 0
+        ratios = _ratios(n, d, z)
+        for i, point in enumerate(z):
+            for s in range(d):
+                value = phi(n, d, s, complex(point))
+                assert np.float64(value).tobytes() == ratios[s, i].tobytes(), (n, d, s, point)
+
+
+def test_ratios_pole_anywhere_in_batch_raises():
+    z = np.array([complex(0.0, 1.0), complex(-1.0 / 3.0, 0.0), complex(0.0, 2.0)])
+    with pytest.raises(DivisionByZeroTerm, match="-0.333"):
+        _ratios(7, 3, z)
+
+
+def test_rouche_margin_nudges_poles_on_low_horizontal_edge():
+    # lam = 1e-12 puts the edge within 1e-9 of the real axis: the five interior
+    # samples -k/3, k = 1..5, sit on zeros of the dominant term and are nudged
+    report = rouche_margin(ContourSpec("horizontal_edge", 3, 6, lam=1e-12, samples=7))
+    assert report.nudged == 5
+    assert report.argmax_point == complex(-1.3333323333333333, 6e-12)
+    assert report.max_ratio == pytest.approx(1399179.5761218565, rel=1e-12)
+    assert not report.passed
+
+
+def test_blocking_changes_no_bits(monkeypatch):
+    specs = [
+        ContourSpec("imaginary_axis", 4, 17, samples=301),
+        ContourSpec("left_edge", 5, 33, samples=300),
+        ContourSpec("horizontal_edge", 3, 6, lam=1e-12, samples=7),
+    ]
+    whole = [rouche_margin(spec) for spec in specs]
+    migi = [check_migi(12, 4, s) for s in range(1, 4)]
+    hidari = [check_hidari(23, 5, s) for s in range(1, 5)]
+    monkeypatch.setattr(hsroots.bounds, "_BLOCK", 7)
+    assert [rouche_margin(spec) for spec in specs] == whole
+    assert [check_migi(12, 4, s) for s in range(1, 4)] == migi
+    assert [check_hidari(23, 5, s) for s in range(1, 5)] == hidari

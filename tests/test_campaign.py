@@ -5,6 +5,7 @@ from hsroots.campaign import (
     CampaignConfig,
     run_campaign,
 )
+from hsroots.errors import InvalidParams
 from hsroots.roots import SolverConfig
 
 
@@ -34,11 +35,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(d_min=2, d_max=1)
     with pytest.raises(ValueError):
-        CampaignConfig(d_min=1, d_max=2, threads=0)
-    with pytest.raises(ValueError):
         CampaignConfig(d_min=1, d_max=2, n_rule="spiral")
     with pytest.raises(ValueError):
         CampaignConfig(d_min=1, d_max=2, n_rule="range")
+    with pytest.raises(InvalidParams):
+        CampaignConfig(d_min=0, d_max=3)
+
+
+def test_config_rejects_empty_grid():
+    with pytest.raises(InvalidParams, match="no pair"):
+        CampaignConfig(d_min=4, d_max=10, n_rule="range", n_min=50, n_max=10)
+    with pytest.raises(InvalidParams, match="no pair"):
+        CampaignConfig(d_min=5, d_max=6, n_rule="range", n_min=2, n_max=5)  # all n <= d
 
 
 def test_report_rows_sorted_and_consistent(tmp_path):
@@ -58,10 +66,10 @@ def test_report_rows_sorted_and_consistent(tmp_path):
     assert len(roots_lines) - 1 == sum(r.degree for r in report.rows)
 
 
-def test_campaign_byte_identical_across_threads(tmp_path):
+def test_campaign_byte_identical_across_runs(tmp_path):
     base = dict(d_min=2, d_max=3, certify=True, solver=SolverConfig(seed=3))
-    run_campaign(CampaignConfig(**base, threads=1, output_dir=tmp_path / "a"))
-    run_campaign(CampaignConfig(**base, threads=4, output_dir=tmp_path / "b"))
+    run_campaign(CampaignConfig(**base, output_dir=tmp_path / "a"))
+    run_campaign(CampaignConfig(**base, output_dir=tmp_path / "b"))
     for name in ("report.csv", "roots.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -1,6 +1,8 @@
 import json
 
 from hsroots.cli import main
+from hsroots.ehrhart import HypersimplexParams
+from hsroots.roots import SolverConfig, find_roots
 
 
 def run(capsys, *argv):
@@ -85,6 +87,28 @@ def test_roots_strip_d2_n4(capsys):
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert all(-2.0 < float(r[3]) < 0.0 for r in rows)
+
+
+def test_roots_invalid_values_exit_2(capsys):
+    code, out, err = run(capsys, "roots", "--d", "3", "--n", "6", "--tolerance", "-1")
+    assert (code, out) == (2, "")
+    assert "tolerance must be positive" in err
+    code, _, err = run(capsys, "roots", "--d", "3", "--n", "6", "--max-iter", "0")
+    assert code == 2
+    assert "max_iterations" in err
+
+
+def test_roots_warning_counts_exact_sweeps(capsys):
+    # one double sweep cannot settle, so the exact refinement runs, also for one sweep
+    rootset = find_roots(HypersimplexParams(3, 40), SolverConfig(max_iterations=1))
+    assert rootset.extended_bits is not None and not rootset.converged
+    code, _, err = run(capsys, "roots", "--d", "3", "--n", "40", "--max-iter", "1")
+    assert code == 3
+    assert err == (
+        f"warning: not converged after 1 iterations and {rootset.extended_sweeps} exact "
+        f"sweeps at {rootset.extended_bits} fractional bits "
+        f"(max residual {rootset.max_residual:.3e})\n"
+    )
 
 
 def test_roots_to_file(tmp_path, capsys):
@@ -189,15 +213,20 @@ def test_campaign_config_file_with_flag_override(tmp_path, capsys):
     assert len(report) == 1 + 3  # n in {2, 3, 4}
 
 
-def test_campaign_threads_env_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HSR_THREADS", "2")
-    code, _, _ = run(
-        capsys,
-        "campaign", "--d-min", "1", "--d-max", "1",
-        "--grid", "range", "--n-min", "2", "--n-max", "4",
-        "--certify", "--out", str(tmp_path / "camp"),
-    )
-    assert code == 0
+def test_campaign_invalid_values_exit_2(tmp_path, capsys):
+    out_dir = str(tmp_path / "camp")
+    for argv, message in (
+        (["--d-min", "0"], "d_min"),
+        (["--d-min", "3", "--d-max", "2"], "d_min"),
+        (["--grid", "range"], "n_min and n_max"),
+        (["--grid", "range", "--n-min", "50", "--n-max", "10", "--certify"], "no pair"),
+        (["--d-min", "4", "--d-max", "4", "--max-iter", "0"], "max_iterations"),
+    ):
+        code, out, err = run(capsys, "campaign", *argv, "--out", out_dir)
+        assert code == 2, argv
+        assert message in err, argv
+        assert "certified" not in out, argv
+    assert not (tmp_path / "camp").exists()
 
 
 def test_plot_simplex_points(tmp_path, capsys):

@@ -38,6 +38,7 @@ from .scaled import ScaledComplex
 from .stability import (
     StabilityVerdict,
     StripVerdict,
+    inclusion_strip,
     reflect_polynomial,
     routh_hurwitz,
     shift_polynomial,
@@ -79,6 +80,7 @@ __all__ = [
     "f_term_modulus",
     "find_roots",
     "in_sublattice",
+    "inclusion_strip",
     "log_derivative",
     "normalized_volume",
     "phi",

@@ -2,11 +2,13 @@
 
 Each pair is processed independently, one after another: numeric roots
 with residual certificates, plus the exact strip certificate when
-requested.  Results are gathered, sorted by (d, n), and written as
-`report.csv` and `roots.csv`.  File contents are deterministic for a given
-configuration and seed, byte for byte from run to run: wall-clock timings
-are reported on the console and kept out of the CSV (its millis column is
-pinned to 0).
+requested.  The certificate starts from those roots: exact inclusion disks
+around them prove a side of the strip, and only a side they cannot prove
+runs the Routh table (`stability.verify_strip`).  Results are gathered,
+sorted by (d, n), and written as `report.csv` and `roots.csv`.  File
+contents are deterministic for a given configuration and seed, byte for
+byte from run to run: wall-clock timings are reported on the console and
+kept out of the CSV (its millis column is pinned to 0).
 """
 
 import time
@@ -114,7 +116,7 @@ def _solve_pair(d: int, n: int, solver: SolverConfig, certify: bool):
     rootset = find_roots(params, solver)
     certified = False
     if certify:
-        certified = verify_strip(params).overall
+        certified = verify_strip(params, rootset.roots).overall
     millis = (time.perf_counter() - start) * 1000.0
     row = CampaignRow(
         d=d,

@@ -105,7 +105,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    verdict = verify_strip(HypersimplexParams(args.d, args.n))
+    params = HypersimplexParams(args.d, args.n)
+    params.require_conjecture_domain()
+    verdict = verify_strip(params, find_roots(params).roots)
     if verdict.overall:
         print("CERTIFIED")
         return EXIT_OK

@@ -1,15 +1,20 @@
-"""Exact root-location certificates via the Routh table.
+"""Exact root-location certificates: inclusion disks and the Routh table.
 
-All verdicts are computed in integer arithmetic after clearing denominators;
-rows are rescaled only by positive constants (their gcd), which preserves
-the sign structure the table's first column encodes.  A zero leading element
-is reported as Boundary, never perturbed.
+All verdicts are computed in integer arithmetic after clearing denominators.
+Given numeric approximations of all the roots, `inclusion_strip` proves a
+side of the strip from Weierstrass inclusion disks around them, evaluated
+exactly on the points' dyadic values; the disks can only prove a side.  A
+side they do not prove, and every call without roots, goes to the Routh
+table, whose rows are rescaled only by positive constants (their gcd), which
+preserves the sign structure the table's first column encodes.  A zero
+leading element is reported as Boundary, never perturbed.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
@@ -28,10 +33,14 @@ class StabilityVerdict:
     Unstable: at least one root with positive real part.
     Boundary: the exact table produced a zero leading element (a root on the
     dividing axis, or a symmetric pair) and counting cannot proceed.
+
+    `certifier` names the proof: "routh" for the Routh table, "inclusion"
+    for the inclusion disks, which only ever prove Stable.
     """
 
     status: str
     witness: Optional[str] = None
+    certifier: str = "routh"
 
     @property
     def is_stable(self) -> bool:
@@ -151,6 +160,92 @@ def routh_hurwitz(poly: RationalPolynomial) -> StabilityVerdict:
     return StabilityVerdict(STABLE)
 
 
+def _dyadic(points: Sequence[complex]) -> Tuple[list, int]:
+    """The points exactly as Gaussian integers over one power of two.
+
+    Returns ([(x_i, y_i)], bits) with z_i = (x_i + i y_i) / 2**bits; every
+    finite double is a dyadic rational, so nothing is rounded.
+    """
+    parts = [v.as_integer_ratio() for z in points for v in (z.real, z.imag)]
+    bits = max(den.bit_length() for _, den in parts) - 1
+    ints = [num << (bits + 1 - den.bit_length()) for num, den in parts]
+    return list(zip(ints[0::2], ints[1::2])), bits
+
+
+def _inside(gap: int, denominator: int, radius_sq: int, scale: int) -> bool:
+    """gap / (denominator 2**b) > sqrt(radius_sq / scale) / 2**b, in integers."""
+    return gap > 0 and radius_sq * denominator * denominator < scale * gap * gap
+
+
+def inclusion_strip(
+    poly: RationalPolynomial, points: Sequence[complex], lower, upper
+) -> Tuple[bool, bool]:
+    """Whether inclusion disks around `points` prove lower < Re < upper.
+
+    Returns (left, right): left is True when every root of poly provably
+    has Re > lower, right when every root provably has Re < upper.  False
+    proves nothing either way.
+
+    The certificate.  Let N be the degree, a_N the leading coefficient and
+    z_1..z_N distinct points, and set
+    W_i = p(z_i) / (a_N prod_{j != i} (z_i - z_j)).  The polynomial
+    p(t) - a_N prod_j (t - z_j) has degree below N and equals p(z_i) at
+    each z_i, so Lagrange interpolation on the N points gives, for t not a
+    point, p(t) / (a_N prod_j (t - z_j)) = 1 + sum_i W_i / (t - z_i).  At a
+    root t of p the left side is 0, so sum_i |W_i| / |t - z_i| >= 1 and some
+    term is at least 1/N: |t - z_i| <= N |W_i|.  A root equal to a point
+    lies in that point's disk.  So every root lies in the union of the
+    closed disks D(z_i, N |W_i|) (Braess and Hadeler 1973), and a side is
+    proven when every disk lies strictly inside it:
+    Re z_i - N |W_i| > lower, or Re z_i + N |W_i| < upper.
+
+    The points need not be accurate, only distinct; the disks are merely
+    larger for poor ones.  Each double is taken exactly as
+    (x_i + i y_i) / 2**B; p(z_i) 2**(BN) comes from Gaussian-integer Horner
+    on the integer coefficients and prod_{j != i} (z_i - z_j) 2**(B(N-1))
+    from an exact product, so each disk test compares squared integers and
+    no float enters the verdict.  Non-finite or repeated points, or a point
+    count other than N, prove nothing.
+    """
+    degree = poly.degree
+    points = [complex(z) for z in points]
+    if degree < 1 or len(points) != degree or not all(map(cmath.isfinite, points)):
+        return False, False
+    nodes, bits = _dyadic(points)
+    if len(set(nodes)) != degree:
+        return False, False
+    coeffs = _integer_coefficients(poly)
+    lead = coeffs[-1]
+    # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs[:-1])]
+    lower, upper = Fraction(lower), Fraction(upper)
+    # the edges as integers over 2**B: lower = low / (den_low 2**B), likewise upper
+    low, high = lower.numerator << bits, upper.numerator << bits
+    left = right = True
+    for i, (x, y) in enumerate(nodes):
+        pr, pi = lead, 0
+        for c in reversed(scaled):
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        qr, qi = 1, 0
+        for j, (u, v) in enumerate(nodes):
+            if j != i:
+                a, b = x - u, y - v
+                qr, qi = qr * a - qi * b, qr * b + qi * a
+        # W_i = P / (a_N Q 2**B), so N |W_i| < gap / (den 2**B) iff
+        # N^2 |P|^2 den^2 < a_N^2 |Q|^2 gap^2 with gap > 0
+        radius_sq = degree * degree * (pr * pr + pi * pi)
+        scale = lead * lead * (qr * qr + qi * qi)
+        left = left and _inside(
+            lower.denominator * x - low, lower.denominator, radius_sq, scale
+        )
+        right = right and _inside(
+            high - upper.denominator * x, upper.denominator, radius_sq, scale
+        )
+        if not (left or right):
+            break
+    return left, right
+
+
 def verify_half_plane(
     params: HypersimplexParams, c, side: str
 ) -> StabilityVerdict:
@@ -166,18 +261,31 @@ def verify_half_plane(
     raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
 
 
-def verify_strip(params: HypersimplexParams) -> StripVerdict:
+def verify_strip(
+    params: HypersimplexParams, roots: Optional[Sequence[complex]] = None
+) -> StripVerdict:
     """Exact certification of the open strip -n/d < Re(root) < 0.
 
-    Requires the standing assumption 2d <= n.  The right test applies the
-    table to the polynomial itself; the left test applies it to
+    Requires the standing assumption 2d <= n.  Given numeric approximations
+    of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
+    tried with the inclusion disks of `inclusion_strip`.  A side they do not
+    prove, or both sides when no roots are given, goes to the Routh table:
+    the right test applies it to the polynomial itself, the left test to
     q(z) = p(-z - n/d), which maps the half-plane Re > -n/d onto Re < 0.
+    Unstable and Boundary verdicts only ever come from the table.
     """
     params.require_conjecture_domain()
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
-    right = routh_hurwitz(poly)
-    left = routh_hurwitz(reflect_polynomial(shift_polynomial(poly, -bound)))
+    left_in, right_in = (
+        (False, False) if roots is None else inclusion_strip(poly, roots, -bound, 0)
+    )
+    included = StabilityVerdict(STABLE, certifier="inclusion")
+    right = included if right_in else routh_hurwitz(poly)
+    if left_in:
+        left = included
+    else:
+        left = routh_hurwitz(reflect_polynomial(shift_polynomial(poly, -bound)))
     return StripVerdict(
         left_ok=left,
         right_ok=right,

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
-six minutes of exact table work) runs when HSR_FULL=1 is set, together with
-a numeric sweep of the diagonal n = 2d for d = 4..75 (about three minutes).
+30 seconds: numeric roots, then inclusion disks with the Routh table as the
+fallback) runs when HSR_FULL=1 is set, together with a numeric sweep of the
+diagonal n = 2d for d = 4..75 (about three minutes).
 """
 
 import cmath
@@ -83,21 +84,30 @@ def test_criterion_2_delta_3_6_regression():
 
 
 def test_criterion_3_strip_certification_smoke():
+    # the Routh tables alone, and the inclusion disks from the numeric roots:
+    # the disks must prove both sides of every pair, and the two must agree
     with Stopwatch("3 strip certification (smoke, d<=7)", 180):
         for d in range(4, 8):
             for n in range(2 * d, d * d + 2 * d + 1):
-                assert verify_strip(HypersimplexParams(d, n)).overall, (d, n)
+                params = HypersimplexParams(d, n)
+                routh = verify_strip(params)
+                assert routh.overall, (d, n)
+                disks = verify_strip(params, find_roots(params).roots)
+                assert disks.left_ok.certifier == "inclusion", (d, n)
+                assert disks.right_ok.certifier == "inclusion", (d, n)
+                assert disks.overall == routh.overall, (d, n)
 
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (4<=d<=10, ~6 min of exact tables); set HSR_FULL=1",
+    reason="full tier (4<=d<=10, ~30 s of roots and inclusion disks); set HSR_FULL=1",
 )
 def test_criterion_3_strip_certification_full():
     with Stopwatch("3 strip certification (full, d<=10)", 2700):
         for d in range(4, 11):
             for n in range(2 * d, d * d + 2 * d + 1):
-                assert verify_strip(HypersimplexParams(d, n)).overall, (d, n)
+                params = HypersimplexParams(d, n)
+                assert verify_strip(params, find_roots(params).roots).overall, (d, n)
 
 
 @pytest.mark.skipif(

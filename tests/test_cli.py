@@ -1,5 +1,6 @@
 import json
 
+import hsroots.stability
 from hsroots.cli import main
 from hsroots.ehrhart import HypersimplexParams
 from hsroots.roots import SolverConfig, find_roots
@@ -121,6 +122,17 @@ def test_roots_to_file(tmp_path, capsys):
 
 def test_verify_certified(capsys):
     code, out, _ = run(capsys, "verify", "--d", "3", "--n", "6")
+    assert code == 0
+    assert out.strip() == "CERTIFIED"
+
+
+def test_verify_tall_pair_certified_by_the_disks(capsys, monkeypatch):
+    # degree 95: the inclusion disks prove both sides, so no Routh table runs
+    def no_table(poly):
+        raise AssertionError("the Routh table ran")
+
+    monkeypatch.setattr(hsroots.stability, "routh_hurwitz", no_table)
+    code, out, _ = run(capsys, "verify", "--d", "9", "--n", "96")
     assert code == 0
     assert out.strip() == "CERTIFIED"
 

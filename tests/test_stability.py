@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial
+from hsroots.roots import find_roots
 from hsroots.stability import (
+    inclusion_strip,
     reflect_polynomial,
     routh_hurwitz,
     shift_polynomial,
@@ -122,9 +125,103 @@ def test_stable_implies_positive_coefficients():
 
 
 def test_verify_strip_known_cases():
-    assert verify_strip(HypersimplexParams(2, 4)).overall is True
-    assert verify_strip(HypersimplexParams(3, 6)).overall is True
-    assert verify_strip(HypersimplexParams(1, 5)).overall is True
+    for d, n in ((2, 4), (3, 6), (1, 5)):
+        params = HypersimplexParams(d, n)
+        routh = verify_strip(params)
+        assert routh.overall is True
+        assert routh.left_ok.certifier == routh.right_ok.certifier == "routh"
+        disks = verify_strip(params, find_roots(params).roots)
+        assert disks.overall is True
+        assert disks.left_ok.certifier == disks.right_ok.certifier == "inclusion"
+
+
+def test_inclusion_leaves_unstable_side_unproven():
+    # (z - 1)(z + 1) with its exact roots: the disks have radius 0, and the
+    # root at +1 keeps the right side from being proven; Routh finds it
+    poly = RationalPolynomial([-1, 0, 1])
+    assert inclusion_strip(poly, [1, -1], -2, 0) == (True, False)
+    assert routh_hurwitz(poly).status == "Unstable"
+
+
+def test_inclusion_disk_touching_the_edge_proves_nothing():
+    # (z + 1)(z + 3) at the points -5/4 and -11/4: W = -/+ 7/24 and the
+    # disks D(-5/4, 7/12), D(-11/4, 7/12) reach exactly down to -10/3
+    poly = RationalPolynomial([3, 4, 1])
+    points = [-1.25, -2.75]
+    assert inclusion_strip(poly, points, Fraction(-10, 3), 0) == (False, True)
+    assert inclusion_strip(poly, points, Fraction(-10, 3) - Fraction(1, 10**30), 0) == (
+        True,
+        True,
+    )
+    # the right edge: the first disk reaches up to -2/3
+    assert inclusion_strip(poly, points, -4, Fraction(-2, 3)) == (True, False)
+    assert inclusion_strip(poly, points, -4, Fraction(-2, 3) + Fraction(1, 10**30)) == (
+        True,
+        True,
+    )
+
+
+def test_inclusion_never_proves_a_side_a_root_is_outside():
+    # polynomials built from known roots, points at random distances from
+    # them, random strips: a proven side must hold for every true root
+    rng = random.Random(3088)
+    proven = 0
+    for _ in range(300):
+        roots, degree = [], rng.randint(1, 7)
+        while len(roots) < degree:
+            re, im = rng.randint(-6, 2), rng.choice([0, 0, 1, 2])
+            roots.extend([complex(re, im), complex(re, -im)] if im else [complex(re)])
+        poly = RationalPolynomial([1])
+        for r in roots:
+            if r.imag > 0:
+                poly = poly * RationalPolynomial([r.real**2 + r.imag**2, -2 * r.real, 1])
+            elif r.imag == 0:
+                poly = poly * RationalPolynomial([-r.real, 1])
+        noise = 10.0 ** -rng.randint(0, 12)
+        points = [
+            r + complex(rng.uniform(-noise, noise), rng.uniform(-noise, noise)) for r in roots
+        ]
+        # edges up to one unit beyond the extreme roots, or cutting into them
+        lower = min(int(r.real) for r in roots) - Fraction(rng.randint(-5, 20), 20)
+        upper = max(int(r.real) for r in roots) + Fraction(rng.randint(-5, 20), 20)
+        left, right = inclusion_strip(poly, points, lower, upper)
+        if left:
+            assert all(r.real > lower for r in roots), (roots, points, lower)
+        if right:
+            assert all(r.real < upper for r in roots), (roots, points, upper)
+        proven += left + right
+    assert proven > 100  # the disks do prove most sides that hold
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda roots: [roots[1]] + roots[1:],  # a repeated point
+        lambda roots: [complex(math.nan, 0.0)] + roots[1:],
+        lambda roots: [complex(math.inf, 0.0)] + roots[1:],
+        lambda roots: roots[:-1],  # one point short
+        lambda roots: roots + [complex(-1.0, 0.0)],  # one point too many
+    ],
+    ids=["repeated", "nan", "inf", "short", "long"],
+)
+def test_verify_strip_falls_back_to_routh(spoil):
+    params = HypersimplexParams(4, 10)
+    roots = spoil(list(find_roots(params).roots))
+    bound = Fraction(params.n, params.d)
+    assert inclusion_strip(ehrhart_polynomial(params), roots, -bound, 0) == (False, False)
+    verdict = verify_strip(params, roots)
+    assert verdict == verify_strip(params)
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
+
+
+def test_verify_strip_moved_root_falls_back_and_stays_stable():
+    params = HypersimplexParams(4, 10)
+    roots = list(find_roots(params).roots)
+    roots[0] += 0.5
+    verdict = verify_strip(params, roots)
+    assert verdict.overall is True
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
+    assert verdict == verify_strip(params)
 
 
 def test_verify_strip_rejects_out_of_domain():

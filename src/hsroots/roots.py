@@ -11,9 +11,9 @@ residual certificates, the real-axis snap and the single-point functions
 (`evaluate_scaled`, `log_derivative`, `residual`); `bounds` takes its
 modulus ratios from the same terms.
 
-The solver is the Ehrlich-Aberth simultaneous iteration with deterministic,
-seed-rotated initial points on circles read off the coefficient Newton
-polygon; each sweep evaluates only the roots that have not yet converged.
+The solver is the Ehrlich-Aberth simultaneous iteration, started on one
+seed-rotated circle around the centroid of the roots (Aberth 1973), which
+all lie close to it; each sweep evaluates only the roots still moving.
 The evaluator also returns the summed moduli of the alternating-sum terms,
 which bound its rounding error.  Near n = 2d the sum cancels below that
 noise floor; a root whose value sinks into the noise leaves the double
@@ -127,35 +127,27 @@ def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
 
 
 def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
-    """Deterministic starting points on Newton-polygon circles.
+    """Deterministic starting points on one circle around the root centroid.
 
-    The upper convex hull of (k, log2|c_k|) partitions the degree into
-    annuli whose radii estimate the root moduli; angles are equally spaced
-    with a seed-derived irrational rotation so the start breaks the real-axis
+    Aberth's start: the centre c = -c_{N-1} / (N c_N) is the mean of the
+    roots, and the radius (|p(c)| / |c_N|)^(1/N) is the geometric mean of
+    their distances from c, measured from c + i/2 instead when c is itself
+    a root (c = -1 at n = 2d).  Angles are equally spaced with a
+    seed-derived irrational rotation, so the start breaks the real-axis
     symmetry of the polynomial.
     """
-    logs = _coefficient_logs(params)
+    poly = ehrhart_polynomial(params)
     degree = params.n - 1
-    pts = [(k, lk) for k, lk in enumerate(logs) if lk != -math.inf]
-    hull = []
-    for k, y in pts:
-        while len(hull) >= 2:
-            (k1, y1), (k2, y2) = hull[-2], hull[-1]
-            # pop middle points on or below the chord (upper hull)
-            if (y2 - y1) * (k - k1) <= (y - y1) * (k2 - k1):
-                hull.pop()
-            else:
-                break
-        hull.append((k, y))
-    radii = np.empty(degree)
-    pos = 0
-    for (k1, y1), (k2, y2) in zip(hull, hull[1:]):
-        r = 2.0 ** ((y1 - y2) / (k2 - k1))
-        radii[pos:pos + (k2 - k1)] = r
-        pos += k2 - k1
+    lead = poly.coeffs[-1]
+    centre = float(-poly.coeffs[-2] / (degree * lead))
+    for point in (centre, complex(centre, 0.5)):
+        S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(point)]))
+        if S[0] != 0:
+            break
+    log_dist = _values_log2(S, E)[0] - _log2_int(math.factorial(degree)) - _log2_fraction(lead)
     phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
     angles = 2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase
-    return radii * np.exp(1j * angles)
+    return centre + 2.0 ** (log_dist / degree) * np.exp(1j * angles)
 
 
 def _term_products(d: int, n: int, z: np.ndarray):
@@ -203,7 +195,10 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
     (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the
     magnitude A = sum_s C(n, s) |term_s| * 2**-E of the alternating sum's
     terms (from `_term_products`), which scales the rounding error of S.
+    x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n), so both have
+    the same polynomial; the sum runs over the fewer terms, min(d, n - d).
     """
+    d = min(d, n - d)
     prod, prod_d, exps = _term_products(d, n, z)
     index = np.arange(d)[:, None]
     cm, ce = (
@@ -387,7 +382,8 @@ def find_roots(
 ) -> RootSet:
     """All n-1 complex roots by Ehrlich-Aberth iteration.
 
-    Deterministic given the seed.  Convergence demands both a small final
+    Deterministic given the seed, which only rotates the starting circle
+    around the root centroid.  Convergence demands both a small final
     correction and a residual certificate at or below the tolerance.  The
     sweeps first run in doubles; a root whose product-form value sinks into
     its rounding noise (the alternating sum cancels deeply near n = 2d) stops
@@ -400,7 +396,7 @@ def find_roots(
     certificate is returned with converged=False.
     """
     config = config or SolverConfig()
-    d, n = params.d, params.n
+    d, n = min(params.d, params.n - params.d), params.n  # the rows `_eval_vec` sums
     degree = n - 1
     tol = config.resolved_tolerance(degree)
     coeff_logs = _coefficient_logs(params)

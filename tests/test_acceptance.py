@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
-30 seconds: numeric roots, then inclusion disks with the Routh table as the
+20 seconds: numeric roots, then inclusion disks with the Routh table as the
 fallback) runs when HSR_FULL=1 is set, together with a numeric sweep of the
-diagonal n = 2d for d = 4..75 (about three minutes).
+diagonal n = 2d for d = 4..75 (about 25 seconds).
 """
 
 import cmath
@@ -100,7 +100,7 @@ def test_criterion_3_strip_certification_smoke():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (4<=d<=10, ~30 s of roots and inclusion disks); set HSR_FULL=1",
+    reason="full tier (4<=d<=10, ~20 s of roots and inclusion disks); set HSR_FULL=1",
 )
 def test_criterion_3_strip_certification_full():
     with Stopwatch("3 strip certification (full, d<=10)", 2700):
@@ -112,7 +112,7 @@ def test_criterion_3_strip_certification_full():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (numeric diagonal n = 2d up to d = 75, ~3 min); set HSR_FULL=1",
+    reason="full tier (numeric diagonal n = 2d up to d = 75, ~25 s); set HSR_FULL=1",
 )
 def test_diagonal_numeric_full():
     # deepest cancellation of the alternating sum: every root still meets the

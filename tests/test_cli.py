@@ -75,6 +75,15 @@ def test_roots_simplex_rows(capsys):
     assert all(float(r[4]) == 0.0 for r in rows)
 
 
+def test_roots_above_half_as_the_complement(capsys):
+    # (10, 11) has the polynomial of (1, 11), whose roots are -1..-10
+    code, out, _ = run(capsys, "roots", "--d", "10", "--n", "11")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(r[3]) for r in rows] == [float(k) for k in range(-10, 0)]
+    assert all(float(r[4]) == 0.0 for r in rows)
+
+
 def test_roots_3_6_contains_minus_one(capsys):
     code, out, _ = run(capsys, "roots", "--d", "3", "--n", "6")
     assert code == 0

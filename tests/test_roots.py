@@ -10,10 +10,12 @@ from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exa
 from hsroots.errors import EvaluationAtRoot
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
+    _GOLDEN,
     RootSet,
     SolverConfig,
     _eval_vec,
     _horner_fixed,
+    _initial_points,
     _int_mantissa_exponent,
     _to_fixed,
     evaluate_scaled,
@@ -21,7 +23,7 @@ from hsroots.roots import (
     log_derivative,
     residual,
 )
-from hsroots.stability import _integer_coefficients
+from hsroots.stability import _integer_coefficients, verify_strip
 
 
 def gaussian_eval(poly, re: Fraction, im: Fraction):
@@ -370,3 +372,84 @@ def test_find_roots_diagonal_d40_in_strip():
     assert rs.converged
     assert len(rs.roots) == 79
     assert all(-2.0 < r.real < 0.0 for r in rs.roots)
+
+
+def circle(params, points):
+    """Centre -c_{N-1} / (N c_N) of the start circle and the points' distances from it."""
+    coeffs = ehrhart_polynomial(params).coeffs
+    centre = float(-coeffs[-2] / ((len(coeffs) - 1) * coeffs[-1]))
+    return centre, np.abs(points - centre)
+
+
+def geometric_mean_distance(roots, point):
+    return math.exp(sum(math.log(abs(r - point)) for r in roots) / len(roots))
+
+
+@pytest.mark.parametrize("d,n", [(1, 7), (4, 11), (7, 30), (9, 96)])
+def test_initial_points_on_aberth_circle(d, n):
+    # the centre is the mean of the roots and the radius their geometric mean
+    # distance from it, both read off the polynomial before any sweep
+    params = HypersimplexParams(d, n)
+    z = _initial_points(params, 0)
+    centre, radii = circle(params, z)
+    assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
+    rs = find_roots(params)
+    mean = sum(rs.roots) / len(rs.roots)
+    assert abs(centre - mean) <= 1e-12 * abs(mean)
+    assert radii == pytest.approx(geometric_mean_distance(rs.roots, mean), rel=1e-9)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (3, 4), (2, 4), (8, 16)])
+def test_initial_points_when_the_centre_is_a_root(d, n):
+    # the centroid is an exact root here, so the radius is measured from c + i/2
+    params = HypersimplexParams(d, n)
+    z = _initial_points(params, 0)
+    assert np.isfinite(z).all() and len(set(z.tolist())) == n - 1
+    centre, radii = circle(params, z)
+    assert evaluate_scaled(params, centre).is_zero
+    rs = find_roots(params)
+    assert rs.converged
+    assert radii == pytest.approx(
+        geometric_mean_distance(rs.roots, complex(centre, 0.5)), rel=1e-9
+    )
+
+
+def test_seed_rotates_the_start_circle():
+    # the seed turns the circle by frac(0.618... (seed + 1)) of a turn
+    params = HypersimplexParams(5, 17)
+    base = _initial_points(params, 0)
+    centre, radii = circle(params, base)
+    for seed in (1, 2, 7):
+        z = _initial_points(params, seed)
+        assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
+        other_radii = circle(params, z)[1]
+        assert other_radii == pytest.approx(radii, rel=1e-12)
+        turn = math.modf(_GOLDEN * (seed + 1))[0] - math.modf(_GOLDEN)[0]
+        rotation = (z - centre) / (base - centre)
+        assert rotation == pytest.approx(np.full(z.size, cmath.exp(2j * math.pi * turn)), abs=1e-9)
+        assert abs(rotation[0] - 1) > 0.1
+
+
+@pytest.mark.parametrize("d,n,rows", [(10, 11, 1), (30, 40, 10)])
+def test_find_roots_above_half_uses_the_complement(d, n, rows):
+    # x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n): one polynomial,
+    # which the solver sums over the fewer terms
+    params, fewer = HypersimplexParams(d, n), HypersimplexParams(rows, n)
+    assert ehrhart_polynomial(params).coeffs == ehrhart_polynomial(fewer).coeffs
+    rs = find_roots(params)
+    assert rs.converged
+    assert rs.roots == find_roots(fewer).roots
+    for root in rs.roots:
+        assert residual(params, root) == residual(fewer, root)
+
+
+def test_find_roots_degree_299_stays_in_doubles():
+    # the centroid circle lets all 299 roots settle in doubles, and the disks
+    # around them prove both sides of the strip
+    params = HypersimplexParams(10, 300)
+    rs = find_roots(params)
+    assert rs.converged
+    assert rs.extended_bits is None and rs.extended_sweeps == 0
+    verdict = verify_strip(params, rs.roots)
+    assert verdict.overall
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"

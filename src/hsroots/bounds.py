@@ -8,9 +8,14 @@ horizontal edges, boundary margins for the comparison itself, and the
 inequality chain used for the d >= 4 half-plane results.  Everything here is
 numerical evidence at sampled points, not proof.
 
-The product terms come from the factor loop of `roots` (`_term_products`).
-`_ratios` evaluates all d modulus ratios on blocks of up to `_BLOCK` points;
-`phi`, `f_term_modulus` and `check_aida` are calls of size 1.
+The product terms come from the factor loop of `roots` (`_term_products`),
+in its value-only mode: no derivative rows are built.  `_ratios` evaluates
+the modulus ratios on blocks of up to `_BLOCK` points, for the rows it is
+asked for: `rouche_margin` sums all d of them, while `check_migi`,
+`check_hidari` and `phi` build only rows 0 and s.  A row has the same bits
+whichever other rows are built with it.  `phi`, `f_term_modulus` and
+`check_aida` are calls of size 1.  The contour samples are made block by
+block as arrays (`ContourSpec.sample_blocks`).
 """
 
 import itertools
@@ -42,18 +47,21 @@ def _validate_indices(n: int, d: int, s: int, smallest: int = 0):
         )
 
 
-def _log2_terms(n: int, d: int, z: np.ndarray) -> np.ndarray:
-    """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| as a (d, len(z)) array,
-    -inf where a factor vanishes; batch-independent like `_term_products`."""
-    prod, _, exps = _term_products(d, n, z)
-    log_binom = np.array([math.log2(math.comb(n, s)) for s in range(d)])
+def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+    """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| for s in rows (all d
+    when None) as a (len(rows), len(z)) array, -inf where a factor vanishes;
+    batch- and row-independent like `_term_products`."""
+    rows = range(d) if rows is None else rows
+    prod, _, exps = _term_products(d, n, z, rows, derivative=False)
+    log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(prod)) + exps + log_binom[:, None]
 
 
-def _ratios(n: int, d: int, z: np.ndarray) -> np.ndarray:
-    """phi for s = 0..d-1 as a (d, len(z)) array, by exponent difference."""
-    logs = _log2_terms(n, d, z)
+def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+    """phi for s in rows (all d when None) as a (len(rows), len(z)) array, by
+    exponent difference; rows[0] must be 0, the dominant term."""
+    logs = _log2_terms(n, d, z, rows)
     poles = np.flatnonzero(logs[0] == -np.inf)
     if poles.size:
         raise DivisionByZeroTerm(f"dominant term vanishes at z={complex(z[poles[0]])}")
@@ -64,17 +72,17 @@ def _ratios(n: int, d: int, z: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def _blocks(values, dtype=complex):
-    """The values as arrays of at most _BLOCK entries, so memory stays bounded."""
+def _blocks(values):
+    """The values as float arrays of at most _BLOCK entries, so memory stays bounded."""
     values = iter(values)
-    while (block := np.fromiter(itertools.islice(values, _BLOCK), dtype=dtype)).size:
+    while (block := np.fromiter(itertools.islice(values, _BLOCK), dtype=float)).size:
         yield block
 
 
 def f_term_modulus(n: int, d: int, s: int, z: complex) -> ScaledComplex:
     """|C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)| as a scaled magnitude."""
     _validate_indices(n, d, s)
-    lg = float(_log2_terms(n, d, np.array([complex(z)]))[s, 0])
+    lg = float(_log2_terms(n, d, np.array([complex(z)]), (s,))[0, 0])
     if lg == -math.inf:
         return ScaledComplex(0j)
     return scaled_polar(lg)
@@ -83,7 +91,7 @@ def f_term_modulus(n: int, d: int, s: int, z: complex) -> ScaledComplex:
 def phi(n: int, d: int, s: int, z: complex) -> float:
     """Modulus ratio of the s-th product term to the dominant (s=0) one."""
     _validate_indices(n, d, s)
-    return float(_ratios(n, d, np.array([complex(z)]))[s, 0])
+    return float(_ratios(n, d, np.array([complex(z)]), (0, s))[1, 0])
 
 
 def default_beta_grid(n: int, points: int = 400):
@@ -103,9 +111,9 @@ def _strictly_less(lhs: float, rhs: float) -> bool:
 def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, heights):
     """Whether phi_s of order n_next at re_next + i*t is strictly below phi_s of
     order n at re + i*t at every height t where not both of them vanish."""
-    for t in _blocks(heights, float):
-        larger = _ratios(n, d, re + 1j * t)[s]
-        smaller = _ratios(n_next, d, re_next + 1j * t)[s]
+    for t in _blocks(heights):
+        larger = _ratios(n, d, re + 1j * t, (0, s))[1]
+        smaller = _ratios(n_next, d, re_next + 1j * t, (0, s))[1]
         both_zero = (smaller == 0.0) & (larger == 0.0)
         if not (both_zero | (smaller < larger * (1.0 - RELATIVE_SLACK))).all():
             return False
@@ -187,10 +195,15 @@ class ContourSpec:
             raise DomainViolation(f"unknown contour kind {self.kind!r}")
         if self.samples < 2:
             raise DomainViolation("need at least 2 samples")
+        lo, hi = self.resolved_range()
+        # a non-finite value would make NaN samples, whose ratios compare as false
+        if not all(map(math.isfinite, (self.lam, lo, hi, hi - lo))):
+            raise DomainViolation(
+                f"lam, the range and its width must be finite, got lam={self.lam}, ({lo}, {hi})"
+            )
         if self.kind == HORIZONTAL_EDGE:
             if self.lam == 0:
                 raise DomainViolation("horizontal edge needs lam != 0")
-            lo, hi = self.resolved_range()
             if not (0 <= lo <= hi <= self.n / self.d + 1e-12):
                 raise DomainViolation(
                     f"horizontal range must lie in [0, n/d], got ({lo}, {hi})"
@@ -204,17 +217,20 @@ class ContourSpec:
         span = abs(self.lam) * self.n
         return (-span, span)
 
-    def points(self):
+    def sample_blocks(self, size: int):
+        """The samples at t = lo + step*i, i = 0..samples-1, as complex arrays
+        of at most `size` points: i*t, -n/d + i*t or -t + i*lam*n by kind."""
         lo, hi = self.resolved_range()
         step = (hi - lo) / (self.samples - 1)
-        for i in range(self.samples):
-            t = lo + step * i
-            if self.kind == IMAGINARY_AXIS:
-                yield complex(0.0, t)
-            elif self.kind == LEFT_EDGE:
-                yield complex(-self.n / self.d, t)
+        for start in range(0, self.samples, size):
+            t = lo + step * np.arange(start, min(start + size, self.samples))
+            z = np.empty(t.size, dtype=complex)
+            if self.kind == HORIZONTAL_EDGE:
+                z.real, z.imag = -t, self.lam * self.n
             else:
-                yield complex(-t, self.lam * self.n)
+                z.real = 0.0 if self.kind == IMAGINARY_AXIS else -self.n / self.d
+                z.imag = t
+            yield z
 
 
 @dataclass(frozen=True)
@@ -234,13 +250,15 @@ def rouche_margin(spec: ContourSpec) -> MarginReport:
     the dominant term controls the boundary, hence that the comparison
     argument localizes all roots inside the rectangle; it is not a proof.
     Sample points within 1e-9 of a zero of the dominant term are nudged by
-    1e-6 and counted in `nudged`.
+    1e-6 and counted in `nudged`.  A NaN ratio sum (the terms overflowed)
+    fails the edge like an infinite one: the first such sample is reported
+    as the argmax with max_ratio NaN.
     """
     d, n = spec.d, spec.n
     max_ratio = 0.0
     argmax = complex(0.0, 0.0)
     nudged = 0
-    for z in _blocks(spec.points()):
+    for z in spec.sample_blocks(_BLOCK):
         # zeros of the dominant term sit at -k/d, k = 1..n-1
         k = np.rint(-z.real * d)
         near = (np.abs(z.imag) < 1e-9) & (1 <= k) & (k <= n - 1)
@@ -249,8 +267,8 @@ def rouche_margin(spec: ContourSpec) -> MarginReport:
         nudged += int(near.sum())
         ratios = _ratios(n, d, z)
         total = sum(ratios[1:], np.zeros(z.size))  # row after row, in s order
-        best = int(np.argmax(total))
-        if total[best] > max_ratio:
+        best = int(np.argmax(total))  # np.argmax ranks a NaN sum above all others
+        if not total[best] <= max_ratio and not math.isnan(max_ratio):
             max_ratio = float(total[best])
             argmax = complex(z[best])
     return MarginReport(

@@ -143,7 +143,9 @@ def cmd_bounds(args) -> int:
             "bottom": "horizontal_edge",
         }[args.edge]
         lam = args.lam if args.lam is not None else math.sqrt(2.0)
-        if args.edge == "bottom":
+        if args.edge == "top":
+            lam = abs(lam)
+        elif args.edge == "bottom":
             lam = -abs(lam)
         rng = (-args.beta_max, args.beta_max) if args.beta_max is not None else None
         report = rouche_margin(

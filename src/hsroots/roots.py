@@ -5,11 +5,12 @@ coefficients): each alternating-sum term is a product of n-1 linear factors,
 accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
 coefficients would overflow doubles.  One factor loop, `_term_products`,
-builds all d terms for a whole array of points at once, each point with the
-same bits alone as in any batch.  `_eval_vec` sums them for the solver, the
-residual certificates, the real-axis snap and the single-point functions
-(`evaluate_scaled`, `log_derivative`, `residual`); `bounds` takes its
-modulus ratios from the same terms.
+builds the terms for a whole array of points at once, each point with the
+same bits alone as in any batch.  `_eval_vec` sums all d terms and their
+derivatives for the solver, the residual certificates, the real-axis snap
+and the single-point functions (`evaluate_scaled`, `log_derivative`,
+`residual`); `bounds` takes its modulus ratios from the same loop, asking
+only for the rows it compares and for values without derivatives.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated circle around the centroid of the roots (Aberth 1973), which
@@ -150,41 +151,49 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     return centre + 2.0 ** (log_dist / degree) * np.exp(1j * angles)
 
 
-def _term_products(d: int, n: int, z: np.ndarray):
-    """The d alternating-sum terms and their derivatives in scaled form.
+def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = True):
+    """The alternating-sum terms and their derivatives in scaled form.
 
-    Row s of the (d, len(z)) arrays holds prod_{k=1}^{n-1} ((d-s)z + k - s)
-    as prod[s] * 2**exps[s] and its z-derivative as prod_d[s] * 2**exps[s],
+    Row j of the (len(rows), len(z)) arrays holds term s = rows[j] (all d
+    terms when rows is None), prod_{k=1}^{n-1} ((d-s)z + k - s), as
+    prod[j] * 2**exps[j] and its z-derivative as prod_d[j] * 2**exps[j],
     built up one linear factor at a time (a vanishing factor leaves an exact
-    0).  A row is rescaled by powers of two when any of its entries strays
-    beyond 2**+-200; that multiplies the others by exactly 1, so every point
-    gets the same bits whether it is evaluated alone or in a batch.
+    0).  An entry is rescaled by a power of two when it strays beyond
+    2**+-200, and the other entries are left alone, so every point and every
+    row gets the same bits whether it is built alone or in a batch.  With
+    derivative=False, prod_d is None and is never built; the rescale test
+    then looks at |prod| alone, so prod and exps may differ from the full
+    call by a power of two that cancels in prod * 2**exps.
     """
-    index = np.arange(d)[:, None]
+    index = np.arange(d)[:, None] if rows is None else np.array(rows)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
     slope = (d - index).astype(complex)
     offsets = (np.arange(1, n)[:, None, None] - index).astype(complex)
     slope_z = slope * z[None, :]
     prod = np.ones(slope_z.shape, dtype=complex)
-    prod_d = np.zeros(slope_z.shape, dtype=complex)
+    prod_d = np.zeros(slope_z.shape, dtype=complex) if derivative else None
     exps = np.zeros(slope_z.shape, dtype=np.int64)
     for k in range(1, n):
         factor = slope_z + offsets[k - 1]
         # out of place on purpose: numpy's in-place complex multiply rounds
         # differently on a one-element array, which would break batch-independence
-        prod_d = prod_d * factor + prod * slope
+        if derivative:
+            prod_d = prod_d * factor + prod * slope
         prod = prod * factor
         if k % 16 == 0 or k == n - 1:
-            mag = np.maximum(np.abs(prod), np.abs(prod_d))
+            mag = np.abs(prod)
+            if derivative:
+                mag = np.maximum(mag, np.abs(prod_d))
             _, e = np.frexp(mag)
             adjust = np.where(np.abs(e) > 200, e, 0)
-            rows = adjust.any(axis=1)
-            if rows.any():
-                adjust = adjust[rows]
+            stray = adjust.any(axis=1)
+            if stray.any():
+                adjust = adjust[stray]
                 scale = np.ldexp(1.0, -adjust)
-                prod[rows] *= scale
-                prod_d[rows] *= scale
-                exps[rows] += adjust
+                prod[stray] *= scale
+                if derivative:
+                    prod_d[stray] *= scale
+                exps[stray] += adjust
     return prod, prod_d, exps
 
 

@@ -315,3 +315,89 @@ def test_blocking_changes_no_bits(monkeypatch):
     assert [rouche_margin(spec) for spec in specs] == whole
     assert [check_migi(12, 4, s) for s in range(1, 4)] == migi
     assert [check_hidari(23, 5, s) for s in range(1, 5)] == hidari
+
+
+def test_log2_terms_and_ratios_row_selection_changes_no_bits():
+    for n, d in KERNEL_CASES:
+        z = kernel_points(n, d)
+        logs = _log2_terms(n, d, z)
+        finite = z[logs[0] > -math.inf]  # phi needs f_0 != 0
+        ratios = _ratios(n, d, finite)
+        for s in range(d):
+            picked = _log2_terms(n, d, z, (0, s))
+            assert picked.tobytes() == logs[[0, s]].tobytes(), (n, d, s)
+            assert _log2_terms(n, d, z, (s,)).tobytes() == logs[[s]].tobytes(), (n, d, s)
+            picked = _ratios(n, d, finite, (0, s))
+            assert picked.tobytes() == ratios[[0, s]].tobytes(), (n, d, s)
+    # the zero-factor points are among the compared ones
+    assert _log2_terms(7, 3, np.array([0j]), (0, 2))[1, 0] == -math.inf
+    assert _log2_terms(7, 3, np.array([complex(-1.0 / 3, 0.0)]), (0, 1))[0, 0] == -math.inf
+
+
+def sample_formula(spec: ContourSpec) -> list:
+    """The edge samples one point at a time: t = lo + step*i, then the point."""
+    lo, hi = spec.resolved_range()
+    step = (hi - lo) / (spec.samples - 1)
+    points = []
+    for i in range(spec.samples):
+        t = lo + step * i
+        if spec.kind == "imaginary_axis":
+            points.append(complex(0.0, t))
+        elif spec.kind == "left_edge":
+            points.append(complex(-spec.n / spec.d, t))
+        else:
+            points.append(complex(-t, spec.lam * spec.n))
+    return points
+
+
+def test_sample_blocks_match_the_formula_bit_for_bit():
+    specs = [
+        ContourSpec("imaginary_axis", 3, 7, samples=1001),
+        ContourSpec("imaginary_axis", 4, 17, range=(50.0, -30.0), samples=301),
+        ContourSpec("left_edge", 5, 33, samples=300),
+        ContourSpec("left_edge", 3, 12, range=(9.5, -0.7), samples=13),
+        ContourSpec("horizontal_edge", 3, 7, samples=501),
+        ContourSpec("horizontal_edge", 4, 13, lam=-math.sqrt(2), samples=10),
+        ContourSpec("horizontal_edge", 3, 6, lam=1e-12, samples=7),
+    ]
+    for spec in specs:
+        expected = np.array(sample_formula(spec))
+        for size in (1, 7, 4096):
+            blocks = list(spec.sample_blocks(size))
+            assert all(0 < block.size <= size for block in blocks)
+            got = np.concatenate(blocks)
+            assert got.tobytes() == expected.tobytes(), (spec, size)
+    # t = 0 on a horizontal edge gives the real part -0.0, as complex(-t, .) does
+    first = next(ContourSpec("horizontal_edge", 3, 7, samples=5).sample_blocks(2))
+    assert first[0].real == 0.0 and math.copysign(1.0, first[0].real) == -1.0
+
+
+def test_contour_spec_rejects_non_finite_values():
+    for kwargs in (
+        dict(lam=math.nan),
+        dict(lam=math.inf),
+        dict(lam=-math.inf),
+        dict(range=(-math.inf, math.inf)),
+        dict(range=(0.0, math.nan)),
+        dict(lam=1e308),  # the default range (-lam*n, lam*n) overflows
+        dict(range=(-1e308, 1e308)),  # the width overflows
+    ):
+        for kind in ("imaginary_axis", "left_edge"):
+            with pytest.raises(DomainViolation, match="finite"):
+                ContourSpec(kind, 3, 7, **kwargs)
+    with pytest.raises(DomainViolation, match="finite"):
+        ContourSpec("horizontal_edge", 3, 7, lam=math.nan)
+
+
+def test_rouche_margin_fails_on_an_overflowed_ratio_sum(monkeypatch):
+    # the terms overflow at heights of 1e297 and above, so every sample but
+    # t = 0 has a NaN ratio sum; none of them may be skipped
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = rouche_margin(ContourSpec("imaginary_axis", 3, 40, range=(0.0, 1e300)))
+        assert math.isnan(report.max_ratio) and not report.passed
+        assert report.argmax_point == complex(0.0, 1e297)
+        # a later block whose only finite sum is 0 keeps the first NaN sample
+        monkeypatch.setattr(hsroots.bounds, "_BLOCK", 7)
+        report = rouche_margin(ContourSpec("imaginary_axis", 3, 40, range=(-1e300, 0.0)))
+        assert math.isnan(report.max_ratio) and not report.passed
+        assert report.argmax_point == complex(0.0, -1e300)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+
+import hsroots
 import hsroots.stability
 from hsroots.cli import main
 from hsroots.ehrhart import HypersimplexParams
@@ -176,6 +183,59 @@ def test_bounds_rouche_output(capsys):
     assert code == 0
     assert "PASS" in out
     assert "max_ratio=" in out
+
+
+def test_bounds_rouche_horizontal_edges_ignore_the_sign_of_lambda(capsys):
+    outputs = {}
+    for edge in ("top", "bottom"):
+        for lam in ("1.4142135623730951", "-1.4142135623730951"):
+            code, out, _ = run(
+                capsys, "bounds", "rouche", "--d", "3", "--n", "7", "--edge", edge, "--lambda", lam
+            )
+            assert code == 0
+            outputs[edge, lam] = out
+    assert outputs["top", "1.4142135623730951"] == outputs["top", "-1.4142135623730951"]
+    assert outputs["bottom", "1.4142135623730951"] == outputs["bottom", "-1.4142135623730951"]
+    assert "edge=top" in outputs["top", "-1.4142135623730951"]
+    assert "+9.89949i" in outputs["top", "-1.4142135623730951"]
+    assert "-9.89949i" in outputs["bottom", "1.4142135623730951"]
+
+
+def test_bounds_rouche_non_finite_values_exit_2(capsys):
+    base = ("bounds", "rouche", "--d", "3", "--n", "7", "--edge")
+    for extra in (
+        ("imaginary", "--lambda", "nan"),
+        ("imaginary", "--lambda", "inf"),
+        ("left", "--beta-max", "inf"),
+        ("top", "--lambda", "nan"),
+    ):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2, extra
+        assert "finite" in err and "PASS" not in out
+
+
+def test_bounds_rouche_overflow_fails(capsys):
+    # every sample but beta = 0 overflows to a NaN ratio sum, which fails the edge
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, _ = run(
+            capsys,
+            "bounds", "rouche", "--d", "3", "--n", "40", "--edge", "imaginary",
+            "--beta-max", "1e300",
+        )
+    assert code == 3
+    assert "max_ratio=nan" in out and "FAIL" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hsroots.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-m", "hsroots", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: hsroots")
 
 
 def test_bounds_hypothesis_violation_exit_2(capsys):

@@ -34,7 +34,6 @@ from .roots import (
     log_derivative,
     residual,
 )
-from .scaled import ScaledComplex
 from .stability import (
     StabilityVerdict,
     StripVerdict,
@@ -58,7 +57,6 @@ __all__ = [
     "MarginReport",
     "RationalPolynomial",
     "RootSet",
-    "ScaledComplex",
     "SolverConfig",
     "StabilityVerdict",
     "StripVerdict",

@@ -13,12 +13,12 @@ in its value-only mode: no derivative rows are built.  `_ratios` evaluates
 the modulus ratios on blocks of up to `_BLOCK` points, for the rows it is
 asked for: `rouche_margin` sums all d of them, while `check_migi`,
 `check_hidari` and `phi` build only rows 0 and s.  A row has the same bits
-whichever other rows are built with it.  `phi`, `f_term_modulus` and
-`check_aida` are calls of size 1.  The contour samples are made block by
-block as arrays (`ContourSpec.sample_blocks`).
+whichever other rows are built with it.  `phi`, `f_term_modulus` (a log2
+modulus, so it keeps values beyond the double range) and `check_aida` are
+calls of size 1.  The contour samples are made block by block as arrays
+(`ContourSpec.sample_blocks`).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
 from .roots import _term_products
-from .scaled import ScaledComplex, scaled_polar
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
 _BLOCK = 4096  # points per evaluator call
@@ -52,7 +51,9 @@ def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     when None) as a (len(rows), len(z)) array, -inf where a factor vanishes;
     batch- and row-independent like `_term_products`."""
     rows = range(d) if rows is None else rows
-    prod, _, exps = _term_products(d, n, z, rows, derivative=False)
+    # terms beyond the double range overflow to inf or NaN; callers fail on those
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod, _, exps = _term_products(d, n, z, rows, derivative=False)
     log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(prod)) + exps + log_binom[:, None]
@@ -72,20 +73,11 @@ def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     return ratios
 
 
-def _blocks(values):
-    """The values as float arrays of at most _BLOCK entries, so memory stays bounded."""
-    values = iter(values)
-    while (block := np.fromiter(itertools.islice(values, _BLOCK), dtype=float)).size:
-        yield block
-
-
-def f_term_modulus(n: int, d: int, s: int, z: complex) -> ScaledComplex:
-    """|C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)| as a scaled magnitude."""
+def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
+    """log2 |C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)|, -inf where a
+    factor vanishes; a log keeps moduli beyond the double range."""
     _validate_indices(n, d, s)
-    lg = float(_log2_terms(n, d, np.array([complex(z)]), (s,))[0, 0])
-    if lg == -math.inf:
-        return ScaledComplex(0j)
-    return scaled_polar(lg)
+    return float(_log2_terms(n, d, np.array([complex(z)]), (s,))[0, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
@@ -111,7 +103,9 @@ def _strictly_less(lhs: float, rhs: float) -> bool:
 def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, heights):
     """Whether phi_s of order n_next at re_next + i*t is strictly below phi_s of
     order n at re + i*t at every height t where not both of them vanish."""
-    for t in _blocks(heights):
+    heights = np.asarray(heights, dtype=float)
+    for start in range(0, heights.size, _BLOCK):
+        t = heights[start:start + _BLOCK]
         larger = _ratios(n, d, re + 1j * t, (0, s))[1]
         smaller = _ratios(n_next, d, re_next + 1j * t, (0, s))[1]
         both_zero = (smaller == 0.0) & (larger == 0.0)
@@ -145,7 +139,8 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
         beta_samples = default_beta_grid(n)
-    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, (-b for b in beta_samples))
+    heights = -np.asarray(beta_samples, dtype=float)
+    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, heights)
 
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:

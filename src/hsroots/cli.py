@@ -158,6 +158,11 @@ def cmd_bounds(args) -> int:
             f"{report.argmax_point.real:.6g}{report.argmax_point.imag:+.6g}i, "
             f"{'PASS' if passed else 'FAIL'}"
         )
+        if math.isnan(report.max_ratio):
+            print(
+                "note: the ratio terms overflow doubles at the sampled heights",
+                file=sys.stderr,
+            )
     elif sub == "d4sum":
         passed = check_d4_sum_bound(args.d)
         print(f"d4sum d={args.d}: {'PASS' if passed else 'FAIL'}")

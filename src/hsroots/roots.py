@@ -8,9 +8,10 @@ coefficients would overflow doubles.  One factor loop, `_term_products`,
 builds the terms for a whole array of points at once, each point with the
 same bits alone as in any batch.  `_eval_vec` sums all d terms and their
 derivatives for the solver, the residual certificates, the real-axis snap
-and the single-point functions (`evaluate_scaled`, `log_derivative`,
-`residual`); `bounds` takes its modulus ratios from the same loop, asking
-only for the rows it compares and for values without derivatives.
+and the single-point functions, which read one point of its output:
+`evaluate_scaled` as a plain (mantissa, exponent) pair, `log_derivative`
+and `residual`.  `bounds` takes its modulus ratios from the same loop,
+asking only for the rows it compares and for values without derivatives.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated circle around the centroid of the roots (Aberth 1973), which
@@ -33,7 +34,6 @@ import numpy as np
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import EvaluationAtRoot, InvalidParams
-from .scaled import ScaledComplex
 from .stability import _integer_coefficients
 
 _GOLDEN = 0.6180339887498949
@@ -101,25 +101,20 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
     return float(value >> shift if shift else value), shift
 
 
-def _point_sums(params: HypersimplexParams, z: complex):
-    """Scaled (n-1)! * p(z) and (n-1)! * p'(z) at one point (`_eval_vec` of size 1)."""
-    S, Sp, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
-    exponent = int(E[0])
-    return ScaledComplex(S[0], exponent), ScaledComplex(Sp[0], exponent)
-
-
-def evaluate_scaled(params: HypersimplexParams, z: complex) -> ScaledComplex:
-    """Value of the counting polynomial at a complex point, in scaled form."""
-    total, _ = _point_sums(params, z)
-    return total / ScaledComplex.from_int(math.factorial(params.n - 1))
+def evaluate_scaled(params: HypersimplexParams, z: complex) -> Tuple[complex, int]:
+    """(mantissa, exponent) with p(z) = mantissa * 2**exponent, from `_eval_vec`
+    of size 1, so values beyond the double range keep their exponent."""
+    S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    mantissa, exponent = _int_mantissa_exponent(math.factorial(params.n - 1))
+    return complex(S[0] / mantissa), int(E[0]) - exponent
 
 
 def log_derivative(params: HypersimplexParams, z: complex) -> complex:
     """p'(z)/p(z), accumulated by the product rule so vanishing factors are safe."""
-    total, total_d = _point_sums(params, z)
-    if total.is_zero:
+    S, Sp, _, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    if S[0] == 0:
         raise EvaluationAtRoot(f"polynomial value vanished at {z}")
-    return (total_d / total).to_complex()
+    return complex(Sp[0] / S[0])  # the shared exponent cancels
 
 
 def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,26 @@ def test_bounds_rouche_overflow_fails(capsys):
         )
     assert code == 3
     assert "max_ratio=nan" in out and "FAIL" in out
+
+
+def test_bounds_rouche_overflow_warns_nothing_from_numpy(capsys):
+    # the same overflow, with no errstate here: any numpy warning would raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys,
+            "bounds", "rouche", "--d", "3", "--n", "40", "--edge", "imaginary",
+            "--beta-max", "1e300",
+        )
+    assert code == 3 and "FAIL" in out
+    assert err == "note: the ratio terms overflow doubles at the sampled heights\n"
+
+
+def test_public_names_resolve():
+    for name in hsroots.__all__:
+        getattr(hsroots, name)
+    assert "ScaledComplex" not in hsroots.__all__
+    assert not hasattr(hsroots, "ScaledComplex") and not hasattr(hsroots, "scaled")
 
 
 def test_python_dash_m_runs_the_cli():

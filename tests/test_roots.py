@@ -17,6 +17,7 @@ from hsroots.roots import (
     _horner_fixed,
     _initial_points,
     _int_mantissa_exponent,
+    _log2_fraction,
     _to_fixed,
     evaluate_scaled,
     find_roots,
@@ -51,13 +52,15 @@ def match_distance(got, expected):
 
 
 def test_evaluate_scaled_at_zero_is_one():
-    val = evaluate_scaled(HypersimplexParams(3, 6), 0j).to_complex()
+    mantissa, exponent = evaluate_scaled(HypersimplexParams(3, 6), 0j)
+    val = mantissa * 2.0**exponent
     assert val == pytest.approx(1.0, rel=1e-14)
 
 
 def test_evaluate_scaled_at_known_roots():
-    assert abs(evaluate_scaled(HypersimplexParams(3, 6), -1 + 0j).to_complex()) < 1e-12
-    assert abs(evaluate_scaled(HypersimplexParams(1, 4), -2 + 0j).to_complex()) < 1e-12
+    for params, root in ((HypersimplexParams(3, 6), -1 + 0j), (HypersimplexParams(1, 4), -2 + 0j)):
+        mantissa, exponent = evaluate_scaled(params, root)
+        assert abs(mantissa * 2.0**exponent) < 1e-12
 
 
 def test_evaluate_scaled_matches_exact_rational():
@@ -69,7 +72,8 @@ def test_evaluate_scaled_matches_exact_rational():
         poly = ehrhart_polynomial(params)
         for z in points:
             exact = float(evaluate_exact(poly, z))
-            got = evaluate_scaled(params, complex(z)).to_complex().real
+            mantissa, exponent = evaluate_scaled(params, complex(z))
+            got = (mantissa * 2.0**exponent).real
             assert got == pytest.approx(exact, rel=1e-12)
 
 
@@ -79,8 +83,19 @@ def test_evaluate_scaled_matches_exact_at_integers():
         poly = ehrhart_polynomial(params)
         for m in range(6):
             exact = float(evaluate_exact(poly, m))
-            got = evaluate_scaled(params, complex(m)).to_complex().real
+            mantissa, exponent = evaluate_scaled(params, complex(m))
+            got = (mantissa * 2.0**exponent).real
             assert got == pytest.approx(exact, rel=1e-12)
+
+
+def test_evaluate_scaled_beyond_double_range():
+    # p(1000) is about 2**1116 at (10, 150), beyond the double range, and
+    # 2**773 at (4, 120); the exponent carries what a double would overflow
+    for d, n in [(10, 150), (4, 120)]:
+        params = HypersimplexParams(d, n)
+        mantissa, exponent = evaluate_scaled(params, 1000 + 0j)
+        expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 1000))
+        assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_derivative_simplex_values():
@@ -406,7 +421,7 @@ def test_initial_points_when_the_centre_is_a_root(d, n):
     z = _initial_points(params, 0)
     assert np.isfinite(z).all() and len(set(z.tolist())) == n - 1
     centre, radii = circle(params, z)
-    assert evaluate_scaled(params, centre).is_zero
+    assert evaluate_scaled(params, centre)[0] == 0
     rs = find_roots(params)
     assert rs.converged
     assert radii == pytest.approx(

@@ -5,8 +5,9 @@ the sum of the remaining ones on the boundary of a rectangle.  This module
 evaluates those modulus ratios at concrete sample points: monotonicity in
 the order parameter on the right and left edges, the explicit bound on the
 horizontal edges, boundary margins for the comparison itself, and the
-inequality chain used for the d >= 4 half-plane results.  Everything here is
-numerical evidence at sampled points, not proof.
+inequality chain used for the d >= 4 half-plane results.  The sampled checks
+are numerical evidence, not proof; the d >= 4 sum bound is decided in exact
+rationals.
 
 The product terms come from the factor loop of `roots` (`_term_products`),
 in its value-only mode: no derivative rows are built.  `_ratios` evaluates
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
@@ -146,8 +146,9 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:
     """The explicit horizontal-edge bound C(n,s)(((d-s)^2 + 1/lam^2)/d^2)^((n-1)/2)."""
     _validate_indices(n, d, s, smallest=1)
-    if lam == 0:
-        raise DomainViolation("lam must be nonzero")
+    # a NaN lam would compare as false, an infinite one gives a NaN ratio
+    if not (math.isfinite(lam) and lam != 0):
+        raise DomainViolation(f"lam must be finite and nonzero, got {lam}")
     log2bound = math.log2(math.comb(n, s)) + 0.5 * (n - 1) * math.log2(
         ((d - s) ** 2 + 1.0 / (lam * lam)) / (d * d)
     )
@@ -157,13 +158,10 @@ def aida_bound(n: int, d: int, s: int, lam: float) -> float:
 def check_aida(n: int, d: int, s: int, alpha: float, lam: float) -> bool:
     """At z = -alpha + i*lam*n with 0 <= alpha <= n/d, the ratio stays
     strictly below the explicit bound."""
-    _validate_indices(n, d, s, smallest=1)
-    if lam == 0:
-        raise DomainViolation("lam must be nonzero")
+    bound = aida_bound(n, d, s, lam)
     if not 0 <= alpha <= n / d:
         raise DomainViolation(f"need 0 <= alpha <= n/d = {n / d:.6g}, got {alpha}")
-    value = phi(n, d, s, complex(-alpha, lam * n))
-    return _strictly_less(value, aida_bound(n, d, s, lam))
+    return _strictly_less(phi(n, d, s, complex(-alpha, lam * n)), bound)
 
 
 @dataclass(frozen=True)
@@ -288,22 +286,19 @@ def ratio_bound(d: int) -> Fraction:
 
 
 def check_d4_sum_bound(d: int) -> bool:
-    """The two d >= 4 half-plane ingredients on the right side.
+    """The two d >= 4 half-plane ingredients on the right side, exactly.
 
-    The partial sum of (2/3)^s/s! stays strictly below e^(2/3) - 1 (its own
-    limit; the gap is certified by the exact next term) and the per-term
-    growth ratio stays strictly below 1.  Both sides are exact where
-    possible; the transcendental comparison runs at 60 digits.
+    The partial sum S_{d-1} of (2/3)^s/s! over s = 1..d-1 stays strictly
+    below its limit e^(2/3) - 1: every term of the series is positive, so
+    S_{d-1} < S_{d-1} + (2/3)^d/d! = S_d <= e^(2/3) - 1, and the certificate
+    is one rational comparison.  The per-term growth ratio stays strictly
+    below 1, also as a rational.
     """
     if d < 4:
         raise HypothesisViolation(f"need d >= 4, got {d}")
     partial = geometric_factorial_sum(d)
     next_term = Fraction(2 ** d, 3 ** d * math.factorial(d))
-    with mp.workdps(60):
-        limit = mp.expm1(mp.mpf(2) / 3)
-        value = mp.mpf(partial.numerator) / partial.denominator
-        gap_ok = value < limit and mp.mpf(next_term.numerator) / next_term.denominator > 0
-    return bool(gap_ok and ratio_bound(d) < 1)
+    return partial < partial + next_term and ratio_bound(d) < 1
 
 
 def h_value(d: int, s: float) -> float:

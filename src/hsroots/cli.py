@@ -21,7 +21,7 @@ from .bounds import (
 )
 from .campaign import ROOTS_HEADER, CampaignConfig, roots_csv_lines, run_campaign
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
-from .errors import HsrootsError
+from .errors import HsrootsError, InvalidParams
 from .lattice import CountQuery, count_points
 from .roots import SolverConfig, find_roots
 from .stability import verify_strip
@@ -33,15 +33,34 @@ EXIT_BAD_ARGS = 2
 EXIT_FAILED = 3
 
 
-def _solver_from_args(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iterations"] = args.max_iter
-    if getattr(args, "tolerance", None) is not None:
-        kwargs["tolerance"] = args.tolerance
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return SolverConfig(**kwargs)
+# the campaign config file's keys and their types; a float key also takes an int
+_CONFIG_TYPES = dict.fromkeys(("d_min", "d_max", "n_min", "n_max", "max_iter", "seed"), int)
+_CONFIG_TYPES.update(grid=str, out=str, certify=bool, svg=bool, tolerance=float)
+# the flags and config keys that set a SolverConfig field
+_SOLVER_FIELDS = {"max_iter": "max_iterations", "tolerance": "tolerance", "seed": "seed"}
+
+
+def _read_config(path: str) -> dict:
+    """The campaign config file as a dict whose known keys have their types."""
+    try:
+        conf = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text
+        raise InvalidParams(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(conf, dict):
+        raise InvalidParams(f"{path}: the top level must be a JSON object")
+    for key, kind in _CONFIG_TYPES.items():
+        # by type(), JSON true and false are not ints
+        if key in conf and type(conf[key]) not in {kind, int if kind is float else kind}:
+            got = json.dumps(conf[key])
+            raise InvalidParams(f"{path}: {key} must be {kind.__name__}, got {got}")
+    return conf
+
+
+def _solver_config(pick) -> SolverConfig:
+    """A SolverConfig from the values pick(key) gives (None: not given);
+    SolverConfig supplies the defaults."""
+    given = {field: pick(key) for key, field in _SOLVER_FIELDS.items()}
+    return SolverConfig(**{field: value for field, value in given.items() if value is not None})
 
 
 def cmd_poly(args) -> int:
@@ -82,7 +101,7 @@ def cmd_count(args) -> int:
 
 def cmd_roots(args) -> int:
     params = HypersimplexParams(args.d, args.n)
-    rootset = find_roots(params, _solver_from_args(args))
+    rootset = find_roots(params, _solver_config(lambda key: getattr(args, key)))
     text = "\n".join([ROOTS_HEADER, *roots_csv_lines(args.d, args.n, rootset)]) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -122,31 +141,21 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     sub = args.bound_check
-    if sub == "migi":
-        passed = check_migi(args.n, args.d, args.s)
-        print(f"migi d={args.d} n={args.n} s={args.s}: {'PASS' if passed else 'FAIL'}")
-    elif sub == "hidari":
-        passed = check_hidari(args.n, args.d, args.s)
-        print(f"hidari d={args.d} n={args.n} s={args.s}: {'PASS' if passed else 'FAIL'}")
+    if sub in ("migi", "hidari"):
+        passed = {"migi": check_migi, "hidari": check_hidari}[sub](args.n, args.d, args.s)
+        print(f"{sub} d={args.d} n={args.n} s={args.s}: {'PASS' if passed else 'FAIL'}")
     elif sub == "aida":
-        lam = args.lam if args.lam is not None else math.sqrt(2.0)
-        passed = check_aida(args.n, args.d, args.s, args.alpha, lam)
+        passed = check_aida(args.n, args.d, args.s, args.alpha, args.lam)
         print(
-            f"aida d={args.d} n={args.n} s={args.s} alpha={args.alpha} lambda={lam:g}: "
+            f"aida d={args.d} n={args.n} s={args.s} alpha={args.alpha} lambda={args.lam:g}: "
             f"{'PASS' if passed else 'FAIL'}"
         )
     elif sub == "rouche":
-        kind = {
-            "imaginary": "imaginary_axis",
-            "left": "left_edge",
-            "top": "horizontal_edge",
-            "bottom": "horizontal_edge",
-        }[args.edge]
-        lam = args.lam if args.lam is not None else math.sqrt(2.0)
-        if args.edge == "top":
-            lam = abs(lam)
-        elif args.edge == "bottom":
-            lam = -abs(lam)
+        kinds = {"imaginary": "imaginary_axis", "left": "left_edge"}
+        kind = kinds.get(args.edge, "horizontal_edge")
+        lam = args.lam
+        if kind == "horizontal_edge":  # the edge, not the sign of lambda, picks top or bottom
+            lam = math.copysign(lam, 1.0 if args.edge == "top" else -1.0)
         rng = (-args.beta_max, args.beta_max) if args.beta_max is not None else None
         report = rouche_margin(
             ContourSpec(kind, args.d, args.n, range=rng, lam=lam, samples=args.samples)
@@ -163,43 +172,30 @@ def cmd_bounds(args) -> int:
                 "note: the ratio terms overflow doubles at the sampled heights",
                 file=sys.stderr,
             )
-    elif sub == "d4sum":
-        passed = check_d4_sum_bound(args.d)
-        print(f"d4sum d={args.d}: {'PASS' if passed else 'FAIL'}")
-    else:  # hneg
-        passed = check_h_negative(args.d)
-        print(f"hneg d={args.d}: {'PASS' if passed else 'FAIL'}")
+    else:
+        passed = {"d4sum": check_d4_sum_bound, "hneg": check_h_negative}[sub](args.d)
+        print(f"{sub} d={args.d}: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_FAILED
 
 
 def _campaign_config(args) -> CampaignConfig:
-    file_conf = {}
-    if args.config:
-        file_conf = json.loads(Path(args.config).read_text())
+    file_conf = _read_config(args.config) if args.config else {}
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        return file_conf.get(key, default)
+    def pick(key, default=None):
+        flag_value = getattr(args, key)
+        return file_conf.get(key, default) if flag_value is None else flag_value
 
-    grid_names = {"paper": "paper_grid", "diagonal": "diagonal", "range": "range"}
-    grid = pick(args.grid, "grid", "paper")
-    solver = SolverConfig(
-        max_iterations=pick(args.max_iter, "max_iter", 200),
-        tolerance=pick(args.tolerance, "tolerance"),
-        seed=pick(args.seed, "seed", 0),
-    )
-    certify = args.certify or bool(file_conf.get("certify", False))
+    grid = pick("grid", "paper")
     return CampaignConfig(
-        d_min=pick(args.d_min, "d_min", 4),
-        d_max=pick(args.d_max, "d_max", 10),
-        n_rule=grid_names.get(grid, grid),
-        n_min=pick(args.n_min, "n_min"),
-        n_max=pick(args.n_max, "n_max"),
-        solver=solver,
-        certify=certify,
-        output_dir=Path(pick(args.out, "out", "campaign_out")),
-        svg=args.svg or bool(file_conf.get("svg", False)),
+        d_min=pick("d_min", 4),
+        d_max=pick("d_max", 10),
+        n_rule="paper_grid" if grid == "paper" else grid,
+        n_min=pick("n_min"),
+        n_max=pick("n_max"),
+        solver=_solver_config(pick),
+        certify=args.certify or file_conf.get("certify", False),
+        output_dir=Path(pick("out", "campaign_out")),
+        svg=args.svg or file_conf.get("svg", False),
     )
 
 
@@ -279,12 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_dn(sp)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--lambda", dest="lam", type=float)
+    sp.add_argument("--lambda", dest="lam", type=float, default=math.sqrt(2.0))
     sp = checks.add_parser("rouche")
     add_dn(sp)
     sp.add_argument("--edge", choices=("imaginary", "left", "top", "bottom"), required=True)
     sp.add_argument("--samples", type=int, default=1001)
-    sp.add_argument("--lambda", dest="lam", type=float)
+    sp.add_argument("--lambda", dest="lam", type=float, default=math.sqrt(2.0))
     sp.add_argument("--beta-max", type=float)
     for name in ("d4sum", "hneg"):
         sp = checks.add_parser(name)
@@ -319,10 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HsrootsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ARGS
-    except FileNotFoundError as exc:
+    except (HsrootsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

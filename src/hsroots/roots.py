@@ -6,12 +6,14 @@ accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
 coefficients would overflow doubles.  One factor loop, `_term_products`,
 builds the terms for a whole array of points at once, each point with the
-same bits alone as in any batch.  `_eval_vec` sums all d terms and their
-derivatives for the solver, the residual certificates, the real-axis snap
-and the single-point functions, which read one point of its output:
-`evaluate_scaled` as a plain (mantissa, exponent) pair, `log_derivative`
-and `residual`.  `bounds` takes its modulus ratios from the same loop,
-asking only for the rows it compares and for values without derivatives.
+same bits alone as in any batch.  `_eval_vec` aligns all d terms and their
+derivatives to one exponent, the largest term exponent of the point, and
+sums them row after row, for the solver, the residual certificates, the
+real-axis snap and the single-point functions, which read one point of its
+output: `evaluate_scaled` as a plain (mantissa, exponent) pair,
+`log_derivative` and `residual`.  `bounds` takes its modulus ratios from
+the same loop, asking only for the rows it compares and for values without
+derivatives.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated circle around the centroid of the roots (Aberth 1973), which
@@ -213,17 +215,14 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
     # rounds as multiplying row by row does
     signed = np.where(index % 2, -cm, cm)
     terms, terms_d, term_exps = prod * signed, prod_d * signed, exps + ce
-    # the sum over s keeps the running maximum of the term exponents
-    tops = np.maximum.accumulate(term_exps, axis=0)
-    down_old = np.ldexp(1.0, np.maximum(tops[:-1] - tops[1:], -1074).astype(np.int32))
-    down_new = np.ldexp(1.0, np.maximum(term_exps[1:] - tops[1:], -1074).astype(np.int32))
-    acc, acc_d, acc_e = terms[0], terms_d[0], tops[-1]
-    for s in range(1, d):
-        acc = acc * down_old[s - 1] + terms[s] * down_new[s - 1]
-        acc_d = acc_d * down_old[s - 1] + terms_d[s] * down_new[s - 1]
-    shift = np.maximum(term_exps - acc_e, -1100).astype(np.int32)
-    # summed row after row, so that a point's A is batch-independent
-    magnitude = np.cumsum(np.ldexp(np.abs(prod) * cm, shift), axis=0)[-1]
+    # one exponent for the sum: every row is aligned to the largest term
+    # exponent, and the rows are summed one after another, so that a point's
+    # sums are batch-independent
+    acc_e = term_exps.max(axis=0)
+    scale = np.ldexp(1.0, np.maximum(term_exps - acc_e, -1074).astype(np.int32))
+    acc = np.cumsum(terms * scale, axis=0)[-1]
+    acc_d = np.cumsum(terms_d * scale, axis=0)[-1]
+    magnitude = np.cumsum(np.abs(prod) * cm * scale, axis=0)[-1]
     return acc, acc_d, acc_e, magnitude
 
 

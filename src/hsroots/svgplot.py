@@ -8,6 +8,8 @@ generated markup is deterministic for identical input data.
 import csv
 from pathlib import Path
 
+from .errors import InvalidParams
+
 WIDTH = 640
 HEIGHT = 480
 MARGIN = 50
@@ -87,17 +89,25 @@ def emit_svg(points, out_path, d=None, n_max=None):
 
 
 def write_group_svgs(roots_csv, out_dir):
-    """One SVG per d from a roots CSV (schema d,n,root_index,re,im,residual)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """One SVG per d from a roots CSV (schema d,n,root_index,re,im,residual);
+    InvalidParams on a row that lacks a column or a value that does not parse."""
     groups = {}
     n_max = {}
     with open(roots_csv, newline="") as handle:
-        for record in csv.DictReader(handle):
-            d = int(record["d"])
-            n = int(record["n"])
-            groups.setdefault(d, []).append((float(record["re"]), float(record["im"])))
+        reader = csv.DictReader(handle)
+        for record in reader:
+            try:
+                d, n = int(record["d"]), int(record["n"])
+                point = (float(record["re"]), float(record["im"]))
+            except (KeyError, TypeError, ValueError) as exc:  # TypeError: a short row
+                raise InvalidParams(
+                    f"{roots_csv}, line {reader.line_num}: "
+                    f"need integers d, n and numbers re, im ({exc!r})"
+                ) from None
+            groups.setdefault(d, []).append(point)
             n_max[d] = max(n_max.get(d, 0), n)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if not groups:
         written.append(emit_svg([], out_dir / "roots_empty.svg"))

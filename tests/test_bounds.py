@@ -149,6 +149,14 @@ def test_check_aida_domain():
         check_aida(7, 3, 1, 1.0, 0.0)
 
 
+def test_check_aida_rejects_non_finite_lambda():
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainViolation, match="finite"):
+            aida_bound(7, 3, 1, lam)
+        with pytest.raises(DomainViolation, match="finite"):
+            check_aida(7, 3, 1, 1.0, lam)
+
+
 def test_rouche_margin_imaginary_axis_n7():
     spec = ContourSpec("imaginary_axis", 3, 7, range=(-70.0, 70.0), samples=2001)
     report = rouche_margin(spec)
@@ -198,6 +206,27 @@ def test_check_d4_sum_bound():
 
 def test_partial_sum_is_exact():
     assert geometric_factorial_sum(3) == Fraction(2, 3) + Fraction(4, 18)
+
+
+def test_check_d4_sum_bound_holds_where_60_digits_cannot_tell():
+    # the gap (2/3)^d/d! falls below 1e-60 from d = 44 on
+    for d in (44, 60, 200):
+        assert check_d4_sum_bound(d) is True
+    assert all(check_d4_sum_bound(d) for d in range(4, 301))
+
+
+def test_partial_sum_lower_bound_matches_mpmath():
+    # S_d, the certificate's rational lower bound, lies below e^(2/3) - 1 by
+    # less than twice its next term, at 400 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(400):
+        limit = mp.expm1(mp.mpf(2) / 3)
+        for d in range(4, 120):
+            lower = geometric_factorial_sum(d + 1)  # S_d
+            value = mp.mpf(lower.numerator) / lower.denominator
+            tail = 2 * mp.mpf(2) ** (d + 1) / (mp.mpf(3) ** (d + 1) * mp.factorial(d + 1))
+            assert geometric_factorial_sum(d) < lower
+            assert 0 < limit - value < tail, d
 
 
 def test_check_h_negative_values():

@@ -175,6 +175,20 @@ def test_bounds_commands(capsys):
     assert run(capsys, "bounds", "hneg", "--d", "5")[0] == 0
 
 
+def test_bounds_d4sum_beyond_60_digits_passes(capsys):
+    code, out, _ = run(capsys, "bounds", "d4sum", "--d", "60")
+    assert code == 0
+    assert out == "d4sum d=60: PASS\n"
+
+
+def test_bounds_aida_non_finite_lambda_exit_2(capsys):
+    base = ("bounds", "aida", "--d", "3", "--n", "7", "--s", "1", "--alpha", "1.0", "--lambda")
+    for lam in ("nan", "inf"):
+        code, out, err = run(capsys, *base, lam)
+        assert code == 2, lam
+        assert out == "" and err.startswith("error:") and "finite" in err
+
+
 def test_bounds_rouche_output(capsys):
     code, out, _ = run(
         capsys,
@@ -259,6 +273,18 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout.startswith("usage: hsroots")
 
 
+def test_import_leaves_mpmath_out():
+    src = str(Path(hsroots.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, hsroots; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_bounds_hypothesis_violation_exit_2(capsys):
     code, _, err = run(capsys, "bounds", "hidari", "--d", "3", "--n", "6", "--s", "1")
     assert code == 2
@@ -329,6 +355,79 @@ def test_campaign_invalid_values_exit_2(tmp_path, capsys):
         assert message in err, argv
         assert "certified" not in out, argv
     assert not (tmp_path / "camp").exists()
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def run_campaign_config(capsys, tmp_path, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    result = run(capsys, "campaign", "--config", str(config), "--out", str(tmp_path / "camp"))
+    assert not (tmp_path / "camp").exists()
+    return result
+
+
+def test_campaign_config_invalid_json_exit_2(tmp_path, capsys):
+    code, out, err = run_campaign_config(capsys, tmp_path, '{"d_min": 4,')
+    assert_one_error_line(code, out, err)
+    assert "not valid JSON" in err
+
+
+def test_campaign_config_top_level_not_an_object_exit_2(tmp_path, capsys):
+    code, out, err = run_campaign_config(capsys, tmp_path, "[4, 5]")
+    assert_one_error_line(code, out, err)
+    assert "JSON object" in err
+
+
+def test_campaign_config_wrong_value_type_exit_2(tmp_path, capsys):
+    for text, message in (
+        ('{"d_min": "4"}', 'd_min must be int, got "4"'),
+        ('{"d_max": 5.0}', "d_max must be int, got 5.0"),
+        ('{"seed": true}', "seed must be int, got true"),
+        ('{"tolerance": "1e-9"}', "tolerance must be float"),
+        ('{"certify": 1}', "certify must be bool, got 1"),
+        ('{"out": null}', "out must be str, got null"),
+    ):
+        code, out, err = run_campaign_config(capsys, tmp_path, text)
+        assert_one_error_line(code, out, err)
+        assert message in err, text
+
+
+def test_campaign_solver_values_from_flags_or_config_agree(tmp_path, capsys):
+    # one sweep cannot converge, so the exit code shows that max_iter arrived
+    base = (
+        "campaign", "--d-min", "2", "--d-max", "2",
+        "--grid", "range", "--n-min", "5", "--n-max", "7",
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_iter": 1, "tolerance": 1e-9, "seed": 3}))
+    flags = ("--max-iter", "1", "--tolerance", "1e-9", "--seed", "3")
+    flag_run = run(capsys, *base, *flags, "--out", str(tmp_path / "flags"))
+    file_run = run(capsys, *base, "--config", str(config), "--out", str(tmp_path / "file"))
+    assert flag_run[0] == file_run[0] == 3
+    assert "NOT CONVERGED" in file_run[1]
+    for name in ("report.csv", "roots.csv"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+
+
+def test_plot_roots_missing_column_exit_2(tmp_path, capsys):
+    roots = tmp_path / "roots.csv"
+    roots.write_text("d,n,root_index,re,residual\n1,4,0,-1.0,0.0\n")
+    code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
+    assert_one_error_line(code, out, err)
+    assert "line 2" in err and "'im'" in err
+
+
+def test_plot_roots_non_numeric_field_exit_2(tmp_path, capsys):
+    roots = tmp_path / "roots.csv"
+    roots.write_text("d,n,root_index,re,im,residual\n1,4,0,-1.0,0.0,0.0\n1,4,1,minus two,0.0,0.0\n")
+    code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
+    assert_one_error_line(code, out, err)
+    assert "line 3" in err
 
 
 def test_plot_simplex_points(tmp_path, capsys):

@@ -5,7 +5,8 @@ with residual certificates, plus the exact strip certificate when
 requested.  The certificate starts from those roots: exact inclusion disks
 around them prove a side of the strip, and only a side they cannot prove
 runs the Routh table (`stability.verify_strip`).  Results are gathered,
-sorted by (d, n), and written as `report.csv` and `roots.csv`.  File
+sorted by (d, n), and written as `report.csv` and `roots.csv`; `hsroots
+plot` draws the roots as SVG scatter plots.  File
 contents are deterministic for a given configuration and seed, byte for
 byte from run to run: wall-clock timings are reported on the console and
 kept out of the CSV (its millis column is pinned to 0).
@@ -42,7 +43,6 @@ class CampaignConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     certify: bool = True
     output_dir: Optional[Path] = None
-    svg: bool = False
 
     def __post_init__(self):
         if self.d_min < 1 or self.d_max < self.d_min:
@@ -88,7 +88,6 @@ class CampaignRow:
 class VerificationReport:
     rows: Tuple[CampaignRow, ...]
     errors: Tuple[str, ...]
-    certify: bool
 
     @property
     def certified_count(self) -> int:
@@ -136,9 +135,13 @@ def _solve_pair(d: int, n: int, solver: SolverConfig, certify: bool):
 def run_campaign(config: CampaignConfig) -> VerificationReport:
     """Process every pair of the grid; write CSV artifacts if output_dir set.
 
+    The output directory is made first, so a bad path fails before any work.
     Partial results are still flushed when instances error; the report
     carries the error descriptions and the console summary marks FAILURE.
     """
+    out = None if config.output_dir is None else Path(config.output_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     results = {}
     errors = []
     for d, n in config.pairs():
@@ -150,17 +153,11 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
             errors.append(f"d={d} n={n}: {traceback.format_exc().rstrip()}")
 
     rows = tuple(results[pair][0] for pair in sorted(results))
-    report = VerificationReport(rows=rows, errors=tuple(errors), certify=config.certify)
+    report = VerificationReport(rows=rows, errors=tuple(errors))
 
-    if config.output_dir is not None:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_report_csv(out / "report.csv", report)
         write_roots_csv(out / "roots.csv", [(pair, results[pair][1]) for pair in sorted(results)])
-        if config.svg:
-            from .svgplot import write_group_svgs
-
-            write_group_svgs(out / "roots.csv", out)
     return report
 
 

@@ -1,7 +1,9 @@
 """Command-line surface: single-instance queries, batch campaigns, plots.
 
+A campaign is configured by flags alone; `hsroots plot` draws its SVGs.
+
 Exit codes: 0 success/certified, 1 numeric-only pass without certification,
-2 invalid arguments, 3 verification failure.
+2 invalid arguments or an unreadable/unwritable path, 3 verification failure.
 """
 
 import argparse
@@ -21,7 +23,7 @@ from .bounds import (
 )
 from .campaign import ROOTS_HEADER, CampaignConfig, roots_csv_lines, run_campaign
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
-from .errors import HsrootsError, InvalidParams
+from .errors import HsrootsError
 from .lattice import CountQuery, count_points
 from .roots import SolverConfig, find_roots
 from .stability import verify_strip
@@ -33,33 +35,14 @@ EXIT_BAD_ARGS = 2
 EXIT_FAILED = 3
 
 
-# the campaign config file's keys and their types; a float key also takes an int
-_CONFIG_TYPES = dict.fromkeys(("d_min", "d_max", "n_min", "n_max", "max_iter", "seed"), int)
-_CONFIG_TYPES.update(grid=str, out=str, certify=bool, svg=bool, tolerance=float)
-# the flags and config keys that set a SolverConfig field
+# the flags that set a SolverConfig field
 _SOLVER_FIELDS = {"max_iter": "max_iterations", "tolerance": "tolerance", "seed": "seed"}
 
 
-def _read_config(path: str) -> dict:
-    """The campaign config file as a dict whose known keys have their types."""
-    try:
-        conf = json.loads(Path(path).read_text())
-    except ValueError as exc:  # malformed JSON or text
-        raise InvalidParams(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(conf, dict):
-        raise InvalidParams(f"{path}: the top level must be a JSON object")
-    for key, kind in _CONFIG_TYPES.items():
-        # by type(), JSON true and false are not ints
-        if key in conf and type(conf[key]) not in {kind, int if kind is float else kind}:
-            got = json.dumps(conf[key])
-            raise InvalidParams(f"{path}: {key} must be {kind.__name__}, got {got}")
-    return conf
-
-
-def _solver_config(pick) -> SolverConfig:
-    """A SolverConfig from the values pick(key) gives (None: not given);
-    SolverConfig supplies the defaults."""
-    given = {field: pick(key) for key, field in _SOLVER_FIELDS.items()}
+def _solver_config(args) -> SolverConfig:
+    """A SolverConfig from the solver flags that were given; SolverConfig
+    supplies the defaults."""
+    given = {field: getattr(args, key) for key, field in _SOLVER_FIELDS.items()}
     return SolverConfig(**{field: value for field, value in given.items() if value is not None})
 
 
@@ -101,7 +84,7 @@ def cmd_count(args) -> int:
 
 def cmd_roots(args) -> int:
     params = HypersimplexParams(args.d, args.n)
-    rootset = find_roots(params, _solver_config(lambda key: getattr(args, key)))
+    rootset = find_roots(params, _solver_config(args))
     text = "\n".join([ROOTS_HEADER, *roots_csv_lines(args.d, args.n, rootset)]) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -179,23 +162,15 @@ def cmd_bounds(args) -> int:
 
 
 def _campaign_config(args) -> CampaignConfig:
-    file_conf = _read_config(args.config) if args.config else {}
-
-    def pick(key, default=None):
-        flag_value = getattr(args, key)
-        return file_conf.get(key, default) if flag_value is None else flag_value
-
-    grid = pick("grid", "paper")
     return CampaignConfig(
-        d_min=pick("d_min", 4),
-        d_max=pick("d_max", 10),
-        n_rule="paper_grid" if grid == "paper" else grid,
-        n_min=pick("n_min"),
-        n_max=pick("n_max"),
-        solver=_solver_config(pick),
-        certify=args.certify or file_conf.get("certify", False),
-        output_dir=Path(pick("out", "campaign_out")),
-        svg=args.svg or file_conf.get("svg", False),
+        d_min=args.d_min,
+        d_max=args.d_max,
+        n_rule="paper_grid" if args.grid == "paper" else args.grid,
+        n_min=args.n_min,
+        n_max=args.n_max,
+        solver=_solver_config(args),
+        certify=args.certify,
+        output_dir=Path(args.out),
     )
 
 
@@ -288,18 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_campaign = commands.add_parser("campaign", help="batch verification over a grid")
-    p_campaign.add_argument("--d-min", type=int)
-    p_campaign.add_argument("--d-max", type=int)
-    p_campaign.add_argument("--grid", choices=("paper", "diagonal", "range"))
+    p_campaign.add_argument("--d-min", type=int, default=4)
+    p_campaign.add_argument("--d-max", type=int, default=10)
+    p_campaign.add_argument("--grid", choices=("paper", "diagonal", "range"), default="paper")
     p_campaign.add_argument("--n-min", type=int)
     p_campaign.add_argument("--n-max", type=int)
     p_campaign.add_argument("--tolerance", type=float)
     p_campaign.add_argument("--max-iter", type=int)
     p_campaign.add_argument("--seed", type=int)
     p_campaign.add_argument("--certify", action="store_true", help="run the exact strip test")
-    p_campaign.add_argument("--svg", action="store_true", help="emit per-d SVG scatter")
-    p_campaign.add_argument("--out", help="output directory")
-    p_campaign.add_argument("--config", help="JSON config file; flags override")
+    p_campaign.add_argument("--out", default="campaign_out", help="output directory")
     p_campaign.set_defaults(func=cmd_campaign)
 
     p_plot = commands.add_parser("plot", help="SVG scatter from a roots CSV")
@@ -315,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (HsrootsError, FileNotFoundError) as exc:
+    except (HsrootsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
 

@@ -57,8 +57,10 @@ class StripVerdict:
 
 
 def shift_polynomial(poly: RationalPolynomial, c) -> RationalPolynomial:
-    """Exact Taylor shift: returns q with q(z) = p(z + c)."""
+    """Exact Taylor shift: returns q with q(z) = p(z + c); p itself when c == 0."""
     c = Fraction(c)
+    if c == 0:
+        return poly
     coeffs = list(poly.coeffs)
     deg = len(coeffs) - 1
     # repeated synthetic division by (z - (-c)) accumulates the shifted coefficients
@@ -269,9 +271,9 @@ def verify_strip(
     Requires the standing assumption 2d <= n.  Given numeric approximations
     of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
     tried with the inclusion disks of `inclusion_strip`.  A side they do not
-    prove, or both sides when no roots are given, goes to the Routh table:
-    the right test applies it to the polynomial itself, the left test to
-    q(z) = p(-z - n/d), which maps the half-plane Re > -n/d onto Re < 0.
+    prove, or both sides when no roots are given, goes to the Routh table of
+    `verify_half_plane`: the right test applies it to the polynomial itself
+    (Re < 0), the left test to q(z) = p(-z - n/d) (Re > -n/d).
     Unstable and Boundary verdicts only ever come from the table.
     """
     params.require_conjecture_domain()
@@ -281,11 +283,8 @@ def verify_strip(
         (False, False) if roots is None else inclusion_strip(poly, roots, -bound, 0)
     )
     included = StabilityVerdict(STABLE, certifier="inclusion")
-    right = included if right_in else routh_hurwitz(poly)
-    if left_in:
-        left = included
-    else:
-        left = routh_hurwitz(reflect_polynomial(shift_polynomial(poly, -bound)))
+    right = included if right_in else verify_half_plane(params, 0, "left_of")
+    left = included if left_in else verify_half_plane(params, -bound, "right_of")
     return StripVerdict(
         left_ok=left,
         right_ok=right,

@@ -109,16 +109,6 @@ def test_campaign_survives_unexpected_error(tmp_path, monkeypatch):
     assert len(roots_lines) - 1 == sum(n - 1 for _, n in kept)
 
 
-def test_campaign_svg_outputs(tmp_path):
-    config = CampaignConfig(
-        d_min=1, d_max=2, n_rule="diagonal", certify=True,
-        output_dir=tmp_path / "out", svg=True,
-    )
-    run_campaign(config)
-    assert (tmp_path / "out" / "roots_d1.svg").exists()
-    assert (tmp_path / "out" / "roots_d2.svg").exists()
-
-
 def test_numeric_pass_property(tmp_path):
     config = CampaignConfig(d_min=4, d_max=4, n_rule="diagonal", certify=False, output_dir=None)
     report = run_campaign(config)

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 
 import hsroots
+import hsroots.campaign
 import hsroots.stability
-from hsroots.cli import main
+from hsroots.campaign import CampaignConfig, run_campaign
+from hsroots.cli import _campaign_config, build_parser, main
 from hsroots.ehrhart import HypersimplexParams
 from hsroots.roots import SolverConfig, find_roots
 
@@ -318,29 +320,6 @@ def test_campaign_numeric_only_exit_1(tmp_path, capsys):
     assert "numeric only" in out
 
 
-def test_campaign_config_file_with_flag_override(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "d_min": 1,
-                "d_max": 1,
-                "grid": "range",
-                "n_min": 2,
-                "n_max": 9,
-                "certify": True,
-                "out": str(tmp_path / "from_config"),
-            }
-        )
-    )
-    code, _, _ = run(
-        capsys, "campaign", "--config", str(config), "--n-max", "4"
-    )  # flag overrides n_max=9
-    assert code == 0
-    report = (tmp_path / "from_config" / "report.csv").read_text().strip().splitlines()
-    assert len(report) == 1 + 3  # n in {2, 3, 4}
-
-
 def test_campaign_invalid_values_exit_2(tmp_path, capsys):
     out_dir = str(tmp_path / "camp")
     for argv, message in (
@@ -363,55 +342,53 @@ def assert_one_error_line(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def run_campaign_config(capsys, tmp_path, text):
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    result = run(capsys, "campaign", "--config", str(config), "--out", str(tmp_path / "camp"))
-    assert not (tmp_path / "camp").exists()
-    return result
-
-
-def test_campaign_config_invalid_json_exit_2(tmp_path, capsys):
-    code, out, err = run_campaign_config(capsys, tmp_path, '{"d_min": 4,')
-    assert_one_error_line(code, out, err)
-    assert "not valid JSON" in err
-
-
-def test_campaign_config_top_level_not_an_object_exit_2(tmp_path, capsys):
-    code, out, err = run_campaign_config(capsys, tmp_path, "[4, 5]")
-    assert_one_error_line(code, out, err)
-    assert "JSON object" in err
-
-
-def test_campaign_config_wrong_value_type_exit_2(tmp_path, capsys):
-    for text, message in (
-        ('{"d_min": "4"}', 'd_min must be int, got "4"'),
-        ('{"d_max": 5.0}', "d_max must be int, got 5.0"),
-        ('{"seed": true}', "seed must be int, got true"),
-        ('{"tolerance": "1e-9"}', "tolerance must be float"),
-        ('{"certify": 1}', "certify must be bool, got 1"),
-        ('{"out": null}', "out must be str, got null"),
-    ):
-        code, out, err = run_campaign_config(capsys, tmp_path, text)
-        assert_one_error_line(code, out, err)
-        assert message in err, text
-
-
 def test_campaign_solver_values_from_flags_or_config_agree(tmp_path, capsys):
-    # one sweep cannot converge, so the exit code shows that max_iter arrived
-    base = (
+    # the flags and a library CampaignConfig with the same values write the same
+    # bytes; one sweep cannot converge, so the exit code shows that max_iter arrived
+    code, out, _ = run(
+        capsys,
         "campaign", "--d-min", "2", "--d-max", "2",
         "--grid", "range", "--n-min", "5", "--n-max", "7",
+        "--max-iter", "1", "--tolerance", "1e-9", "--seed", "3",
+        "--out", str(tmp_path / "flags"),
     )
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"max_iter": 1, "tolerance": 1e-9, "seed": 3}))
-    flags = ("--max-iter", "1", "--tolerance", "1e-9", "--seed", "3")
-    flag_run = run(capsys, *base, *flags, "--out", str(tmp_path / "flags"))
-    file_run = run(capsys, *base, "--config", str(config), "--out", str(tmp_path / "file"))
-    assert flag_run[0] == file_run[0] == 3
-    assert "NOT CONVERGED" in file_run[1]
+    assert code == 3
+    assert "NOT CONVERGED" in out
+    run_campaign(
+        CampaignConfig(
+            d_min=2, d_max=2, n_rule="range", n_min=5, n_max=7, certify=False,
+            solver=SolverConfig(max_iterations=1, tolerance=1e-9, seed=3),
+            output_dir=tmp_path / "library",
+        )
+    )
     for name in ("report.csv", "roots.csv"):
-        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "library" / name).read_bytes()
+
+
+def test_campaign_defaults_live_in_the_parser():
+    config = _campaign_config(build_parser().parse_args(["campaign"]))
+    assert (config.d_min, config.d_max) == (4, 10)
+    assert config.n_rule == "paper_grid"
+    assert config.output_dir == Path("campaign_out")
+    assert not config.certify
+    assert config.solver == SolverConfig()
+
+
+def test_unusable_paths_exit_2(tmp_path, capsys, monkeypatch):
+    existing_file = tmp_path / "taken"
+    existing_file.write_text("")
+    solved = []
+    monkeypatch.setattr(hsroots.campaign, "find_roots", lambda *a: solved.append(a))
+    for argv in (
+        ["plot", "--roots", str(tmp_path), "--out", str(tmp_path / "figs")],
+        ["roots", "--d", "2", "--n", "5", "--out", str(tmp_path)],
+        ["campaign", "--d-min", "2", "--d-max", "2", "--grid", "diagonal",
+         "--out", str(existing_file)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert_one_error_line(code, out, err)
+    assert existing_file.read_text() == ""
+    assert solved == []  # the campaign's --out failed before the first pair
 
 
 def test_plot_roots_missing_column_exit_2(tmp_path, capsys):

@@ -53,7 +53,7 @@ def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     rows = range(d) if rows is None else rows
     # terms beyond the double range overflow to inf or NaN; callers fail on those
     with np.errstate(over="ignore", invalid="ignore"):
-        prod, _, exps = _term_products(d, n, z, rows, derivative=False)
+        prod, _, exps = _term_products(d, n, z, rows, mode="value")
     log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(prod)) + exps + log_binom[:, None]

@@ -2,14 +2,16 @@
 
 Each pair is processed independently, one after another: numeric roots
 with residual certificates, plus the exact strip certificate when
-requested.  The certificate starts from those roots: exact inclusion disks
-around them prove a side of the strip, and only a side they cannot prove
-runs the Routh table (`stability.verify_strip`).  Results are gathered,
-sorted by (d, n), and written as `report.csv` and `roots.csv`; `hsroots
-plot` draws the roots as SVG scatter plots.  File
-contents are deterministic for a given configuration and seed, byte for
-byte from run to run: wall-clock timings are reported on the console and
-kept out of the CSV (its millis column is pinned to 0).
+requested.  The certificate starts from those roots: inclusion disks
+around them, bounded in floating point with a rigorous error term and
+tested in exact integers where that bound falls short, prove a side of the
+strip, and only a side they cannot prove runs the Routh table
+(`stability.verify_strip`).  Results are gathered, sorted by (d, n), and
+written as `report.csv` and `roots.csv`; `hsroots plot` draws the roots as
+SVG scatter plots.  File contents are deterministic for a given
+configuration and seed, byte for byte from run to run: wall-clock timings
+are reported on the console and kept out of the CSV (its millis column is
+pinned to 0).
 """
 
 import time

@@ -6,6 +6,7 @@ positive denominator.  Instances are immutable and safe to share.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class RationalPolynomial:
@@ -121,3 +122,11 @@ def _coerce(value) -> RationalPolynomial:
 def monomial(k: int, coefficient=1) -> RationalPolynomial:
     """coefficient * m^k"""
     return RationalPolynomial([0] * k + [coefficient])
+
+
+def _integer_coefficients(poly: RationalPolynomial) -> list:
+    """Scale by the positive lcm of denominators; same roots, integer entries."""
+    lcm = 1
+    for c in poly.coeffs:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    return [int(c * lcm) for c in poly.coeffs]

@@ -13,7 +13,9 @@ real-axis snap and the single-point functions, which read one point of its
 output: `evaluate_scaled` as a plain (mantissa, exponent) pair,
 `log_derivative` and `residual`.  `bounds` takes its modulus ratios from
 the same loop, asking only for the rows it compares and for values without
-derivatives.
+derivatives.  In its error mode the loop also carries a rigorous bound on
+each term's rounding error, from which `_disk_radius_bounds` bounds the
+inclusion-disk radii of `stability.verify_strip` from above.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated circle around the centroid of the roots (Aberth 1973), which
@@ -36,9 +38,15 @@ import numpy as np
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import EvaluationAtRoot, InvalidParams
-from .stability import _integer_coefficients
+from .polynomial import _integer_coefficients
 
 _GOLDEN = 0.6180339887498949
+# unit roundoff of doubles and the constants of `_value_bounds`
+_U = 2.0**-53
+_U_ROUND = _U / (1 - _U)
+_SQRT5_U = math.sqrt(5) * _U * (1 + 2.0**-50)  # rounded up past sqrt(5) u
+_CM_REL = 2.0**-52
+_TINY = 2.0**-1070
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InvalidParams("max_iterations must be >= 1")
-        if self.tolerance is not None and not self.tolerance > 0:
-            raise InvalidParams("tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise InvalidParams(f"tolerance must be positive and finite, got {self.tolerance}")
 
     def resolved_tolerance(self, degree: int) -> float:
         if self.tolerance is not None:
@@ -148,7 +156,7 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     return centre + 2.0 ** (log_dist / degree) * np.exp(1j * angles)
 
 
-def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = True):
+def _term_products(d: int, n: int, z: np.ndarray, rows=None, mode: str = "derivative"):
     """The alternating-sum terms and their derivatives in scaled form.
 
     Row j of the (len(rows), len(z)) arrays holds term s = rows[j] (all d
@@ -157,11 +165,19 @@ def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = 
     built up one linear factor at a time (a vanishing factor leaves an exact
     0).  An entry is rescaled by a power of two when it strays beyond
     2**+-200, and the other entries are left alone, so every point and every
-    row gets the same bits whether it is built alone or in a batch.  With
-    derivative=False, prod_d is None and is never built; the rescale test
-    then looks at |prod| alone, so prod and exps may differ from the full
-    call by a power of two that cancels in prod * 2**exps.
+    row gets the same bits whether it is built alone or in a batch.  Returns
+    (prod, prod_d, exps).
+
+    mode="value" never builds prod_d and returns None in its place; the
+    rescale test then looks at |prod| alone, so prod and exps may differ
+    from the full call by a power of two that cancels in prod * 2**exps.
+    mode="error" builds the same values as mode="value" up to that power of
+    two, and returns in place of prod_d a real array mu that bounds
+    |true term - computed term| in the same scale (see `_value_bounds` for
+    the recurrence); the rescale test looks at max(|prod|, mu).  The default
+    and value-only modes run no operation of the error mode.
     """
+    derivative, error = mode == "derivative", mode == "error"
     index = np.arange(d)[:, None] if rows is None else np.array(rows)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
     slope = (d - index).astype(complex)
@@ -169,6 +185,17 @@ def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = 
     slope_z = slope * z[None, :]
     prod = np.ones(slope_z.shape, dtype=complex)
     prod_d = np.zeros(slope_z.shape, dtype=complex) if derivative else None
+    if error:
+        mu = np.zeros(slope_z.shape)
+        # mu's update mu (m_k + e_k) + |prod|_1 (e_k + sqrt5 u m_k) of
+        # `_value_bounds`, with m_k = f_abs (1 + 4u) + 2**-536 and
+        # e_k = slope_err + u/(1-u) m_k: each bracket is a row's constant
+        # plus a constant times f_abs
+        slope_err = _SQRT5_U * (d - index) * (np.abs(z.real) + np.abs(z.imag))[None, :]
+        grow = (1 + _U_ROUND) * (1 + 4 * _U)
+        grow_err = slope_err + (1 + _U_ROUND) * 2.0**-536
+        fresh = (_U_ROUND + _SQRT5_U) * (1 + 4 * _U)
+        fresh_err = slope_err + (_U_ROUND + _SQRT5_U) * 2.0**-536
     exps = np.zeros(slope_z.shape, dtype=np.int64)
     for k in range(1, n):
         factor = slope_z + offsets[k - 1]
@@ -176,11 +203,18 @@ def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = 
         # differently on a one-element array, which would break batch-independence
         if derivative:
             prod_d = prod_d * factor + prod * slope
+        elif error:
+            re, im = factor.real, factor.imag
+            f_abs = np.sqrt(re * re + im * im)
+            p_mod = np.abs(prod.real) + np.abs(prod.imag)
+            mu = mu * (grow_err + grow * f_abs) + p_mod * (fresh_err + fresh * f_abs) + _TINY
         prod = prod * factor
         if k % 16 == 0 or k == n - 1:
             mag = np.abs(prod)
             if derivative:
                 mag = np.maximum(mag, np.abs(prod_d))
+            elif error:
+                mag = np.maximum(mag, mu)
             _, e = np.frexp(mag)
             adjust = np.where(np.abs(e) > 200, e, 0)
             stray = adjust.any(axis=1)
@@ -190,8 +224,28 @@ def _term_products(d: int, n: int, z: np.ndarray, rows=None, derivative: bool = 
                 prod[stray] *= scale
                 if derivative:
                     prod_d[stray] *= scale
+                elif error:
+                    mu[stray] = mu[stray] * scale + _TINY
                 exps[stray] += adjust
-    return prod, prod_d, exps
+    return prod, (mu if error else prod_d), exps
+
+
+def _binomial_rows(d: int, n: int):
+    """Double mantissas cm and exponents ce of C(n, s), s < d, as (d, 1)
+    columns, and the mantissas with the alternating sign."""
+    cm, ce = (
+        np.array(column)[:, None]
+        for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(d)))
+    )
+    return cm, ce, np.where(np.arange(d)[:, None] % 2, -cm, cm)
+
+
+def _alignment(term_exps: np.ndarray):
+    """One exponent for the sum, the largest term exponent of each point,
+    the row shifts down to it, and the powers of two that apply them."""
+    acc_e = term_exps.max(axis=0)
+    shift = term_exps - acc_e
+    return acc_e, shift, np.ldexp(1.0, np.maximum(shift, -1074).astype(np.int32))
 
 
 def _eval_vec(d: int, n: int, z: np.ndarray):
@@ -206,24 +260,136 @@ def _eval_vec(d: int, n: int, z: np.ndarray):
     """
     d = min(d, n - d)
     prod, prod_d, exps = _term_products(d, n, z)
-    index = np.arange(d)[:, None]
-    cm, ce = (
-        np.array(column)[:, None]
-        for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(d)))
-    )
     # the binomial mantissas are real, so multiplying them in one broadcast
     # rounds as multiplying row by row does
-    signed = np.where(index % 2, -cm, cm)
+    cm, ce, signed = _binomial_rows(d, n)
     terms, terms_d, term_exps = prod * signed, prod_d * signed, exps + ce
     # one exponent for the sum: every row is aligned to the largest term
     # exponent, and the rows are summed one after another, so that a point's
     # sums are batch-independent
-    acc_e = term_exps.max(axis=0)
-    scale = np.ldexp(1.0, np.maximum(term_exps - acc_e, -1074).astype(np.int32))
+    acc_e, _, scale = _alignment(term_exps)
     acc = np.cumsum(terms * scale, axis=0)[-1]
     acc_d = np.cumsum(terms_d * scale, axis=0)[-1]
     magnitude = np.cumsum(np.abs(prod) * cm * scale, axis=0)[-1]
     return acc, acc_d, acc_e, magnitude
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    return k * _U / (1 - k * _U)
+
+
+def _value_bounds(d: int, n: int, z: np.ndarray):
+    """Rigorous upper bounds on |p(z)| from the product form.
+
+    Returns (B, E) with (n-1)! |p(z)| <= B * 2**E at each point z (taken
+    exactly as the double it is), or B non-finite where nothing is bounded.
+    The value is `_eval_vec`'s sum S, built by the same operations from
+    `_term_products` in its error mode, and B = c (|S|_1 + err), where
+    |x|_1 = |Re x| + |Im x| >= |x| (no hypot is needed) and err adds up a
+    bound on every rounding, with u = 2**-53:
+
+    1. each factor f = (d-s)z + (k-s) is computed as
+       f^ = fl(fl((d-s) z) + (k-s)), so |f^ - f| <= e_k =
+       sqrt5 u |d-s| |z|_1 + u/(1-u) m_k, where
+       m_k = sqrt(Re f^**2 + Im f^**2)(1 + 4u) + 2**-536 >= |f^| covers the
+       four roundings of that modulus and underflow in its squares;
+    2. each complex multiply, (d-s) z and the real binomial mantissas
+       included (numpy promotes them to complex), is within sqrt5 u of the
+       exact product (Brent, Percival and Zimmermann 2007), which covers a
+       fused multiply-add too; an underflow adds at most 2**-1073 to it;
+    3. so the running bound mu on |term - prod| obeys mu_0 = 0 and
+       mu_k = mu_{k-1} (m_k + e_k) + |prod_{k-1}|_1 (e_k + sqrt5 u m_k),
+       plus 2**-1070 for underflow, also after each power-of-two rescale;
+       m_k is a true modulus bound, not |f^_k|_1, because mu is multiplied
+       by it at every step and sqrt(2)**n would compound;
+    4. the binomial mantissa cm of `_int_mantissa_exponent` truncates C(n, s)
+       below 2**-59 of itself and rounds once, so the true mantissa is
+       within 2**-52 cm of it;
+    5. the signed multiply prod * (+-cm) adds sqrt5 u |prod|_1 cm;
+    6. the row alignment by a power of two is exact but for 2**-1074 where
+       the result is subnormal; where `max(..., -1074)` clamps the shift, the
+       full magnitude of the row, computed and true, is added instead;
+    7. the `cumsum` over the d rows adds gamma_{d-1} times the sum of the
+       aligned rows' |.|_1 (any summation order);
+    8. the bound's own arithmetic adds, multiplies and scales nonnegative
+       doubles along chains of fewer than K = 8(n + d) + 64 operations, so it
+       rounds low by less than a factor (1 - u)**K; the final safety factor
+       c = 1 + 2 gamma_K makes up for that.
+    """
+    d = min(d, n - d)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        prod, mu, exps = _term_products(d, n, z, mode="error")
+        cm, ce, signed = _binomial_rows(d, n)
+        acc_e, shift, scale = _alignment(exps + ce)
+        rows = prod * signed * scale
+        acc = np.cumsum(rows, axis=0)[-1]
+        p_mod = (np.abs(prod.real) + np.abs(prod.imag)) * cm
+        row_err = mu * cm * (1 + _CM_REL) + p_mod * (_CM_REL + _SQRT5_U)
+        aligned_mod = np.abs(rows.real) + np.abs(rows.imag)
+        clamped = shift < -1074
+        row_err = np.where(clamped, (p_mod + 2 * row_err) * scale + aligned_mod, row_err * scale)
+        err = row_err.sum(axis=0) + d * _TINY + _gamma(d - 1) * aligned_mod.sum(axis=0)
+        bound = (np.abs(acc.real) + np.abs(acc.imag) + err) * (1 + 2 * _gamma(8 * (n + d) + 64))
+    return bound, acc_e
+
+
+def _distance_product_lower(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, e) with m * 2**e <= prod_{j != i} |z_i - z_j|**2 for each i, e even;
+    m = 0 where a squared distance is 0, subnormal or non-finite.
+
+    A squared distance fl(fl(dx)**2 + fl(dy)**2) of at least 2**-1021 is
+    within 6 roundings of the exact one (an underflow in one square costs
+    less than one more), and the frexp-scaled product, in chunks whose
+    mantissa products stay normal, rounds less than twice per factor: the
+    result is deflated by 1 - gamma_{8N}.
+    """
+    count = z.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = z.real[:, None] - z.real[None, :]
+        dy = z.imag[:, None] - z.imag[None, :]
+        sq = dx * dx + dy * dy
+    np.fill_diagonal(sq, 1.0)
+    usable = (np.isfinite(sq) & (sq >= 2.0**-1021)).all(axis=1)
+    mant, exp = np.frexp(np.where(usable[:, None], sq, 1.0))
+    m = np.ones(count)
+    e = exp.sum(axis=1)
+    for start in range(0, count, 512):  # 512 mantissas in [1/2, 1) stay normal
+        part, part_e = np.frexp(mant[:, start:start + 512].prod(axis=1))
+        m, m_e = np.frexp(m * part)
+        e += part_e + m_e
+    odd = e % 2 == 1
+    m = np.where(odd, 2 * m, m) * (1 - _gamma(8 * count))
+    return np.where(usable, m, 0.0), e - odd
+
+
+def _disk_radius_bounds(d: int, n: int, z: np.ndarray) -> np.ndarray:
+    """Upper bounds on the inclusion-disk radii N |W_i| around the points z.
+
+    W_i = p(z_i) / (a_N prod_{j != i} (z_i - z_j)) and N = n - 1 = z.size
+    (see `stability.inclusion_strip`).  The numerator is `_value_bounds`,
+    the denominator a lower bound: (n-1)! a_N is an Eulerian number, an
+    exact integer whose truncated mantissa bounds it from below, and the
+    distance product is `_distance_product_lower`.  The product with N,
+    the square root, the quotient and the deflation round at most six times
+    more, covered by a factor 1 + 2 gamma_8; a subnormal result gets 2**-1074
+    more.  Where there is no bound the entry is inf or NaN, so a test
+    `bound < gap` proves nothing.
+    """
+    value, value_e = _value_bounds(d, n, z)
+    # a mantissa in [1/2, 1) keeps the quotient normal until the final ldexp
+    value, value_shift = np.frexp(value)
+    lead = ehrhart_polynomial(HypersimplexParams(d, n)).leading_coefficient
+    lead = int(lead * math.factorial(n - 1))
+    eul_e = max(0, lead.bit_length() - 53)
+    eul_m = float(lead >> eul_e)
+    dist_m, dist_e = _distance_product_lower(z)
+    exponent = value_e + value_shift - eul_e - dist_e // 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        ratio = (z.size * value) / (eul_m * np.sqrt(dist_m)) * (1 + 2 * _gamma(8))
+        # beyond 2**+-2200 the result is inf or 0 either way
+        exponent = np.clip(exponent, -2200, 2200).astype(np.int32)
+        return np.ldexp(ratio, exponent) + 2.0**-1074
 
 
 def _residual_logs(

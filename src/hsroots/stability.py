@@ -1,13 +1,16 @@
-"""Exact root-location certificates: inclusion disks and the Routh table.
+"""Root-location certificates: inclusion disks and the exact Routh table.
 
-All verdicts are computed in integer arithmetic after clearing denominators.
-Given numeric approximations of all the roots, `inclusion_strip` proves a
-side of the strip from Weierstrass inclusion disks around them, evaluated
-exactly on the points' dyadic values; the disks can only prove a side.  A
-side they do not prove, and every call without roots, goes to the Routh
-table, whose rows are rescaled only by positive constants (their gcd), which
-preserves the sign structure the table's first column encodes.  A zero
-leading element is reported as Boundary, never perturbed.
+Every verdict rests on integer arithmetic or on rigorous error bounds.
+Given numeric approximations of all the roots, a side of the strip is first
+tried with Weierstrass inclusion disks around them; the disks can only
+prove a side.  `verify_strip` bounds every radius from above in floating
+point (`roots._disk_radius_bounds`, whose error bound covers every rounding
+of the product-form evaluation) and tests exactly, on the points' dyadic
+values, only the disks that bound leaves open; `inclusion_strip` tests every
+disk exactly.  A side the disks do not prove, and every call without roots,
+goes to the Routh table, whose rows are rescaled only by positive constants
+(their gcd), which preserves the sign structure the table's first column
+encodes.  A zero leading element is reported as Boundary, never perturbed.
 """
 
 import cmath
@@ -16,9 +19,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
-from .polynomial import RationalPolynomial
+from .polynomial import RationalPolynomial, _integer_coefficients
+from .roots import _disk_radius_bounds
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -75,14 +81,6 @@ def reflect_polynomial(poly: RationalPolynomial) -> RationalPolynomial:
     return RationalPolynomial(
         [-c if k % 2 else c for k, c in enumerate(poly.coeffs)]
     )
-
-
-def _integer_coefficients(poly: RationalPolynomial) -> list:
-    """Scale by the positive lcm of denominators; same roots, integer entries."""
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in poly.coeffs]
 
 
 def _reduce_row(row: list) -> list:
@@ -179,6 +177,67 @@ def _inside(gap: int, denominator: int, radius_sq: int, scale: int) -> bool:
     return gap > 0 and radius_sq * denominator * denominator < scale * gap * gap
 
 
+def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optional[list]:
+    """The points as complex numbers when they can carry inclusion disks:
+    N = degree of them, finite and distinct (as doubles, hence as dyadic
+    rationals); None otherwise."""
+    points = [complex(z) for z in points]
+    degree = poly.degree
+    if degree < 1 or len(points) != degree or not all(map(cmath.isfinite, points)):
+        return None
+    return points if len(set(points)) == degree else None
+
+
+def _exact_disks(
+    poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction, left_idx, right_idx
+) -> Tuple[bool, bool]:
+    """Whether the exact disks around points[i] lie inside Re > lower for
+    every i in left_idx and inside Re < upper for every i in right_idx.
+
+    Each double is taken exactly as (x_i + i y_i) / 2**B; p(z_i) 2**(BN)
+    comes from Gaussian-integer Horner on the integer coefficients and
+    prod_{j != i} (z_i - z_j) 2**(B(N-1)) from an exact product, so each
+    disk test compares squared integers and no float enters the verdict.
+    A disk is built only while a side that needs it is still open.
+    """
+    left_idx, right_idx = set(left_idx), set(right_idx)
+    left = right = True
+    if not (left_idx or right_idx):
+        return left, right
+    degree = poly.degree
+    nodes, bits = _dyadic(points)
+    coeffs = _integer_coefficients(poly)
+    lead = coeffs[-1]
+    # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs[:-1])]
+    # the edges as integers over 2**B: lower = low / (den_low 2**B), likewise upper
+    low, high = lower.numerator << bits, upper.numerator << bits
+    for i in sorted(left_idx | right_idx):
+        test_left, test_right = left and i in left_idx, right and i in right_idx
+        if not (test_left or test_right):
+            continue
+        x, y = nodes[i]
+        pr, pi = lead, 0
+        for c in reversed(scaled):
+            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        qr, qi = 1, 0
+        for j, (u, v) in enumerate(nodes):
+            if j != i:
+                a, b = x - u, y - v
+                qr, qi = qr * a - qi * b, qr * b + qi * a
+        # W_i = P / (a_N Q 2**B), so N |W_i| < gap / (den 2**B) iff
+        # N^2 |P|^2 den^2 < a_N^2 |Q|^2 gap^2 with gap > 0
+        radius_sq = degree * degree * (pr * pr + pi * pi)
+        scale = lead * lead * (qr * qr + qi * qi)
+        if test_left:
+            left = _inside(lower.denominator * x - low, lower.denominator, radius_sq, scale)
+        if test_right:
+            right = _inside(high - upper.denominator * x, upper.denominator, radius_sq, scale)
+        if not (left or right):
+            break
+    return left, right
+
+
 def inclusion_strip(
     poly: RationalPolynomial, points: Sequence[complex], lower, upper
 ) -> Tuple[bool, bool]:
@@ -202,50 +261,22 @@ def inclusion_strip(
     Re z_i - N |W_i| > lower, or Re z_i + N |W_i| < upper.
 
     The points need not be accurate, only distinct; the disks are merely
-    larger for poor ones.  Each double is taken exactly as
-    (x_i + i y_i) / 2**B; p(z_i) 2**(BN) comes from Gaussian-integer Horner
-    on the integer coefficients and prod_{j != i} (z_i - z_j) 2**(B(N-1))
-    from an exact product, so each disk test compares squared integers and
-    no float enters the verdict.  Non-finite or repeated points, or a point
-    count other than N, prove nothing.
+    larger for poor ones.  Every disk is tested exactly (`_exact_disks`).
+    Non-finite or repeated points, or a point count other than N, prove
+    nothing.
     """
-    degree = poly.degree
-    points = [complex(z) for z in points]
-    if degree < 1 or len(points) != degree or not all(map(cmath.isfinite, points)):
+    points = _disk_points(poly, points)
+    if points is None:
         return False, False
-    nodes, bits = _dyadic(points)
-    if len(set(nodes)) != degree:
-        return False, False
-    coeffs = _integer_coefficients(poly)
-    lead = coeffs[-1]
-    # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
-    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs[:-1])]
-    lower, upper = Fraction(lower), Fraction(upper)
-    # the edges as integers over 2**B: lower = low / (den_low 2**B), likewise upper
-    low, high = lower.numerator << bits, upper.numerator << bits
-    left = right = True
-    for i, (x, y) in enumerate(nodes):
-        pr, pi = lead, 0
-        for c in reversed(scaled):
-            pr, pi = pr * x - pi * y + c, pr * y + pi * x
-        qr, qi = 1, 0
-        for j, (u, v) in enumerate(nodes):
-            if j != i:
-                a, b = x - u, y - v
-                qr, qi = qr * a - qi * b, qr * b + qi * a
-        # W_i = P / (a_N Q 2**B), so N |W_i| < gap / (den 2**B) iff
-        # N^2 |P|^2 den^2 < a_N^2 |Q|^2 gap^2 with gap > 0
-        radius_sq = degree * degree * (pr * pr + pi * pi)
-        scale = lead * lead * (qr * qr + qi * qi)
-        left = left and _inside(
-            lower.denominator * x - low, lower.denominator, radius_sq, scale
-        )
-        right = right and _inside(
-            high - upper.denominator * x, upper.denominator, radius_sq, scale
-        )
-        if not (left or right):
-            break
-    return left, right
+    every = range(len(points))
+    return _exact_disks(poly, points, Fraction(lower), Fraction(upper), every, every)
+
+
+def _gap_lower(x: np.ndarray, q: float) -> np.ndarray:
+    """Lower bounds on x + c from q = fl(c), c > 0: g = fl(x + q) is within
+    u (|g| + q) / (1 - u) of x + c, so g - 4u (|g| + q), rounded, is below it."""
+    g = x + q
+    return g - 2.0**-51 * (np.abs(g) + q)
 
 
 def verify_half_plane(
@@ -270,8 +301,13 @@ def verify_strip(
 
     Requires the standing assumption 2d <= n.  Given numeric approximations
     of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
-    tried with the inclusion disks of `inclusion_strip`.  A side they do not
-    prove, or both sides when no roots are given, goes to the Routh table of
+    tried with the inclusion disks of `inclusion_strip`, under the same
+    checks of the points.  Each radius N |W_i| is bounded from above in
+    floating point first (`roots._disk_radius_bounds`); a disk whose bound
+    already lies inside a side counts for that side, and only the disks a
+    still-open side needs get the exact test.  The verdict is the one the
+    exact test alone would give.  A side the disks do not prove, or both
+    sides when no roots are given, goes to the Routh table of
     `verify_half_plane`: the right test applies it to the polynomial itself
     (Re < 0), the left test to q(z) = p(-z - n/d) (Re > -n/d).
     Unstable and Boundary verdicts only ever come from the table.
@@ -279,9 +315,18 @@ def verify_strip(
     params.require_conjecture_domain()
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
-    left_in, right_in = (
-        (False, False) if roots is None else inclusion_strip(poly, roots, -bound, 0)
-    )
+    points = None if roots is None else _disk_points(poly, roots)
+    left_in = right_in = False
+    if points is not None:
+        z = np.array(points)
+        x = z.real
+        radii = _disk_radius_bounds(params.d, params.n, z)
+        # a radius bound r proves a disk's side when r < Re z + n/d, against
+        # a lower bound on that gap, or when r < -Re z, compared exactly;
+        # inf and NaN prove nothing
+        left_idx = np.flatnonzero(~(radii < _gap_lower(x, params.n / params.d)))
+        right_idx = np.flatnonzero(~(radii < -x))
+        left_in, right_in = _exact_disks(poly, points, -bound, Fraction(0), left_idx, right_idx)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
     left = included if left_in else verify_half_plane(params, -bound, "right_of")

@@ -116,6 +116,10 @@ def test_roots_invalid_values_exit_2(capsys):
     code, _, err = run(capsys, "roots", "--d", "3", "--n", "6", "--max-iter", "0")
     assert code == 2
     assert "max_iterations" in err
+    code, out, err = run(capsys, "roots", "--d", "4", "--n", "8", "--tolerance", "inf")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "tolerance must be positive" in err
 
 
 def test_roots_warning_counts_exact_sweeps(capsys):

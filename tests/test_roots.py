@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
-from hsroots.errors import EvaluationAtRoot
+from hsroots.errors import EvaluationAtRoot, InvalidParams
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     _GOLDEN,
@@ -225,6 +225,10 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=-1e-9)
+    # an infinite tolerance would accept every correction and every residual
+    for tolerance in (math.inf, math.nan, 0.0):
+        with pytest.raises(InvalidParams, match="tolerance must be positive"):
+            SolverConfig(tolerance=tolerance)
 
 
 def test_rootset_max_residual():

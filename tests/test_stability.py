@@ -2,13 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
-from hsroots.polynomial import RationalPolynomial
-from hsroots.roots import find_roots
+from hsroots.polynomial import RationalPolynomial, _integer_coefficients
+from hsroots.roots import _disk_radius_bounds, _value_bounds, find_roots
 from hsroots.stability import (
+    _dyadic,
+    _exact_disks,
     inclusion_strip,
     reflect_polynomial,
     routh_hurwitz,
@@ -238,3 +241,163 @@ def test_verify_half_plane_threshold_instances():
 def test_verify_half_plane_side_validation():
     with pytest.raises(ValueError):
         verify_half_plane(HypersimplexParams(2, 5), 0, "above")
+
+
+# The float-first disks: `roots._disk_radius_bounds` bounds each radius
+# N |W_i| from above in floating point, and `verify_strip` tests exactly only
+# the disks that bound leaves open.
+
+
+def dyadic_horner(coeffs, x: int, y: int, bits: int):
+    """p(z) 2**(BN) for z = (x + iy) / 2**B, B = bits, N = degree, by
+    Gaussian-integer Horner on integer coefficients."""
+    degree = len(coeffs) - 1
+    pr, pi = coeffs[-1], 0
+    for k in range(degree - 1, -1, -1):
+        c = coeffs[k] << (bits * (degree - k))
+        pr, pi = pr * x - pi * y + c, pr * y + pi * x
+    return pr, pi
+
+
+def exact_scaled_value_sq(int_coeffs, z: complex) -> Fraction:
+    """|(n-1)! p(z)|**2 exactly, at z taken as the double it is."""
+    [(x, y)], bits = _dyadic([z])
+    pr, pi = dyadic_horner(int_coeffs, x, y, bits)
+    return Fraction(pr * pr + pi * pi, 1 << (2 * bits * (len(int_coeffs) - 1)))
+
+
+def exact_radius_sq(poly, points, i) -> Fraction:
+    """(N |W_i|)**2 exactly, W_i = p(z_i) / (a_N prod_{j != i} (z_i - z_j))."""
+    nodes, bits = _dyadic(points)
+    coeffs = _integer_coefficients(poly)
+    degree = len(coeffs) - 1
+    x, y = nodes[i]
+    pr, pi = dyadic_horner(coeffs, x, y, bits)
+    qr, qi = 1, 0
+    for j, (u, v) in enumerate(nodes):
+        if j != i:
+            a, b = x - u, y - v
+            qr, qi = qr * a - qi * b, qr * b + qi * a
+    # P = p(z_i) 2**(BN), Q = prod 2**(B(N-1)): N |W_i| = N |P| / (|a_N| |Q| 2**B)
+    numerator = degree * degree * (pr * pr + pi * pi)
+    return Fraction(numerator, coeffs[-1] ** 2 * (qr * qr + qi * qi) << (2 * bits))
+
+
+def scaled_coefficients(d, n):
+    """The integer coefficients of (n-1)! p."""
+    fact = math.factorial(n - 1)
+    return [int(c * fact) for c in ehrhart_polynomial(HypersimplexParams(d, n)).coeffs]
+
+
+def assert_value_bounds_hold(d, n, points):
+    coeffs = scaled_coefficients(d, n)
+    bound, exponent = _value_bounds(d, n, np.array(points, dtype=complex))
+    for z, b, e in zip(points, bound, exponent):
+        if not math.isfinite(b):
+            continue
+        assert (Fraction(b) * Fraction(2) ** int(e)) ** 2 >= exact_scaled_value_sq(coeffs, z), (
+            d,
+            n,
+            z,
+        )
+
+
+def random_points(rng, d, n, count):
+    """Points around the root strip, from the real axis to far above it, at
+    magnitudes from 1e-3 to beyond the roots."""
+    out = []
+    for _ in range(count):
+        scale = 10.0 ** rng.uniform(-3, math.log10(2 * n / d))
+        out.append(complex(rng.uniform(-1.2, 0.2) * n / d, rng.choice([0, 1, -1]) * rng.random() * scale))
+    return out
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 5), (2, 9), (3, 20), (4, 41), (7, 63), (10, 40), (22, 44), (9, 100)]
+)
+def test_value_bounds_hold_at_random_points(d, n):
+    rng = random.Random(1000 * d + n)
+    assert_value_bounds_hold(d, n, random_points(rng, d, n, 400))
+
+
+@pytest.mark.parametrize("d,n", [(3, 20), (5, 31), (7, 40), (12, 30)])
+def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
+    # z = (s - k) / (d - s) zeroes one factor of term s; the nearest double
+    # and its neighbours leave that factor as rounding error only, and a
+    # subnormal imaginary part adds underflow
+    rows = min(d, n - d)
+    zeros = sorted({(s - k) / (d - s) for s in range(rows) for k in range(1, n)})
+    points = [
+        complex(re, 0.0)
+        for zeta in zeros
+        for re in (np.nextafter(zeta, -math.inf), zeta, np.nextafter(zeta, math.inf))
+    ]
+    points += [complex(zeta, 2.0**-30) for zeta in zeros]
+    points += [complex(zeta, 1e-310) for zeta in zeros[::7]]
+    assert_value_bounds_hold(d, n, points)
+
+
+def test_value_and_radius_bounds_hold_at_noise_limited_roots():
+    params = HypersimplexParams(30, 60)
+    roots = list(find_roots(params).roots)
+    assert_value_bounds_hold(30, 60, roots)
+    poly = ehrhart_polynomial(params)
+    radii = _disk_radius_bounds(30, 60, np.array(roots))
+    for i, radius in enumerate(radii):
+        if math.isfinite(radius):
+            assert Fraction(radius) ** 2 >= exact_radius_sq(poly, roots, i), i
+
+
+@pytest.mark.parametrize("d,n,noise", [(4, 12, 1e-3), (6, 40, 1e-9), (9, 100, 0.0), (16, 32, 1e-12)])
+def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
+    rng = random.Random(d * n)
+    params = HypersimplexParams(d, n)
+    poly = ehrhart_polynomial(params)
+    roots = [
+        z * complex(1 + rng.uniform(-noise, noise), rng.uniform(-noise, noise))
+        for z in find_roots(params).roots
+    ]
+    radii = _disk_radius_bounds(d, n, np.array(roots))
+    assert np.isfinite(radii).all()
+    for i, radius in enumerate(radii):
+        assert Fraction(radius) ** 2 >= exact_radius_sq(poly, roots, i), (i, roots[i])
+
+
+def float_proven(params, roots):
+    """The disks whose float radius bound proves the left and the right side."""
+    z = np.array(roots)
+    radii = _disk_radius_bounds(params.d, params.n, z)
+    bound = Fraction(params.n, params.d)
+    left = [
+        i for i, r in enumerate(radii) if math.isfinite(r) and Fraction(z[i].real) - Fraction(r) > -bound
+    ]
+    right = [i for i, r in enumerate(radii) if r < -z[i].real]
+    return left, right
+
+
+def test_float_disks_leave_some_to_the_exact_test():
+    # the alternating sum cancels deeply on the diagonal: the float bounds
+    # miss some disks there, and the exact test still proves both sides
+    params = HypersimplexParams(30, 60)
+    roots = find_roots(params).roots
+    left, right = float_proven(params, roots)
+    assert 0 < len(left) < len(roots) and 0 < len(right) < len(roots)
+    verdict = verify_strip(params, roots)
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
+    assert verdict.overall
+    bound = Fraction(params.n, params.d)
+    assert inclusion_strip(ehrhart_polynomial(params), roots, -bound, 0) == (True, True)
+
+
+@pytest.mark.parametrize("d,n", [(4, n) for n in range(8, 25)] + [(9, 96)])
+def test_float_proven_disks_are_exactly_proven(d, n):
+    params = HypersimplexParams(d, n)
+    poly = ehrhart_polynomial(params)
+    roots = list(find_roots(params).roots)
+    left, right = float_proven(params, roots)
+    assert left and right
+    bound = Fraction(n, d)
+    for i in left:
+        assert _exact_disks(poly, roots, -bound, Fraction(0), [i], [])[0], i
+    for i in right:
+        assert _exact_disks(poly, roots, -bound, Fraction(0), [], [i])[1], i

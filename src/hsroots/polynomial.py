@@ -40,9 +40,6 @@ class RationalPolynomial:
     def leading_coefficient(self) -> Fraction:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def evaluate(self, x):
         """Horner evaluation; exact when x is an int or Fraction."""
         if isinstance(x, int):
@@ -117,11 +114,6 @@ def _coerce(value) -> RationalPolynomial:
     if isinstance(value, (int, Fraction)):
         return RationalPolynomial([value])
     raise TypeError(f"cannot coerce {type(value).__name__} to RationalPolynomial")
-
-
-def monomial(k: int, coefficient=1) -> RationalPolynomial:
-    """coefficient * m^k"""
-    return RationalPolynomial([0] * k + [coefficient])
 
 
 def _integer_coefficients(poly: RationalPolynomial) -> list:

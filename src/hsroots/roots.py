@@ -24,8 +24,9 @@ The evaluator also returns the summed moduli of the alternating-sum terms,
 which bound its rounding error.  Near n = 2d the sum cancels below that
 noise floor; a root whose value sinks into the noise leaves the double
 sweep, and the iterates are then refined by further sweeps whose Newton
-ratios come from a fixed-point Gaussian-integer Horner scheme on the exact
-integer coefficients (`_horner_fixed`).  Only each ratio is rounded to
+ratios come from fixed-point p and p' on the exact integer coefficients,
+each from `_gaussian_horner`, the one Gaussian-integer Horner loop, which
+the exact disks of `stability` run too.  Only each ratio is rounded to
 double; the repulsion and the update stay in doubles.
 """
 
@@ -426,41 +427,44 @@ def _to_fixed(value: float, bits: int) -> int:
     return (num << bits) // den
 
 
-def _horner_fixed(coeffs: list, x: int, y: int, bits: int) -> Tuple[int, int, int, int]:
-    """p and p' at z = (x + iy) / 2**bits by Horner's rule on Gaussian integers.
+def _gaussian_horner(coeffs: list, x: int, y: int, shift: int) -> Tuple[int, int]:
+    """sum_k coeffs[k] z**k at z = (x + iy) / 2**shift by Horner's rule on
+    Gaussian integers; returns its real and imaginary parts.
 
-    `coeffs` are integers, lowest degree first.  Returns (P_re, P_im, D_re,
-    D_im), the fixed-point values of p(z) and p'(z) scaled by 2**bits.  Each
-    Horner step truncates its product with z once per component, so with
-    N = len(coeffs) - 1 and G = sum_{j<N} |z|**j the truncation errors are
-    |P / 2**bits - p(z)| <= 2**(1-bits) * G and
-    |D / 2**bits - p'(z)| <= 2**(1-bits) * N * G.
+    `coeffs` are integers, lowest degree first, scaled by the caller: with
+    c_k << b and shift b the result is p(z) 2**b in fixed point, and with
+    c_k << (B(N-k)) and shift 0 it is p((x + iy) / 2**B) 2**(BN) exactly.
+    Each of the N = len(coeffs) - 1 steps multiplies by z and truncates once
+    per component, so the result is within 2 sum_{j<N} |z|**j of the exact
+    sum.
     """
     x_plus_y, y_minus_x = x + y, y - x
-    pr, pi = coeffs[-1] << bits, 0
-    dr = di = 0
+    re, im = coeffs[-1], 0
     for c in reversed(coeffs[:-1]):
         # (a + ib)(x + iy) from three products: with k = x(a + b), the real
         # part is k - b(x + y) and the imaginary part k + a(y - x)
-        k = x * (dr + di)
-        dr, di = ((k - di * x_plus_y) >> bits) + pr, ((k + dr * y_minus_x) >> bits) + pi
-        k = x * (pr + pi)
-        pr, pi = ((k - pi * x_plus_y) >> bits) + (c << bits), (k + pr * y_minus_x) >> bits
-    return pr, pi, dr, di
+        k = x * (re + im)
+        re, im = ((k - im * x_plus_y) >> shift) + c, (k + re * y_minus_x) >> shift
+    return re, im
 
 
-def _exact_ratios(coeffs: list, bits: int, points: np.ndarray):
-    """Newton ratios p/p' from `_horner_fixed`, each rounded once to double.
+def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
+    """Newton ratios p/p' from `_gaussian_horner`, each rounded once to double.
 
+    `values` are the integer coefficients c_k << bits of p and `slopes` the
+    coefficients (k c_k) << bits of p', so with N the degree of p the
+    fixed-point values P and D at z = (x + iy) / 2**bits obey
+    |P / 2**bits - p(z)| <= 2**(1-bits) sum_{j<N} |z|**j and
+    |D / 2**bits - p'(z)| <= 2**(1-bits) sum_{j<N-1} |z|**j.
     Python's int / int division rounds correctly; a ratio it cannot
     represent comes back non-finite, as a double ratio would.  No point is
     noise-limited.
     """
     w = np.empty(points.size, dtype=complex)
     for i, z in enumerate(points):
-        pr, pi, dr, di = _horner_fixed(
-            coeffs, _to_fixed(z.real, bits), _to_fixed(z.imag, bits), bits
-        )
+        x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
+        pr, pi = _gaussian_horner(values, x, y, bits)
+        dr, di = _gaussian_horner(slopes, x, y, bits)
         norm = dr * dr + di * di
         try:
             w[i] = complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
@@ -559,7 +563,8 @@ def find_roots(
     there.  If any root stopped that way, or the double result misses the
     certificate, the same iterates are refined by further sweeps whose
     Newton ratios come from exact integer coefficients in fixed point, with
-    1.5 times the coefficients' log2 spread plus 96 fractional bits.
+    1.5 times the coefficients' log2 spread plus 96 fractional bits (see
+    `_exact_ratios`).
     `iterations` counts the double sweeps, `extended_bits` and
     `extended_sweeps` the refinement.  A result that still misses the
     certificate is returned with converged=False.
@@ -582,9 +587,11 @@ def find_roots(
     finite = coeff_logs[np.isfinite(coeff_logs)]
     bits = int(1.5 * max(finite.max() - finite.min(), 0.0)) + 96
     coeffs = _integer_coefficients(ehrhart_polynomial(params))
+    values = [c << bits for c in coeffs]
+    slopes = [(k * c) << bits for k, c in enumerate(coeffs)][1:]
     sweeps, settled = _ea_sweeps(
         z,
-        lambda points: _exact_ratios(coeffs, bits, points),
+        lambda points: _exact_ratios(values, slopes, bits, points),
         tol,
         config.max_iterations,
     )

@@ -7,8 +7,9 @@ prove a side.  `verify_strip` bounds every radius from above in floating
 point (`roots._disk_radius_bounds`, whose error bound covers every rounding
 of the product-form evaluation) and tests exactly, on the points' dyadic
 values, only the disks that bound leaves open; `inclusion_strip` tests every
-disk exactly.  A side the disks do not prove, and every call without roots,
-goes to the Routh table, whose rows are rescaled only by positive constants
+disk exactly, evaluating p with `roots._gaussian_horner` at shift 0, the
+solver's own exact Horner loop.  A side the disks do not prove, and every
+call without roots, goes to the Routh table, whose rows are rescaled only by positive constants
 (their gcd), which preserves the sign structure the table's first column
 encodes.  A zero leading element is reported as Boundary, never perturbed.
 """
@@ -24,7 +25,7 @@ import numpy as np
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients
-from .roots import _disk_radius_bounds
+from .roots import _disk_radius_bounds, _gaussian_horner, _to_fixed
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -164,11 +165,11 @@ def _dyadic(points: Sequence[complex]) -> Tuple[list, int]:
     """The points exactly as Gaussian integers over one power of two.
 
     Returns ([(x_i, y_i)], bits) with z_i = (x_i + i y_i) / 2**bits; every
-    finite double is a dyadic rational, so nothing is rounded.
+    finite double is a dyadic rational, so `_to_fixed` rounds nothing.
     """
-    parts = [v.as_integer_ratio() for z in points for v in (z.real, z.imag)]
-    bits = max(den.bit_length() for _, den in parts) - 1
-    ints = [num << (bits + 1 - den.bit_length()) for num, den in parts]
+    values = [v for z in points for v in (z.real, z.imag)]
+    bits = max(v.as_integer_ratio()[1].bit_length() for v in values) - 1
+    ints = [_to_fixed(v, bits) for v in values]
     return list(zip(ints[0::2], ints[1::2])), bits
 
 
@@ -195,10 +196,10 @@ def _exact_disks(
     every i in left_idx and inside Re < upper for every i in right_idx.
 
     Each double is taken exactly as (x_i + i y_i) / 2**B; p(z_i) 2**(BN)
-    comes from Gaussian-integer Horner on the integer coefficients and
-    prod_{j != i} (z_i - z_j) 2**(B(N-1)) from an exact product, so each
-    disk test compares squared integers and no float enters the verdict.
-    A disk is built only while a side that needs it is still open.
+    comes from `roots._gaussian_horner` at shift 0 and prod_{j != i}
+    (z_i - z_j) 2**(B(N-1)) from an exact product, so each disk test
+    compares squared integers and no float enters the verdict.  A disk is
+    built only while a side that needs it is still open.
     """
     left_idx, right_idx = set(left_idx), set(right_idx)
     left = right = True
@@ -209,7 +210,7 @@ def _exact_disks(
     coeffs = _integer_coefficients(poly)
     lead = coeffs[-1]
     # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
-    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs[:-1])]
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
     # the edges as integers over 2**B: lower = low / (den_low 2**B), likewise upper
     low, high = lower.numerator << bits, upper.numerator << bits
     for i in sorted(left_idx | right_idx):
@@ -217,9 +218,7 @@ def _exact_disks(
         if not (test_left or test_right):
             continue
         x, y = nodes[i]
-        pr, pi = lead, 0
-        for c in reversed(scaled):
-            pr, pi = pr * x - pi * y + c, pr * y + pi * x
+        pr, pi = _gaussian_horner(scaled, x, y, 0)
         qr, qi = 1, 0
         for j, (u, v) in enumerate(nodes):
             if j != i:

@@ -14,7 +14,7 @@ from hsroots.roots import (
     RootSet,
     SolverConfig,
     _eval_vec,
-    _horner_fixed,
+    _gaussian_horner,
     _initial_points,
     _int_mantissa_exponent,
     _log2_fraction,
@@ -24,7 +24,7 @@ from hsroots.roots import (
     log_derivative,
     residual,
 )
-from hsroots.stability import _integer_coefficients, verify_strip
+from hsroots.stability import _dyadic, _integer_coefficients, verify_strip
 
 
 def gaussian_eval(poly, re: Fraction, im: Fraction):
@@ -336,29 +336,67 @@ def test_eval_vec_noise_magnitude():
 
 
 @pytest.mark.parametrize("d,n", [(16, 32), (22, 44)])
-def test_horner_fixed_within_truncation_bound(d, n):
+def test_gaussian_horner_exact_at_shift_zero(d, n):
+    # with c_k 2**(B(N-k)) and shift 0 the kernel is p(z) 2**(BN) exactly,
+    # for the exact disks of `stability`
+    coeffs = _integer_coefficients(ehrhart_polynomial(HypersimplexParams(d, n)))
+    degree = len(coeffs) - 1
+    poly = RationalPolynomial(coeffs)
+    points = list(find_roots(HypersimplexParams(d, n)).roots) + list(mixed_points(d, n))
+    nodes, bits = _dyadic(points)
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
+    scale = 2 ** (bits * degree)
+    for z, (x, y) in zip(points, nodes):
+        re, im = Fraction(x, 2**bits), Fraction(y, 2**bits)
+        assert (re, im) == (Fraction(z.real), Fraction(z.imag))  # exact point
+        want_re, want_im = gaussian_eval(poly, re, im)
+        assert _gaussian_horner(scaled, x, y, 0) == (want_re * scale, want_im * scale)
+
+
+@pytest.mark.parametrize("d,n", [(16, 32), (22, 44)])
+def test_gaussian_horner_within_truncation_bound(d, n):
+    # the fixed-point p and p' of `_exact_ratios`, against its stated bounds
     coeffs = _integer_coefficients(ehrhart_polynomial(HypersimplexParams(d, n)))
     degree = len(coeffs) - 1
     poly = RationalPolynomial(coeffs)
     deriv = RationalPolynomial([k * c for k, c in enumerate(coeffs)][1:])
     bits = 128
     unit = Fraction(1, 2**bits)
+    values = [c << bits for c in coeffs]
+    slopes = [(k * c) << bits for k, c in enumerate(coeffs)][1:]
     for z in mixed_points(d, n):
         x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
         re, im = x * unit, y * unit
         assert (re, im) == (Fraction(z.real), Fraction(z.imag))  # exact point
-        pr, pi, dr, di = _horner_fixed(coeffs, x, y, bits)
-        # the stated bounds, with |re| + |im| >= |z| in the geometric sum
-        geometric = sum((abs(re) + abs(im)) ** j for j in range(degree))
-        for (got_re, got_im), oracle, bound in (
-            ((pr, pi), poly, 2 * unit * geometric),
-            ((dr, di), deriv, 2 * unit * degree * geometric),
-        ):
+        # the stated bounds, with |re| + |im| >= |z| in the geometric sums
+        modulus = abs(re) + abs(im)
+        for coefficients, oracle, steps in ((values, poly, degree), (slopes, deriv, degree - 1)):
+            got_re, got_im = _gaussian_horner(coefficients, x, y, bits)
+            bound = 2 * unit * sum(modulus**j for j in range(steps))
             want_re, want_im = gaussian_eval(oracle, re, im)
             err2 = (got_re * unit - want_re) ** 2 + (got_im * unit - want_im) ** 2
             assert err2 <= bound**2
             # the bound is far below the value, so the check has teeth
             assert bound**2 < (want_re**2 + want_im**2) * Fraction(1, 2**80)
+
+
+def mirror_gap(roots) -> float:
+    """The largest distance, relative to 1 + |z|, from the mirror -2 - conj(z)
+    of a root z to the nearest root."""
+    z = np.array(roots)
+    gaps = np.abs((-2 - z.conj())[:, None] - z[None, :]).min(axis=1)
+    return float((gaps / (1 + np.abs(z))).max())
+
+
+def test_diagonal_roots_are_mirror_symmetric():
+    # at n = 2d, p(-z) = -p(z - 2) (Delta(d, 2d) is Gorenstein), so the roots
+    # come in quartets z, conj(z), -2 - z, -2 - conj(z); the solver does not
+    # know this, so the check is independent of it
+    for d in range(2, 41):
+        assert mirror_gap(find_roots(HypersimplexParams(d, 2 * d)).roots) <= 1e-9
+    # off the diagonal the roots are not symmetric about Re = -1
+    for d, n in ((4, 9), (7, 15)):
+        assert mirror_gap(find_roots(HypersimplexParams(d, n)).roots) > 0.1
 
 
 def test_find_roots_refines_noise_limited_iterates():

@@ -45,10 +45,6 @@ class HypersimplexParams:
                 f"use the complement d -> n-d first"
             )
 
-    @property
-    def complement(self) -> "HypersimplexParams":
-        return HypersimplexParams(self.n - self.d, self.n)
-
 
 def binomial(a: int, k: int) -> int:
     """Generalized binomial coefficient C(a, k) for any integer a, k >= 0.

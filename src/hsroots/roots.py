@@ -14,8 +14,9 @@ output: `evaluate_scaled` as a plain (mantissa, exponent) pair,
 `log_derivative` and `residual`.  `bounds` takes its modulus ratios from
 the same loop, asking only for the rows it compares and for values without
 derivatives.  In its error mode the loop also carries a rigorous bound on
-each term's rounding error, from which `_disk_radius_bounds` bounds the
-inclusion-disk radii of `stability.verify_strip` from above.
+each term's rounding error, from which `_value_bounds` bounds |p(z)| from
+above; with `_distance_product_lower` it gives the float pass of
+`stability.verify_strip` its only two float bounds.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated circle around the centroid of the roots (Aberth 1973), which
@@ -336,7 +337,7 @@ def _value_bounds(d: int, n: int, z: np.ndarray):
 
 
 def _distance_product_lower(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, e) with m * 2**e <= prod_{j != i} |z_i - z_j|**2 for each i, e even;
+    """(m, e) with m * 2**e <= prod_{j != i} |z_i - z_j|**2 for each i;
     m = 0 where a squared distance is 0, subnormal or non-finite.
 
     A squared distance fl(fl(dx)**2 + fl(dy)**2) of at least 2**-1021 is
@@ -359,38 +360,7 @@ def _distance_product_lower(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         part, part_e = np.frexp(mant[:, start:start + 512].prod(axis=1))
         m, m_e = np.frexp(m * part)
         e += part_e + m_e
-    odd = e % 2 == 1
-    m = np.where(odd, 2 * m, m) * (1 - _gamma(8 * count))
-    return np.where(usable, m, 0.0), e - odd
-
-
-def _disk_radius_bounds(d: int, n: int, z: np.ndarray) -> np.ndarray:
-    """Upper bounds on the inclusion-disk radii N |W_i| around the points z.
-
-    W_i = p(z_i) / (a_N prod_{j != i} (z_i - z_j)) and N = n - 1 = z.size
-    (see `stability.inclusion_strip`).  The numerator is `_value_bounds`,
-    the denominator a lower bound: (n-1)! a_N is an Eulerian number, an
-    exact integer whose truncated mantissa bounds it from below, and the
-    distance product is `_distance_product_lower`.  The product with N,
-    the square root, the quotient and the deflation round at most six times
-    more, covered by a factor 1 + 2 gamma_8; a subnormal result gets 2**-1074
-    more.  Where there is no bound the entry is inf or NaN, so a test
-    `bound < gap` proves nothing.
-    """
-    value, value_e = _value_bounds(d, n, z)
-    # a mantissa in [1/2, 1) keeps the quotient normal until the final ldexp
-    value, value_shift = np.frexp(value)
-    lead = ehrhart_polynomial(HypersimplexParams(d, n)).leading_coefficient
-    lead = int(lead * math.factorial(n - 1))
-    eul_e = max(0, lead.bit_length() - 53)
-    eul_m = float(lead >> eul_e)
-    dist_m, dist_e = _distance_product_lower(z)
-    exponent = value_e + value_shift - eul_e - dist_e // 2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        ratio = (z.size * value) / (eul_m * np.sqrt(dist_m)) * (1 + 2 * _gamma(8))
-        # beyond 2**+-2200 the result is inf or 0 either way
-        exponent = np.clip(exponent, -2200, 2200).astype(np.int32)
-        return np.ldexp(ratio, exponent) + 2.0**-1074
+    return np.where(usable, m * (1 - _gamma(8 * count)), 0.0), e
 
 
 def _residual_logs(

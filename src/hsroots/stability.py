@@ -3,21 +3,23 @@
 Every verdict rests on integer arithmetic or on rigorous error bounds.
 Given numeric approximations of all the roots, a side of the strip is first
 tried with Weierstrass inclusion disks around them; the disks can only
-prove a side.  `verify_strip` bounds every radius from above in floating
-point (`roots._disk_radius_bounds`, whose error bound covers every rounding
-of the product-form evaluation) and tests exactly, on the points' dyadic
-values, only the disks that bound leaves open; `inclusion_strip` tests every
+prove a side.  Every disk side is decided in integers by `_inside`:
+`verify_strip` decides it first on two rigorous float bounds, on |p(z_i)|
+(`roots._value_bounds`) and on the distance product
+(`roots._distance_product_lower`), then exactly, on the points' dyadic
+values, for the disks those bounds leave open; `inclusion_strip` tests every
 disk exactly, evaluating p with `roots._gaussian_horner` at shift 0, the
 solver's own exact Horner loop.  A side the disks do not prove, and every
-call without roots, goes to the Routh table, whose rows are rescaled only by positive constants
-(their gcd), which preserves the sign structure the table's first column
-encodes.  A zero leading element is reported as Boundary, never perturbed.
+call without roots, goes to the Routh table, whose rows are rescaled only
+by positive constants (their gcd), which preserves the sign structure the
+table's first column encodes.  A zero leading element is reported as
+Boundary, never perturbed.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, isfinite
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients
-from .roots import _disk_radius_bounds, _gaussian_horner, _to_fixed
+from .roots import _distance_product_lower, _gaussian_horner, _to_fixed, _value_bounds
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -237,6 +239,49 @@ def _exact_disks(
     return left, right
 
 
+def _float_open(
+    params: HypersimplexParams, poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction
+) -> Tuple[list, list]:
+    """The indices whose disks the float bounds leave open: those not proven
+    inside Re > lower, and those not proven inside Re < upper.
+
+    Two float bounds enter, V_i >= (n-1)! |p(z_i)| from `roots._value_bounds`
+    and D_i <= prod_{j != i} |z_i - z_j|**2 from
+    `roots._distance_product_lower`, so with the integer E = (n-1)! a_N,
+    (N |W_i| 2**B)**2 <= N**2 V_i**2 2**(2B) / (E**2 D_i).  V_i, D_i and
+    Re z_i = x / 2**B are dyadic rationals, so `_inside` decides each side
+    on that bound in integers, as `_exact_disks` does on the exact radius.
+    Where V_i is not finite, or D_i = 0 (then E**2 D_i = 0 and `_inside`
+    proves nothing), both sides stay open.
+    """
+    z = np.array(points)
+    value, value_e = _value_bounds(params.d, params.n, z)
+    dist, dist_e = _distance_product_lower(z)
+    lead = int(poly.leading_coefficient * factorial(params.n - 1))
+    lead_sq, degree_sq = lead * lead, z.size * z.size
+    low_num, low_den, up_num, up_den = lower.numerator, lower.denominator, upper.numerator, upper.denominator
+    left, right = [], []
+    rows = zip(z.real.tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist())
+    for i, (re, v, v_e, m, m_e) in enumerate(rows):
+        if not isfinite(v):
+            left.append(i)
+            right.append(i)
+            continue
+        x, x_den = re.as_integer_ratio()
+        v, v_den = v.as_integer_ratio()
+        m, m_den = m.as_integer_ratio()
+        # every denominator is a power of two: V_i = v 2**a, D_i = m 2**b, and
+        # the bound reads N^2 v^2 2**(2a + 2B - b) / (E^2 m)
+        shift = 2 * (v_e - v_den.bit_length() + x_den.bit_length()) - m_e + m_den.bit_length() - 1
+        radius_sq = degree_sq * v * v << max(shift, 0)
+        scale = lead_sq * m << max(-shift, 0)
+        if not _inside(low_den * x - low_num * x_den, low_den, radius_sq, scale):
+            left.append(i)
+        if not _inside(up_num * x_den - up_den * x, up_den, radius_sq, scale):
+            right.append(i)
+    return left, right
+
+
 def inclusion_strip(
     poly: RationalPolynomial, points: Sequence[complex], lower, upper
 ) -> Tuple[bool, bool]:
@@ -271,13 +316,6 @@ def inclusion_strip(
     return _exact_disks(poly, points, Fraction(lower), Fraction(upper), every, every)
 
 
-def _gap_lower(x: np.ndarray, q: float) -> np.ndarray:
-    """Lower bounds on x + c from q = fl(c), c > 0: g = fl(x + q) is within
-    u (|g| + q) / (1 - u) of x + c, so g - 4u (|g| + q), rounded, is below it."""
-    g = x + q
-    return g - 2.0**-51 * (np.abs(g) + q)
-
-
 def verify_half_plane(
     params: HypersimplexParams, c, side: str
 ) -> StabilityVerdict:
@@ -301,14 +339,14 @@ def verify_strip(
     Requires the standing assumption 2d <= n.  Given numeric approximations
     of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
     tried with the inclusion disks of `inclusion_strip`, under the same
-    checks of the points.  Each radius N |W_i| is bounded from above in
-    floating point first (`roots._disk_radius_bounds`); a disk whose bound
-    already lies inside a side counts for that side, and only the disks a
-    still-open side needs get the exact test.  The verdict is the one the
-    exact test alone would give.  A side the disks do not prove, or both
-    sides when no roots are given, goes to the Routh table of
-    `verify_half_plane`: the right test applies it to the polynomial itself
-    (Re < 0), the left test to q(z) = p(-z - n/d) (Re > -n/d).
+    checks of the points.  Each disk side is first decided on the float
+    bounds of `_float_open`; a disk whose bound already lies inside a side
+    counts for that side, and only the disks a still-open side needs get the
+    exact test.  The verdict is the one the exact test alone would give.  A
+    side the disks do not prove, or both sides when no roots are given, goes
+    to the Routh table of `verify_half_plane`: the right test applies it to
+    the polynomial itself (Re < 0), the left test to q(z) = p(-z - n/d)
+    (Re > -n/d).
     Unstable and Boundary verdicts only ever come from the table.
     """
     params.require_conjecture_domain()
@@ -317,14 +355,7 @@ def verify_strip(
     points = None if roots is None else _disk_points(poly, roots)
     left_in = right_in = False
     if points is not None:
-        z = np.array(points)
-        x = z.real
-        radii = _disk_radius_bounds(params.d, params.n, z)
-        # a radius bound r proves a disk's side when r < Re z + n/d, against
-        # a lower bound on that gap, or when r < -Re z, compared exactly;
-        # inf and NaN prove nothing
-        left_idx = np.flatnonzero(~(radii < _gap_lower(x, params.n / params.d)))
-        right_idx = np.flatnonzero(~(radii < -x))
+        left_idx, right_idx = _float_open(params, poly, points, -bound, Fraction(0))
         left_in, right_in = _exact_disks(poly, points, -bound, Fraction(0), left_idx, right_idx)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")

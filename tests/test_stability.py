@@ -8,10 +8,11 @@ import pytest
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial, _integer_coefficients
-from hsroots.roots import _disk_radius_bounds, _value_bounds, find_roots
+from hsroots.roots import _distance_product_lower, _value_bounds, find_roots
 from hsroots.stability import (
     _dyadic,
     _exact_disks,
+    _float_open,
     inclusion_strip,
     reflect_polynomial,
     routh_hurwitz,
@@ -243,9 +244,10 @@ def test_verify_half_plane_side_validation():
         verify_half_plane(HypersimplexParams(2, 5), 0, "above")
 
 
-# The float-first disks: `roots._disk_radius_bounds` bounds each radius
-# N |W_i| from above in floating point, and `verify_strip` tests exactly only
-# the disks that bound leaves open.
+# The float-first disks: `stability._float_open` decides each disk side in
+# integers on two float bounds, `roots._value_bounds` on |p(z_i)| and
+# `roots._distance_product_lower` on prod |z_i - z_j|**2, and `verify_strip`
+# tests exactly only the disks it leaves open.
 
 
 def dyadic_horner(coeffs, x: int, y: int, bits: int):
@@ -337,42 +339,81 @@ def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
     assert_value_bounds_hold(d, n, points)
 
 
+def sqrt_below(square: Fraction) -> Fraction:
+    """A rational at most sqrt(square), within 2**-128 of it relative."""
+    k = 128 + max(0, square.denominator.bit_length() - square.numerator.bit_length()) // 2
+    return Fraction(math.isqrt((square.numerator << (2 * k)) // square.denominator), 1 << k)
+
+
+def assert_float_pass_sound(params, roots):
+    """Every disk side `_float_open` proves is exactly proven: at the strip
+    edges `_exact_disks` proves it too, and at edges placed on the exact
+    radius around z_i, which no disk lies strictly inside, disk i stays open."""
+    poly = ehrhart_polynomial(params)
+    bound = Fraction(params.n, params.d)
+    left, right = float_proven(params, roots)
+    for i in left:
+        assert _exact_disks(poly, roots, -bound, Fraction(0), [i], [])[0], i
+    for i in right:
+        assert _exact_disks(poly, roots, -bound, Fraction(0), [], [i])[1], i
+    for i, z in enumerate(roots):
+        radius = sqrt_below(exact_radius_sq(poly, roots, i))
+        open_left, open_right = _float_open(
+            params, poly, roots, Fraction(z.real) - radius, Fraction(z.real) + radius
+        )
+        assert i in open_left and i in open_right, (i, z)
+
+
 def test_value_and_radius_bounds_hold_at_noise_limited_roots():
     params = HypersimplexParams(30, 60)
     roots = list(find_roots(params).roots)
     assert_value_bounds_hold(30, 60, roots)
-    poly = ehrhart_polynomial(params)
-    radii = _disk_radius_bounds(30, 60, np.array(roots))
-    for i, radius in enumerate(radii):
-        if math.isfinite(radius):
-            assert Fraction(radius) ** 2 >= exact_radius_sq(poly, roots, i), i
+    assert_float_pass_sound(params, roots)
 
 
-@pytest.mark.parametrize("d,n,noise", [(4, 12, 1e-3), (6, 40, 1e-9), (9, 100, 0.0), (16, 32, 1e-12)])
-def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
+def perturbed_roots(d, n, noise):
     rng = random.Random(d * n)
-    params = HypersimplexParams(d, n)
-    poly = ehrhart_polynomial(params)
-    roots = [
+    return [
         z * complex(1 + rng.uniform(-noise, noise), rng.uniform(-noise, noise))
-        for z in find_roots(params).roots
+        for z in find_roots(HypersimplexParams(d, n)).roots
     ]
-    radii = _disk_radius_bounds(d, n, np.array(roots))
-    assert np.isfinite(radii).all()
-    for i, radius in enumerate(radii):
-        assert Fraction(radius) ** 2 >= exact_radius_sq(poly, roots, i), (i, roots[i])
+
+
+PERTURBED = [(4, 12, 1e-3), (6, 40, 1e-9), (9, 100, 0.0), (16, 32, 1e-12)]
+
+
+@pytest.mark.parametrize("d,n,noise", PERTURBED)
+def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
+    assert_float_pass_sound(HypersimplexParams(d, n), perturbed_roots(d, n, noise))
+
+
+@pytest.mark.parametrize("d,n,noise", PERTURBED + [(30, 60, 0.0)])
+def test_distance_product_lower_holds(d, n, noise):
+    points = perturbed_roots(d, n, noise)
+    mantissa, exponent = _distance_product_lower(np.array(points))
+    nodes, bits = _dyadic(points)
+    for i, ((x, y), m, e) in enumerate(zip(nodes, mantissa, exponent)):
+        product = 1
+        for j, (u, v) in enumerate(nodes):
+            if j != i:
+                product *= (x - u) ** 2 + (y - v) ** 2
+        exact = Fraction(product, 1 << (2 * bits * (len(points) - 1)))
+        assert 0 < Fraction(m) * Fraction(2) ** int(e) <= exact, i
+
+
+def test_float_pass_leaves_both_sides_open_without_a_distance_bound():
+    # 1e-160 apart, the squared distance 1e-320 is subnormal: D_i = 0
+    params = HypersimplexParams(4, 12)
+    points = [0j, 1e-160 + 0j] + list(find_roots(params).roots)[2:]
+    left, right = _float_open(params, ehrhart_polynomial(params), points, Fraction(-3), Fraction(0))
+    assert {0, 1} <= set(left) and {0, 1} <= set(right)
 
 
 def float_proven(params, roots):
-    """The disks whose float radius bound proves the left and the right side."""
-    z = np.array(roots)
-    radii = _disk_radius_bounds(params.d, params.n, z)
+    """The disks `_float_open` proves on the left and on the right side."""
     bound = Fraction(params.n, params.d)
-    left = [
-        i for i, r in enumerate(radii) if math.isfinite(r) and Fraction(z[i].real) - Fraction(r) > -bound
-    ]
-    right = [i for i, r in enumerate(radii) if r < -z[i].real]
-    return left, right
+    left, right = _float_open(params, ehrhart_polynomial(params), roots, -bound, Fraction(0))
+    return sorted(set(range(len(roots))) - set(left)), sorted(set(range(len(roots))) - set(right))
 
 
 def test_float_disks_leave_some_to_the_exact_test():
@@ -392,12 +433,7 @@ def test_float_disks_leave_some_to_the_exact_test():
 @pytest.mark.parametrize("d,n", [(4, n) for n in range(8, 25)] + [(9, 96)])
 def test_float_proven_disks_are_exactly_proven(d, n):
     params = HypersimplexParams(d, n)
-    poly = ehrhart_polynomial(params)
     roots = list(find_roots(params).roots)
     left, right = float_proven(params, roots)
     assert left and right
-    bound = Fraction(n, d)
-    for i in left:
-        assert _exact_disks(poly, roots, -bound, Fraction(0), [i], [])[0], i
-    for i in right:
-        assert _exact_disks(poly, roots, -bound, Fraction(0), [], [i])[1], i
+    assert_float_pass_sound(params, roots)

@@ -175,9 +175,18 @@ def _dyadic(points: Sequence[complex]) -> Tuple[list, int]:
     return list(zip(ints[0::2], ints[1::2])), bits
 
 
-def _inside(gap: int, denominator: int, radius_sq: int, scale: int) -> bool:
-    """gap / (denominator 2**b) > sqrt(radius_sq / scale) / 2**b, in integers."""
-    return gap > 0 and radius_sq * denominator * denominator < scale * gap * gap
+def _inside(
+    lower: Fraction, upper: Fraction, x: int, x_den: int, radius_sq: int, scale: int
+) -> Tuple[bool, bool]:
+    """Whether the disk of radius sqrt(radius_sq / scale) / x_den around
+    Re = x / x_den lies inside Re > lower, and inside Re < upper: each gap is
+    an integer over (edge denominator) x_den, so both compare squared integers."""
+    left = lower.denominator * x - lower.numerator * x_den
+    right = upper.numerator * x_den - upper.denominator * x
+    return (
+        left > 0 and radius_sq * lower.denominator**2 < scale * left * left,
+        right > 0 and radius_sq * upper.denominator**2 < scale * right * right,
+    )
 
 
 def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optional[list]:
@@ -213,8 +222,7 @@ def _exact_disks(
     lead = coeffs[-1]
     # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
     scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
-    # the edges as integers over 2**B: lower = low / (den_low 2**B), likewise upper
-    low, high = lower.numerator << bits, upper.numerator << bits
+    x_den = 1 << bits
     for i in sorted(left_idx | right_idx):
         test_left, test_right = left and i in left_idx, right and i in right_idx
         if not (test_left or test_right):
@@ -226,14 +234,11 @@ def _exact_disks(
             if j != i:
                 a, b = x - u, y - v
                 qr, qi = qr * a - qi * b, qr * b + qi * a
-        # W_i = P / (a_N Q 2**B), so N |W_i| < gap / (den 2**B) iff
-        # N^2 |P|^2 den^2 < a_N^2 |Q|^2 gap^2 with gap > 0
+        # W_i = P / (a_N Q 2**B): N |W_i| 2**B = sqrt(radius_sq / scale)
         radius_sq = degree * degree * (pr * pr + pi * pi)
         scale = lead * lead * (qr * qr + qi * qi)
-        if test_left:
-            left = _inside(lower.denominator * x - low, lower.denominator, radius_sq, scale)
-        if test_right:
-            right = _inside(high - upper.denominator * x, upper.denominator, radius_sq, scale)
+        in_left, in_right = _inside(lower, upper, x, x_den, radius_sq, scale)
+        left, right = in_left if test_left else left, in_right if test_right else right
         if not (left or right):
             break
     return left, right
@@ -259,13 +264,11 @@ def _float_open(
     dist, dist_e = _distance_product_lower(z)
     lead = int(poly.leading_coefficient * factorial(params.n - 1))
     lead_sq, degree_sq = lead * lead, z.size * z.size
-    low_num, low_den, up_num, up_den = lower.numerator, lower.denominator, upper.numerator, upper.denominator
-    left, right = [], []
+    sides = []
     rows = zip(z.real.tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist())
-    for i, (re, v, v_e, m, m_e) in enumerate(rows):
+    for re, v, v_e, m, m_e in rows:
         if not isfinite(v):
-            left.append(i)
-            right.append(i)
+            sides.append((False, False))
             continue
         x, x_den = re.as_integer_ratio()
         v, v_den = v.as_integer_ratio()
@@ -275,11 +278,8 @@ def _float_open(
         shift = 2 * (v_e - v_den.bit_length() + x_den.bit_length()) - m_e + m_den.bit_length() - 1
         radius_sq = degree_sq * v * v << max(shift, 0)
         scale = lead_sq * m << max(-shift, 0)
-        if not _inside(low_den * x - low_num * x_den, low_den, radius_sq, scale):
-            left.append(i)
-        if not _inside(up_num * x_den - up_den * x, up_den, radius_sq, scale):
-            right.append(i)
-    return left, right
+        sides.append(_inside(lower, upper, x, x_den, radius_sq, scale))
+    return [i for i, s in enumerate(sides) if not s[0]], [i for i, s in enumerate(sides) if not s[1]]
 
 
 def inclusion_strip(

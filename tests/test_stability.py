@@ -382,9 +382,35 @@ def perturbed_roots(d, n, noise):
 PERTURBED = [(4, 12, 1e-3), (6, 40, 1e-9), (9, 100, 0.0), (16, 32, 1e-12)]
 
 
+def float_radius_sq(params, poly, points):
+    """N**2 V_i**2 / (E**2 D_i) exactly, E = (n-1)! a_N: the squared radius
+    bound the two float bounds give.  Every V_i must be finite and every
+    D_i positive."""
+    z = np.array(points)
+    value, value_e = _value_bounds(params.d, params.n, z)
+    dist, dist_e = _distance_product_lower(z)
+    assert np.isfinite(value).all() and (dist > 0).all()
+    lead = poly.leading_coefficient * math.factorial(params.n - 1)
+    return [
+        (len(points) * Fraction(v)) ** 2 * Fraction(2) ** (2 * int(v_e) - int(m_e)) / (lead**2 * Fraction(m))
+        for v, v_e, m, m_e in zip(value, value_e, dist, dist_e)
+    ]
+
+
 @pytest.mark.parametrize("d,n,noise", PERTURBED)
 def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
-    assert_float_pass_sound(HypersimplexParams(d, n), perturbed_roots(d, n, noise))
+    params = HypersimplexParams(d, n)
+    poly = ehrhart_polynomial(params)
+    roots = perturbed_roots(d, n, noise)
+    assert_float_pass_sound(params, roots)
+    # every point gets both float bounds, and `_float_open` proves disk i on
+    # both sides once the edges sit just beyond the radius those bounds give
+    for i, (z, radius_sq) in enumerate(zip(roots, float_radius_sq(params, poly, roots))):
+        reach = sqrt_below(radius_sq) * (1 + Fraction(1, 1 << 64)) + Fraction(1, 1 << 200)
+        open_left, open_right = _float_open(
+            params, poly, roots, Fraction(z.real) - reach, Fraction(z.real) + reach
+        )
+        assert i not in open_left and i not in open_right, (i, z)
 
 
 @pytest.mark.parametrize("d,n,noise", PERTURBED + [(30, 60, 0.0)])

@@ -64,13 +64,8 @@ def _expand_term_integer(d: int, n: int, s: int) -> list:
     """Integer coefficients of C(n,s) * prod_{k=1}^{n-1} ((d-s)m + k - s)."""
     slope = d - s
     coeffs = [math.comb(n, s)]
-    for k in range(1, n):
-        shift = k - s
-        prev = coeffs
-        coeffs = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            coeffs[i] += c * shift
-            coeffs[i + 1] += c * slope
+    for shift in range(1 - s, n - s):
+        coeffs = [a * shift + b * slope for a, b in zip(coeffs + [0], [0] + coeffs)]
     return coeffs
 
 

@@ -3,17 +3,17 @@
 Every verdict rests on integer arithmetic or on rigorous error bounds.
 Given numeric approximations of all the roots, a side of the strip is first
 tried with Weierstrass inclusion disks around them; the disks can only
-prove a side.  Every disk side is decided in integers by `_inside`:
-`verify_strip` decides it first on two rigorous float bounds, on |p(z_i)|
-(`roots._value_bounds`) and on the distance product
-(`roots._distance_product_lower`), then exactly, on the points' dyadic
-values, for the disks those bounds leave open; `inclusion_strip` tests every
-disk exactly, evaluating p with `roots._gaussian_horner` at shift 0, the
-solver's own exact Horner loop.  A side the disks do not prove, and every
-call without roots, goes to the Routh table, whose rows are rescaled only
-by positive constants (their gcd), which preserves the sign structure the
-table's first column encodes.  A zero leading element is reported as
-Boundary, never perturbed.
+prove a side.  One loop, `_disks`, decides every disk side in integers by
+`_inside`: on the disk's float radius bound when it has one, else on its
+exact radius from the points' dyadic values, with p evaluated by
+`roots._gaussian_horner` at shift 0, the solver's own exact Horner loop.
+`verify_strip` gives each disk the bound `_float_radii` builds from two
+rigorous float bounds, on |p(z_i)| (`roots._value_bounds`) and on the
+distance product (`roots._distance_product_lower`); `inclusion_strip` gives
+none.  A side the disks do not prove, and every call without roots, goes
+to the Routh table, whose rows are rescaled only by positive constants
+(their gcd), which preserves the sign structure the table's first column
+encodes.  A zero leading element is reported as Boundary, never perturbed.
 """
 
 import cmath
@@ -200,33 +200,67 @@ def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optiona
     return points if len(set(points)) == degree else None
 
 
-def _exact_disks(
-    poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction, left_idx, right_idx
-) -> Tuple[bool, bool]:
-    """Whether the exact disks around points[i] lie inside Re > lower for
-    every i in left_idx and inside Re < upper for every i in right_idx.
+def _float_radii(params: HypersimplexParams, poly: RationalPolynomial, points: list) -> list:
+    """Per point, the float bound on its disk as (x, x_den, radius_sq, scale):
+    Re z_i = x / x_den and (N |W_i| x_den)**2 <= radius_sq / scale.
 
-    Each double is taken exactly as (x_i + i y_i) / 2**B; p(z_i) 2**(BN)
-    comes from `roots._gaussian_horner` at shift 0 and prod_{j != i}
-    (z_i - z_j) 2**(B(N-1)) from an exact product, so each disk test
-    compares squared integers and no float enters the verdict.  A disk is
-    built only while a side that needs it is still open.
+    With V_i >= (n-1)! |p(z_i)| from `roots._value_bounds`, D_i <=
+    prod_{j != i} |z_i - z_j|**2 from `roots._distance_product_lower` and the
+    integer E = (n-1)! a_N, the bound is N**2 V_i**2 x_den**2 / (E**2 D_i),
+    a ratio of integers since V_i, D_i and Re z_i are dyadic.  The entry is
+    None where V_i is not finite; where D_i = 0 the scale is 0, and `_inside`
+    proves nothing on it.
     """
-    left_idx, right_idx = set(left_idx), set(right_idx)
-    left = right = True
-    if not (left_idx or right_idx):
-        return left, right
+    z = np.array(points)
+    value, value_e = _value_bounds(params.d, params.n, z)
+    dist, dist_e = _distance_product_lower(z)
+    lead = int(poly.leading_coefficient * factorial(params.n - 1))
+    lead_sq, degree_sq = lead * lead, z.size * z.size
+    radii = []
+    rows = zip(z.real.tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist())
+    for re, v, v_e, m, m_e in rows:
+        if not isfinite(v):
+            radii.append(None)
+            continue
+        x, x_den = re.as_integer_ratio()
+        v, v_den = v.as_integer_ratio()
+        m, m_den = m.as_integer_ratio()
+        # every denominator is a power of two: V_i = v 2**a, D_i = m 2**b,
+        # x_den = 2**B, and the bound reads N^2 v^2 2**(2a + 2B - b) / (E^2 m)
+        shift = 2 * (v_e - v_den.bit_length() + x_den.bit_length()) - m_e + m_den.bit_length() - 1
+        radius_sq = degree_sq * v * v << max(shift, 0)
+        scale = lead_sq * m << max(-shift, 0)
+        radii.append((x, x_den, radius_sq, scale))
+    return radii
+
+
+def _disks(
+    poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction, first: list
+) -> Tuple[bool, bool]:
+    """Whether the disk around every point lies inside Re > lower, and
+    inside Re < upper.
+
+    `_inside` decides each disk side on first[i], a radius bound from
+    `_float_radii`, when that entry is present.  Only a side still open and
+    not proven by it gets the exact radius: each double is taken exactly as
+    (x_i + i y_i) / 2**B, p(z_i) 2**(BN) comes from `roots._gaussian_horner`
+    at shift 0 and prod_{j != i} (z_i - z_j) 2**(B(N-1)) from an exact
+    product.  The loop stops once both sides fail.
+    """
     degree = poly.degree
-    nodes, bits = _dyadic(points)
-    coeffs = _integer_coefficients(poly)
-    lead = coeffs[-1]
-    # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
-    scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
-    x_den = 1 << bits
-    for i in sorted(left_idx | right_idx):
-        test_left, test_right = left and i in left_idx, right and i in right_idx
+    left = right = True
+    nodes = None
+    for i, bound in enumerate(first):
+        proven = _inside(lower, upper, *bound) if bound else (False, False)
+        test_left, test_right = left and not proven[0], right and not proven[1]
         if not (test_left or test_right):
             continue
+        if nodes is None:
+            nodes, bits = _dyadic(points)
+            coeffs = _integer_coefficients(poly)
+            lead = coeffs[-1]
+            # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
+            scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
         x, y = nodes[i]
         pr, pi = _gaussian_horner(scaled, x, y, 0)
         qr, qi = 1, 0
@@ -237,49 +271,11 @@ def _exact_disks(
         # W_i = P / (a_N Q 2**B): N |W_i| 2**B = sqrt(radius_sq / scale)
         radius_sq = degree * degree * (pr * pr + pi * pi)
         scale = lead * lead * (qr * qr + qi * qi)
-        in_left, in_right = _inside(lower, upper, x, x_den, radius_sq, scale)
+        in_left, in_right = _inside(lower, upper, x, 1 << bits, radius_sq, scale)
         left, right = in_left if test_left else left, in_right if test_right else right
         if not (left or right):
             break
     return left, right
-
-
-def _float_open(
-    params: HypersimplexParams, poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction
-) -> Tuple[list, list]:
-    """The indices whose disks the float bounds leave open: those not proven
-    inside Re > lower, and those not proven inside Re < upper.
-
-    Two float bounds enter, V_i >= (n-1)! |p(z_i)| from `roots._value_bounds`
-    and D_i <= prod_{j != i} |z_i - z_j|**2 from
-    `roots._distance_product_lower`, so with the integer E = (n-1)! a_N,
-    (N |W_i| 2**B)**2 <= N**2 V_i**2 2**(2B) / (E**2 D_i).  V_i, D_i and
-    Re z_i = x / 2**B are dyadic rationals, so `_inside` decides each side
-    on that bound in integers, as `_exact_disks` does on the exact radius.
-    Where V_i is not finite, or D_i = 0 (then E**2 D_i = 0 and `_inside`
-    proves nothing), both sides stay open.
-    """
-    z = np.array(points)
-    value, value_e = _value_bounds(params.d, params.n, z)
-    dist, dist_e = _distance_product_lower(z)
-    lead = int(poly.leading_coefficient * factorial(params.n - 1))
-    lead_sq, degree_sq = lead * lead, z.size * z.size
-    sides = []
-    rows = zip(z.real.tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist())
-    for re, v, v_e, m, m_e in rows:
-        if not isfinite(v):
-            sides.append((False, False))
-            continue
-        x, x_den = re.as_integer_ratio()
-        v, v_den = v.as_integer_ratio()
-        m, m_den = m.as_integer_ratio()
-        # every denominator is a power of two: V_i = v 2**a, D_i = m 2**b, and
-        # the bound reads N^2 v^2 2**(2a + 2B - b) / (E^2 m)
-        shift = 2 * (v_e - v_den.bit_length() + x_den.bit_length()) - m_e + m_den.bit_length() - 1
-        radius_sq = degree_sq * v * v << max(shift, 0)
-        scale = lead_sq * m << max(-shift, 0)
-        sides.append(_inside(lower, upper, x, x_den, radius_sq, scale))
-    return [i for i, s in enumerate(sides) if not s[0]], [i for i, s in enumerate(sides) if not s[1]]
 
 
 def inclusion_strip(
@@ -305,15 +301,14 @@ def inclusion_strip(
     Re z_i - N |W_i| > lower, or Re z_i + N |W_i| < upper.
 
     The points need not be accurate, only distinct; the disks are merely
-    larger for poor ones.  Every disk is tested exactly (`_exact_disks`).
-    Non-finite or repeated points, or a point count other than N, prove
-    nothing.
+    larger for poor ones.  Every disk is tested exactly: `_disks` gets no
+    float bound.  Non-finite or repeated points, or a point count other than
+    N, prove nothing.
     """
     points = _disk_points(poly, points)
     if points is None:
         return False, False
-    every = range(len(points))
-    return _exact_disks(poly, points, Fraction(lower), Fraction(upper), every, every)
+    return _disks(poly, points, Fraction(lower), Fraction(upper), [None] * len(points))
 
 
 def verify_half_plane(
@@ -339,10 +334,10 @@ def verify_strip(
     Requires the standing assumption 2d <= n.  Given numeric approximations
     of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
     tried with the inclusion disks of `inclusion_strip`, under the same
-    checks of the points.  Each disk side is first decided on the float
-    bounds of `_float_open`; a disk whose bound already lies inside a side
-    counts for that side, and only the disks a still-open side needs get the
-    exact test.  The verdict is the one the exact test alone would give.  A
+    checks of the points.  `_disks` decides each disk side first on the
+    float radius bound of `_float_radii`; a disk whose bound already lies
+    inside a side counts for that side, and only a side still open gets the
+    exact radius.  The verdict is the one the exact test alone would give.  A
     side the disks do not prove, or both sides when no roots are given, goes
     to the Routh table of `verify_half_plane`: the right test applies it to
     the polynomial itself (Re < 0), the left test to q(z) = p(-z - n/d)
@@ -355,8 +350,8 @@ def verify_strip(
     points = None if roots is None else _disk_points(poly, roots)
     left_in = right_in = False
     if points is not None:
-        left_idx, right_idx = _float_open(params, poly, points, -bound, Fraction(0))
-        left_in, right_in = _exact_disks(poly, points, -bound, Fraction(0), left_idx, right_idx)
+        first = _float_radii(params, poly, points)
+        left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
     left = included if left_in else verify_half_plane(params, -bound, "right_of")

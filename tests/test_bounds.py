@@ -99,6 +99,13 @@ def test_default_beta_grid_shape():
     assert max(grid) == pytest.approx(7 * 100.0)
 
 
+def test_default_beta_grid_needs_two_points():
+    assert len(default_beta_grid(7, 2)) == 5
+    for points in (1, 0, -3):
+        with pytest.raises(DomainViolation):
+            default_beta_grid(7, points)
+
+
 def test_check_migi_examples():
     grid = [7 * 10 ** t for t in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
     assert check_migi(7, 3, 1, grid) is True

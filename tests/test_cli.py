@@ -324,6 +324,22 @@ def test_campaign_numeric_only_exit_1(tmp_path, capsys):
     assert "numeric only" in out
 
 
+def test_campaign_errored_instance_exits_3_and_keeps_the_rest(tmp_path, capsys):
+    # (2, 3) is outside 2d <= n, so certifying it raises; (2, 4) and (2, 5)
+    # are still certified and written
+    code, out, err = run(
+        capsys,
+        "campaign", "--grid", "range", "--d-min", "2", "--d-max", "2",
+        "--n-min", "3", "--n-max", "5", "--certify", "--out", str(tmp_path / "camp"),
+    )
+    assert code == 3
+    assert "FAILURE: 1 instance(s) errored" in err
+    assert "d=2 n=3" in err
+    assert "d=2 n=4" in out and "d=2 n=5" in out
+    report = (tmp_path / "camp" / "report.csv").read_text().strip().splitlines()
+    assert [line.split(",")[:2] for line in report[1:]] == [["2", "4"], ["2", "5"]]
+
+
 def test_campaign_invalid_values_exit_2(tmp_path, capsys):
     out_dir = str(tmp_path / "camp")
     for argv, message in (

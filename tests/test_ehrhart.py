@@ -111,6 +111,8 @@ def test_ehrhart_rejects_bad_params():
         HypersimplexParams(0, 4)
     with pytest.raises(InvalidParams):
         HypersimplexParams(4, 4)
+    with pytest.raises(InvalidParams):
+        HypersimplexParams(3.0, 7)
 
 
 def test_evaluate_exact_examples():

@@ -10,9 +10,10 @@ from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial, _integer_coefficients
 from hsroots.roots import _distance_product_lower, _value_bounds, find_roots
 from hsroots.stability import (
+    _disks,
     _dyadic,
-    _exact_disks,
-    _float_open,
+    _float_radii,
+    _inside,
     inclusion_strip,
     reflect_polynomial,
     routh_hurwitz,
@@ -244,10 +245,10 @@ def test_verify_half_plane_side_validation():
         verify_half_plane(HypersimplexParams(2, 5), 0, "above")
 
 
-# The float-first disks: `stability._float_open` decides each disk side in
-# integers on two float bounds, `roots._value_bounds` on |p(z_i)| and
-# `roots._distance_product_lower` on prod |z_i - z_j|**2, and `verify_strip`
-# tests exactly only the disks it leaves open.
+# The float-first disks: `stability._float_radii` turns two float bounds,
+# `roots._value_bounds` on |p(z_i)| and `roots._distance_product_lower` on
+# prod |z_i - z_j|**2, into an integer radius bound per disk, and `_disks`
+# decides each disk side on it before it builds the exact radius.
 
 
 def dyadic_horner(coeffs, x: int, y: int, bits: int):
@@ -339,29 +340,20 @@ def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
     assert_value_bounds_hold(d, n, points)
 
 
-def sqrt_below(square: Fraction) -> Fraction:
-    """A rational at most sqrt(square), within 2**-128 of it relative."""
-    k = 128 + max(0, square.denominator.bit_length() - square.numerator.bit_length()) // 2
-    return Fraction(math.isqrt((square.numerator << (2 * k)) // square.denominator), 1 << k)
-
-
 def assert_float_pass_sound(params, roots):
-    """Every disk side `_float_open` proves is exactly proven: at the strip
-    edges `_exact_disks` proves it too, and at edges placed on the exact
-    radius around z_i, which no disk lies strictly inside, disk i stays open."""
+    """Every float radius bound of `_float_radii` is at least the exact
+    radius of its disk, and `_disks` gives the same verdict with the float
+    bounds as with the exact test alone."""
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
-    left, right = float_proven(params, roots)
-    for i in left:
-        assert _exact_disks(poly, roots, -bound, Fraction(0), [i], [])[0], i
-    for i in right:
-        assert _exact_disks(poly, roots, -bound, Fraction(0), [], [i])[1], i
-    for i, z in enumerate(roots):
-        radius = sqrt_below(exact_radius_sq(poly, roots, i))
-        open_left, open_right = _float_open(
-            params, poly, roots, Fraction(z.real) - radius, Fraction(z.real) + radius
-        )
-        assert i in open_left and i in open_right, (i, z)
+    first = _float_radii(params, poly, roots)
+    for i, entry in enumerate(first):
+        if entry is None or entry[3] == 0:
+            continue
+        _, x_den, radius_sq, scale = entry
+        assert Fraction(radius_sq, scale * x_den * x_den) >= exact_radius_sq(poly, roots, i), i
+    exact_only = _disks(poly, roots, -bound, Fraction(0), [None] * len(roots))
+    assert _disks(poly, roots, -bound, Fraction(0), first) == exact_only
 
 
 def test_value_and_radius_bounds_hold_at_noise_limited_roots():
@@ -383,9 +375,9 @@ PERTURBED = [(4, 12, 1e-3), (6, 40, 1e-9), (9, 100, 0.0), (16, 32, 1e-12)]
 
 
 def float_radius_sq(params, poly, points):
-    """N**2 V_i**2 / (E**2 D_i) exactly, E = (n-1)! a_N: the squared radius
-    bound the two float bounds give.  Every V_i must be finite and every
-    D_i positive."""
+    """N**2 V_i**2 / (E**2 D_i) in Fractions, E = (n-1)! a_N: the squared
+    radius bound the two float bounds give.  Every V_i must be finite and
+    every D_i positive."""
     z = np.array(points)
     value, value_e = _value_bounds(params.d, params.n, z)
     dist, dist_e = _distance_product_lower(z)
@@ -403,14 +395,14 @@ def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
     poly = ehrhart_polynomial(params)
     roots = perturbed_roots(d, n, noise)
     assert_float_pass_sound(params, roots)
-    # every point gets both float bounds, and `_float_open` proves disk i on
-    # both sides once the edges sit just beyond the radius those bounds give
-    for i, (z, radius_sq) in enumerate(zip(roots, float_radius_sq(params, poly, roots))):
-        reach = sqrt_below(radius_sq) * (1 + Fraction(1, 1 << 64)) + Fraction(1, 1 << 200)
-        open_left, open_right = _float_open(
-            params, poly, roots, Fraction(z.real) - reach, Fraction(z.real) + reach
-        )
-        assert i not in open_left and i not in open_right, (i, z)
+    # every point gets both float bounds, and its entry is exactly the
+    # radius bound they give, over the dyadic Re z_i
+    first = _float_radii(params, poly, roots)
+    for z, entry, radius_sq in zip(roots, first, float_radius_sq(params, poly, roots)):
+        assert entry is not None and entry[3] > 0, z
+        x, x_den, bound_sq, scale = entry
+        assert Fraction(x, x_den) == Fraction(z.real), z
+        assert Fraction(bound_sq, scale * x_den * x_den) == radius_sq, z
 
 
 @pytest.mark.parametrize("d,n,noise", PERTURBED + [(30, 60, 0.0)])
@@ -431,15 +423,44 @@ def test_float_pass_leaves_both_sides_open_without_a_distance_bound():
     # 1e-160 apart, the squared distance 1e-320 is subnormal: D_i = 0
     params = HypersimplexParams(4, 12)
     points = [0j, 1e-160 + 0j] + list(find_roots(params).roots)[2:]
-    left, right = _float_open(params, ehrhart_polynomial(params), points, Fraction(-3), Fraction(0))
-    assert {0, 1} <= set(left) and {0, 1} <= set(right)
+    first = _float_radii(params, ehrhart_polynomial(params), points)
+    for entry in first[:2]:
+        assert entry[3] == 0
+        assert _inside(Fraction(-3), Fraction(0), *entry) == (False, False)
+
+
+def test_disks_take_each_side_from_the_float_bound_or_the_exact_radius():
+    # the disks of the touching-edge example, radius 7/12, as float entries
+    # (x, x_den, radius_sq, scale): the first proves Re > -4 but reaches
+    # exactly up to -2/3; a bound 10 times too loose proves nothing here
+    poly = RationalPolynomial([3, 4, 1])
+    points = [-1.25 + 0j, -2.75 + 0j]
+    exact = [(-5, 4, 49 * 16, 144), (-11, 4, 49 * 16, 144)]
+    loose = [(x, x_den, radius_sq * 100, scale) for x, x_den, radius_sq, scale in exact]
+    for first in (exact, loose, [exact[0], None], [None, loose[1]], [None, None]):
+        assert _disks(poly, points, Fraction(-4), Fraction(-2, 3), first) == (True, False)
+        assert _disks(poly, points, Fraction(-10, 3), Fraction(0), first) == (False, True)
+
+
+def test_float_pass_skips_a_point_without_a_value_bound():
+    # |p(1e200)| overflows the product form: V_0 is not finite, the entry is
+    # None, the exact disk fails both sides and Routh certifies the strip
+    params = HypersimplexParams(4, 12)
+    points = [complex(1e200)] + list(find_roots(params).roots)[1:]
+    assert _float_radii(params, ehrhart_polynomial(params), points)[0] is None
+    verdict = verify_strip(params, points)
+    assert verdict.overall is True
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
 
 
 def float_proven(params, roots):
-    """The disks `_float_open` proves on the left and on the right side."""
+    """The disks whose float bound proves the left and the right side."""
     bound = Fraction(params.n, params.d)
-    left, right = _float_open(params, ehrhart_polynomial(params), roots, -bound, Fraction(0))
-    return sorted(set(range(len(roots))) - set(left)), sorted(set(range(len(roots))) - set(right))
+    sides = [
+        _inside(-bound, Fraction(0), *entry) if entry else (False, False)
+        for entry in _float_radii(params, ehrhart_polynomial(params), roots)
+    ]
+    return [i for i, s in enumerate(sides) if s[0]], [i for i, s in enumerate(sides) if s[1]]
 
 
 def test_float_disks_leave_some_to_the_exact_test():

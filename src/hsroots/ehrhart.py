@@ -8,12 +8,23 @@ computed in exact big-integer / rational arithmetic.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConjectureDomain, InvalidParams, InvalidTermIndex
 from .polynomial import RationalPolynomial
+
+
+def _integer(name: str, value) -> int:
+    """value as a plain int: any integer type (numpy's too) but not bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +39,8 @@ class HypersimplexParams:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or not isinstance(self.n, int):
-            raise InvalidParams(f"d and n must be integers, got ({self.d!r}, {self.n!r})")
+        for name in ("d", "n"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.d < self.n:
             raise InvalidParams(f"need 1 <= d < n, got (d={self.d}, n={self.n})")
 

@@ -19,8 +19,10 @@ above; with `_distance_product_lower` it gives the float pass of
 `stability.verify_strip` its only two float bounds.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
-seed-rotated circle around the centroid of the roots (Aberth 1973), which
-all lie close to it; each sweep evaluates only the roots still moving.
+seed-rotated ellipse around the centroid of the roots, which all lie close
+to it: Aberth's (1973) circle, stretched along the real axis to the roots'
+exact second moment where that is positive (see `_initial_points`); each
+sweep evaluates only the roots still moving.
 The evaluator also returns the summed moduli of the alternating-sum terms,
 which bound its rounding error.  Near n = 2d the sum cancels below that
 noise floor; a root whose value sinks into the noise leaves the double
@@ -38,7 +40,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, ehrhart_polynomial
+from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial
 from .errors import EvaluationAtRoot, InvalidParams
 from .polynomial import _integer_coefficients
 
@@ -64,6 +66,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iterations", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.max_iterations < 1:
             raise InvalidParams("max_iterations must be >= 1")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
@@ -135,27 +139,43 @@ def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
 
 
 def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
-    """Deterministic starting points on one circle around the root centroid.
+    """Deterministic starting points on one ellipse around the root centroid.
 
     Aberth's start: the centre c = -c_{N-1} / (N c_N) is the mean of the
-    roots, and the radius (|p(c)| / |c_N|)^(1/N) is the geometric mean of
-    their distances from c, measured from c + i/2 instead when c is itself
-    a root (c = -1 at n = 2d).  Angles are equally spaced with a
-    seed-derived irrational rotation, so the start breaks the real-axis
-    symmetry of the polynomial.
+    roots, and rho = (|p(c)| / |c_N|)^(1/N) is the geometric mean of their
+    distances from c, measured from c + i/2 instead when c is itself a root
+    (c = -1 at n = 2d).  The points are c + a cos(theta_k) + i b sin(theta_k)
+    with a = rho + h and b = rho - h, h = M2 / (2 N rho), where by Newton's
+    identities M2 = sum (z_i - c)^2 = s1^2 (N-1)/N - 2 e2 exactly, with
+    s1 = -c_{N-1}/c_N and e2 = c_{N-2}/c_N.  Then a + b = 2 rho keeps rho
+    the geometric mean distance of the points, and, since
+    sum_k exp(2i theta_k) = 0 for N >= 3, their second moment is
+    N (a^2 - b^2) / 2 = M2: the ellipse is as long along the real axis as
+    the roots are.  h is capped at 3 rho / 4 (b >= rho / 4), and is 0, the
+    circle of radius rho, where M2 <= 0 or N <= 2.  The angles theta_k are
+    equally spaced with a seed-derived irrational rotation, so the start
+    breaks the real-axis symmetry of the polynomial.
     """
-    poly = ehrhart_polynomial(params)
+    coeffs = ehrhart_polynomial(params).coeffs
     degree = params.n - 1
-    lead = poly.coeffs[-1]
-    centre = float(-poly.coeffs[-2] / (degree * lead))
+    lead = coeffs[-1]
+    s1 = -coeffs[-2] / lead
+    centre = float(s1 / degree)
     for point in (centre, complex(centre, 0.5)):
         S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(point)]))
         if S[0] != 0:
             break
     log_dist = _values_log2(S, E)[0] - _log2_int(math.factorial(degree)) - _log2_fraction(lead)
+    rho = 2.0 ** (log_dist / degree)
+    h = 0.0
+    if degree >= 3:
+        moment = s1 * s1 * (degree - 1) / degree - 2 * coeffs[-3] / lead
+        h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
     phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
     angles = 2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase
-    return centre + 2.0 ** (log_dist / degree) * np.exp(1j * angles)
+    unit = np.exp(1j * angles)
+    # at h = 0 this rounds exactly as centre + rho * unit, the circle
+    return centre + (rho + h) * unit.real + 1j * ((rho - h) * unit.imag)
 
 
 def _term_products(d: int, n: int, z: np.ndarray, rows=None, mode: str = "derivative"):
@@ -525,16 +545,16 @@ def find_roots(
 ) -> RootSet:
     """All n-1 complex roots by Ehrlich-Aberth iteration.
 
-    Deterministic given the seed, which only rotates the starting circle
-    around the root centroid.  Convergence demands both a small final
-    correction and a residual certificate at or below the tolerance.  The
-    sweeps first run in doubles; a root whose product-form value sinks into
-    its rounding noise (the alternating sum cancels deeply near n = 2d) stops
-    there.  If any root stopped that way, or the double result misses the
-    certificate, the same iterates are refined by further sweeps whose
-    Newton ratios come from exact integer coefficients in fixed point, with
-    1.5 times the coefficients' log2 spread plus 96 fractional bits (see
-    `_exact_ratios`).
+    Deterministic given the seed, which only turns the start points along
+    their ellipse around the root centroid (`_initial_points`).  Convergence
+    demands both a small final correction and a residual certificate at or
+    below the tolerance.  The sweeps first run in doubles; a root whose
+    product-form value sinks into its rounding noise (the alternating sum
+    cancels deeply near n = 2d) stops there.  If any root stopped that
+    way, or the double result misses the certificate, the same iterates are
+    refined by further sweeps whose Newton ratios come from exact integer
+    coefficients in fixed point, with 1.5 times the coefficients' log2
+    spread plus 96 fractional bits (see `_exact_ratios`).
     `iterations` counts the double sweeps, `extended_bits` and
     `extended_sweeps` the refinement.  A result that still misses the
     certificate is returned with converged=False.

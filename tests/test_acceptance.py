@@ -100,7 +100,7 @@ def test_criterion_3_strip_certification_smoke():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (4<=d<=10, ~20 s of roots and inclusion disks); set HSR_FULL=1",
+    reason="full tier (4<=d<=10, ~6 s of roots and inclusion disks); set HSR_FULL=1",
 )
 def test_criterion_3_strip_certification_full():
     with Stopwatch("3 strip certification (full, d<=10)", 2700):
@@ -112,7 +112,7 @@ def test_criterion_3_strip_certification_full():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (numeric diagonal n = 2d up to d = 75, ~25 s); set HSR_FULL=1",
+    reason="full tier (numeric diagonal n = 2d up to d = 75, ~20 s); set HSR_FULL=1",
 )
 def test_diagonal_numeric_full():
     # deepest cancellation of the alternating sum: every root still meets the

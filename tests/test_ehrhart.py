@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hsroots.ehrhart import (
@@ -113,6 +114,17 @@ def test_ehrhart_rejects_bad_params():
         HypersimplexParams(4, 4)
     with pytest.raises(InvalidParams):
         HypersimplexParams(3.0, 7)
+
+
+def test_params_take_any_integer_type_but_bool():
+    # bool subclasses int, but a flag is not a hypersimplex parameter
+    for d, n in ((True, 3), (1, True), (np.True_, 3)):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            HypersimplexParams(d, n)
+    params = HypersimplexParams(np.int64(2), np.uint8(5))
+    assert type(params.d) is int and type(params.n) is int
+    assert params == HypersimplexParams(2, 5)
+    assert ehrhart_polynomial(params) is ehrhart_polynomial(HypersimplexParams(2, 5))
 
 
 def test_evaluate_exact_examples():

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from hsroots.campaign import CampaignConfig
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
 from hsroots.errors import EvaluationAtRoot, InvalidParams
 from hsroots.polynomial import RationalPolynomial
@@ -231,6 +232,17 @@ def test_solver_config_validation():
             SolverConfig(tolerance=tolerance)
 
 
+def test_solver_config_takes_integers_only():
+    # 2.5 sweeps used to reach `range` as a bare TypeError, and True ran one sweep
+    for name in ("max_iterations", "seed"):
+        for value in (2.5, True, "3", None):
+            with pytest.raises(InvalidParams, match=f"{name} must be an integer"):
+                SolverConfig(**{name: value})
+    config = SolverConfig(max_iterations=np.int64(50), seed=np.int32(3))
+    assert type(config.max_iterations) is int and type(config.seed) is int
+    assert config == SolverConfig(max_iterations=50, seed=3)
+
+
 def test_rootset_max_residual():
     rs = RootSet(roots=(1j,), residuals=(1e-12,), iterations=3, converged=True)
     assert rs.max_residual == 1e-12
@@ -431,29 +443,69 @@ def test_find_roots_diagonal_d40_in_strip():
     assert all(-2.0 < r.real < 0.0 for r in rs.roots)
 
 
-def circle(params, points):
-    """Centre -c_{N-1} / (N c_N) of the start circle and the points' distances from it."""
+def start_shape(params):
+    """The centre c = -c_{N-1} / (N c_N) of the start and the exact second
+    moment M2 = sum (z_i - c)^2 of the roots, from the power sum
+    sum z_i^2 = s1^2 - 2 e2 (Newton's identities)."""
     coeffs = ehrhart_polynomial(params).coeffs
-    centre = float(-coeffs[-2] / ((len(coeffs) - 1) * coeffs[-1]))
-    return centre, np.abs(points - centre)
+    degree = len(coeffs) - 1
+    s1 = -coeffs[-2] / coeffs[-1]
+    e2 = coeffs[-3] / coeffs[-1] if degree > 1 else 0
+    return float(s1 / degree), s1 * s1 - 2 * e2 - s1 * s1 / degree
+
+
+def ellipse_axes(points, centre):
+    """Semi-axes (a, b) of points c + a cos(theta_k) + i b sin(theta_k) with
+    N >= 3 equally spaced angles, where sum cos^2 = sum sin^2 = N / 2."""
+    offsets = points - centre
+    return tuple(math.sqrt(2 * np.mean(part**2)) for part in (offsets.real, offsets.imag))
+
+
+def mean_radius(points, centre):
+    """(a + b) / 2 of the start, the geometric mean distance of its points
+    from the centre over a full turn; for N <= 2 the start is a circle."""
+    if len(points) <= 2:
+        return np.abs(points - centre)
+    return sum(ellipse_axes(points, centre)) / 2
 
 
 def geometric_mean_distance(roots, point):
     return math.exp(sum(math.log(abs(r - point)) for r in roots) / len(roots))
 
 
-@pytest.mark.parametrize("d,n", [(1, 7), (4, 11), (7, 30), (9, 96)])
+def second_moment(points):
+    return sum((z - sum(points) / len(points)) ** 2 for z in points)
+
+
+@pytest.mark.parametrize("d,n", [(1, 7), (2, 3), (4, 11), (7, 30), (9, 96)])
 def test_initial_points_on_aberth_circle(d, n):
-    # the centre is the mean of the roots and the radius their geometric mean
-    # distance from it, both read off the polynomial before any sweep
+    # Aberth's centre and radius: the mean of the roots and (a + b) / 2 their
+    # geometric mean distance from it, both read off the polynomial before
+    # any sweep, whether the start is stretched or not
     params = HypersimplexParams(d, n)
     z = _initial_points(params, 0)
-    centre, radii = circle(params, z)
+    centre = start_shape(params)[0]
     assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
     rs = find_roots(params)
     mean = sum(rs.roots) / len(rs.roots)
     assert abs(centre - mean) <= 1e-12 * abs(mean)
-    assert radii == pytest.approx(geometric_mean_distance(rs.roots, mean), rel=1e-9)
+    anchor = centre if evaluate_scaled(params, centre)[0] != 0 else complex(centre, 0.5)
+    assert mean_radius(z, centre) == pytest.approx(
+        geometric_mean_distance(rs.roots, anchor), rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("d,n", [(4, 11), (5, 17), (7, 30), (9, 96)])
+def test_initial_points_match_the_second_moment(d, n):
+    # stretched along the real axis until sum (z_k - c)^2 is the roots' own
+    params = HypersimplexParams(d, n)
+    z = _initial_points(params, 0)
+    centre, moment = start_shape(params)
+    assert moment > 0
+    assert second_moment(z.tolist()) == pytest.approx(float(moment), rel=1e-12)
+    assert second_moment(find_roots(params).roots) == pytest.approx(float(moment), rel=1e-9)
+    a, b = ellipse_axes(z, centre)
+    assert a > b > (a + b) / 8  # longer along the real axis, above the floor
 
 
 @pytest.mark.parametrize("d,n", [(1, 2), (3, 4), (2, 4), (8, 16)])
@@ -462,29 +514,75 @@ def test_initial_points_when_the_centre_is_a_root(d, n):
     params = HypersimplexParams(d, n)
     z = _initial_points(params, 0)
     assert np.isfinite(z).all() and len(set(z.tolist())) == n - 1
-    centre, radii = circle(params, z)
+    centre = start_shape(params)[0]
     assert evaluate_scaled(params, centre)[0] == 0
     rs = find_roots(params)
     assert rs.converged
-    assert radii == pytest.approx(
+    assert mean_radius(z, centre) == pytest.approx(
         geometric_mean_distance(rs.roots, complex(centre, 0.5)), rel=1e-9
     )
 
 
+@pytest.mark.parametrize(
+    "d,n", [(1, 2), (1, 3), (2, 4), (8, 16), (3, 7), (4, 9), (8, 17), (22, 45), (11, 24)]
+)
+def test_initial_points_fall_back_to_the_circle(d, n):
+    # at n = 2d and n = 2d + 1 (and n = 2d + 2 from d = 11) the roots' second
+    # moment is not positive, and at N <= 2 the ellipse would not match it:
+    # the start is Aberth's circle
+    params = HypersimplexParams(d, n)
+    centre, moment = start_shape(params)
+    assert n <= 3 or moment <= 0
+    z = _initial_points(params, 0)
+    assert np.abs(z - centre) == pytest.approx(np.full(n - 1, abs(z[0] - centre)), rel=1e-12)
+
+
 def test_seed_rotates_the_start_circle():
-    # the seed turns the circle by frac(0.618... (seed + 1)) of a turn
+    # the seed turns theta_k by frac(0.618... (seed + 1)) of a turn and
+    # leaves the centre and both axes alone
     params = HypersimplexParams(5, 17)
+    centre = start_shape(params)[0]
     base = _initial_points(params, 0)
-    centre, radii = circle(params, base)
+    a, b = ellipse_axes(base, centre)
+    assert a > 1.5 * b
+
+    def unit(points):
+        return (points - centre).real / a + 1j * (points - centre).imag / b
+
     for seed in (1, 2, 7):
         z = _initial_points(params, seed)
         assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
-        other_radii = circle(params, z)[1]
-        assert other_radii == pytest.approx(radii, rel=1e-12)
+        assert ellipse_axes(z, centre) == pytest.approx((a, b), rel=1e-12)
         turn = math.modf(_GOLDEN * (seed + 1))[0] - math.modf(_GOLDEN)[0]
-        rotation = (z - centre) / (base - centre)
+        rotation = unit(z) / unit(base)
         assert rotation == pytest.approx(np.full(z.size, cmath.exp(2j * math.pi * turn)), abs=1e-9)
         assert abs(rotation[0] - 1) > 0.1
+
+
+def test_initial_points_keep_the_minor_axis_floor():
+    # the simplex roots -1..-19 lie on the real axis: the moment alone would
+    # flatten the ellipse past b = 0, so b stops at rho / 4 and a at 7 rho / 4
+    params = HypersimplexParams(1, 20)
+    centre, moment = start_shape(params)
+    rho = geometric_mean_distance(range(-19, 0), complex(centre, 0.5))
+    assert moment / (2 * 19 * rho) > 0.75 * rho
+    z = _initial_points(params, 0)
+    assert ellipse_axes(z, centre) == pytest.approx((1.75 * rho, 0.25 * rho), rel=1e-9)
+    rs = find_roots(params)
+    assert rs.converged
+    assert match_distance(rs.roots, list(range(-19, 0))) <= 1e-9
+
+
+def test_sweep_counts_stay_under_their_ceilings():
+    # the moment ellipse took the seed-0 double sweeps from 1736 to 1288 on
+    # the paper grid d = 4..7 and from 124 to 61 at (9, 96..99); the ceilings
+    # leave room for platform rounding, and the circle start fails both
+    grid = CampaignConfig(d_min=4, d_max=7).pairs()
+    tall = [(9, n) for n in range(96, 100)]
+    for pairs, ceiling in ((grid, 1450), (tall, 80)):
+        runs = [find_roots(HypersimplexParams(d, n)) for d, n in pairs]
+        assert all(rs.converged for rs in runs)
+        assert sum(rs.iterations for rs in runs) <= ceiling
 
 
 @pytest.mark.parametrize("d,n,rows", [(10, 11, 1), (30, 40, 10)])
@@ -501,7 +599,7 @@ def test_find_roots_above_half_uses_the_complement(d, n, rows):
 
 
 def test_find_roots_degree_299_stays_in_doubles():
-    # the centroid circle lets all 299 roots settle in doubles, and the disks
+    # the centroid start lets all 299 roots settle in doubles, and the disks
     # around them prove both sides of the strip
     params = HypersimplexParams(10, 300)
     rs = find_roots(params)

@@ -39,3 +39,7 @@ class HypothesisViolation(HsrootsError, ValueError):
 
 class DomainViolation(HsrootsError, ValueError):
     """Evaluation point outside the domain a bound check covers."""
+
+
+class StructureViolation(HsrootsError, ArithmeticError):
+    """An exact identity the solver relies on failed for the polynomial at hand."""

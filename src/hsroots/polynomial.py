@@ -60,43 +60,6 @@ class RationalPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return RationalPolynomial([-c for c in self.coeffs])
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalPolynomial([c * other for c in self.coeffs])
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return RationalPolynomial([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPolynomial(out)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         if self.is_zero:
             return "RationalPolynomial(0)"
@@ -108,17 +71,25 @@ class RationalPolynomial:
         return "RationalPolynomial(" + " + ".join(parts) + ")"
 
 
-def _coerce(value) -> RationalPolynomial:
-    if isinstance(value, RationalPolynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RationalPolynomial([value])
-    raise TypeError(f"cannot coerce {type(value).__name__} to RationalPolynomial")
-
-
 def _integer_coefficients(poly: RationalPolynomial) -> list:
     """Scale by the positive lcm of denominators; same roots, integer entries."""
     lcm = 1
     for c in poly.coeffs:
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
     return [int(c * lcm) for c in poly.coeffs]
+
+
+def _taylor_shift(coeffs: list, a: int, b: int = 1) -> list:
+    """Integer coefficients of b**N p(z + a/b), lowest degree first, from the
+    integer coefficients of p, N = len(coeffs) - 1.
+
+    Scaling c_k by b**(N-k) gives r(t) = b**N p(t / b); repeated synthetic
+    division by t + a turns r(t) into r(t + a); and r(bz + a) = b**N p(z + a/b)
+    has the coefficients of r(t + a) times b**k.  Nothing is divided.
+    """
+    degree = len(coeffs) - 1
+    out = [c * b ** (degree - k) for k, c in enumerate(coeffs)]
+    for i in range(degree):
+        for j in range(degree - 1, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return [c * b**k for k, c in enumerate(out)]

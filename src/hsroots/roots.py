@@ -31,6 +31,13 @@ ratios come from fixed-point p and p' on the exact integer coefficients,
 each from `_gaussian_horner`, the one Gaussian-integer Horner loop, which
 the exact disks of `stability` run too.  Only each ratio is rounded to
 double; the repulsion and the update stay in doubles.
+
+On the diagonal n = 2d, where that cancellation is deepest, the solver
+never evaluates p in its sweeps: p(z) = (z + 1) Q((z + 1)**2) with
+deg Q = d - 1 (`_half_degree_factor`, checked exactly on every call), Q's
+coefficients span a few bits, and the sweeps run on Q by Horner's rule in
+doubles.  Its roots w map back to -1 +- sqrt(w), and the residual
+certificates and the real-axis snap are taken on p as everywhere else.
 """
 
 import math
@@ -41,8 +48,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial
-from .errors import EvaluationAtRoot, InvalidParams
-from .polynomial import _integer_coefficients
+from .errors import EvaluationAtRoot, InvalidParams, StructureViolation
+from .polynomial import _integer_coefficients, _taylor_shift
 
 _GOLDEN = 0.6180339887498949
 # unit roundoff of doubles and the constants of `_value_bounds`
@@ -83,10 +90,11 @@ class SolverConfig:
 class RootSet:
     """All complex roots (with multiplicity), each with a residual certificate.
 
-    `iterations` counts the double-precision sweeps.  When the roots were
-    refined with exact coefficients, `extended_bits` is the fixed-point
-    precision of that refinement and `extended_sweeps` its sweep count;
-    otherwise they are None and 0.
+    `iterations` counts the double-precision sweeps, those on Q at n = 2d
+    (see `find_roots`).  When the roots were refined with exact
+    coefficients, `extended_bits` is the fixed-point precision of that
+    refinement and `extended_sweeps` its sweep count; otherwise they are
+    None and 0.
     """
 
     roots: Tuple[complex, ...]
@@ -138,15 +146,25 @@ def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
     return np.array([_log2_fraction(c) for c in poly.coeffs], dtype=float)
 
 
+def _start_directions(count: int, seed: int) -> np.ndarray:
+    """exp(i theta_k) at count equally spaced angles, all turned by the
+    seed-derived irrational rotation frac(golden ratio (seed + 1)) of a turn."""
+    phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
+    angles = 2.0 * math.pi * (np.arange(count) + 0.5) / count + phase
+    return np.exp(1j * angles)
+
+
 def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     """Deterministic starting points on one ellipse around the root centroid.
 
     Aberth's start: the centre c = -c_{N-1} / (N c_N) is the mean of the
     roots, and rho = (|p(c)| / |c_N|)^(1/N) is the geometric mean of their
     distances from c, measured from c + i/2 instead when c is itself a root
-    (c = -1 at n = 2d).  The points are c + a cos(theta_k) + i b sin(theta_k)
-    with a = rho + h and b = rho - h, h = M2 / (2 N rho), where by Newton's
-    identities M2 = sum (z_i - c)^2 = s1^2 (N-1)/N - 2 e2 exactly, with
+    (c = -n/2 for the simplex d = 1 at even n; c = -1 at n = 2d, which
+    `find_roots` solves through `_half_degree_roots` instead).  The points
+    are c + a cos(theta_k) + i b sin(theta_k) with a = rho + h and
+    b = rho - h, h = M2 / (2 N rho), where by Newton's identities
+    M2 = sum (z_i - c)^2 = s1^2 (N-1)/N - 2 e2 exactly, with
     s1 = -c_{N-1}/c_N and e2 = c_{N-2}/c_N.  Then a + b = 2 rho keeps rho
     the geometric mean distance of the points, and, since
     sum_k exp(2i theta_k) = 0 for N >= 3, their second moment is
@@ -171,9 +189,7 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     if degree >= 3:
         moment = s1 * s1 * (degree - 1) / degree - 2 * coeffs[-3] / lead
         h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
-    phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
-    angles = 2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase
-    unit = np.exp(1j * angles)
+    unit = _start_directions(degree, seed)
     # at h = 0 this rounds exactly as centre + rho * unit, the circle
     return centre + (rho + h) * unit.real + 1j * ((rho - h) * unit.imag)
 
@@ -509,6 +525,75 @@ def _double_ratios(d: int, n: int, points: np.ndarray):
     return w, np.abs(S) <= 4 * (n + d) * 2.0**-53 * A
 
 
+def _half_degree_factor(params: HypersimplexParams) -> list:
+    """Integer coefficients of Q, lowest degree first, such that
+    p(z) = (z + 1) Q((z + 1)**2) up to a positive factor.
+
+    At n = 2d the hypersimplex is Gorenstein (De Negri and Hibi 1997), so
+    p(-2 - z) = -p(z): q(y) = p(y - 1) is odd, and Q(y**2) = q(y) / y.  q
+    comes exactly from `_taylor_shift` on p's integer coefficients, and every
+    even coefficient of q is checked to be 0 on each call, so the factor rests
+    on that check, not on the theorem.  Where one is not 0 (every pair with
+    n != 2d) this raises StructureViolation.
+    """
+    shifted = _taylor_shift(_integer_coefficients(ehrhart_polynomial(params)), -1)
+    if any(shifted[0::2]):
+        raise StructureViolation(
+            f"p(y - 1) has a nonzero even coefficient at (d, n) = ({params.d}, {params.n})"
+        )
+    return shifted[1::2]
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray):
+    """q(z) and q'(z) by Horner's rule on double coefficients, lowest degree first."""
+    value = np.full(z.shape, coeffs[-1], dtype=complex)
+    slope = np.zeros(z.shape, dtype=complex)
+    for c in coeffs[-2::-1]:
+        slope = slope * z + value
+        value = value * z + c
+    return value, slope
+
+
+def _half_degree_roots(
+    params: HypersimplexParams, config: SolverConfig, tol: float, coeff_logs
+) -> RootSet:
+    """The roots at n = 2d from the M = d - 1 roots w of Q (`_half_degree_factor`).
+
+    Q's coefficients are divided by the largest one; their log2 spread stays
+    below 5 bits up to d = 150, where p's spans hundreds, so Horner's rule in
+    doubles gives Q/Q' with no cancellation worth a noise test.  The
+    Ehrlich-Aberth sweeps on Q start on Aberth's circle: centre
+    c = -Q_{M-1} / (M Q_M), the mean of the w, and radius
+    (|Q(c)| / |Q_M|)^(1/M), measured at c + i/2 where Q(c) rounds to 0; the
+    seed turns the points as in `_initial_points`.  Each w gives
+    z = -1 +- sqrt(w), and z = -1 completes the n - 1 roots; `_finish`
+    certifies them on p itself.
+    """
+    factor = _half_degree_factor(params)
+    degree = len(factor) - 1
+    if degree == 0:  # d = 1: p(z) = z + 1
+        return _finish(params, np.array([-1.0 + 0j]), tol, 0, True, coeff_logs)
+    top = max(map(abs, factor))
+    coeffs = np.array([c / top for c in factor])
+    centre = -factor[-2] / (degree * factor[-1])
+    for point in (centre, complex(centre, 0.5)):
+        value = _horner(coeffs, np.array([complex(point)]))[0][0]
+        if value != 0:
+            break
+    rho = (abs(value) / abs(coeffs[-1])) ** (1 / degree)
+    w = centre + rho * _start_directions(degree, config.seed)
+
+    def ratios(points):
+        value, slope = _horner(coeffs, points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return value / slope, np.zeros(points.size, dtype=bool)
+
+    sweeps, settled = _ea_sweeps(w, ratios, tol, config.max_iterations)
+    root = np.sqrt(w)
+    z = np.concatenate(([-1.0 + 0j], -1 + root, -1 - root))
+    return _finish(params, z, tol, sweeps, settled, coeff_logs)
+
+
 def _finish(
     params, z, tol, iterations, clean_exit, coeff_logs, extended_bits=None, extended_sweeps=0
 ) -> RootSet:
@@ -558,12 +643,18 @@ def find_roots(
     `iterations` counts the double sweeps, `extended_bits` and
     `extended_sweeps` the refinement.  A result that still misses the
     certificate is returned with converged=False.
+
+    At n = 2d the sweeps run on the half-degree factor Q instead, in doubles
+    and with no refinement (`_half_degree_roots`): `iterations` counts them
+    and `extended_bits` is None.  Only that input property selects the path.
     """
     config = config or SolverConfig()
     d, n = min(params.d, params.n - params.d), params.n  # the rows `_eval_vec` sums
     degree = n - 1
     tol = config.resolved_tolerance(degree)
     coeff_logs = _coefficient_logs(params)
+    if n == 2 * d:
+        return _half_degree_roots(params, config, tol, coeff_logs)
 
     z = _initial_points(params, config.seed)
     iterations, settled = _ea_sweeps(

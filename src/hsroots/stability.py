@@ -26,7 +26,7 @@ import numpy as np
 
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
-from .polynomial import RationalPolynomial, _integer_coefficients
+from .polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
 from .roots import _distance_product_lower, _gaussian_horner, _to_fixed, _value_bounds
 
 STABLE = "Stable"
@@ -66,17 +66,20 @@ class StripVerdict:
 
 
 def shift_polynomial(poly: RationalPolynomial, c) -> RationalPolynomial:
-    """Exact Taylor shift: returns q with q(z) = p(z + c); p itself when c == 0."""
+    """Exact Taylor shift: returns q with q(z) = p(z + c); p itself when c == 0.
+
+    With c = a/b and L the lcm of p's denominators, `_taylor_shift` shifts
+    the integers L p in integer arithmetic to L b**N p(z + c), and each
+    coefficient is divided by L b**N once at the end.
+    """
     c = Fraction(c)
-    if c == 0:
+    if c == 0 or poly.is_zero:
         return poly
-    coeffs = list(poly.coeffs)
-    deg = len(coeffs) - 1
-    # repeated synthetic division by (z - (-c)) accumulates the shifted coefficients
-    for i in range(deg):
-        for j in range(deg - 1, i - 1, -1):
-            coeffs[j] += c * coeffs[j + 1]
-    return RationalPolynomial(coeffs)
+    coeffs = _integer_coefficients(poly)
+    scale = coeffs[-1] / poly.leading_coefficient * c.denominator**poly.degree
+    return RationalPolynomial(
+        [v / scale for v in _taylor_shift(coeffs, c.numerator, c.denominator)]
+    )
 
 
 def reflect_polynomial(poly: RationalPolynomial) -> RationalPolynomial:

@@ -8,7 +8,7 @@ import pytest
 
 from hsroots.campaign import CampaignConfig
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
-from hsroots.errors import EvaluationAtRoot, InvalidParams
+from hsroots.errors import EvaluationAtRoot, InvalidParams, StructureViolation
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     _GOLDEN,
@@ -16,6 +16,7 @@ from hsroots.roots import (
     SolverConfig,
     _eval_vec,
     _gaussian_horner,
+    _half_degree_factor,
     _initial_points,
     _int_mantissa_exponent,
     _log2_fraction,
@@ -206,12 +207,12 @@ def test_degree_one():
 
 
 def test_find_roots_deep_cancellation_falls_back():
-    # at n = 2d the alternating sum cancels past double precision; the
-    # extended-precision retry must still deliver certified roots in-strip
-    rs = find_roots(HypersimplexParams(15, 30))
+    # next to the diagonal the alternating sum cancels past double precision;
+    # the extended-precision retry must still deliver certified roots in-strip
+    rs = find_roots(HypersimplexParams(15, 31))
     assert rs.converged
-    assert len(rs.roots) == 29
-    assert all(-2.0 < r.real < 0.0 for r in rs.roots)
+    assert len(rs.roots) == 30
+    assert all(-31 / 15 < r.real < 0.0 for r in rs.roots)
 
 
 def test_residual_values():
@@ -402,8 +403,9 @@ def mirror_gap(roots) -> float:
 
 def test_diagonal_roots_are_mirror_symmetric():
     # at n = 2d, p(-z) = -p(z - 2) (Delta(d, 2d) is Gorenstein), so the roots
-    # come in quartets z, conj(z), -2 - z, -2 - conj(z); the solver does not
-    # know this, so the check is independent of it
+    # come in quartets z, conj(z), -2 - z, -2 - conj(z); find_roots builds
+    # them as -1 +- sqrt(w) from the roots w of Q (`_half_degree_factor`), so
+    # the diagonal half checks that construction, not the solver's accuracy
     for d in range(2, 41):
         assert mirror_gap(find_roots(HypersimplexParams(d, 2 * d)).roots) <= 1e-9
     # off the diagonal the roots are not symmetric about Re = -1
@@ -411,21 +413,61 @@ def test_diagonal_roots_are_mirror_symmetric():
         assert mirror_gap(find_roots(HypersimplexParams(d, n)).roots) > 0.1
 
 
-def test_find_roots_refines_noise_limited_iterates():
-    # at (16, 32) the double sweep hits the evaluation noise and the iterates
-    # are refined with exact coefficients; compare with an independent solver
-    params = HypersimplexParams(16, 32)
-    rs = find_roots(params)
-    assert rs.converged
-    assert rs.extended_bits is not None and rs.extended_sweeps > 0
-    assert rs.iterations < SolverConfig().max_iterations
+def assert_matches_mpmath(params, roots):
+    """Every root within 1e-12 (1 + |z|) of a root from mp.polyroots on the
+    exact coefficients of p, and back."""
     poly = ehrhart_polynomial(params)
     with mp.workprec(256):
         cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]
         reference = [complex(r) for r in mp.polyroots(cs, maxsteps=400, extraprec=256)]
-    for ours, theirs in ((rs.roots, reference), (reference, rs.roots)):
+    for ours, theirs in ((roots, reference), (reference, roots)):
         for root in ours:
             assert min(abs(root - other) for other in theirs) <= 1e-12 * (1 + abs(root))
+
+
+def test_find_roots_refines_noise_limited_iterates():
+    # at (16, 33) the double sweep hits the evaluation noise and the iterates
+    # are refined with exact coefficients; compare with an independent solver
+    params = HypersimplexParams(16, 33)
+    rs = find_roots(params)
+    assert rs.converged
+    assert rs.extended_bits is not None and rs.extended_sweeps > 0
+    assert rs.iterations < SolverConfig().max_iterations
+    assert_matches_mpmath(params, rs.roots)
+
+
+@pytest.mark.parametrize("d", [8, 16, 24])
+def test_diagonal_roots_come_from_the_half_degree_factor(d):
+    # at n = 2d the roots are -1 and -1 +- sqrt(w) for the roots w of Q, found
+    # in doubles with no exact refinement; mpmath solves p itself
+    params = HypersimplexParams(d, 2 * d)
+    rs = find_roots(params)
+    assert rs.converged
+    assert rs.extended_bits is None and rs.extended_sweeps == 0
+    assert len(rs.roots) == 2 * d - 1 and -1 in rs.roots
+    assert_matches_mpmath(params, rs.roots)
+
+
+def test_half_degree_factor_of_the_smallest_diagonals():
+    # d = 1: p(z) = z + 1 and Q is a constant; d = 2: Q is linear, with the
+    # root w = -1/2, so the roots are -1 and -1 +- i / sqrt(2)
+    assert len(_half_degree_factor(HypersimplexParams(1, 2))) == 1
+    rs = find_roots(HypersimplexParams(1, 2))
+    assert rs.roots == (-1,) and rs.converged and rs.iterations == 0
+    factor = _half_degree_factor(HypersimplexParams(2, 4))
+    assert len(factor) == 2 and Fraction(-factor[0], factor[1]) == Fraction(-1, 2)
+    rs = find_roots(HypersimplexParams(2, 4))
+    assert rs.converged
+    expected = (complex(-1, -math.sqrt(0.5)), -1, complex(-1, math.sqrt(0.5)))
+    assert rs.roots == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 15])
+def test_half_degree_factor_rejects_a_pair_off_the_diagonal(d):
+    # p(y - 1) has a nonzero even coefficient at n = 2d + 1: no factor Q exists
+    # there, and the check that guards the n = 2d path says so
+    with pytest.raises(StructureViolation, match="nonzero even coefficient"):
+        _half_degree_factor(HypersimplexParams(d, 2 * d + 1))
 
 
 @pytest.mark.parametrize("d,n", [(7, 63), (9, 96)])

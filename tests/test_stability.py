@@ -7,7 +7,7 @@ import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
-from hsroots.polynomial import RationalPolynomial, _integer_coefficients
+from hsroots.polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
 from hsroots.roots import _distance_product_lower, _value_bounds, find_roots
 from hsroots.stability import (
     _disks,
@@ -23,9 +23,30 @@ from hsroots.stability import (
 )
 
 
+def product(factors) -> RationalPolynomial:
+    """The exact product of polynomials given as coefficient lists (ints or
+    floats), lowest degree first."""
+    coeffs = [Fraction(1)]
+    for factor in factors:
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(factor):
+                out[i + j] += a * Fraction(b)
+        coeffs = out
+    return RationalPolynomial(coeffs)
+
+
 def test_shift_examples():
     assert shift_polynomial(RationalPolynomial([1, 1]), 1) == RationalPolynomial([2, 1])
     assert shift_polynomial(RationalPolynomial([0, 0, 1]), -1) == RationalPolynomial([1, -2, 1])
+
+
+def test_taylor_shift_scales_by_the_denominator_power():
+    # a shift by a/b returns b**N p(z + a/b) in integers: 4 (z + 1/2)**2
+    # = 4z^2 + 4z + 1, and 27 ((z - 2/3)^3 + 1) = 27z^3 - 54z^2 + 36z + 19
+    assert _taylor_shift([0, 0, 1], 1, 2) == [1, 4, 4]
+    assert _taylor_shift([1, 0, 0, 1], -2, 3) == [19, 36, -54, 27]
+    assert _taylor_shift([5, -3, 2], 4) == [25, 13, 2]  # 2(z+4)^2 - 3(z+4) + 5
 
 
 def test_shift_moves_root_to_origin():
@@ -92,7 +113,7 @@ def test_routh_matches_root_classification_random():
         attempts += 1
         assert attempts < 1000
         degree = rng.randint(2, 8)
-        poly = RationalPolynomial([rng.choice([1, 2, 3])])
+        factors = [[rng.choice([1, 2, 3])]]
         any_rhp = False
         remaining = degree
         while remaining > 0:
@@ -100,15 +121,15 @@ def test_routh_matches_root_classification_random():
                 re = rng.choice([-3, -2, -1, 1, 2])
                 im = rng.randint(1, 3)
                 # (z - (re+i*im))(z - (re-i*im)) = z^2 - 2*re*z + re^2 + im^2
-                poly = poly * RationalPolynomial([re * re + im * im, -2 * re, 1])
+                factors.append([re * re + im * im, -2 * re, 1])
                 any_rhp |= re > 0
                 remaining -= 2
             else:
                 r = rng.choice([-4, -3, -2, -1, 1, 2, 3])
-                poly = poly * RationalPolynomial([-r, 1])
+                factors.append([-r, 1])
                 any_rhp |= r > 0
                 remaining -= 1
-        verdict = routh_hurwitz(poly)
+        verdict = routh_hurwitz(product(factors))
         if verdict.status == "Boundary":
             assert any_rhp, "degenerate table reported for a stable polynomial"
             continue
@@ -176,12 +197,11 @@ def test_inclusion_never_proves_a_side_a_root_is_outside():
         while len(roots) < degree:
             re, im = rng.randint(-6, 2), rng.choice([0, 0, 1, 2])
             roots.extend([complex(re, im), complex(re, -im)] if im else [complex(re)])
-        poly = RationalPolynomial([1])
-        for r in roots:
-            if r.imag > 0:
-                poly = poly * RationalPolynomial([r.real**2 + r.imag**2, -2 * r.real, 1])
-            elif r.imag == 0:
-                poly = poly * RationalPolynomial([-r.real, 1])
+        poly = product(
+            [r.real**2 + r.imag**2, -2 * r.real, 1] if r.imag else [-r.real, 1]
+            for r in roots
+            if r.imag >= 0
+        )
         noise = 10.0 ** -rng.randint(0, 12)
         points = [
             r + complex(rng.uniform(-noise, noise), rng.uniform(-noise, noise)) for r in roots

@@ -544,16 +544,6 @@ def _half_degree_factor(params: HypersimplexParams) -> list:
     return shifted[1::2]
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray):
-    """q(z) and q'(z) by Horner's rule on double coefficients, lowest degree first."""
-    value = np.full(z.shape, coeffs[-1], dtype=complex)
-    slope = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[-2::-1]:
-        slope = slope * z + value
-        value = value * z + c
-    return value, slope
-
-
 def _half_degree_roots(
     params: HypersimplexParams, config: SolverConfig, tol: float, coeff_logs
 ) -> RootSet:
@@ -561,7 +551,8 @@ def _half_degree_roots(
 
     Q's coefficients are divided by the largest one; their log2 spread stays
     below 5 bits up to d = 150, where p's spans hundreds, so Horner's rule in
-    doubles gives Q/Q' with no cancellation worth a noise test.  The
+    doubles (`np.polyval` on Q and `np.polyder(Q)`) gives Q/Q' with no
+    cancellation worth a noise test.  The
     Ehrlich-Aberth sweeps on Q start on Aberth's circle: centre
     c = -Q_{M-1} / (M Q_M), the mean of the w, and radius
     (|Q(c)| / |Q_M|)^(1/M), measured at c + i/2 where Q(c) rounds to 0; the
@@ -574,19 +565,20 @@ def _half_degree_roots(
     if degree == 0:  # d = 1: p(z) = z + 1
         return _finish(params, np.array([-1.0 + 0j]), tol, 0, True, coeff_logs)
     top = max(map(abs, factor))
-    coeffs = np.array([c / top for c in factor])
+    coeffs = np.array([c / top for c in reversed(factor)])  # highest degree first
+    slopes = np.polyder(coeffs)
     centre = -factor[-2] / (degree * factor[-1])
     for point in (centre, complex(centre, 0.5)):
-        value = _horner(coeffs, np.array([complex(point)]))[0][0]
+        value = np.polyval(coeffs, complex(point))
         if value != 0:
             break
-    rho = (abs(value) / abs(coeffs[-1])) ** (1 / degree)
+    rho = (abs(value) / abs(coeffs[0])) ** (1 / degree)
     w = centre + rho * _start_directions(degree, config.seed)
 
     def ratios(points):
-        value, slope = _horner(coeffs, points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return value / slope, np.zeros(points.size, dtype=bool)
+            ratio = np.polyval(coeffs, points) / np.polyval(slopes, points)
+        return ratio, np.zeros(points.size, dtype=bool)
 
     sweeps, settled = _ea_sweeps(w, ratios, tol, config.max_iterations)
     root = np.sqrt(w)

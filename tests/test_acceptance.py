@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
 its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
-20 seconds: numeric roots, then inclusion disks with the Routh table as the
+8 seconds: numeric roots, then inclusion disks with the Routh table as the
 fallback) runs when HSR_FULL=1 is set, together with a numeric sweep of the
-diagonal n = 2d for d = 4..75, 100 and 150 (about 10 seconds).
+diagonal n = 2d for d = 4..75, 100 and 150, and seeds 1..3 at d = 40, 75
+and 100 (about 11 seconds).
 """
 
 import cmath
@@ -28,6 +29,7 @@ from hsroots.bounds import (
 from hsroots.cli import main
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
 from hsroots.lattice import CountQuery, count_points
+from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import SolverConfig, find_roots
 from hsroots.stability import verify_half_plane, verify_strip
 
@@ -66,7 +68,10 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_delta_3_6_regression():
     with Stopwatch("2 Delta(3,6) regression", 1):
         poly = ehrhart_polynomial(HypersimplexParams(3, 6))
-        for m in range(6):  # six points pin a quintic
+        assert poly == RationalPolynomial(
+            [1, Fraction(74, 20), Fraction(125, 20), Fraction(115, 20), Fraction(55, 20), Fraction(11, 20)]
+        )
+        for m in range(6):  # the factored form (1/20) u (11u^4 + 5u^2 + 4), u = m + 1
             u = m + 1
             assert poly.evaluate(m) == Fraction(11 * u**5 + 5 * u**3 + 4 * u, 20)
 
@@ -98,7 +103,7 @@ def test_criterion_3_strip_certification_smoke():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (4<=d<=10, ~6 s of roots and inclusion disks); set HSR_FULL=1",
+    reason="full tier (4<=d<=10, ~8 s of roots and inclusion disks); set HSR_FULL=1",
 )
 def test_criterion_3_strip_certification_full():
     with Stopwatch("3 strip certification (full, d<=10)", 2700):
@@ -110,7 +115,7 @@ def test_criterion_3_strip_certification_full():
 
 @pytest.mark.skipif(
     os.environ.get("HSR_FULL") != "1",
-    reason="full tier (numeric diagonal n = 2d up to d = 150, ~10 s); set HSR_FULL=1",
+    reason="full tier (numeric diagonal n = 2d up to d = 150, ~11 s); set HSR_FULL=1",
 )
 def test_diagonal_numeric_full():
     # deepest cancellation of the alternating sum: every root still meets the
@@ -129,6 +134,12 @@ def test_diagonal_numeric_full():
             assert all(-n / d < r.real < 0 for r in rootset.roots), d
             if d >= 100:
                 assert rootset.extended_bits is None, d
+        # nonzero seeds turn the start circle on Q; deep pairs still converge
+        for d in (40, 75, 100):
+            for seed in (1, 2, 3):
+                rootset = find_roots(HypersimplexParams(d, 2 * d), SolverConfig(seed=seed))
+                assert rootset.converged, (d, seed)
+                assert rootset.extended_bits is None, (d, seed)
 
 
 def test_criterion_4_d3_theorem_instances():

@@ -27,7 +27,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
+from .ehrhart import _integer
+from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
 from .roots import _term_products
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
@@ -188,6 +189,10 @@ class ContourSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainViolation(f"unknown contour kind {self.kind!r}")
+        for name in ("d", "n", "samples"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if not 1 <= self.d < self.n:
+            raise InvalidParams(f"need 1 <= d < n, got (d={self.d}, n={self.n})")
         if self.samples < 2:
             raise DomainViolation("need at least 2 samples")
         lo, hi = self.resolved_range()
@@ -234,8 +239,11 @@ class MarginReport:
 
     max_ratio: float
     argmax_point: complex
-    passed: bool
     nudged: int = 0
+
+    @property
+    def passed(self) -> bool:
+        return _strictly_less(self.max_ratio, 1.0)
 
 
 def rouche_margin(spec: ContourSpec) -> MarginReport:
@@ -266,12 +274,7 @@ def rouche_margin(spec: ContourSpec) -> MarginReport:
         if not total[best] <= max_ratio and not math.isnan(max_ratio):
             max_ratio = float(total[best])
             argmax = complex(z[best])
-    return MarginReport(
-        max_ratio=max_ratio,
-        argmax_point=argmax,
-        passed=_strictly_less(max_ratio, 1.0),
-        nudged=nudged,
-    )
+    return MarginReport(max_ratio=max_ratio, argmax_point=argmax, nudged=nudged)
 
 
 def geometric_factorial_sum(d: int) -> Fraction:

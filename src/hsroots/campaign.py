@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .ehrhart import HypersimplexParams
+from .ehrhart import HypersimplexParams, _integer
 from .errors import HsrootsError, InvalidParams
 from .roots import RootSet, SolverConfig, find_roots
 from .stability import verify_strip
@@ -47,6 +47,9 @@ class CampaignConfig:
     output_dir: Optional[Path] = None
 
     def __post_init__(self):
+        given = [name for name in ("n_min", "n_max") if getattr(self, name) is not None]
+        for name in ("d_min", "d_max", *given):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.d_min < 1 or self.d_max < self.d_min:
             raise InvalidParams(f"need 1 <= d_min <= d_max, got [{self.d_min}, {self.d_max}]")
         if self.n_rule not in (PAPER_GRID, DIAGONAL, RANGE):
@@ -76,7 +79,6 @@ class CampaignRow:
 
     d: int
     n: int
-    degree: int
     certified: bool
     re_min: float
     re_max: float
@@ -84,6 +86,10 @@ class CampaignRow:
     max_residual: float
     millis: float
     converged: bool
+
+    @property
+    def degree(self) -> int:
+        return self.n - 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,6 @@ def _solve_pair(d: int, n: int, solver: SolverConfig, certify: bool):
     row = CampaignRow(
         d=d,
         n=n,
-        degree=n - 1,
         certified=certified,
         re_min=min(r.real for r in rootset.roots),
         re_max=max(r.real for r in rootset.roots),
@@ -144,22 +149,21 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     out = None if config.output_dir is None else Path(config.output_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    results = {}
+    results = []  # in grid order: `pairs` sorts
     errors = []
     for d, n in config.pairs():
         try:
-            results[d, n] = _solve_pair(d, n, config.solver, config.certify)
+            results.append(_solve_pair(d, n, config.solver, config.certify))
         except (HsrootsError, ValueError) as exc:
             errors.append(f"d={d} n={n}: {exc}")
         except Exception:  # any other failure is reported; the other pairs still flush
             errors.append(f"d={d} n={n}: {traceback.format_exc().rstrip()}")
 
-    rows = tuple(results[pair][0] for pair in sorted(results))
-    report = VerificationReport(rows=rows, errors=tuple(errors))
+    report = VerificationReport(rows=tuple(row for row, _ in results), errors=tuple(errors))
 
     if out is not None:
         write_report_csv(out / "report.csv", report)
-        write_roots_csv(out / "roots.csv", [(pair, results[pair][1]) for pair in sorted(results)])
+        write_roots_csv(out / "roots.csv", [((r.d, r.n), rootset) for r, rootset in results])
     return report
 
 

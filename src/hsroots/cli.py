@@ -26,7 +26,7 @@ from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import HsrootsError
 from .lattice import CountQuery, count_points
 from .roots import SolverConfig, find_roots
-from .stability import verify_strip
+from .stability import BOUNDARY, verify_strip
 from .svgplot import write_group_svgs
 
 EXIT_OK = 0
@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
     if verdict.overall:
         print("CERTIFIED")
         return EXIT_OK
-    if verdict.left_ok.status == "Boundary" or verdict.right_ok.status == "Boundary":
+    if BOUNDARY in (verdict.left_ok.status, verdict.right_ok.status):
         print("BOUNDARY")
     elif not verdict.left_ok.is_stable:
         print("FAILED(left)")

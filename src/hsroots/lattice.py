@@ -9,6 +9,7 @@ state, plus a guarded naive enumerator that cross-checks the DP.
 import itertools
 from dataclasses import dataclass
 
+from .ehrhart import _integer
 from .errors import DimensionMismatch, InvalidParams
 
 NAIVE_ENUMERATION_LIMIT = 10**7
@@ -24,6 +25,8 @@ class CountQuery:
     strict: bool = False
 
     def __post_init__(self):
+        for name in ("d", "n", "m"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if not 1 <= self.d < self.n:
             raise InvalidParams(f"need 1 <= d < n, got (d={self.d}, n={self.n})")
         if self.m < 0:

@@ -5,23 +5,22 @@ Coefficients are stored ascending (index k holds the coefficient of m^k) as
 positive denominator.  Instances are immutable and safe to share.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
+@dataclass(frozen=True)
 class RationalPolynomial:
     """Immutable dense polynomial over exact rationals."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coefficients):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coefficients]
+    def __post_init__(self):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -52,14 +51,6 @@ class RationalPolynomial:
     def __call__(self, x):
         return self.evaluate(x)
 
-    def __eq__(self, other):
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __repr__(self):
         if self.is_zero:
             return "RationalPolynomial(0)"
@@ -73,10 +64,8 @@ class RationalPolynomial:
 
 def _integer_coefficients(poly: RationalPolynomial) -> list:
     """Scale by the positive lcm of denominators; same roots, integer entries."""
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in poly.coeffs]
+    scale = lcm(*(c.denominator for c in poly.coeffs))
+    return [int(c * scale) for c in poly.coeffs]
 
 
 def _taylor_shift(coeffs: list, a: int, b: int = 1) -> list:

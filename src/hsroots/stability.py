@@ -62,7 +62,10 @@ class StripVerdict:
 
     left_ok: StabilityVerdict
     right_ok: StabilityVerdict
-    overall: bool
+
+    @property
+    def overall(self) -> bool:
+        return self.left_ok.is_stable and self.right_ok.is_stable
 
 
 def shift_polynomial(poly: RationalPolynomial, c) -> RationalPolynomial:
@@ -90,14 +93,8 @@ def reflect_polynomial(poly: RationalPolynomial) -> RationalPolynomial:
 
 
 def _reduce_row(row: list) -> list:
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return [v // g for v in row]
-    return row
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def routh_hurwitz(poly: RationalPolynomial) -> StabilityVerdict:
@@ -358,8 +355,4 @@ def verify_strip(
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
     left = included if left_in else verify_half_plane(params, -bound, "right_of")
-    return StripVerdict(
-        left_ok=left,
-        right_ok=right,
-        overall=left.is_stable and right.is_stable,
-    )
+    return StripVerdict(left_ok=left, right_ok=right)

@@ -7,6 +7,7 @@ import pytest
 import hsroots.bounds
 from hsroots.bounds import (
     ContourSpec,
+    MarginReport,
     aida_bound,
     check_aida,
     check_d4_sum_bound,
@@ -24,7 +25,12 @@ from hsroots.bounds import (
     _log2_terms,
     _ratios,
 )
-from hsroots.errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
+from hsroots.errors import (
+    DivisionByZeroTerm,
+    DomainViolation,
+    HypothesisViolation,
+    InvalidParams,
+)
 
 
 def phi_7_3_1_closed_form(beta: float) -> float:
@@ -194,6 +200,17 @@ def test_rouche_margin_all_edges_d3():
             ).passed
 
 
+def test_margin_passed_is_derived_from_max_ratio():
+    for d, n in ((3, 7), (5, 10)):
+        margin = rouche_margin(ContourSpec("imaginary_axis", d, n, samples=301))
+        assert margin.passed == (margin.max_ratio < 1.0 - hsroots.bounds.RELATIVE_SLACK)
+    assert rouche_margin(ContourSpec("imaginary_axis", 3, 7, samples=301)).passed
+    assert not MarginReport(max_ratio=1.0, argmax_point=0j).passed
+    assert not MarginReport(max_ratio=math.nan, argmax_point=0j).passed
+    with pytest.raises(TypeError):
+        MarginReport(max_ratio=0.5, argmax_point=0j, passed=False)
+
+
 def test_contour_spec_validation():
     with pytest.raises(DomainViolation):
         ContourSpec("diagonal_edge", 3, 7)
@@ -201,6 +218,17 @@ def test_contour_spec_validation():
         ContourSpec("imaginary_axis", 3, 7, samples=1)
     with pytest.raises(DomainViolation):
         ContourSpec("horizontal_edge", 3, 7, range=(0.0, 5.0))  # beyond n/d
+    # d, n and samples follow the rule of HypersimplexParams: integers, 1 <= d < n
+    for d, n in ((0, 5), (6, 3), (4, 4)):
+        for kind in ("imaginary_axis", "left_edge", "horizontal_edge"):
+            with pytest.raises(InvalidParams, match="1 <= d < n"):
+                ContourSpec(kind, d, n)
+    for d, n, samples in ((True, 5, 11), (3, 7.0, 11), (3, 7, 11.0), (3, 7, True)):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            ContourSpec("imaginary_axis", d, n, samples=samples)
+    spec = ContourSpec("imaginary_axis", np.int64(3), np.int64(7), samples=np.int64(301))
+    assert type(spec.d) is int and type(spec.samples) is int
+    assert rouche_margin(spec) == rouche_margin(ContourSpec("imaginary_axis", 3, 7, samples=301))
 
 
 def test_check_d4_sum_bound():

@@ -1,8 +1,12 @@
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 import hsroots.campaign
 from hsroots.campaign import (
     CampaignConfig,
+    CampaignRow,
     run_campaign,
 )
 from hsroots.errors import InvalidParams
@@ -40,6 +44,20 @@ def test_config_validation():
         CampaignConfig(d_min=1, d_max=2, n_rule="range")
     with pytest.raises(InvalidParams):
         CampaignConfig(d_min=0, d_max=3)
+    # the grid bounds follow the integer rule of HypersimplexParams
+    for bad in (
+        dict(d_min=4.5, d_max=5),
+        dict(d_min=True, d_max=True),
+        dict(d_min=3, d_max=3, n_rule="range", n_min=4.0, n_max=5),
+        dict(d_min=3, d_max=3, n_rule="range", n_min=4, n_max=True),
+    ):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            CampaignConfig(**bad)
+    config = CampaignConfig(
+        d_min=np.int64(3), d_max=np.int64(3), n_rule="range", n_min=np.int64(4), n_max=5
+    )
+    assert type(config.d_min) is int and type(config.n_min) is int
+    assert config.pairs() == ((3, 4), (3, 5))
 
 
 def test_config_rejects_empty_grid():
@@ -62,6 +80,8 @@ def test_report_rows_sorted_and_consistent(tmp_path):
         assert row.converged
         assert -row.n / row.d < row.re_min <= row.re_max < 0
         assert row.degree == row.n - 1
+    with pytest.raises(TypeError):  # the degree is derived from n, never given
+        CampaignRow(**{**asdict(report.rows[0]), "degree": 3})
     roots_lines = (tmp_path / "out" / "roots.csv").read_text().strip().splitlines()
     assert len(roots_lines) - 1 == sum(r.degree for r in report.rows)
 

@@ -223,16 +223,20 @@ def test_bounds_rouche_horizontal_edges_ignore_the_sign_of_lambda(capsys):
 
 
 def test_bounds_rouche_non_finite_values_exit_2(capsys):
-    base = ("bounds", "rouche", "--d", "3", "--n", "7", "--edge")
-    for extra in (
-        ("imaginary", "--lambda", "nan"),
-        ("imaginary", "--lambda", "inf"),
-        ("left", "--beta-max", "inf"),
-        ("top", "--lambda", "nan"),
+    base = ("bounds", "rouche", "--edge")
+    for extra, reason in (
+        (("imaginary", "--d", "3", "--n", "7", "--lambda", "nan"), "finite"),
+        (("imaginary", "--d", "3", "--n", "7", "--lambda", "inf"), "finite"),
+        (("left", "--d", "3", "--n", "7", "--beta-max", "inf"), "finite"),
+        (("top", "--d", "3", "--n", "7", "--lambda", "nan"), "finite"),
+        (("imaginary", "--d", "0", "--n", "5"), "1 <= d < n"),
+        (("left", "--d", "0", "--n", "5"), "1 <= d < n"),
+        (("imaginary", "--d", "6", "--n", "3"), "1 <= d < n"),
     ):
         code, out, err = run(capsys, *base, *extra)
         assert code == 2, extra
-        assert "finite" in err and "PASS" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1, extra
+        assert reason in err and "PASS" not in out
 
 
 def test_bounds_rouche_overflow_fails(capsys):

@@ -54,6 +54,21 @@ def test_term_polynomial_simplex():
     assert poly == RationalPolynomial([1, Fraction(3, 2), Fraction(1, 2)])
 
 
+def test_rational_polynomial_is_a_frozen_value():
+    poly = RationalPolynomial([1, 2])
+    with pytest.raises(AttributeError):
+        poly.coeffs = (Fraction(3),)
+    assert poly.coeffs == (Fraction(1), Fraction(2))
+    # normalised on construction: Fractions, trailing zeros stripped
+    same = RationalPolynomial([Fraction(1), 2, 0])
+    assert poly == same and hash(poly) == hash(same)
+    assert poly != poly.coeffs
+    assert repr(RationalPolynomial([1, Fraction(-3, 2), 0, 2])) == (
+        "RationalPolynomial(1 + -3/2*m^1 + 2*m^3)"
+    )
+    assert repr(RationalPolynomial([0, 0])) == "RationalPolynomial(0)"
+
+
 def test_term_polynomial_vanishes_at_zero_for_positive_s():
     poly = term_polynomial(HypersimplexParams(3, 6), 1)
     assert poly.evaluate(0) == 0

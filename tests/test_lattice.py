@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
@@ -85,6 +86,13 @@ def test_query_validation():
         CountQuery(4, 4, 1)
     with pytest.raises(InvalidParams):
         CountQuery(1, 3, -1)
+    # d, n and m follow the integer rule of HypersimplexParams
+    for d, n, m in ((True, 3, 1), (2, 5.5, 2), (2.0, 5, 2), (2, 5, 1.0), (2, 5, False)):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            CountQuery(d, n, m)
+    query = CountQuery(np.int64(2), np.int64(5), np.int32(2))
+    assert type(query.d) is int and type(query.m) is int
+    assert count_points(query) == count_points(CountQuery(2, 5, 2))
 
 
 def test_strict_zero_and_one_dilations_empty():

@@ -18,6 +18,8 @@ from hsroots.stability import (
     reflect_polynomial,
     routh_hurwitz,
     shift_polynomial,
+    StabilityVerdict,
+    StripVerdict,
     verify_half_plane,
     verify_strip,
 )
@@ -504,3 +506,15 @@ def test_float_proven_disks_are_exactly_proven(d, n):
     left, right = float_proven(params, roots)
     assert left and right
     assert_float_pass_sound(params, roots)
+
+
+def test_strip_verdict_overall_is_derived_from_its_sides():
+    params = HypersimplexParams(3, 7)
+    verdict = verify_strip(params, find_roots(params).roots)
+    assert verdict.overall is True
+    assert verdict.left_ok.is_stable and verdict.right_ok.is_stable
+    unstable = StabilityVerdict("Unstable")
+    assert not StripVerdict(verdict.left_ok, unstable).overall
+    assert not StripVerdict(unstable, verdict.right_ok).overall
+    with pytest.raises(TypeError):
+        StripVerdict(verdict.left_ok, verdict.right_ok, overall=False)

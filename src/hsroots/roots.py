@@ -6,16 +6,17 @@ accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
 coefficients would overflow doubles.  One factor loop, `_term_products`,
 builds the terms for a whole array of points at once, each point with the
-same bits alone as in any batch.  `_eval_vec` aligns all d terms and their
-derivatives to one exponent, the largest term exponent of the point, and
-sums them row after row, for the solver, the residual certificates, the
-real-axis snap and the single-point functions, which read one point of its
-output: `evaluate_scaled` as a plain (mantissa, exponent) pair,
-`log_derivative` and `residual`.  `bounds` takes its modulus ratios from
-the same loop, asking only for the rows it compares and for values without
-derivatives.  In its error mode the loop also carries a rigorous bound on
-each term's rounding error, from which `_value_bounds` bounds |p(z)| from
-above; with `_distance_product_lower` it gives the float pass of
+same bits alone as in any batch.  `_aligned_terms` runs it on the
+min(d, n - d) terms and aligns them to one exponent, the largest term
+exponent of the point; `_eval_vec` sums them and their derivatives row
+after row, for the solver, the residual certificates, the real-axis snap
+and the single-point functions, which read one point of its output:
+`evaluate_scaled` as a plain (mantissa, exponent) pair, `log_derivative`
+and `residual`.  `bounds` takes its modulus ratios from the same loop,
+asking only for the rows it compares and for values without derivatives.
+In its error mode the loop also carries a rigorous bound on each term's
+rounding error, from which `_value_bounds` bounds |p(z)| from above; with
+`_distance_product_lower` it gives the float pass of
 `stability.verify_strip` its only two float bounds.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
@@ -23,10 +24,10 @@ seed-rotated ellipse around the centroid of the roots, which all lie close
 to it: Aberth's (1973) circle, stretched along the real axis to the roots'
 exact second moment where that is positive (see `_initial_points`); each
 sweep evaluates only the roots still moving.
-The evaluator also returns the summed moduli of the alternating-sum terms,
-which bound its rounding error.  Near n = 2d the sum cancels below that
-noise floor; a root whose value sinks into the noise leaves the double
-sweep, and the iterates are then refined by further sweeps whose Newton
+The evaluator also returns a noise floor from the summed moduli of the
+alternating-sum terms, which bound its rounding error.  Near n = 2d the
+sum cancels below that floor; a root whose value sinks into the noise
+leaves the double sweep, and the iterates are then refined by further sweeps whose Newton
 ratios come from fixed-point p and p' on the exact integer coefficients,
 each from `_gaussian_horner`, the one Gaussian-integer Horner loop, which
 the exact disks of `stability` run too.  Only each ratio is rounded to
@@ -268,48 +269,49 @@ def _term_products(d: int, n: int, z: np.ndarray, rows=None, mode: str = "deriva
     return prod, (mu if error else prod_d), exps
 
 
-def _binomial_rows(d: int, n: int):
-    """Double mantissas cm and exponents ce of C(n, s), s < d, as (d, 1)
-    columns, and the mantissas with the alternating sign."""
+def _aligned_terms(d: int, n: int, z: np.ndarray, mode: str):
+    """The rows of the alternating sum at z, aligned to one exponent per point.
+
+    x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n), so both have
+    the same polynomial; the sum runs over the fewer terms, rows =
+    min(d, n - d), chosen here and nowhere else.  prod and second come from
+    `_term_products` in `mode`; cm holds the double mantissas of C(n, s),
+    s < rows, as a (rows, 1) column, and signed the same with the
+    alternating sign.  acc_e is the largest term exponent of each point,
+    shift the row shifts down to it, and scale the powers of two that apply
+    them.  Returns (rows, prod, second, cm, signed, acc_e, shift, scale).
+    """
+    rows = min(d, n - d)
+    prod, second, exps = _term_products(rows, n, z, mode=mode)
     cm, ce = (
         np.array(column)[:, None]
-        for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(d)))
+        for column in zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(rows)))
     )
-    return cm, ce, np.where(np.arange(d)[:, None] % 2, -cm, cm)
-
-
-def _alignment(term_exps: np.ndarray):
-    """One exponent for the sum, the largest term exponent of each point,
-    the row shifts down to it, and the powers of two that apply them."""
+    signed = np.where(np.arange(rows)[:, None] % 2, -cm, cm)
+    term_exps = exps + ce
     acc_e = term_exps.max(axis=0)
     shift = term_exps - acc_e
-    return acc_e, shift, np.ldexp(1.0, np.maximum(shift, -1074).astype(np.int32))
+    scale = np.ldexp(1.0, np.maximum(shift, -1074).astype(np.int32))
+    return rows, prod, second, cm, signed, acc_e, shift, scale
 
 
 def _eval_vec(d: int, n: int, z: np.ndarray):
     """Vectorized product-form evaluation with shared power-of-two exponents.
 
     Returns mantissas (S, Sp), the per-point exponent E so that
-    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the
-    magnitude A = sum_s C(n, s) |term_s| * 2**-E of the alternating sum's
-    terms (from `_term_products`), which scales the rounding error of S.
-    x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n), so both have
-    the same polynomial; the sum runs over the fewer terms, min(d, n - d).
+    (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the noise
+    floor 4 (n + rows) 2**-53 A of S, with A = sum_s C(n, s) |term_s| * 2**-E
+    over the rows of `_aligned_terms`: each term carries about n roundings
+    and the sum rows more, so |S| <= floor means S may be all noise.
     """
-    d = min(d, n - d)
-    prod, prod_d, exps = _term_products(d, n, z)
+    rows, prod, prod_d, cm, signed, acc_e, _, scale = _aligned_terms(d, n, z, "derivative")
     # the binomial mantissas are real, so multiplying them in one broadcast
-    # rounds as multiplying row by row does
-    cm, ce, signed = _binomial_rows(d, n)
-    terms, terms_d, term_exps = prod * signed, prod_d * signed, exps + ce
-    # one exponent for the sum: every row is aligned to the largest term
-    # exponent, and the rows are summed one after another, so that a point's
-    # sums are batch-independent
-    acc_e, _, scale = _alignment(term_exps)
-    acc = np.cumsum(terms * scale, axis=0)[-1]
-    acc_d = np.cumsum(terms_d * scale, axis=0)[-1]
+    # rounds as multiplying row by row does; the rows are summed one after
+    # another, so that a point's sums are batch-independent
+    acc = np.cumsum(prod * signed * scale, axis=0)[-1]
+    acc_d = np.cumsum(prod_d * signed * scale, axis=0)[-1]
     magnitude = np.cumsum(np.abs(prod) * cm * scale, axis=0)[-1]
-    return acc, acc_d, acc_e, magnitude
+    return acc, acc_d, acc_e, 4 * (n + rows) * 2.0**-53 * magnitude
 
 
 def _gamma(k: int) -> float:
@@ -323,9 +325,10 @@ def _value_bounds(d: int, n: int, z: np.ndarray):
     Returns (B, E) with (n-1)! |p(z)| <= B * 2**E at each point z (taken
     exactly as the double it is), or B non-finite where nothing is bounded.
     The value is `_eval_vec`'s sum S, built by the same operations from
-    `_term_products` in its error mode, and B = c (|S|_1 + err), where
+    `_aligned_terms` in its error mode, and B = c (|S|_1 + err), where
     |x|_1 = |Re x| + |Im x| >= |x| (no hypot is needed) and err adds up a
-    bound on every rounding, with u = 2**-53:
+    bound on every rounding, with u = 2**-53 and d the row count
+    min(d, n - d) that `_aligned_terms` returns:
 
     1. each factor f = (d-s)z + (k-s) is computed as
        f^ = fl(fl((d-s) z) + (k-s)), so |f^ - f| <= e_k =
@@ -355,11 +358,8 @@ def _value_bounds(d: int, n: int, z: np.ndarray):
        rounds low by less than a factor (1 - u)**K; the final safety factor
        c = 1 + 2 gamma_K makes up for that.
     """
-    d = min(d, n - d)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        prod, mu, exps = _term_products(d, n, z, mode="error")
-        cm, ce, signed = _binomial_rows(d, n)
-        acc_e, shift, scale = _alignment(exps + ce)
+        d, prod, mu, cm, signed, acc_e, shift, scale = _aligned_terms(d, n, z, "error")
         rows = prod * signed * scale
         acc = np.cumsum(rows, axis=0)[-1]
         p_mod = (np.abs(prod.real) + np.abs(prod.imag)) * cm
@@ -514,15 +514,11 @@ def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int) -> Tuple[int,
 
 
 def _double_ratios(d: int, n: int, points: np.ndarray):
-    """Newton ratios from `_eval_vec`, and where |S| is within its rounding noise.
-
-    Each term of the alternating sum carries about n roundings and the sum
-    d more, so |S| <= 4 (n + d) 2**-53 A means S may be all noise.
-    """
-    S, Sp, _, A = _eval_vec(d, n, points)
+    """Newton ratios from `_eval_vec`, and where |S| is at most its noise floor."""
+    S, Sp, _, floor = _eval_vec(d, n, points)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = S / Sp  # shared exponent cancels in p/p'
-    return w, np.abs(S) <= 4 * (n + d) * 2.0**-53 * A
+    return w, np.abs(S) <= floor
 
 
 def _half_degree_factor(params: HypersimplexParams) -> list:
@@ -641,7 +637,7 @@ def find_roots(
     and `extended_bits` is None.  Only that input property selects the path.
     """
     config = config or SolverConfig()
-    d, n = min(params.d, params.n - params.d), params.n  # the rows `_eval_vec` sums
+    d, n = params.d, params.n
     degree = n - 1
     tol = config.resolved_tolerance(degree)
     coeff_logs = _coefficient_logs(params)

@@ -23,6 +23,7 @@ from hsroots.bounds import (
     ratio_bound,
     rouche_margin,
     _log2_terms,
+    _ratio_falls,
     _ratios,
 )
 from hsroots.errors import (
@@ -124,6 +125,12 @@ def test_check_migi_default_grid():
     assert check_migi(12, 5, 4) is True
 
 
+def test_ratio_falls_fails_on_the_swapped_orders():
+    # migi at (3, 7) holds, so asking order 7 to sit below order 8 must fail
+    assert check_migi(7, 3, 1) is True
+    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, default_beta_grid(7)) is False
+
+
 def test_check_migi_rejects_s_zero():
     with pytest.raises(DomainViolation):
         check_migi(7, 3, 0)
@@ -218,6 +225,8 @@ def test_contour_spec_validation():
         ContourSpec("imaginary_axis", 3, 7, samples=1)
     with pytest.raises(DomainViolation):
         ContourSpec("horizontal_edge", 3, 7, range=(0.0, 5.0))  # beyond n/d
+    with pytest.raises(DomainViolation, match="horizontal edge needs lam != 0"):
+        ContourSpec("horizontal_edge", 3, 7, lam=0.0)
     # d, n and samples follow the rule of HypersimplexParams: integers, 1 <= d < n
     for d, n in ((0, 5), (6, 3), (4, 4)):
         for kind in ("imaginary_axis", "left_edge", "horizontal_edge"):

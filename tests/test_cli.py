@@ -9,11 +9,13 @@ import numpy as np
 
 import hsroots
 import hsroots.campaign
+import hsroots.cli
 import hsroots.stability
 from hsroots.campaign import CampaignConfig, run_campaign
 from hsroots.cli import _campaign_config, build_parser, main
 from hsroots.ehrhart import HypersimplexParams
 from hsroots.roots import SolverConfig, find_roots
+from hsroots.stability import BOUNDARY, STABLE, UNSTABLE, StabilityVerdict, StripVerdict
 
 
 def run(capsys, *argv):
@@ -160,6 +162,20 @@ def test_verify_tall_pair_certified_by_the_disks(capsys, monkeypatch):
     assert out.strip() == "CERTIFIED"
 
 
+def test_verify_reports_each_failed_side(capsys, monkeypatch):
+    # every real pair certifies, so the failure lines run only on made-up verdicts
+    stable = StabilityVerdict(STABLE)
+    for left, right, expected in (
+        (stable, StabilityVerdict(BOUNDARY), "BOUNDARY"),
+        (StabilityVerdict(UNSTABLE), stable, "FAILED(left)"),
+        (stable, StabilityVerdict(UNSTABLE), "FAILED(right)"),
+    ):
+        verdict = StripVerdict(left, right)
+        monkeypatch.setattr(hsroots.cli, "verify_strip", lambda params, roots: verdict)
+        code, out, _ = run(capsys, "verify", "--d", "3", "--n", "6")
+        assert (code, out.strip()) == (3, expected)
+
+
 def test_verify_out_of_domain_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--d", "3", "--n", "5")
     assert code == 2
@@ -229,6 +245,7 @@ def test_bounds_rouche_non_finite_values_exit_2(capsys):
         (("imaginary", "--d", "3", "--n", "7", "--lambda", "inf"), "finite"),
         (("left", "--d", "3", "--n", "7", "--beta-max", "inf"), "finite"),
         (("top", "--d", "3", "--n", "7", "--lambda", "nan"), "finite"),
+        (("top", "--d", "3", "--n", "7", "--lambda", "0"), "horizontal edge needs lam != 0"),
         (("imaginary", "--d", "0", "--n", "5"), "1 <= d < n"),
         (("left", "--d", "0", "--n", "5"), "1 <= d < n"),
         (("imaginary", "--d", "6", "--n", "3"), "1 <= d < n"),

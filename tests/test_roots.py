@@ -21,6 +21,7 @@ from hsroots.roots import (
     _int_mantissa_exponent,
     _log2_fraction,
     _to_fixed,
+    _value_bounds,
     evaluate_scaled,
     find_roots,
     log_derivative,
@@ -250,9 +251,16 @@ def test_rootset_max_residual():
     assert rs.extended_bits is None and rs.extended_sweeps == 0
 
 
+def noise_scale(d, n):
+    """The factor 4 (n + d) 2**-53 that `_eval_vec` puts on the summed term
+    moduli A to make its noise floor, for d <= n / 2."""
+    return 4 * (n + d) * 2.0**-53
+
+
 def loop_eval(d, n, z):
     """The evaluator with one pass over the points per alternating-sum term:
-    the same float operations as `_eval_vec`, in the same order."""
+    the same float operations as `_eval_vec`, in the same order, for
+    d <= n / 2."""
     acc = acc_d = acc_e = None
     terms = []
     for s in range(d):
@@ -289,7 +297,7 @@ def loop_eval(d, n, z):
     magnitude = 0.0
     for mag, e in terms:
         magnitude = magnitude + np.ldexp(mag, np.maximum(e - acc_e, -1100).astype(np.int32))
-    return acc, acc_d, acc_e, magnitude
+    return acc, acc_d, acc_e, noise_scale(d, n) * magnitude
 
 
 def mixed_points(d, n):
@@ -332,20 +340,21 @@ def test_residual_matches_find_roots_bitwise(d, n):
 
 
 def test_eval_vec_noise_magnitude():
-    # A sums the moduli of the terms whose signed sum is S, so |S| <= A up to
-    # rounding, with equality when there is a single term
-    S, _, _, A = _eval_vec(22, 44, mixed_points(22, 44))
-    assert (np.abs(S) <= A * (1 + 1e-12)).all()
-    S, _, _, A = _eval_vec(1, 5, np.array([2.0 + 1j]))
-    assert A[0] == abs(S[0])
+    # the floor is 4 (n + d) 2**-53 A, where A sums the moduli of the terms
+    # whose signed sum is S, so |S| <= A up to rounding, with equality when
+    # there is a single term
+    S, _, _, floor = _eval_vec(22, 44, mixed_points(22, 44))
+    assert (np.abs(S) * noise_scale(22, 44) <= floor * (1 + 1e-12)).all()
+    S, _, _, floor = _eval_vec(1, 5, np.array([2.0 + 1j]))
+    assert floor[0] == noise_scale(1, 5) * abs(S[0])
     # exact sum of the term moduli at a real point
     d, n, z = 3, 6, 1
     exact = sum(
         math.comb(n, s) * abs(math.prod((d - s) * z + k - s for k in range(1, n)))
         for s in range(d)
     )
-    _, _, E, A = _eval_vec(d, n, np.array([complex(z)]))
-    assert math.ldexp(A[0], int(E[0])) == pytest.approx(exact, rel=1e-14)
+    _, _, E, floor = _eval_vec(d, n, np.array([complex(z)]))
+    assert math.ldexp(floor[0], int(E[0])) == pytest.approx(noise_scale(d, n) * exact, rel=1e-14)
 
 
 @pytest.mark.parametrize("d,n", [(16, 32), (22, 44)])
@@ -627,17 +636,24 @@ def test_sweep_counts_stay_under_their_ceilings():
         assert sum(rs.iterations for rs in runs) <= ceiling
 
 
-@pytest.mark.parametrize("d,n,rows", [(10, 11, 1), (30, 40, 10)])
+@pytest.mark.parametrize("d,n,rows", [(10, 11, 1), (30, 40, 10), (19, 31, 12), (24, 39, 15)])
 def test_find_roots_above_half_uses_the_complement(d, n, rows):
     # x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n): one polynomial,
-    # which the solver sums over the fewer terms
+    # which the solver sums over the fewer terms, noise floor and float disk
+    # bounds included; a floor taken with the raw d changes the roots at
+    # (19, 31) at seed 3 and (24, 39) at seed 0
     params, fewer = HypersimplexParams(d, n), HypersimplexParams(rows, n)
     assert ehrhart_polynomial(params).coeffs == ehrhart_polynomial(fewer).coeffs
-    rs = find_roots(params)
-    assert rs.converged
-    assert rs.roots == find_roots(fewer).roots
-    for root in rs.roots:
-        assert residual(params, root) == residual(fewer, root)
+    for seed in (0, 3):
+        config = SolverConfig(seed=seed)
+        rs = find_roots(params, config)
+        assert rs.converged
+        assert repr(rs) == repr(find_roots(fewer, config))
+        for root in rs.roots:
+            assert residual(params, root) == residual(fewer, root)
+        z = np.array(rs.roots)
+        for points in (z, z + 1e-6j):
+            assert as_bytes(_value_bounds(d, n, points)) == as_bytes(_value_bounds(rows, n, points))
 
 
 def test_find_roots_degree_299_stays_in_doubles():

@@ -41,10 +41,10 @@ _KINDS = (IMAGINARY_AXIS, LEFT_EDGE, HORIZONTAL_EDGE)
 
 
 def _validate_indices(n: int, d: int, s: int, smallest: int = 0):
-    if not (smallest <= s <= d - 1 < n):
-        raise DomainViolation(
-            f"need {smallest} <= s <= d-1 < n, got (n={n}, d={d}, s={s})"
-        )
+    if not 1 <= d < n:
+        raise InvalidParams(f"need 1 <= d < n, got (d={d}, n={n})")
+    if not smallest <= s <= d - 1:
+        raise DomainViolation(f"need {smallest} <= s <= d-1, got (n={n}, d={d}, s={s})")
 
 
 def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
@@ -137,9 +137,9 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
     """
+    _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
-    _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
         beta_samples = default_beta_grid(n)
     heights = -np.asarray(beta_samples, dtype=float)

@@ -2,9 +2,16 @@
 
 The hypersimplex with parameters (d, n) is the convex hull of all 0/1
 vectors in R^n with exactly d ones.  Its lattice-point counting polynomial
-is an alternating sum of d binomial-coefficient terms; each term expands
-into a product of n-1 linear factors divided by (n-1)!.  Everything here is
-computed in exact big-integer / rational arithmetic.
+is the alternating sum over s = 0..d-1 of C(n, s) C((d-s)m + n-1-s, n-1),
+and term s is C(n, s) r_s((d-s)m) / (n-1)! for the one family
+
+    r_s(x) = prod_{j=1-s}^{n-1-s} (x + j),
+    r_s = r_{s-1} (x + 1 - s) / (x + n - s).
+
+r_0 is the rising factorial (x + 1)...(x + n - 1), built in O(n^2)
+big-integer operations; each next r_s costs one exact synthetic division
+and one multiply by a linear factor, O(n) each, so p takes O(n^2 + dn).
+Everything here is computed in exact big-integer / rational arithmetic.
 """
 
 import math
@@ -12,8 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
-from .errors import ConjectureDomain, InvalidParams, InvalidTermIndex
+from .errors import ConjectureDomain, InvalidParams, InvalidTermIndex, StructureViolation
 from .polynomial import RationalPolynomial
 
 
@@ -71,13 +79,50 @@ def binomial(a: int, k: int) -> int:
     return (-1) ** k * math.comb(k - a - 1, k)
 
 
-def _expand_term_integer(d: int, n: int, s: int) -> list:
-    """Integer coefficients of C(n,s) * prod_{k=1}^{n-1} ((d-s)m + k - s)."""
-    slope = d - s
-    coeffs = [math.comb(n, s)]
-    for shift in range(1 - s, n - s):
-        coeffs = [a * shift + b * slope for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+def _times_linear(coeffs: list, c: int) -> list:
+    """Coefficients (lowest first) of coeffs(x) * (x + c)."""
+    return [a * c + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _divide_linear(coeffs: list, c: int) -> list:
+    """Exact quotient of coeffs(x) by (x + c), by synthetic division.
+
+    Raises StructureViolation unless (x + c) divides coeffs(x).
+    """
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for j in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[j] - c * carry
+        quotient[j - 1] = carry
+    if coeffs[0] != c * carry:
+        raise StructureViolation(
+            f"x + {c} does not divide a polynomial of degree {len(coeffs) - 1}"
+        )
+    return quotient
+
+
+def _shifted_rising(n: int, count: int):
+    """Yield r_s(x) = prod_{j=1-s}^{n-1-s} (x + j) for s = 0..count-1 as
+    integer coefficients, lowest first; count <= n."""
+    r = [1]
+    for j in range(1, n):
+        r = _times_linear(r, j)
+    yield r
+    for s in range(1, count):
+        r = _times_linear(_divide_linear(r, n - s), 1 - s)
+        yield r
+
+
+def _add_term(total: list, r: list, weight: int, slope: int):
+    """total[j] += weight * slope^j * r[j]: adds weight * r(slope * m)."""
+    for j, c in enumerate(r):
+        total[j] += weight * c
+        weight *= slope
+
+
+def _over_factorial(ints: list, n: int) -> RationalPolynomial:
+    fact = math.factorial(n - 1)
+    return RationalPolynomial([Fraction(c, fact) for c in ints])
 
 
 def term_polynomial(params: HypersimplexParams, s: int) -> RationalPolynomial:
@@ -89,21 +134,18 @@ def term_polynomial(params: HypersimplexParams, s: int) -> RationalPolynomial:
     d, n = params.d, params.n
     if not 0 <= s <= d - 1:
         raise InvalidTermIndex(f"need 0 <= s <= d-1 = {d - 1}, got s={s}")
-    ints = _expand_term_integer(d, n, s)
-    fact = math.factorial(n - 1)
-    return RationalPolynomial([Fraction(c, fact) for c in ints])
+    r = next(islice(_shifted_rising(n, s + 1), s, None))
+    total = [0] * n
+    _add_term(total, r, math.comb(n, s), d - s)
+    return _over_factorial(total, n)
 
 
 @lru_cache(maxsize=None)
 def _ehrhart_cached(d: int, n: int) -> RationalPolynomial:
     total = [0] * n
-    for s in range(d):
-        term = _expand_term_integer(d, n, s)
-        sign = -1 if s % 2 else 1
-        for i, c in enumerate(term):
-            total[i] += sign * c
-    fact = math.factorial(n - 1)
-    return RationalPolynomial([Fraction(c, fact) for c in total])
+    for s, r in enumerate(_shifted_rising(n, d)):
+        _add_term(total, r, (-1) ** s * math.comb(n, s), d - s)
+    return _over_factorial(total, n)
 
 
 def ehrhart_polynomial(params: HypersimplexParams) -> RationalPolynomial:

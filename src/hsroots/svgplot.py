@@ -6,6 +6,7 @@ generated markup is deterministic for identical input data.
 """
 
 import csv
+import math
 from pathlib import Path
 
 from .errors import InvalidParams
@@ -90,7 +91,8 @@ def emit_svg(points, out_path, d=None, n_max=None):
 
 def write_group_svgs(roots_csv, out_dir):
     """One SVG per d from a roots CSV (schema d,n,root_index,re,im,residual);
-    InvalidParams on a row that lacks a column or a value that does not parse."""
+    InvalidParams on a row that lacks a column, has a value that does not
+    parse, a pair outside 1 <= d < n, or a non-finite re or im."""
     groups = {}
     n_max = {}
     with open(roots_csv, newline="") as handle:
@@ -104,6 +106,11 @@ def write_group_svgs(roots_csv, out_dir):
                     f"{roots_csv}, line {reader.line_num}: "
                     f"need integers d, n and numbers re, im ({exc!r})"
                 ) from None
+            if not (1 <= d < n and all(map(math.isfinite, point))):
+                raise InvalidParams(
+                    f"{roots_csv}, line {reader.line_num}: need 1 <= d < n and "
+                    f"finite re, im, got d={d}, n={n}, re={point[0]}, im={point[1]}"
+                )
             groups.setdefault(d, []).append(point)
             n_max[d] = max(n_max.get(d, 0), n)
     out_dir = Path(out_dir)

@@ -136,6 +136,22 @@ def test_check_migi_rejects_s_zero():
         check_migi(7, 3, 0)
 
 
+def test_index_checks_require_a_hypersimplex_pair():
+    # (3, 3) satisfies s <= d - 1 < n but is no pair 1 <= d < n
+    for n, d in ((3, 3), (5, 0), (4, 6)):
+        calls = (
+            lambda: phi(n, d, 1, 1j),
+            lambda: f_term_modulus(n, d, 0, 1j),
+            lambda: check_migi(n, d, 1),
+            lambda: check_hidari(n, d, 1),
+            lambda: aida_bound(n, d, 1, math.sqrt(2)),
+            lambda: check_aida(n, d, 1, 0.0, math.sqrt(2)),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParams, match="1 <= d < n"):
+                call()
+
+
 def test_check_hidari_examples():
     assert check_hidari(7, 3, 1) is True
     assert check_hidari(14, 4, 2) is True

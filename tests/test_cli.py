@@ -312,6 +312,18 @@ def test_import_leaves_mpmath_out():
     assert result.stdout == "False\n"
 
 
+def test_bounds_pair_outside_the_domain_exit_2(capsys):
+    for argv in (
+        ("migi", "--d", "3", "--n", "3", "--s", "1"),
+        ("hidari", "--d", "3", "--n", "3", "--s", "1"),
+        ("aida", "--d", "3", "--n", "3", "--s", "1", "--alpha", "0"),
+        ("migi", "--d", "0", "--n", "5", "--s", "1"),
+    ):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert_one_error_line(code, out, err)
+        assert "1 <= d < n" in err, argv
+
+
 def test_bounds_hypothesis_violation_exit_2(capsys):
     code, _, err = run(capsys, "bounds", "hidari", "--d", "3", "--n", "6", "--s", "1")
     assert code == 2
@@ -446,6 +458,28 @@ def test_plot_roots_non_numeric_field_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
     assert_one_error_line(code, out, err)
     assert "line 3" in err
+
+
+def test_plot_roots_pair_outside_the_domain_exit_2(tmp_path, capsys):
+    for d, n in ((0, 4), (4, 4), (-1, 3)):
+        roots = tmp_path / "roots.csv"
+        roots.write_text(
+            f"d,n,root_index,re,im,residual\n1,4,0,-1.0,0.0,0.0\n{d},{n},0,-1.0,0.0,0.0\n"
+        )
+        code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
+        assert_one_error_line(code, out, err)
+        assert "line 3" in err and "1 <= d < n" in err, (d, n)
+    assert not (tmp_path / "figs").exists()
+
+
+def test_plot_roots_non_finite_point_exit_2(tmp_path, capsys):
+    for re, im in (("nan", "0.0"), ("-1.0", "inf"), ("-inf", "nan")):
+        roots = tmp_path / "roots.csv"
+        roots.write_text(f"d,n,root_index,re,im,residual\n1,4,0,{re},{im},0.0\n")
+        code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
+        assert_one_error_line(code, out, err)
+        assert "line 2" in err and "finite" in err, (re, im)
+    assert not (tmp_path / "figs").exists()
 
 
 def test_plot_simplex_points(tmp_path, capsys):

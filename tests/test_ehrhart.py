@@ -6,13 +6,14 @@ import pytest
 
 from hsroots.ehrhart import (
     HypersimplexParams,
+    _divide_linear,
     binomial,
     ehrhart_polynomial,
     evaluate_exact,
     normalized_volume,
     term_polynomial,
 )
-from hsroots.errors import InvalidParams, InvalidTermIndex
+from hsroots.errors import InvalidParams, InvalidTermIndex, StructureViolation
 from hsroots.lattice import CountQuery, count_points
 from hsroots.polynomial import RationalPolynomial
 
@@ -20,6 +21,59 @@ from hsroots.polynomial import RationalPolynomial
 def eulerian_number(n: int, k: int) -> int:
     """Permutations of n letters with k descents, by the explicit alternating sum."""
     return sum((-1) ** i * math.comb(n + 1, i) * (k + 1 - i) ** n for i in range(k + 1))
+
+
+def expand_term_reference(d: int, n: int, s: int) -> list:
+    """Integer coefficients of C(n,s) * prod_{k=1}^{n-1} ((d-s)m + k - s),
+    expanded one linear factor at a time: O(n^2) per term, independent of
+    the recurrence the package uses."""
+    slope = d - s
+    coeffs = [math.comb(n, s)]
+    for shift in range(1 - s, n - s):
+        coeffs = [a * shift + b * slope for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def reference_coeffs(ints: list, n: int) -> tuple:
+    return tuple(Fraction(c, math.factorial(n - 1)) for c in ints)
+
+
+def reference_polynomial(d: int, n: int) -> tuple:
+    total = [0] * n
+    for s in range(d):
+        for j, c in enumerate(expand_term_reference(d, n, s)):
+            total[j] += (-1) ** s * c
+    return reference_coeffs(total, n)
+
+
+def test_build_matches_the_factor_by_factor_expansion():
+    pairs = [(d, n) for n in range(2, 41) for d in range(1, n)]
+    pairs += [(9, n) for n in range(96, 100)] + [(22, 44), (75, 150)]
+    for d, n in pairs:
+        poly = ehrhart_polynomial(HypersimplexParams(d, n))
+        assert poly.coeffs == reference_polynomial(d, n), (d, n)
+
+
+def test_term_polynomial_matches_the_factor_by_factor_expansion():
+    for n in range(2, 21):
+        for d in range(1, n):
+            params = HypersimplexParams(d, n)
+            for s in range(d):
+                expected = reference_coeffs(expand_term_reference(d, n, s), n)
+                assert term_polynomial(params, s).coeffs == expected, (d, n, s)
+
+
+def test_divide_linear_is_exact_or_raises():
+    # (x + 1)(x + 2)(x - 3) = x^3 - 7x - 6
+    cubic = [-6, -7, 0, 1]
+    assert _divide_linear(cubic, 2) == [-3, -2, 1]
+    assert _divide_linear(cubic, -3) == [2, 3, 1]
+    for c in (3, 0, -1, -2):
+        with pytest.raises(StructureViolation):
+            _divide_linear(cubic, c)
+    # a remainder only in the constant term
+    with pytest.raises(StructureViolation):
+        _divide_linear([3, 1], 2)
 
 
 def test_binomial_small_values():

@@ -31,6 +31,7 @@ from .roots import (
     SolverConfig,
     evaluate_scaled,
     find_roots,
+    find_roots_many,
     log_derivative,
     residual,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "evaluate_scaled",
     "f_term_modulus",
     "find_roots",
+    "find_roots_many",
     "in_sublattice",
     "inclusion_strip",
     "log_derivative",

@@ -1,8 +1,11 @@
 """Batch verification over (d, n) grids with CSV artifacts.
 
-Each pair is processed independently, one after another: numeric roots
-with residual certificates, plus the exact strip certificate when
-requested.  The certificate starts from those roots: inclusion disks
+The pairs are solved together, in lockstep (`roots.find_roots_many`):
+each sweep round evaluates p once for all pairs of one row count
+min(d, n - d), and every pair gets the roots and residual certificates
+that `find_roots` gives it alone.  Then each pair in turn gets the exact
+strip certificate when requested.  The certificate starts from those
+roots: inclusion disks
 around them, bounded in floating point with a rigorous error term and
 tested in exact integers where that bound falls short, prove a side of the
 strip, and only a side they cannot prove runs the Routh table
@@ -22,7 +25,7 @@ from typing import Optional, Tuple
 
 from .ehrhart import HypersimplexParams, _integer
 from .errors import HsrootsError, InvalidParams
-from .roots import RootSet, SolverConfig, find_roots
+from .roots import RootSet, SolverConfig, find_roots_many
 from .stability import verify_strip
 
 PAPER_GRID = "paper_grid"
@@ -75,7 +78,12 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignRow:
-    """Per-(d, n) outcome: exact verdict, numeric extrema, timing."""
+    """Per-(d, n) outcome: exact verdict, numeric extrema, timing.
+
+    `millis` is the pair's share of the wall time: its own solver steps,
+    its share of each batched evaluation by the products it took there (see
+    `roots.find_roots_many`), and its certificate.
+    """
 
     d: int
     n: int
@@ -117,26 +125,27 @@ def _format_float(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _solve_pair(d: int, n: int, solver: SolverConfig, certify: bool):
+def _error_line(d: int, n: int, exc: Exception) -> str:
+    if isinstance(exc, (HsrootsError, ValueError)):
+        return f"d={d} n={n}: {exc}"
+    # any other failure is reported with its traceback; the other pairs still flush
+    return f"d={d} n={n}: " + "".join(traceback.format_exception(exc)).rstrip()
+
+
+def _row(params: HypersimplexParams, rootset: RootSet, certify: bool) -> CampaignRow:
     start = time.perf_counter()
-    params = HypersimplexParams(d, n)
-    rootset = find_roots(params, solver)
-    certified = False
-    if certify:
-        certified = verify_strip(params, rootset.roots).overall
-    millis = (time.perf_counter() - start) * 1000.0
-    row = CampaignRow(
-        d=d,
-        n=n,
+    certified = verify_strip(params, rootset.roots).overall if certify else False
+    return CampaignRow(
+        d=params.d,
+        n=params.n,
         certified=certified,
         re_min=min(r.real for r in rootset.roots),
         re_max=max(r.real for r in rootset.roots),
         im_max=max(abs(r.imag) for r in rootset.roots),
         max_residual=rootset.max_residual,
-        millis=millis,
+        millis=(rootset.seconds + time.perf_counter() - start) * 1000.0,
         converged=rootset.converged,
     )
-    return row, rootset
 
 
 def run_campaign(config: CampaignConfig) -> VerificationReport:
@@ -149,15 +158,16 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     out = None if config.output_dir is None else Path(config.output_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-    results = []  # in grid order: `pairs` sorts
+    grid = [HypersimplexParams(d, n) for d, n in config.pairs()]  # in grid order: `pairs` sorts
+    results = []
     errors = []
-    for d, n in config.pairs():
+    for params, outcome in zip(grid, find_roots_many(grid, config.solver)):
         try:
-            results.append(_solve_pair(d, n, config.solver, config.certify))
-        except (HsrootsError, ValueError) as exc:
-            errors.append(f"d={d} n={n}: {exc}")
-        except Exception:  # any other failure is reported; the other pairs still flush
-            errors.append(f"d={d} n={n}: {traceback.format_exc().rstrip()}")
+            if isinstance(outcome, Exception):
+                raise outcome
+            results.append((_row(params, outcome, config.certify), outcome))
+        except Exception as exc:  # any failure in one pair is reported; the others go on
+            errors.append(_error_line(params.d, params.n, exc))
 
     report = VerificationReport(rows=tuple(row for row, _ in results), errors=tuple(errors))
 

@@ -1,16 +1,21 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import hsroots.campaign
+import hsroots.roots
 from hsroots.campaign import (
+    ROOTS_HEADER,
     CampaignConfig,
     CampaignRow,
+    _row,
+    roots_csv_lines,
     run_campaign,
 )
+from hsroots.ehrhart import HypersimplexParams
 from hsroots.errors import InvalidParams
-from hsroots.roots import SolverConfig
+from hsroots.roots import SolverConfig, find_roots, find_roots_many
 
 
 def test_pairs_paper_grid():
@@ -108,14 +113,14 @@ def test_campaign_partial_results_on_error(tmp_path):
 
 
 def test_campaign_survives_unexpected_error(tmp_path, monkeypatch):
-    real_find_roots = hsroots.campaign.find_roots
+    real_initial_points = hsroots.roots._initial_points
 
-    def flaky(params, solver):
+    def flaky(params, seed):
         if (params.d, params.n) == (2, 5):
             raise RuntimeError("solver exploded")
-        return real_find_roots(params, solver)
+        return real_initial_points(params, seed)
 
-    monkeypatch.setattr(hsroots.campaign, "find_roots", flaky)
+    monkeypatch.setattr(hsroots.roots, "_initial_points", flaky)
     config = CampaignConfig(d_min=2, d_max=2, certify=False, output_dir=tmp_path / "out")
     report = run_campaign(config)
     assert len(report.errors) == 1
@@ -127,6 +132,98 @@ def test_campaign_survives_unexpected_error(tmp_path, monkeypatch):
     assert [tuple(map(int, line.split(",")[:2])) for line in report_lines[1:]] == kept
     roots_lines = (tmp_path / "out" / "roots.csv").read_text().splitlines()
     assert len(roots_lines) - 1 == sum(n - 1 for _, n in kept)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_campaign_solves_each_pair_as_find_roots_does(tmp_path, monkeypatch, seed):
+    # the lockstep rounds evaluate all pairs of one row count together, at
+    # mixed n (rows 14: (14, 29..31) and (15, 29)); each pair still gets the
+    # RootSet it gets alone, through d > n/2, the diagonal and the refinement,
+    # also where a round's calls are split at a few points each
+    config = CampaignConfig(
+        d_min=14, d_max=15, n_rule="range", n_min=27, n_max=31, certify=False,
+        solver=SolverConfig(seed=seed), output_dir=tmp_path,
+    )
+    grid = [HypersimplexParams(d, n) for d, n in config.pairs()]
+    alone = [find_roots(params, config.solver) for params in grid]
+    assert any(2 * p.d > p.n for p in grid) and any(2 * p.d == p.n for p in grid)
+    assert alone[grid.index(HypersimplexParams(15, 31))].extended_bits is not None
+    assert list(map(repr, find_roots_many(grid, config.solver))) == list(map(repr, alone))
+    with monkeypatch.context() as patch:
+        patch.setattr(hsroots.roots, "_BATCH_ENTRIES", 100)
+        assert list(map(repr, find_roots_many(grid, config.solver))) == list(map(repr, alone))
+
+    report = run_campaign(config)
+    expected = [_row(params, rs, False) for params, rs in zip(grid, alone)]
+    assert [repr(replace(row, millis=0.0)) for row in report.rows] == [
+        repr(replace(row, millis=0.0)) for row in expected
+    ]
+    lines = [ROOTS_HEADER]
+    for params, rs in zip(grid, alone):
+        lines.extend(roots_csv_lines(params.d, params.n, rs))
+    assert (tmp_path / "roots.csv").read_text() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("step", ["_finish", "_eval_vec"])
+def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch, step):
+    # (4, 9) fails in its own last step, or in the evaluator call it shares
+    # with the other pairs of row count 4 (which then run one by one)
+    base = dict(d_min=4, d_max=4, certify=True)
+    run_campaign(CampaignConfig(**base, output_dir=tmp_path / "all"))
+    real_step, real_eval_vec = getattr(hsroots.roots, step), hsroots.roots._eval_vec
+    evaluations, failed_at = [], []
+
+    def counted(*args):
+        evaluations.append(args)
+        return real_eval_vec(*args)
+
+    def fails(*args):
+        if step == "_finish":
+            return args[0].n == 9
+        _, n, z = args  # from the first sweep of (4, 9) on, past its start point
+        return np.count_nonzero(np.broadcast_to(n, z.shape) == 9) > 1
+
+    def flaky(*args):
+        if fails(*args):
+            failed_at.append(len(evaluations))
+            raise RuntimeError("step exploded")
+        return (counted if step == "_eval_vec" else real_step)(*args)
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
+    monkeypatch.setattr(hsroots.roots, step, flaky)
+    report = run_campaign(CampaignConfig(**base, output_dir=tmp_path / "one_failed"))
+    # it failed while other pairs still had rounds to go
+    assert 0 < failed_at[0] < len(evaluations)
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith("d=4 n=9: ")
+    assert "RuntimeError: step exploded" in report.errors[0]
+    for name in ("report.csv", "roots.csv"):
+        everything = (tmp_path / "all" / name).read_text().splitlines()
+        kept = [line for line in everything if not line.startswith("4,9,")]
+        assert len(kept) < len(everything)
+        assert (tmp_path / "one_failed" / name).read_text().splitlines() == kept
+
+
+def test_campaign_evaluates_each_row_count_once_per_round(monkeypatch):
+    # a round makes one product-form evaluation per row count for the start
+    # points, a sweep, the certificates or the snap candidates of all pairs;
+    # solved one pair after another, this grid took 486 evaluations
+    config = CampaignConfig(d_min=4, d_max=5, certify=False)
+    off_diagonal = [HypersimplexParams(d, n) for d, n in config.pairs() if n != 2 * d]
+    solved = find_roots_many(off_diagonal, config.solver)
+    assert all(rs.extended_bits is None for rs in solved)
+    sweeps = max(rs.iterations for rs in solved)
+    row_counts = {min(p.d, p.n - p.d) for p in off_diagonal}
+    calls = []
+    real = hsroots.roots._term_products
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hsroots.roots, "_term_products", counted)
+    run_campaign(config)
+    assert len(calls) <= (sweeps + 4) * len(row_counts)
 
 
 def test_numeric_pass_property(tmp_path):

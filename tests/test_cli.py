@@ -431,7 +431,7 @@ def test_unusable_paths_exit_2(tmp_path, capsys, monkeypatch):
     existing_file = tmp_path / "taken"
     existing_file.write_text("")
     solved = []
-    monkeypatch.setattr(hsroots.campaign, "find_roots", lambda *a: solved.append(a))
+    monkeypatch.setattr(hsroots.campaign, "find_roots_many", lambda *a: solved.append(a))
     for argv in (
         ["plot", "--roots", str(tmp_path), "--out", str(tmp_path / "figs")],
         ["roots", "--d", "2", "--n", "5", "--out", str(tmp_path)],

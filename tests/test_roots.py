@@ -245,6 +245,17 @@ def test_solver_config_takes_integers_only():
     assert config == SolverConfig(max_iterations=50, seed=3)
 
 
+def test_solver_config_takes_real_tolerances_only():
+    # True used to pass as tolerance 1, and "1e-9" to raise a bare TypeError
+    for value in (True, False, "1e-9", 1e-9j, [1e-9]):
+        with pytest.raises(InvalidParams, match="tolerance must be a real number"):
+            SolverConfig(tolerance=value)
+    for value in (np.float64(1e-9), np.float32(0.5), Fraction(1, 2**30), 1):
+        config = SolverConfig(tolerance=value)
+        assert type(config.tolerance) is float and config.tolerance == float(value)
+        assert config.resolved_tolerance(10) == float(value)
+
+
 def test_rootset_max_residual():
     rs = RootSet(roots=(1j,), residuals=(1e-12,), iterations=3, converged=True)
     assert rs.max_residual == 1e-12
@@ -317,17 +328,45 @@ def test_eval_vec_matches_loop_reference(d, n):
     assert as_bytes(_eval_vec(d, n, z)) == as_bytes(loop_eval(d, n, z))
 
 
-@pytest.mark.parametrize("d,n", [(1, 5), (7, 63), (22, 44)])
+@pytest.mark.parametrize(
+    "d,n",
+    [
+        (1, 5),
+        (7, 63),
+        (22, 44),
+        pytest.param(7, (63, 33, 30, 20, 17, 14), id="7-mixed"),
+        pytest.param(3, (40, 9, 9, 6), id="3-mixed"),
+    ],
+)
 def test_eval_vec_batch_equals_single(d, n):
-    z = mixed_points(d, n)
+    # with one n per point, columns end at factors on and off the 16-factor
+    # rescale grid, each at its own n - 1, while longer columns go on; at
+    # 1e5 i the terms of n = 63 stray past 2**200 before the column of
+    # n = 30 ends, and must wait for factor 32 to be rescaled
+    ns = n if isinstance(n, tuple) else (n,)
+    far = [] if len(ns) == 1 else [1e5j]
+    parts = [np.append(mixed_points(d, n), far) for n in ns]
+    z = np.concatenate(parts)
+    n = ns[0] if len(ns) == 1 else np.repeat(ns, [part.size for part in parts])
     batch = _eval_vec(d, n, z)
-    singles = [_eval_vec(d, n, z[i:i + 1]) for i in range(z.size)]
-    if n > 16:
+    point_n = np.broadcast_to(n, z.shape)
+    singles = [_eval_vec(d, int(point_n[i]), z[i:i + 1]) for i in range(z.size)]
+    if max(ns) > 16:
         # points that need rescaling at different factors share the term
         # rows, so rows are rescaled with some of their entries left alone
         assert len({int(one[2][0]) for one in singles}) > 1
     for i, one in enumerate(singles):
         assert as_bytes(one) == as_bytes(tuple(a[i:i + 1] for a in batch))
+    start = 0
+    for pair_n, part in zip(ns, parts):
+        own = tuple(a[start:start + part.size] for a in batch)
+        assert as_bytes(_eval_vec(d, pair_n, part)) == as_bytes(own)
+        start += part.size
+    if len(ns) > 1:
+        with pytest.raises(ValueError, match="non-increasing"):
+            _eval_vec(d, n[::-1], z[::-1])
+        with pytest.raises(ValueError, match="one row count"):
+            _eval_vec(d, np.array([2 * d, 2 * d - 1]), z[:2])
 
 
 @pytest.mark.parametrize("d,n", [(3, 6), (7, 53), (10, 40)])
@@ -505,6 +544,18 @@ def start_shape(params):
     return float(s1 / degree), s1 * s1 - 2 * e2 - s1 * s1 / degree
 
 
+def start_points(params, seed):
+    """`_initial_points` on its own, answered by `_eval_vec` at each
+    request, as `find_roots` answers it."""
+    step = _initial_points(params, seed)
+    points = next(step)
+    while True:
+        try:
+            points = step.send(_eval_vec(params.d, params.n, points))
+        except StopIteration as stop:
+            return stop.value
+
+
 def ellipse_axes(points, centre):
     """Semi-axes (a, b) of points c + a cos(theta_k) + i b sin(theta_k) with
     N >= 3 equally spaced angles, where sum cos^2 = sum sin^2 = N / 2."""
@@ -534,7 +585,7 @@ def test_initial_points_on_aberth_circle(d, n):
     # geometric mean distance from it, both read off the polynomial before
     # any sweep, whether the start is stretched or not
     params = HypersimplexParams(d, n)
-    z = _initial_points(params, 0)
+    z = start_points(params, 0)
     centre = start_shape(params)[0]
     assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
     rs = find_roots(params)
@@ -550,7 +601,7 @@ def test_initial_points_on_aberth_circle(d, n):
 def test_initial_points_match_the_second_moment(d, n):
     # stretched along the real axis until sum (z_k - c)^2 is the roots' own
     params = HypersimplexParams(d, n)
-    z = _initial_points(params, 0)
+    z = start_points(params, 0)
     centre, moment = start_shape(params)
     assert moment > 0
     assert second_moment(z.tolist()) == pytest.approx(float(moment), rel=1e-12)
@@ -563,7 +614,7 @@ def test_initial_points_match_the_second_moment(d, n):
 def test_initial_points_when_the_centre_is_a_root(d, n):
     # the centroid is an exact root here, so the radius is measured from c + i/2
     params = HypersimplexParams(d, n)
-    z = _initial_points(params, 0)
+    z = start_points(params, 0)
     assert np.isfinite(z).all() and len(set(z.tolist())) == n - 1
     centre = start_shape(params)[0]
     assert evaluate_scaled(params, centre)[0] == 0
@@ -584,7 +635,7 @@ def test_initial_points_fall_back_to_the_circle(d, n):
     params = HypersimplexParams(d, n)
     centre, moment = start_shape(params)
     assert n <= 3 or moment <= 0
-    z = _initial_points(params, 0)
+    z = start_points(params, 0)
     assert np.abs(z - centre) == pytest.approx(np.full(n - 1, abs(z[0] - centre)), rel=1e-12)
 
 
@@ -593,7 +644,7 @@ def test_seed_rotates_the_start_circle():
     # leaves the centre and both axes alone
     params = HypersimplexParams(5, 17)
     centre = start_shape(params)[0]
-    base = _initial_points(params, 0)
+    base = start_points(params, 0)
     a, b = ellipse_axes(base, centre)
     assert a > 1.5 * b
 
@@ -601,7 +652,7 @@ def test_seed_rotates_the_start_circle():
         return (points - centre).real / a + 1j * (points - centre).imag / b
 
     for seed in (1, 2, 7):
-        z = _initial_points(params, seed)
+        z = start_points(params, seed)
         assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
         assert ellipse_axes(z, centre) == pytest.approx((a, b), rel=1e-12)
         turn = math.modf(_GOLDEN * (seed + 1))[0] - math.modf(_GOLDEN)[0]
@@ -617,7 +668,7 @@ def test_initial_points_keep_the_minor_axis_floor():
     centre, moment = start_shape(params)
     rho = geometric_mean_distance(range(-19, 0), complex(centre, 0.5))
     assert moment / (2 * 19 * rho) > 0.75 * rho
-    z = _initial_points(params, 0)
+    z = start_points(params, 0)
     assert ellipse_axes(z, centre) == pytest.approx((1.75 * rho, 0.25 * rho), rel=1e-9)
     rs = find_roots(params)
     assert rs.converged

@@ -239,7 +239,8 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
     """
     derivative, error = mode == "derivative", mode == "error"
     # ends: each last factor k of some point, ascending, with the number of
-    # points still multiplying after it
+    # points still multiplying after it; a single n skips that search, which
+    # is about half the time of a small value-mode call from `bounds`
     if np.ndim(n) == 0:
         ends = [(n - 1, 0)]
     else:
@@ -332,21 +333,17 @@ def _rescale(first: int, prod, prod_d, mu, exps):
         exps[tail][stray] += adjust
 
 
-def _binomial_columns(n, rows: int):
+def _binomial_columns(n: np.ndarray, rows: int):
     """The double mantissas and exponents of C(n, s), s < rows, as
-    (rows, 1) columns for one n or (rows, len(n)) arrays for one n per
-    point, n non-increasing."""
-    if np.ndim(n) == 0:
-        values, counts = [n], 1
-    else:
-        values, counts = np.unique(n, return_counts=True)
-        values, counts = values[::-1].tolist(), counts[::-1]  # descending, as along z
-    return tuple(
-        np.repeat(np.array(column).reshape(rows, len(values)), counts, axis=1)
-        for column in zip(*(
-            _int_mantissa_exponent(math.comb(v, s)) for s in range(rows) for v in values
-        ))
-    )
+    (rows, len(n)) arrays, n non-increasing."""
+    values, counts = np.unique(n, return_counts=True)
+    values, counts = values[::-1].tolist(), counts[::-1]  # descending, as along z
+    mantissas = np.empty((rows, len(values)))
+    exponents = np.empty((rows, len(values)), dtype=np.int64)
+    for j, v in enumerate(values):
+        for s in range(rows):
+            mantissas[s, j], exponents[s, j] = _int_mantissa_exponent(math.comb(v, s))
+    return np.repeat(mantissas, counts, axis=1), np.repeat(exponents, counts, axis=1)
 
 
 def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
@@ -357,18 +354,17 @@ def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
     min(d, n - d), chosen here and nowhere else; with one n per point
     (non-increasing, see `_term_products`) every point must have the same
     row count.  prod and second come from `_term_products` in `mode`; cm
-    holds the double mantissas of C(n, s), s < rows, as a (rows, 1) column
-    or one column per point, and signed the same with the alternating sign.
+    holds the double mantissas of C(n, s), s < rows, one column per point,
+    and signed the same with the alternating sign.
     acc_e is the largest term exponent of each point, shift the row shifts
     down to it, and scale the powers of two that apply them.  Returns
     (rows, prod, second, cm, signed, acc_e, shift, scale).
     """
-    low, high = (n, n) if np.ndim(n) == 0 else (int(n.min()), int(n.max()))
-    rows = min(d, low - d)
-    if rows != min(d, high - d):
+    rows = min(d, int(np.min(n)) - d)
+    if rows != min(d, int(np.max(n)) - d):
         raise ValueError(f"the points of one call need one row count, got d={d} and n={n}")
     prod, second, exps = _term_products(rows, n, z, mode=mode)
-    cm, ce = _binomial_columns(n, rows)
+    cm, ce = _binomial_columns(np.broadcast_to(n, z.shape), rows)
     signed = np.where(np.arange(rows)[:, None] % 2, -cm, cm)
     term_exps = exps + ce
     acc_e = term_exps.max(axis=0)
@@ -755,56 +751,61 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     return (yield from _finish(params, z, tol, iterations, settled, coeff_logs, bits, sweeps))
 
 
-# The most rows x points one `_eval_vec` call of `find_roots_many` takes;
-# a larger group is split, which changes no bit (every point's value is
-# batch-independent) and bounds the evaluator's memory on any grid.  At
-# 4096 entries (64 KiB per complex array) the certified paper grid runs as
-# fast as unsplit, and its peak RSS stays within 1% of one pair at a time,
-# where unsplit calls raised it by 9%.
+# The most rows x points one `_eval_vec` call of `find_roots_many` takes
+# from several pairs.  A round's requests of one row count are packed, whole
+# and in order, into calls of at most this many entries, and a larger
+# request gets a call of its own, the call `find_roots` makes for its pair
+# alone.  Packing changes no bit (every point's value is batch-independent)
+# and bounds the evaluator's memory on any grid by the larger of this cap
+# and one pair's own call.
 _BATCH_ENTRIES = 1 << 12
 
 
-def _eval_batch(rows: int, ns: list, zs: list):
-    """`_eval_vec` at the concatenated zs, zs[j] with ns[j] (non-increasing)
-    and all with `rows` rows, split into calls of at most _BATCH_ENTRIES."""
-    if len(zs) == 1 and zs[0].size * rows <= _BATCH_ENTRIES:
-        return _eval_vec(rows, ns[0], zs[0])
-    z = np.concatenate(zs)
-    n = np.repeat(ns, [part.size for part in zs])
-    step = max(1, _BATCH_ENTRIES // rows)
-    parts = [_eval_vec(rows, n[lo:lo + step], z[lo:lo + step]) for lo in range(0, z.size, step)]
-    return parts[0] if len(parts) == 1 else [np.concatenate(a) for a in zip(*parts)]
+def _packed(rows: int, members: list, requests: dict):
+    """`members`, (index, n) requests of `rows` rows each, in runs of whole
+    requests of at most _BATCH_ENTRIES entries, or one request alone."""
+    run, entries = [], 0
+    for member in members:
+        size = requests[member[0]].size * rows
+        if run and entries + size > _BATCH_ENTRIES:
+            yield run
+            run, entries = [], 0
+        run.append(member)
+        entries += size
+    if run:
+        yield run
 
 
 def _evaluate(groups: dict, requests: dict, seconds: list) -> dict:
-    """Each request's share of `_eval_vec`, one batch per row count.
+    """Each request's share of `_eval_vec`, in calls of whole requests of
+    one row count (see `_BATCH_ENTRIES`).
 
     `groups` maps a row count to its (index, n) requests, n non-increasing.
-    Each batch's time is shared out in `seconds` by the products it took,
-    rows x (n - 1) per point.  If a batch raises, its pairs are evaluated
-    one by one, and a pair whose own call raises gets the exception.
+    Each call's time is shared out in `seconds` by the products it took,
+    rows x (n - 1) per point.  If a call raises, each of its requests gets
+    the exception.
     """
     answers = {}
     for rows, members in groups.items():
-        sizes = [requests[i].size for i, _ in members]
-        products = [size * (n - 1) for size, (_, n) in zip(sizes, members)]
-        start = time.perf_counter()
-        try:
-            out = _eval_batch(rows, [n for _, n in members], [requests[i] for i, _ in members])
-        except Exception:
-            out = None
-            for i, n in members:
-                try:
-                    answers[i] = _eval_vec(rows, n, requests[i])
-                except Exception as exc:
-                    answers[i] = exc
-        elapsed = time.perf_counter() - start
-        lo = 0
-        for (i, _), size, share in zip(members, sizes, products):
-            if out is not None:
-                answers[i] = tuple(a[lo:lo + size] for a in out)
-            seconds[i] += elapsed * share / sum(products)
-            lo += size
+        for run in _packed(rows, members, requests):
+            sizes = [requests[i].size for i, _ in run]
+            products = [size * (n - 1) for size, (_, n) in zip(sizes, run)]
+            start = time.perf_counter()
+            try:
+                out = _eval_vec(
+                    rows,
+                    np.repeat([n for _, n in run], sizes),
+                    np.concatenate([requests[i] for i, _ in run]),
+                )
+            except Exception as exc:  # ends the solves of this call's pairs
+                out = exc
+            elapsed, total = time.perf_counter() - start, sum(products)
+            lo = 0
+            for (i, _), size, share in zip(run, sizes, products):
+                failed = isinstance(out, Exception)
+                answers[i] = out if failed else tuple(a[lo:lo + size] for a in out)
+                seconds[i] += elapsed * share / total
+                lo += size
     return answers
 
 
@@ -816,16 +817,17 @@ def find_roots_many(
     Each round advances every pair's solve (`_solve`) to its next need of p
     in product form: its start point, a double sweep over its roots still
     moving, or its residual certificates.  All the points of one round whose
-    pairs share the row count min(d, n - d) then go to one `_eval_vec`
-    call (split past _BATCH_ENTRIES), pairs sorted by n, descending (the
-    evaluator takes one n per point), and each pair gets the bits it gets
-    alone, so its RootSet is
-    the one `find_roots` returns.  Repulsion, update, refinement and the
-    n = 2d path run per pair.
+    pairs share the row count min(d, n - d) then go to one `_eval_vec` call
+    (packed by whole pairs, see `_BATCH_ENTRIES`), pairs sorted by n,
+    descending (the evaluator takes one n per point), and each pair gets the
+    bits it gets alone, so its RootSet is the one `find_roots` returns.
+    Repulsion, update, refinement and the n = 2d path run per pair.
 
     Returns, in input order, each pair's RootSet, with `seconds` its own
     steps plus its share of each batched call (see `_evaluate`), or the
-    exception that ended its solve; that ends no other pair's.
+    exception that ended its solve: one raised by its own step ends no
+    other pair's, one raised by an evaluator call ends the solves of the
+    pairs in that call.
     """
     config = config or SolverConfig()
     outcomes = [None] * len(params_list)
@@ -838,7 +840,7 @@ def find_roots_many(
             start = time.perf_counter()
             answer = answers[i]
             try:
-                if isinstance(answer, Exception):  # its own evaluation failed
+                if isinstance(answer, Exception):  # its evaluator call failed
                     requests[i] = solve.throw(answer)
                 else:
                     requests[i] = solve.send(answer)

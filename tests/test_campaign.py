@@ -139,7 +139,7 @@ def test_campaign_solves_each_pair_as_find_roots_does(tmp_path, monkeypatch, see
     # the lockstep rounds evaluate all pairs of one row count together, at
     # mixed n (rows 14: (14, 29..31) and (15, 29)); each pair still gets the
     # RootSet it gets alone, through d > n/2, the diagonal and the refinement,
-    # also where a round's calls are split at a few points each
+    # also where a round's calls take a few pairs each or one pair alone
     config = CampaignConfig(
         d_min=14, d_max=15, n_rule="range", n_min=27, n_max=31, certify=False,
         solver=SolverConfig(seed=seed), output_dir=tmp_path,
@@ -167,11 +167,12 @@ def test_campaign_solves_each_pair_as_find_roots_does(tmp_path, monkeypatch, see
 @pytest.mark.parametrize("step", ["_finish", "_eval_vec"])
 def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch, step):
     # (4, 9) fails in its own last step, or in the evaluator call it shares
-    # with the other pairs of row count 4 (which then run one by one)
-    base = dict(d_min=4, d_max=4, certify=True)
+    # with the other pairs of row count 4 (all d = 4), which end with it,
+    # while the pairs of row count 5 go on
+    base = dict(d_min=4, d_max=5, certify=True)
     run_campaign(CampaignConfig(**base, output_dir=tmp_path / "all"))
     real_step, real_eval_vec = getattr(hsroots.roots, step), hsroots.roots._eval_vec
-    evaluations, failed_at = [], []
+    evaluations, failed_at, failed_n = [], [], []
 
     def counted(*args):
         evaluations.append(args)
@@ -180,26 +181,31 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
     def fails(*args):
         if step == "_finish":
             return args[0].n == 9
-        _, n, z = args  # from the first sweep of (4, 9) on, past its start point
-        return np.count_nonzero(np.broadcast_to(n, z.shape) == 9) > 1
+        # from the first sweep of (4, 9) on, past its start point
+        return np.count_nonzero(args[1] == 9) > 1
 
     def flaky(*args):
         if fails(*args):
             failed_at.append(len(evaluations))
+            failed_n.append({9} if step == "_finish" else set(args[1].tolist()))
             raise RuntimeError("step exploded")
         return (counted if step == "_eval_vec" else real_step)(*args)
 
     monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
     monkeypatch.setattr(hsroots.roots, step, flaky)
     report = run_campaign(CampaignConfig(**base, output_dir=tmp_path / "one_failed"))
-    # it failed while other pairs still had rounds to go
-    assert 0 < failed_at[0] < len(evaluations)
-    assert len(report.errors) == 1
-    assert report.errors[0].startswith("d=4 n=9: ")
-    assert "RuntimeError: step exploded" in report.errors[0]
+    # it failed once, while other pairs still had rounds to go
+    assert len(failed_at) == 1 and 0 < failed_at[0] < len(evaluations)
+    failed = sorted(failed_n[0])
+    assert 9 in failed and (len(failed) > 1) == (step == "_eval_vec")
+    assert [error.split(": ", 1)[0] for error in report.errors] == [f"d=4 n={n}" for n in failed]
+    assert all("RuntimeError: step exploded" in error for error in report.errors)
     for name in ("report.csv", "roots.csv"):
         everything = (tmp_path / "all" / name).read_text().splitlines()
-        kept = [line for line in everything if not line.startswith("4,9,")]
+        kept = everything[:1] + [
+            line for line in everything[1:]
+            if not any(line.startswith(f"4,{n},") for n in failed)
+        ]
         assert len(kept) < len(everything)
         assert (tmp_path / "one_failed" / name).read_text().splitlines() == kept
 

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import hsroots.roots
 from hsroots.campaign import CampaignConfig
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
 from hsroots.errors import EvaluationAtRoot, InvalidParams, StructureViolation
@@ -199,6 +200,25 @@ def test_find_roots_deterministic_per_seed():
     assert a.roots == b.roots
     c = find_roots(HypersimplexParams(4, 11), SolverConfig(seed=8))
     assert match_distance(c.roots, a.roots) < 1e-8
+
+
+def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
+    # calls are packed by whole pairs, so a pair's own request beyond
+    # _BATCH_ENTRIES rows x points still takes one call: one per start
+    # point, double sweep, certificate and snap, as when solved alone
+    sizes = []
+    real = hsroots.roots._eval_vec
+
+    def counted(*args):
+        sizes.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
+    monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
+    rs = find_roots(HypersimplexParams(4, 20))
+    assert rs.extended_bits is None
+    assert sizes[:2] == [1, 19]  # the start point, then every root's first sweep
+    assert rs.iterations + 2 <= len(sizes) <= rs.iterations + 4
 
 
 def test_degree_one():

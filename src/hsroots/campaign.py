@@ -4,11 +4,10 @@ The pairs are solved together, in lockstep (`roots.find_roots_many`):
 each sweep round evaluates p once for all pairs of one row count
 min(d, n - d), and every pair gets the roots and residual certificates
 that `find_roots` gives it alone.  Then each pair in turn gets the exact
-strip certificate when requested.  The certificate starts from those
-roots: inclusion disks
-around them, bounded in floating point with a rigorous error term and
-tested in exact integers where that bound falls short, prove a side of the
-strip, and only a side they cannot prove runs the Routh table
+strip certificate when requested.  It starts from those roots: inclusion
+disks around them, bounded in floating point with a rigorous error term
+and tested in exact integers where that bound falls short, prove a side of
+the strip, and only a side they cannot prove runs the Routh table
 (`stability.verify_strip`).  Results are gathered, sorted by (d, n), and
 written as `report.csv` and `roots.csv`; `hsroots plot` draws the roots as
 SVG scatter plots.  File contents are deterministic for a given
@@ -59,6 +58,8 @@ class CampaignConfig:
             raise InvalidParams(f"unknown n_rule {self.n_rule!r}")
         if self.n_rule == RANGE and (self.n_min is None or self.n_max is None):
             raise InvalidParams("range rule needs n_min and n_max")
+        if self.n_rule != RANGE and given:
+            raise InvalidParams(f"{' and '.join(given)} apply to the range rule only")
         if not self.pairs():
             span = f"d in {self.d_min}..{self.d_max}, n in {self.n_min}..{self.n_max}"
             raise InvalidParams(f"the grid has no pair with n > d ({span})")

@@ -38,7 +38,7 @@ class HypothesisViolation(HsrootsError, ValueError):
 
 
 class DomainViolation(HsrootsError, ValueError):
-    """Evaluation point outside the domain a bound check covers."""
+    """Evaluation point outside the domain a bound check or an evaluator covers."""
 
 
 class StructureViolation(HsrootsError, ArithmeticError):

@@ -6,20 +6,19 @@ accumulated together with its derivative under a shared power-of-two
 exponent.  That keeps full relative accuracy at degrees where expanded
 coefficients would overflow doubles.  One factor loop, `_term_products`,
 builds the terms for a whole array of points at once, each point with the
-same bits alone as in any batch, and each point may have its own n: sorted
-by n, descending, a point stops after its own n - 1 factors while the
-others go on.  `_aligned_terms` runs it on the
-min(d, n - d) terms and aligns them to one exponent, the largest term
-exponent of the point; `_eval_vec` sums them and their derivatives row
-after row, for the solver, the residual certificates, the real-axis snap
-and the single-point functions, which read one point of its output:
-`evaluate_scaled` as a plain (mantissa, exponent) pair, `log_derivative`
-and `residual`.  `bounds` takes its modulus ratios from the same loop,
-asking only for the rows it compares and for values without derivatives.
-In its error mode the loop also carries a rigorous bound on each term's
-rounding error, from which `_value_bounds` bounds |p(z)| from above; with
-`_distance_product_lower` it gives the float pass of
-`stability.verify_strip` its only two float bounds.
+same bits alone as in any batch; the points' n comes as (n, count) runs,
+n descending, and a point stops after its own n - 1 factors while the
+others go on.  `_aligned_terms` runs it on the min(d, n - d) terms and
+aligns them to the point's largest term exponent; `_eval_vec` sums them
+and their derivatives row after row, for the solver, the residual
+certificates, the real-axis snap and the single-point functions
+`evaluate_scaled`, `log_derivative` and `residual`.  `bounds` takes its
+modulus ratios from the same loop, asking only for the rows it compares
+and for values without derivatives.  In its error mode the loop also
+carries a rigorous bound on each term's rounding error, from which
+`_value_bounds` bounds |p(z)| from above; with `_distance_product_lower`
+it gives the float pass of `stability.verify_strip` its only two float
+bounds.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated ellipse around the centroid of the roots, which all lie close
@@ -28,16 +27,16 @@ exact second moment where that is positive (see `_initial_points`); each
 sweep evaluates only the roots still moving.  A solve (`_solve`) is a
 generator that yields each array of points where it needs p and receives
 `_eval_vec`'s output, so `find_roots_many` runs the sweeps of many pairs in
-lockstep: each round makes one `_eval_vec` call for all pairs with the same
-row count min(d, n - d), and `find_roots` is that driver on one pair.
-The evaluator also returns a noise floor from the summed moduli of the
-alternating-sum terms, which bound its rounding error.  Near n = 2d the
-sum cancels below that floor; a root whose value sinks into the noise
-leaves the double sweep, and the iterates are then refined by further sweeps whose Newton
-ratios come from fixed-point p and p' on the exact integer coefficients,
-each from `_gaussian_horner`, the one Gaussian-integer Horner loop, which
-the exact disks of `stability` run too.  Only each ratio is rounded to
-double; the repulsion and the update stay in doubles.
+lockstep, with one `_eval_vec` call per row count min(d, n - d) and round;
+`find_roots` is that driver on one pair.  The evaluator also returns a
+noise floor from the summed moduli of the alternating-sum terms, which
+bound its rounding error.  Near n = 2d the sum cancels below that floor;
+a root whose value sinks into the noise leaves the double sweep, and the
+iterates are then refined by further sweeps whose Newton ratios come from
+fixed-point p and p' on the exact integer coefficients, each from
+`_gaussian_horner`, the one Gaussian-integer Horner loop, which the exact
+disks of `stability` run too.  Only each ratio is rounded to double; the
+repulsion and the update stay in doubles.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 never evaluates p in its sweeps: p(z) = (z + 1) Q((z + 1)**2) with
@@ -47,6 +46,7 @@ doubles.  Its roots w map back to -1 +- sqrt(w), and the residual
 certificates and the real-axis snap are taken on p as everywhere else.
 """
 
+import functools
 import math
 import numbers
 import time
@@ -57,7 +57,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial
-from .errors import EvaluationAtRoot, InvalidParams, StructureViolation
+from .errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from .polynomial import _integer_coefficients, _taylor_shift
 
 _GOLDEN = 0.6180339887498949
@@ -141,20 +141,32 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
     return float(value >> shift if shift else value), shift
 
 
+def _finite(value, z):
+    """value, or DomainViolation where it is not finite: the single-point functions
+    hold for d |z| + n <= 2**51, where 16 factors between rescales stay finite."""
+    if not np.isfinite(value):
+        raise DomainViolation(f"p overflows doubles between rescales at z={z}")
+    return value
+
+
 def evaluate_scaled(params: HypersimplexParams, z: complex) -> Tuple[complex, int]:
     """(mantissa, exponent) with p(z) = mantissa * 2**exponent, from `_eval_vec`
-    of size 1, so values beyond the double range keep their exponent."""
-    S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    of size 1, so values beyond the double range keep their exponent; for
+    d |z| + n <= 2**51, else DomainViolation (see `_finite`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
     mantissa, exponent = _int_mantissa_exponent(math.factorial(params.n - 1))
-    return complex(S[0] / mantissa), int(E[0]) - exponent
+    return _finite(complex(S[0] / mantissa), z), int(E[0]) - exponent
 
 
 def log_derivative(params: HypersimplexParams, z: complex) -> complex:
-    """p'(z)/p(z), accumulated by the product rule so vanishing factors are safe."""
-    S, Sp, _, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
-    if S[0] == 0:
-        raise EvaluationAtRoot(f"polynomial value vanished at {z}")
-    return complex(Sp[0] / S[0])  # the shared exponent cancels
+    """p'(z)/p(z), accumulated by the product rule so vanishing factors are
+    safe; for d |z| + n <= 2**51, else DomainViolation (see `_finite`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, Sp, _, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
+        if S[0] == 0:
+            raise EvaluationAtRoot(f"polynomial value vanished at {z}")
+        return _finite(complex(Sp[0] / S[0]), z)  # the shared exponent cancels
 
 
 def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
@@ -213,6 +225,11 @@ def _initial_points(params: HypersimplexParams, seed: int):
     return centre + (rho + h) * unit.real + 1j * ((rho - h) * unit.imag)
 
 
+def _runs(n, size: int) -> list:
+    """n as (n, count) runs over `size` points: a plain int is one run."""
+    return [(n, size)] if isinstance(n, numbers.Integral) else n
+
+
 def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"):
     """The alternating-sum terms and their derivatives in scaled form.
 
@@ -220,12 +237,12 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
     terms when rows is None), prod_{k=1}^{n-1} ((d-s)z + k - s), as
     prod[j] * 2**exps[j] and its z-derivative as prod_d[j] * 2**exps[j],
     built up one linear factor at a time (a vanishing factor leaves an exact
-    0).  n is one count for all points or one per point, non-increasing
-    along z, so that the points still multiplying at factor k are a prefix
-    of the columns.  An entry is rescaled by a power of two when it strays
-    beyond 2**+-200, tested at every 16th factor and at its own last factor
-    n - 1; the other entries are left alone, so every point and every row
-    gets the same bits whether it is built alone or in a batch.  Returns
+    0).  n is an int or (n, count) runs along z (see `_runs`) with n
+    non-increasing, so that the points still multiplying at factor k are a
+    prefix of the columns.  An entry is rescaled by a power of two when it
+    strays beyond 2**+-200, tested at every 16th factor and at its own last
+    factor n - 1; the other entries are left alone, so every point and every
+    row gets the same bits whether it is built alone or in a batch.  Returns
     (prod, prod_d, exps).
 
     mode="value" never builds prod_d and returns None in its place; the
@@ -238,21 +255,21 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
     and value-only modes run no operation of the error mode.
     """
     derivative, error = mode == "derivative", mode == "error"
-    # ends: each last factor k of some point, ascending, with the number of
-    # points still multiplying after it; a single n skips that search, which
-    # is about half the time of a small value-mode call from `bounds`
-    if np.ndim(n) == 0:
-        ends = [(n - 1, 0)]
-    else:
-        if np.any(n[1:] > n[:-1]):
-            raise ValueError("n must be non-increasing along z")
-        values, counts = np.unique(n - 1, return_counts=True)
-        ends = list(zip(values.tolist(), (z.size - np.cumsum(counts)).tolist()))
+    runs = _runs(n, z.size)
+    if any(later > value for (value, _), (later, _) in zip(runs, runs[1:])):
+        raise ValueError("n must be non-increasing along z")
+    # ends maps each last factor k = n - 1, ascending, to the number of
+    # points still multiplying after it; runs of one n share their end
+    ends, after = {}, z.size
+    for value, count in reversed(runs):
+        after -= count
+        ends[value - 1] = after
+    if after != 0:
+        raise ValueError(f"the runs count {z.size - after} points, z has {z.size}")
     index = np.arange(d)[:, None] if rows is None else np.array(rows)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
     slope = (d - index).astype(complex)
-    top = ends[-1][0] if ends else 0
-    offsets = (np.arange(1, top + 1)[:, None, None] - index).astype(complex)
+    offsets = (np.arange(1, runs[0][0])[:, None, None] - index).astype(complex)
     slope_z = slope * z[None, :]
     prod = np.ones(slope_z.shape, dtype=complex)
     prod_d = np.zeros(slope_z.shape, dtype=complex) if derivative else None
@@ -273,7 +290,7 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
     # from the right; a view would keep each shrinking array alive
     done = None
     live, k = z.size, 0
-    for end, after in ends:
+    for end, after in ends.items():
         for k in range(k + 1, end + 1):
             factor = slope_z + offsets[k - 1]
             # out of place on purpose: numpy's in-place complex multiply rounds
@@ -304,8 +321,6 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
             None if a is None else a[:, :live]
             for a in (slope_z, prod, prod_d, mu, grow_err, fresh_err, exps)
         )
-    if done is None:  # no point at all
-        return prod, prod_d if derivative else mu, exps
     return done[0], done[1], all_exps
 
 
@@ -333,17 +348,20 @@ def _rescale(first: int, prod, prod_d, mu, exps):
         exps[tail][stray] += adjust
 
 
-def _binomial_columns(n: np.ndarray, rows: int):
-    """The double mantissas and exponents of C(n, s), s < rows, as
-    (rows, len(n)) arrays, n non-increasing."""
-    values, counts = np.unique(n, return_counts=True)
-    values, counts = values[::-1].tolist(), counts[::-1]  # descending, as along z
-    mantissas = np.empty((rows, len(values)))
-    exponents = np.empty((rows, len(values)), dtype=np.int64)
-    for j, v in enumerate(values):
-        for s in range(rows):
-            mantissas[s, j], exponents[s, j] = _int_mantissa_exponent(math.comb(v, s))
-    return np.repeat(mantissas, counts, axis=1), np.repeat(exponents, counts, axis=1)
+@functools.lru_cache(maxsize=None)
+def _binomial_column(n: int, rows: int):
+    """The double mantissas and exponents of C(n, s), s < rows, as two
+    read-only arrays, memoised for every call at n with that many rows."""
+    mantissas, exponents = zip(*(_int_mantissa_exponent(math.comb(n, s)) for s in range(rows)))
+    column = np.array(mantissas), np.array(exponents, dtype=np.int64)
+    for part in column:
+        part.setflags(write=False)
+    return column
+
+
+def _per_point(columns: list, runs: list) -> np.ndarray:
+    """One column per run, side by side, repeated over the run's points."""
+    return np.repeat(np.stack(columns, axis=-1), [count for _, count in runs], axis=-1)
 
 
 def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
@@ -351,20 +369,21 @@ def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
 
     x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n), so both have
     the same polynomial; the sum runs over the fewer terms, rows =
-    min(d, n - d), chosen here and nowhere else; with one n per point
-    (non-increasing, see `_term_products`) every point must have the same
-    row count.  prod and second come from `_term_products` in `mode`; cm
-    holds the double mantissas of C(n, s), s < rows, one column per point,
-    and signed the same with the alternating sign.
-    acc_e is the largest term exponent of each point, shift the row shifts
-    down to it, and scale the powers of two that apply them.  Returns
-    (rows, prod, second, cm, signed, acc_e, shift, scale).
+    min(d, n - d), chosen here and nowhere else, the same for every run of
+    n (an int or runs, see `_runs`).  prod and second come from
+    `_term_products` in `mode`; cm holds the double mantissas of C(n, s),
+    s < rows, one column per point, and signed the same with the
+    alternating sign.  acc_e is the largest term exponent of each point,
+    shift the row shifts down to it, and scale the powers of two that apply
+    them.  Returns (rows, prod, second, cm, signed, acc_e, shift, scale).
     """
-    rows = min(d, int(np.min(n)) - d)
-    if rows != min(d, int(np.max(n)) - d):
-        raise ValueError(f"the points of one call need one row count, got d={d} and n={n}")
-    prod, second, exps = _term_products(rows, n, z, mode=mode)
-    cm, ce = _binomial_columns(np.broadcast_to(n, z.shape), rows)
+    runs = _runs(n, z.size)
+    rows = min(d, runs[-1][0] - d)
+    if any(min(d, value - d) != rows for value, _ in runs):
+        raise ValueError(f"the points of one call need one row count, got d={d} and runs {runs}")
+    prod, second, exps = _term_products(rows, runs, z, mode=mode)
+    columns = [_binomial_column(value, rows) for value, _ in runs]
+    cm, ce = (_per_point(part, runs) for part in zip(*columns))
     signed = np.where(np.arange(rows)[:, None] % 2, -cm, cm)
     term_exps = exps + ce
     acc_e = term_exps.max(axis=0)
@@ -380,11 +399,12 @@ def _eval_vec(d: int, n, z: np.ndarray):
     (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the noise
     floor 4 (n + rows) 2**-53 A of S, with A = sum_s C(n, s) |term_s| * 2**-E
     over the rows of `_aligned_terms`: each term carries about n roundings
-    and the sum rows more, so |S| <= floor means S may be all noise.  n may
-    be one per point, as `_aligned_terms` allows: each point gets the bits
-    it gets alone.
+    and the sum rows more, so |S| <= floor means S may be all noise.  n is
+    an int or the points' (n, count) runs, as `_aligned_terms` takes it:
+    each point gets the bits it gets alone.
     """
-    rows, prod, prod_d, cm, signed, acc_e, _, scale = _aligned_terms(d, n, z, "derivative")
+    runs = _runs(n, z.size)
+    rows, prod, prod_d, cm, signed, acc_e, _, scale = _aligned_terms(d, runs, z, "derivative")
     # the binomial mantissas are real, so multiplying them in one broadcast
     # rounds as multiplying row by row does; the rows are summed one after
     # another, so that a point's sums are batch-independent; the last rows
@@ -392,7 +412,8 @@ def _eval_vec(d: int, n, z: np.ndarray):
     acc = np.cumsum(prod * signed * scale, axis=0)[-1].copy()
     acc_d = np.cumsum(prod_d * signed * scale, axis=0)[-1].copy()
     magnitude = np.cumsum(np.abs(prod) * cm * scale, axis=0)[-1]
-    return acc, acc_d, acc_e, 4 * (n + rows) * 2.0**-53 * magnitude
+    noise = _per_point([4 * (value + rows) * 2.0**-53 for value, _ in runs], runs)
+    return acc, acc_d, acc_e, noise * magnitude
 
 
 def _gamma(k: int) -> float:
@@ -740,72 +761,49 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     coeffs = _integer_coefficients(ehrhart_polynomial(params))
     values = [c << bits for c in coeffs]
     slopes = [(k * c) << bits for k, c in enumerate(coeffs)][1:]
-    sweeps, settled = _sweep_here(
-        _ea_sweeps(
-            z,
-            lambda points: _exact_ratios(values, slopes, bits, points),
-            tol,
-            config.max_iterations,
-        )
-    )
+    ratios = functools.partial(_exact_ratios, values, slopes, bits)
+    sweeps, settled = _sweep_here(_ea_sweeps(z, ratios, tol, config.max_iterations))
     return (yield from _finish(params, z, tol, iterations, settled, coeff_logs, bits, sweeps))
 
 
 # The most rows x points one `_eval_vec` call of `find_roots_many` takes
-# from several pairs.  A round's requests of one row count are packed, whole
-# and in order, into calls of at most this many entries, and a larger
-# request gets a call of its own, the call `find_roots` makes for its pair
-# alone.  Packing changes no bit (every point's value is batch-independent)
-# and bounds the evaluator's memory on any grid by the larger of this cap
-# and one pair's own call.
+# from several pairs; a larger request gets a call of its own, as alone.
+# Packing changes no bit, and the cap holds memory, not time: uncapped, a
+# numeric paper grid d = 4..10 peaked at 49.4 MB RSS against 40.3 MB
+# (certified d = 4..7: 33.9 against 32.8 MB), no faster beyond noise.
 _BATCH_ENTRIES = 1 << 12
 
 
-def _packed(rows: int, members: list, requests: dict):
-    """`members`, (index, n) requests of `rows` rows each, in runs of whole
-    requests of at most _BATCH_ENTRIES entries, or one request alone."""
-    run, entries = [], 0
-    for member in members:
-        size = requests[member[0]].size * rows
-        if run and entries + size > _BATCH_ENTRIES:
-            yield run
-            run, entries = [], 0
-        run.append(member)
-        entries += size
-    if run:
-        yield run
-
-
-def _evaluate(groups: dict, requests: dict, seconds: list) -> dict:
-    """Each request's share of `_eval_vec`, in calls of whole requests of
-    one row count (see `_BATCH_ENTRIES`).
-
-    `groups` maps a row count to its (index, n) requests, n non-increasing.
-    Each call's time is shared out in `seconds` by the products it took,
-    rows x (n - 1) per point.  If a call raises, each of its requests gets
-    the exception.
-    """
+def _evaluate(keys: list, requests: dict, seconds: list) -> dict:
+    """Each request's share of `_eval_vec`, from calls of one row count and
+    at most `_BATCH_ENTRIES` entries (or one request alone), cut from
+    `requests`, index -> points, in the order `find_roots_many` fixes;
+    keys[i] is pair i's (rows, n).  Each call's time is shared out in
+    `seconds` by products, rows x (n - 1) per point.  If a call raises,
+    each of its requests gets the exception."""
+    calls, entries = [], 0
+    for i, z in requests.items():
+        rows = keys[i][0]
+        if not calls or calls[-1][0] != rows or entries + z.size * rows > _BATCH_ENTRIES:
+            calls.append((rows, []))
+            entries = 0
+        calls[-1][1].append(i)
+        entries += z.size * rows
     answers = {}
-    for rows, members in groups.items():
-        for run in _packed(rows, members, requests):
-            sizes = [requests[i].size for i, _ in run]
-            products = [size * (n - 1) for size, (_, n) in zip(sizes, run)]
-            start = time.perf_counter()
-            try:
-                out = _eval_vec(
-                    rows,
-                    np.repeat([n for _, n in run], sizes),
-                    np.concatenate([requests[i] for i, _ in run]),
-                )
-            except Exception as exc:  # ends the solves of this call's pairs
-                out = exc
-            elapsed, total = time.perf_counter() - start, sum(products)
-            lo = 0
-            for (i, _), size, share in zip(run, sizes, products):
-                failed = isinstance(out, Exception)
-                answers[i] = out if failed else tuple(a[lo:lo + size] for a in out)
-                seconds[i] += elapsed * share / total
-                lo += size
+    for rows, members in calls:
+        runs = [(keys[i][1], requests[i].size) for i in members]
+        start = time.perf_counter()
+        try:
+            out = _eval_vec(rows, runs, np.concatenate([requests[i] for i in members]))
+        except Exception as exc:  # ends the solves of this call's pairs
+            out = exc
+        elapsed, total = time.perf_counter() - start, sum(c * (n - 1) for n, c in runs)
+        lo = 0
+        for i, (n, count) in zip(members, runs):
+            failed = isinstance(out, Exception)
+            answers[i] = out if failed else tuple(a[lo:lo + count] for a in out)
+            seconds[i] += elapsed * (count * (n - 1)) / total
+            lo += count
     return answers
 
 
@@ -816,12 +814,12 @@ def find_roots_many(
 
     Each round advances every pair's solve (`_solve`) to its next need of p
     in product form: its start point, a double sweep over its roots still
-    moving, or its residual certificates.  All the points of one round whose
-    pairs share the row count min(d, n - d) then go to one `_eval_vec` call
-    (packed by whole pairs, see `_BATCH_ENTRIES`), pairs sorted by n,
-    descending (the evaluator takes one n per point), and each pair gets the
-    bits it gets alone, so its RootSet is the one `find_roots` returns.
-    Repulsion, update, refinement and the n = 2d path run per pair.
+    moving, or its residual certificates.  Sorted once by row count
+    min(d, n - d), n descending and input order, the round's points go to
+    `_evaluate`, which packs whole pairs into one `_eval_vec` call per row
+    count (see `_BATCH_ENTRIES`), each point with the bits it gets alone, so
+    every RootSet is the one `find_roots` returns.  Repulsion, update,
+    refinement and the n = 2d path run per pair.
 
     Returns, in input order, each pair's RootSet, with `seconds` its own
     steps plus its share of each batched call (see `_evaluate`), or the
@@ -832,10 +830,12 @@ def find_roots_many(
     config = config or SolverConfig()
     outcomes = [None] * len(params_list)
     seconds = [0.0] * len(params_list)
-    solves = {i: _solve(params, config) for i, params in enumerate(params_list)}
+    keys = [(min(p.d, p.n - p.d), p.n) for p in params_list]
+    order = sorted(range(len(keys)), key=lambda i: (keys[i][0], -keys[i][1], i))
+    solves = {i: _solve(params_list[i], config) for i in order}  # stepped in this order
     answers = dict.fromkeys(solves)
     while solves:
-        requests, groups = {}, {}
+        requests = {}
         for i, solve in list(solves.items()):
             start = time.perf_counter()
             answer = answers[i]
@@ -849,14 +849,9 @@ def find_roots_many(
             except Exception as exc:  # the pair ends here; the others go on
                 outcomes[i] = exc
             seconds[i] += time.perf_counter() - start
-            if i in requests:
-                d, n = params_list[i].d, params_list[i].n
-                groups.setdefault(min(d, n - d), []).append((i, n))
-            else:
+            if i not in requests:
                 del solves[i]
-        for members in groups.values():
-            members.sort(key=lambda member: -member[1])  # stable: ties keep input order
-        answers = _evaluate(groups, requests, seconds)
+        answers = _evaluate(keys, requests, seconds)
     return [
         replace(outcome, seconds=spent) if isinstance(outcome, RootSet) else outcome
         for outcome, spent in zip(outcomes, seconds)
@@ -895,7 +890,10 @@ def find_roots(
 
 
 def residual(params: HypersimplexParams, root: complex) -> float:
-    """Relative backward error |p(root)| / sum_k |c_k| |root|^k."""
+    """Relative backward error |p(root)| / sum_k |c_k| |root|^k; for
+    d |root| + n <= 2**51, else DomainViolation (see `_finite`)."""
     coeff_logs = _coefficient_logs(params)
     z = np.array([complex(root)])
-    return float(_residuals(params, coeff_logs, z, _eval_vec(params.d, params.n, z))[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _eval_vec(params.d, params.n, z)
+    return _finite(float(_residuals(params, coeff_logs, z, values)[0]), root)

@@ -380,6 +380,12 @@ def test_campaign_invalid_values_exit_2(tmp_path, capsys):
         (["--d-min", "3", "--d-max", "2"], "d_min"),
         (["--grid", "range"], "n_min and n_max"),
         (["--grid", "range", "--n-min", "50", "--n-max", "10", "--certify"], "no pair"),
+        (
+            ["--grid", "diagonal", "--d-min", "4", "--d-max", "4",
+             "--n-min", "50", "--n-max", "60"],
+            "apply to the range rule only",
+        ),
+        (["--d-min", "4", "--d-max", "4", "--n-max", "60"], "apply to the range rule only"),
         (["--d-min", "4", "--d-max", "4", "--max-iter", "0"], "max_iterations"),
     ):
         code, out, err = run(capsys, "campaign", *argv, "--out", out_dir)

@@ -9,12 +9,13 @@ import pytest
 import hsroots.roots
 from hsroots.campaign import CampaignConfig
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
-from hsroots.errors import EvaluationAtRoot, InvalidParams, StructureViolation
+from hsroots.errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     _GOLDEN,
     RootSet,
     SolverConfig,
+    _binomial_column,
     _eval_vec,
     _gaussian_horner,
     _half_degree_factor,
@@ -25,6 +26,7 @@ from hsroots.roots import (
     _value_bounds,
     evaluate_scaled,
     find_roots,
+    find_roots_many,
     log_derivative,
     residual,
 )
@@ -100,6 +102,23 @@ def test_evaluate_scaled_beyond_double_range():
         mantissa, exponent = evaluate_scaled(params, 1000 + 0j)
         expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 1000))
         assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
+
+
+def test_single_point_functions_raise_beyond_their_range():
+    # at (7, 63) the product form keeps its exponent at z = 1e18, while at
+    # 1e19 sixteen factors overflow between two rescales, where these
+    # functions used to return NaN
+    params = HypersimplexParams(7, 63)
+    mantissa, exponent = evaluate_scaled(params, 1e18)
+    assert exponent == 3657
+    expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 10**18))
+    assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
+    assert log_derivative(params, 1e18) == pytest.approx(62e-18, rel=1e-12)
+    assert residual(params, 1e18) == pytest.approx(1.0, rel=1e-9)
+    for z in (1e19, 1e19j, -1e19 + 3j):
+        for function in (evaluate_scaled, log_derivative, residual):
+            with pytest.raises(DomainViolation, match="overflows doubles"):
+                function(params, z)
 
 
 def test_log_derivative_simplex_values():
@@ -359,7 +378,7 @@ def test_eval_vec_matches_loop_reference(d, n):
     ],
 )
 def test_eval_vec_batch_equals_single(d, n):
-    # with one n per point, columns end at factors on and off the 16-factor
+    # with (n, count) runs, columns end at factors on and off the 16-factor
     # rescale grid, each at its own n - 1, while longer columns go on; at
     # 1e5 i the terms of n = 63 stray past 2**200 before the column of
     # n = 30 ends, and must wait for factor 32 to be rescaled
@@ -367,10 +386,10 @@ def test_eval_vec_batch_equals_single(d, n):
     far = [] if len(ns) == 1 else [1e5j]
     parts = [np.append(mixed_points(d, n), far) for n in ns]
     z = np.concatenate(parts)
-    n = ns[0] if len(ns) == 1 else np.repeat(ns, [part.size for part in parts])
-    batch = _eval_vec(d, n, z)
-    point_n = np.broadcast_to(n, z.shape)
-    singles = [_eval_vec(d, int(point_n[i]), z[i:i + 1]) for i in range(z.size)]
+    runs = [(pair_n, part.size) for pair_n, part in zip(ns, parts)]
+    batch = _eval_vec(d, runs, z)
+    point_n = [pair_n for pair_n, count in runs for _ in range(count)]
+    singles = [_eval_vec(d, point_n[i], z[i:i + 1]) for i in range(z.size)]
     if max(ns) > 16:
         # points that need rescaling at different factors share the term
         # rows, so rows are rescaled with some of their entries left alone
@@ -384,9 +403,42 @@ def test_eval_vec_batch_equals_single(d, n):
         start += part.size
     if len(ns) > 1:
         with pytest.raises(ValueError, match="non-increasing"):
-            _eval_vec(d, n[::-1], z[::-1])
+            _eval_vec(d, runs[::-1], np.concatenate(parts[::-1]))
         with pytest.raises(ValueError, match="one row count"):
-            _eval_vec(d, np.array([2 * d, 2 * d - 1]), z[:2])
+            _eval_vec(d, [(2 * d, 1), (2 * d - 1, 1)], z[:2])
+
+
+def test_eval_vec_runs_of_equal_n_share_a_call():
+    # (3, 10) and (7, 10) both sum three rows at n = 10: two runs of one n
+    # end together, and each pair's block is what it gets alone
+    low, high = mixed_points(3, 10), mixed_points(7, 10)[:7]
+    batch = _eval_vec(3, [(10, low.size), (10, high.size)], np.concatenate([low, high]))
+    assert as_bytes(tuple(a[:low.size] for a in batch)) == as_bytes(_eval_vec(3, 10, low))
+    assert as_bytes(tuple(a[low.size:] for a in batch)) == as_bytes(_eval_vec(7, 10, high))
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (4, 17), (7, 63), (22, 44)])
+def test_eval_vec_int_n_is_one_run(d, n):
+    z = mixed_points(d, n)
+    assert as_bytes(_eval_vec(d, n, z)) == as_bytes(_eval_vec(d, [(n, z.size)], z))
+    with pytest.raises(ValueError, match="the runs count"):
+        _eval_vec(d, [(n, z.size - 1)], z)
+
+
+def test_binomial_columns_are_memoised():
+    # each (n, rows) column is built once and read by every later call;
+    # one lockstep pass over d = 4..5 reads one column per pair
+    _binomial_column.cache_clear()
+    for n, rows in [(8, 4), (63, 7), (300, 10), (1000, 10)]:
+        mantissas, exponents = _binomial_column(n, rows)
+        expected = [_int_mantissa_exponent(math.comb(n, s)) for s in range(rows)]
+        assert list(zip(mantissas.tolist(), exponents.tolist())) == expected
+        assert not mantissas.flags.writeable and not exponents.flags.writeable
+    _binomial_column.cache_clear()
+    grid = [HypersimplexParams(d, n) for d, n in CampaignConfig(d_min=4, d_max=5).pairs()]
+    find_roots_many(grid)
+    assert _binomial_column.cache_info().misses == len(grid)
+    assert _binomial_column.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("d,n", [(3, 6), (7, 53), (10, 40)])

@@ -59,7 +59,7 @@ class CampaignConfig:
         if self.n_rule == RANGE and (self.n_min is None or self.n_max is None):
             raise InvalidParams("range rule needs n_min and n_max")
         if self.n_rule != RANGE and given:
-            raise InvalidParams(f"{' and '.join(given)} apply to the range rule only")
+            raise InvalidParams(f"n_min/n_max apply to the range rule only, not {self.n_rule!r}")
         if not self.pairs():
             span = f"d in {self.d_min}..{self.d_max}, n in {self.n_min}..{self.n_max}"
             raise InvalidParams(f"the grid has no pair with n > d ({span})")

@@ -798,9 +798,8 @@ def _evaluate(keys: list, requests: dict, seconds: list) -> dict:
         except Exception as exc:  # ends the solves of this call's pairs
             out = exc
         elapsed, total = time.perf_counter() - start, sum(c * (n - 1) for n, c in runs)
-        lo = 0
+        lo, failed = 0, isinstance(out, Exception)
         for i, (n, count) in zip(members, runs):
-            failed = isinstance(out, Exception)
             answers[i] = out if failed else tuple(a[lo:lo + count] for a in out)
             seconds[i] += elapsed * (count * (n - 1)) / total
             lo += count

@@ -40,11 +40,14 @@ HORIZONTAL_EDGE = "horizontal_edge"
 _KINDS = (IMAGINARY_AXIS, LEFT_EDGE, HORIZONTAL_EDGE)
 
 
-def _validate_indices(n: int, d: int, s: int, smallest: int = 0):
+def _validate_indices(n: int, d: int, s: int, smallest: int = 0) -> Tuple[int, int, int]:
+    """n, d and s as plain ints (see `ehrhart._integer`), checked."""
+    n, d, s = _integer("n", n), _integer("d", d), _integer("s", s)
     if not 1 <= d < n:
         raise InvalidParams(f"need 1 <= d < n, got (d={d}, n={n})")
     if not smallest <= s <= d - 1:
         raise DomainViolation(f"need {smallest} <= s <= d-1, got (n={n}, d={d}, s={s})")
+    return n, d, s
 
 
 def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
@@ -77,13 +80,13 @@ def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
 def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
     """log2 |C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)|, -inf where a
     factor vanishes; a log keeps moduli beyond the double range."""
-    _validate_indices(n, d, s)
+    n, d, s = _validate_indices(n, d, s)
     return float(_log2_terms(n, d, np.array([complex(z)]), (s,))[0, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
     """Modulus ratio of the s-th product term to the dominant (s=0) one."""
-    _validate_indices(n, d, s)
+    n, d, s = _validate_indices(n, d, s)
     return float(_ratios(n, d, np.array([complex(z)]), (0, s))[1, 0])
 
 
@@ -125,7 +128,7 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
     term has a zero factor) are degenerate for a strict comparison and are
     skipped.
     """
-    _validate_indices(n, d, s, smallest=1)
+    n, d, s = _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
         beta_samples = default_beta_grid(n)
     return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, beta_samples)
@@ -137,7 +140,7 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
     """
-    _validate_indices(n, d, s, smallest=1)
+    n, d, s = _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
     if beta_samples is None:
@@ -148,7 +151,7 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:
     """The explicit horizontal-edge bound C(n,s)(((d-s)^2 + 1/lam^2)/d^2)^((n-1)/2)."""
-    _validate_indices(n, d, s, smallest=1)
+    n, d, s = _validate_indices(n, d, s, smallest=1)
     # a NaN lam would compare as false, an infinite one gives a NaN ratio
     if not (math.isfinite(lam) and lam != 0):
         raise DomainViolation(f"lam must be finite and nonzero, got {lam}")
@@ -299,6 +302,7 @@ def check_d4_sum_bound(d: int) -> bool:
     is one rational comparison.  The per-term growth ratio stays strictly
     below 1, also as a rational.
     """
+    d = _integer("d", d)
     if d < 4:
         raise HypothesisViolation(f"need d >= 4, got {d}")
     partial = geometric_factorial_sum(d)
@@ -327,6 +331,7 @@ def check_h_negative(d: int) -> bool:
     Convexity in s reduces the claim to s=1 and s=d-2; the check runs over
     every integer s in between as well, as a belt-and-braces check.
     """
+    d = _integer("d", d)
     if d < 4:
         raise HypothesisViolation(f"need d >= 4, got {d}")
     return all(h_value(d, s) < -RELATIVE_SLACK for s in range(1, d - 1))

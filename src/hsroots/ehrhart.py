@@ -131,7 +131,7 @@ def term_polynomial(params: HypersimplexParams, s: int) -> RationalPolynomial:
     Expanded exactly in m; degree n-1.  For s >= 1 the product contains the
     factor ((d-s)m + s - s), so the value at m = 0 is 0.
     """
-    d, n = params.d, params.n
+    d, n, s = params.d, params.n, _integer("s", s)
     if not 0 <= s <= d - 1:
         raise InvalidTermIndex(f"need 0 <= s <= d-1 = {d - 1}, got s={s}")
     r = next(islice(_shifted_rising(n, s + 1), s, None))

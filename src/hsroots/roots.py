@@ -26,17 +26,19 @@ to it: Aberth's (1973) circle, stretched along the real axis to the roots'
 exact second moment where that is positive (see `_initial_points`); each
 sweep evaluates only the roots still moving.  A solve (`_solve`) is a
 generator that yields each array of points where it needs p and receives
-`_eval_vec`'s output, so `find_roots_many` runs the sweeps of many pairs in
-lockstep, with one `_eval_vec` call per row count min(d, n - d) and round;
-`find_roots` is that driver on one pair.  The evaluator also returns a
-noise floor from the summed moduli of the alternating-sum terms, which
-bound its rounding error.  Near n = 2d the sum cancels below that floor;
-a root whose value sinks into the noise leaves the double sweep, and the
-iterates are then refined by further sweeps whose Newton ratios come from
-fixed-point p and p' on the exact integer coefficients, each from
-`_gaussian_horner`, the one Gaussian-integer Horner loop, which the exact
-disks of `stability` run too.  Only each ratio is rounded to double; the
-repulsion and the update stay in doubles.
+`_eval_vec`'s output, one request per step: its start, each double sweep,
+and its certificates together with their real-axis snap candidates.  So
+`find_roots_many` runs the sweeps of many pairs in lockstep, with one
+`_eval_vec` call per row count min(d, n - d) and round; `find_roots` is
+that driver on one pair.  The evaluator also returns a noise floor from
+the summed moduli of the alternating-sum terms, which bound its rounding
+error.  Near n = 2d the sum cancels below that floor; a root whose value
+sinks into the noise leaves the double sweep, and the iterates are then
+refined by further sweeps whose Newton ratios come from fixed-point p and
+p' on the exact integer coefficients, each from `_gaussian_horner`, the
+one Gaussian-integer Horner loop, which the exact disks of `stability` run
+too.  Only each ratio is rounded to double; the repulsion and the update
+stay in doubles.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 never evaluates p in its sweeps: p(z) = (z + 1) Q((z + 1)**2) with
@@ -185,8 +187,8 @@ def _start_directions(count: int, seed: int) -> np.ndarray:
 def _initial_points(params: HypersimplexParams, seed: int):
     """Deterministic starting points on one ellipse around the root centroid.
 
-    A step of the solve (see `_solve`): it yields the points where it needs
-    p, receives `_eval_vec`'s output there, and returns the start points.
+    A step of the solve (see `_solve`): it yields c and c + i/2 in one
+    request for p, and returns the start points.
 
     Aberth's start: the centre c = -c_{N-1} / (N c_N) is the mean of the
     roots, and rho = (|p(c)| / |c_N|)^(1/N) is the geometric mean of their
@@ -210,11 +212,9 @@ def _initial_points(params: HypersimplexParams, seed: int):
     lead = coeffs[-1]
     s1 = -coeffs[-2] / lead
     centre = float(s1 / degree)
-    for point in (centre, complex(centre, 0.5)):
-        S, _, E, _ = yield np.array([complex(point)])
-        if S[0] != 0:
-            break
-    log_dist = _values_log2(S, E)[0] - _log2_int(math.factorial(degree)) - _log2_fraction(lead)
+    S, _, E, _ = yield np.array([centre, complex(centre, 0.5)])
+    at = 0 if S[0] != 0 else 1
+    log_dist = _values_log2(S, E)[at] - _log2_int(math.factorial(degree)) - _log2_fraction(lead)
     rho = 2.0 ** (log_dist / degree)
     h = 0.0
     if degree >= 3:
@@ -288,7 +288,7 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
     all_exps = exps = np.zeros(slope_z.shape, dtype=np.int64)
     # prod and the second array of the points past their last factor, filled
     # from the right; a view would keep each shrinking array alive
-    done = None
+    done = [None if a is None else np.empty_like(a) for a in (prod, prod_d if derivative else mu)]
     live, k = z.size, 0
     for end, after in ends.items():
         for k in range(k + 1, end + 1):
@@ -307,12 +307,7 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
                 _rescale(0, prod, prod_d, mu, exps)
         # the points ending here get their last rescale; at a 16th factor all do
         _rescale(0 if end % 16 == 0 else after, prod, prod_d, mu, exps)
-        second = prod_d if derivative else mu
-        if done is None:
-            if after == 0:  # one n for all points
-                return prod, second, exps
-            done = [None if a is None else np.empty_like(a) for a in (prod, second)]
-        for out, a in zip(done, (prod, second)):
+        for out, a in zip(done, (prod, prod_d if derivative else mu)):
             if a is not None:
                 out[:, after:live] = a[:, after:]
         live = after
@@ -708,21 +703,21 @@ def _finish(
     params, z, tol, iterations, clean_exit, coeff_logs, extended_bits=None, extended_sweeps=0
 ):
     """The roots z, snapped and sorted, with their residual certificates:
-    the last step of the solve, yielding for p at z and at the snap
-    candidates."""
-    residuals = _residuals(params, coeff_logs, z, (yield z))
-
-    # snap numerically-real roots onto the axis when the certificate allows
-    snapped = z.copy()
+    the last step of the solve, one request for p at z followed by the
+    real-axis snap candidates, the real parts of the roots near the axis."""
     near = np.flatnonzero(
         (z.imag != 0) & (np.abs(z.imag) <= 10 * tol * (1 + np.abs(z.real)))
     )
-    if near.size:
-        candidates = z.real[near].astype(complex)
-        snap_residuals = _residuals(params, coeff_logs, candidates, (yield candidates))
-        ok = snap_residuals <= tol
-        snapped[near[ok]] = candidates[ok]
-        residuals[near[ok]] = snap_residuals[ok]
+    candidates = z.real[near].astype(complex)
+    points = np.concatenate((z, candidates))
+    residuals = _residuals(params, coeff_logs, points, (yield points))
+    residuals, snap_residuals = residuals[:z.size], residuals[z.size:]
+
+    # snap numerically-real roots onto the axis when the certificate allows
+    ok = snap_residuals <= tol
+    snapped = z.copy()
+    snapped[near[ok]] = candidates[ok]
+    residuals[near[ok]] = snap_residuals[ok]
     order = np.lexsort((snapped.imag, snapped.real))
     snapped = snapped[order]
     residuals = residuals[order]
@@ -811,13 +806,16 @@ def find_roots_many(
 ) -> list:
     """`find_roots` for every pair, solved in lockstep.
 
-    Each round advances every pair's solve (`_solve`) to its next need of p
-    in product form: its start point, a double sweep over its roots still
-    moving, or its residual certificates.  Sorted once by row count
+    Each round advances every pair's solve (`_solve`) to its next request
+    for p in product form, one per step: its two start points, a double
+    sweep over its roots still moving, or its residual certificates and
+    their real-axis snap candidates.  So a pair makes iterations + 2
+    requests (one more when its settled double result misses the
+    certificate), and a pair at n = 2d one.  Sorted once by row count
     min(d, n - d), n descending and input order, the round's points go to
     `_evaluate`, which packs whole pairs into one `_eval_vec` call per row
-    count (see `_BATCH_ENTRIES`), each point with the bits it gets alone, so
-    every RootSet is the one `find_roots` returns.  Repulsion, update,
+    count (see `_BATCH_ENTRIES`), each point with the bits it gets alone,
+    so every RootSet is the one `find_roots` returns.  Repulsion, update,
     refinement and the n = 2d path run per pair.
 
     Returns, in input order, each pair's RootSet, with `seconds` its own

@@ -152,6 +152,37 @@ def test_index_checks_require_a_hypersimplex_pair():
                 call()
 
 
+def test_integer_arguments_must_be_integers():
+    # a float or bool index is refused like a bad pair, before any evaluation
+    calls = (
+        lambda: f_term_modulus(7.0, 3, 1, 1j),
+        lambda: phi(7.5, 3, 1, 1j),
+        lambda: phi(7, True, 1, 1j),
+        lambda: check_migi(7, 3, 1.0),
+        lambda: check_hidari(14, 4, 2.0),
+        lambda: aida_bound(7, 3.0, 1, math.sqrt(2)),
+        lambda: check_aida(7, 3, 1.0, 1.0, 1.4),
+        lambda: check_d4_sum_bound(4.5),
+        lambda: check_d4_sum_bound(4.0),
+        lambda: check_h_negative(5.0),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            call()
+
+
+def test_numpy_integer_arguments_match_plain_ints():
+    i = np.int64
+    assert f_term_modulus(i(7), i(3), i(1), 1j) == f_term_modulus(7, 3, 1, 1j)
+    assert phi(i(7), i(3), i(2), 0.5 + 2j) == phi(7, 3, 2, 0.5 + 2j)
+    assert check_migi(i(7), i(3), i(1)) is check_migi(7, 3, 1) is True
+    assert check_hidari(i(14), i(4), i(2)) is check_hidari(14, 4, 2) is True
+    assert aida_bound(i(7), i(3), i(1), 1.4) == aida_bound(7, 3, 1, 1.4)
+    assert check_aida(i(7), i(3), i(1), 1.0, 1.4) is check_aida(7, 3, 1, 1.0, 1.4)
+    assert check_d4_sum_bound(i(5)) is check_d4_sum_bound(5) is True
+    assert check_h_negative(i(5)) is check_h_negative(5) is True
+
+
 def test_check_hidari_examples():
     assert check_hidari(7, 3, 1) is True
     assert check_hidari(14, 4, 2) is True

@@ -193,8 +193,8 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
     def fails(*args):
         if step == "_finish":
             return args[0].n == 9
-        # from the first sweep of (4, 9) on, past its start point
-        return sum(count for n, count in args[1] if n == 9) > 1
+        # from the first sweep of (4, 9) on, past its two start points
+        return sum(count for n, count in args[1] if n == 9) > 2
 
     def flaky(*args):
         if fails(*args):

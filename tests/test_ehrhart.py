@@ -144,6 +144,14 @@ def test_term_polynomial_index_out_of_range():
         term_polynomial(HypersimplexParams(3, 6), -1)
 
 
+def test_term_polynomial_index_must_be_an_integer():
+    params = HypersimplexParams(3, 6)
+    for s in (1.0, True, "1"):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            term_polynomial(params, s)
+    assert term_polynomial(params, np.int64(2)).coeffs == term_polynomial(params, 2).coeffs
+
+
 def test_ehrhart_3_6_regression():
     # (11m^5 + 55m^4 + 115m^3 + 125m^2 + 74m + 20)/20, which factors as
     # (1/20)(m+1)(11(m+1)^4 + 5(m+1)^2 + 4); verify both forms.

@@ -2,7 +2,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -223,8 +222,9 @@ def test_find_roots_deterministic_per_seed():
 
 def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     # calls are packed by whole pairs, so a pair's own request beyond
-    # _BATCH_ENTRIES rows x points still takes one call: one per start
-    # point, double sweep, certificate and snap, as when solved alone
+    # _BATCH_ENTRIES rows x points still takes one call: one for the two
+    # start points, one per double sweep and one for the certificates with
+    # their snap candidates, as when solved alone
     sizes = []
     real = hsroots.roots._eval_vec
 
@@ -236,8 +236,31 @@ def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
     rs = find_roots(HypersimplexParams(4, 20))
     assert rs.extended_bits is None
-    assert sizes[:2] == [1, 19]  # the start point, then every root's first sweep
-    assert rs.iterations + 2 <= len(sizes) <= rs.iterations + 4
+    assert sizes[:2] == [2, 19]  # the start points, then every root's first sweep
+    assert len(sizes) == rs.iterations + 2
+
+
+def test_find_roots_many_makes_one_request_per_step(monkeypatch):
+    # a pair off the diagonal asks once for its start, once per double sweep
+    # and once for its certificates with their snap candidates, also when it
+    # is refined in exact arithmetic, as at (15, 31); at n = 2d the sweeps
+    # run on Q, so only the certificates are asked for
+    grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
+    params = [HypersimplexParams(d, n) for d, n in grid]
+    requests = [0] * len(params)
+    real = hsroots.roots._evaluate
+
+    def counted(keys, asked, seconds):
+        for i in asked:
+            requests[i] += 1
+        return real(keys, asked, seconds)
+
+    monkeypatch.setattr(hsroots.roots, "_evaluate", counted)
+    solved = find_roots_many(params)
+    assert solved[grid.index((15, 31))].extended_bits is not None
+    for (d, n), rs, count in zip(grid, solved, requests):
+        assert rs.converged, (d, n)
+        assert count == (1 if n == 2 * d else rs.iterations + 2), (d, n)
 
 
 def test_degree_one():
@@ -536,6 +559,7 @@ def test_diagonal_roots_are_mirror_symmetric():
 def assert_matches_mpmath(params, roots):
     """Every root within 1e-12 (1 + |z|) of a root from mp.polyroots on the
     exact coefficients of p, and back."""
+    mp = pytest.importorskip("mpmath")
     poly = ehrhart_polynomial(params)
     with mp.workprec(256):
         cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(poly.coeffs)]

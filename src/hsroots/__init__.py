@@ -44,6 +44,7 @@ from .stability import (
     shift_polynomial,
     verify_half_plane,
     verify_strip,
+    verify_strip_many,
 )
 from .svgplot import emit_svg, write_group_svgs
 
@@ -93,5 +94,6 @@ __all__ = [
     "term_polynomial",
     "verify_half_plane",
     "verify_strip",
+    "verify_strip_many",
     "write_group_svgs",
 ]

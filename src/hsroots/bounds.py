@@ -20,6 +20,7 @@ calls of size 1.  The contour samples are made block by block as arrays
 (`ContourSpec.sample_blocks`).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,6 +93,16 @@ def phi(n: int, d: int, s: int, z: complex) -> float:
 
 def default_beta_grid(n: int, points: int = 400):
     """0 plus `points` log-spaced magnitudes in [1e-3, 1e2]*n, both signs."""
+    return _beta_grid(n, points).tolist()
+
+
+@functools.lru_cache(maxsize=8)
+def _beta_grid(n: int, points: int) -> np.ndarray:
+    """`default_beta_grid` as a read-only array, memoised for the checks of
+    every s at the last few n; unbounded, a `bounds_contour` pass would keep
+    about 40 grids alive for its whole run.  Each magnitude is
+    n * 10.0 ** t in Python floats, on purpose: np.power does not round
+    every one of them the same way."""
     if points < 2:
         raise DomainViolation(f"the beta grid needs at least 2 points, got {points}")
     out = [0.0]
@@ -99,7 +110,9 @@ def default_beta_grid(n: int, points: int = 400):
         t = -3.0 + 5.0 * i / (points - 1)
         out.append(n * 10.0 ** t)
     out.extend(-b for b in out[1:])
-    return out
+    grid = np.array(out)
+    grid.setflags(write=False)
+    return grid
 
 
 def _strictly_less(lhs: float, rhs: float) -> bool:
@@ -130,7 +143,7 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     if beta_samples is None:
-        beta_samples = default_beta_grid(n)
+        beta_samples = _beta_grid(n, 400)
     return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, beta_samples)
 
 
@@ -144,7 +157,7 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
     if beta_samples is None:
-        beta_samples = default_beta_grid(n)
+        beta_samples = _beta_grid(n, 400)
     heights = -np.asarray(beta_samples, dtype=float)
     return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, heights)
 

@@ -3,12 +3,14 @@
 The pairs are solved together, in lockstep (`roots.find_roots_many`):
 each sweep round evaluates p once for all pairs of one row count
 min(d, n - d), and every pair gets the roots and residual certificates
-that `find_roots` gives it alone.  Then each pair in turn gets the exact
-strip certificate when requested.  It starts from those roots: inclusion
-disks around them, bounded in floating point with a rigorous error term
-and tested in exact integers where that bound falls short, prove a side of
-the strip, and only a side they cannot prove runs the Routh table
-(`stability.verify_strip`).  Results are gathered, sorted by (d, n), and
+that `find_roots` gives it alone.  Then the pairs that solved get the exact
+strip certificate together when requested (`stability.verify_strip_many`).
+It starts from those roots: inclusion disks around them, bounded in
+floating point with a rigorous error term (one batched value-bound call
+per row count for the whole grid) and tested in exact integers where that
+bound falls short, prove a side of the strip, and only a side they cannot
+prove runs the Routh table.  Each pair gets the verdict `verify_strip`
+gives it alone.  Results are gathered, sorted by (d, n), and
 written as `report.csv` and `roots.csv`; `hsroots plot` draws the roots as
 SVG scatter plots.  File contents are deterministic for a given
 configuration and seed, byte for byte from run to run: wall-clock timings
@@ -16,7 +18,6 @@ are reported on the console and kept out of the CSV (its millis column is
 pinned to 0).
 """
 
-import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from typing import Optional, Tuple
 from .ehrhart import HypersimplexParams, _integer
 from .errors import HsrootsError, InvalidParams
 from .roots import RootSet, SolverConfig, find_roots_many
-from .stability import verify_strip
+from .stability import StripVerdict, verify_strip_many
 
 PAPER_GRID = "paper_grid"
 DIAGONAL = "diagonal"
@@ -81,9 +82,10 @@ class CampaignConfig:
 class CampaignRow:
     """Per-(d, n) outcome: exact verdict, numeric extrema, timing.
 
-    `millis` is the pair's share of the wall time: its own solver steps,
-    its share of each batched evaluation by the products it took there (see
-    `roots.find_roots_many`), and its certificate.
+    `millis` is the pair's share of the wall time: its own solver and
+    certificate steps, and its share of each batched evaluation by the
+    products it took there (see `roots.find_roots_many` and
+    `stability.verify_strip_many`).
     """
 
     d: int
@@ -133,18 +135,19 @@ def _error_line(d: int, n: int, exc: Exception) -> str:
     return f"d={d} n={n}: " + "".join(traceback.format_exception(exc)).rstrip()
 
 
-def _row(params: HypersimplexParams, rootset: RootSet, certify: bool) -> CampaignRow:
-    start = time.perf_counter()
-    certified = verify_strip(params, rootset.roots).overall if certify else False
+def _row(
+    params: HypersimplexParams, rootset: RootSet, verdict: Optional[StripVerdict]
+) -> CampaignRow:
+    """The pair's row from its roots and, when certified, its verdict."""
     return CampaignRow(
         d=params.d,
         n=params.n,
-        certified=certified,
+        certified=verdict is not None and verdict.overall,
         re_min=min(r.real for r in rootset.roots),
         re_max=max(r.real for r in rootset.roots),
         im_max=max(abs(r.imag) for r in rootset.roots),
         max_residual=rootset.max_residual,
-        millis=(rootset.seconds + time.perf_counter() - start) * 1000.0,
+        millis=(rootset.seconds + (0.0 if verdict is None else verdict.seconds)) * 1000.0,
         converged=rootset.converged,
     )
 
@@ -160,13 +163,21 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     grid = [HypersimplexParams(d, n) for d, n in config.pairs()]  # in grid order: `pairs` sorts
+    solved = find_roots_many(grid, config.solver)
+    verdicts = [None] * len(grid)
+    if config.certify:
+        ok = [i for i, outcome in enumerate(solved) if isinstance(outcome, RootSet)]
+        checked = verify_strip_many([grid[i] for i in ok], [solved[i].roots for i in ok])
+        for i, verdict in zip(ok, checked):
+            verdicts[i] = verdict
     results = []
     errors = []
-    for params, outcome in zip(grid, find_roots_many(grid, config.solver)):
+    for params, outcome, verdict in zip(grid, solved, verdicts):
         try:
-            if isinstance(outcome, Exception):
-                raise outcome
-            results.append((_row(params, outcome, config.certify), outcome))
+            for failure in (outcome, verdict):
+                if isinstance(failure, Exception):
+                    raise failure
+            results.append((_row(params, outcome, verdict), outcome))
         except Exception as exc:  # any failure in one pair is reported; the others go on
             errors.append(_error_line(params.d, params.n, exc))
 

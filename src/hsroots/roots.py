@@ -17,8 +17,10 @@ modulus ratios from the same loop, asking only for the rows it compares
 and for values without derivatives.  In its error mode the loop also
 carries a rigorous bound on each term's rounding error, from which
 `_value_bounds` bounds |p(z)| from above; with `_distance_product_lower`
-it gives the float pass of `stability.verify_strip` its only two float
-bounds.
+it gives the float pass of `stability.verify_strip_many` its only two
+float bounds.  `_evaluate` is the one packing plan of both evaluators: it
+cuts the points of many pairs into calls of one row count min(d, n - d),
+whole pairs, n descending.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated ellipse around the centroid of the roots, which all lie close
@@ -416,13 +418,16 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _value_bounds(d: int, n: int, z: np.ndarray):
+def _value_bounds(d: int, n, z: np.ndarray):
     """Rigorous upper bounds on |p(z)| from the product form.
 
     Returns (B, E) with (n-1)! |p(z)| <= B * 2**E at each point z (taken
     exactly as the double it is), or B non-finite where nothing is bounded.
-    The value is `_eval_vec`'s sum S, built by the same operations from
-    `_aligned_terms` in its error mode, and B = c (|S|_1 + err), where
+    n is an int or the points' (n, count) runs, as `_eval_vec` takes it, so
+    `_evaluate` packs these calls as it packs the solver's: each point
+    gets the bits it gets alone.  The value is `_eval_vec`'s sum S, built by
+    the same operations from `_aligned_terms` in its error mode, and
+    B = c (|S|_1 + err), where
     |x|_1 = |Re x| + |Im x| >= |x| (no hypot is needed) and err adds up a
     bound on every rounding, with u = 2**-53 and d the row count
     min(d, n - d) that `_aligned_terms` returns:
@@ -453,10 +458,11 @@ def _value_bounds(d: int, n: int, z: np.ndarray):
     8. the bound's own arithmetic adds, multiplies and scales nonnegative
        doubles along chains of fewer than K = 8(n + d) + 64 operations, so it
        rounds low by less than a factor (1 - u)**K; the final safety factor
-       c = 1 + 2 gamma_K makes up for that.
+       c = 1 + 2 gamma_K makes up for that, built per point from its own n.
     """
+    runs = _runs(n, z.size)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        d, prod, mu, cm, signed, acc_e, shift, scale = _aligned_terms(d, n, z, "error")
+        d, prod, mu, cm, signed, acc_e, shift, scale = _aligned_terms(d, runs, z, "error")
         rows = prod * signed * scale
         acc = np.cumsum(rows, axis=0)[-1]
         p_mod = (np.abs(prod.real) + np.abs(prod.imag)) * cm
@@ -465,7 +471,8 @@ def _value_bounds(d: int, n: int, z: np.ndarray):
         clamped = shift < -1074
         row_err = np.where(clamped, (p_mod + 2 * row_err) * scale + aligned_mod, row_err * scale)
         err = row_err.sum(axis=0) + d * _TINY + _gamma(d - 1) * aligned_mod.sum(axis=0)
-        bound = (np.abs(acc.real) + np.abs(acc.imag) + err) * (1 + 2 * _gamma(8 * (n + d) + 64))
+        safety = _per_point([1 + 2 * _gamma(8 * (value + d) + 64) for value, _ in runs], runs)
+        bound = (np.abs(acc.real) + np.abs(acc.imag) + err) * safety
     return bound, acc_e
 
 
@@ -761,36 +768,44 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     return (yield from _finish(params, z, tol, iterations, settled, coeff_logs, bits, sweeps))
 
 
-# The most rows x points one `_eval_vec` call of `find_roots_many` takes
-# from several pairs; a larger request gets a call of its own, as alone.
+# The most rows x points one evaluator call of `_evaluate` takes from
+# several pairs; a larger request gets a call of its own, as alone.
 # Packing changes no bit, and the cap holds memory, not time: uncapped, a
 # numeric paper grid d = 4..10 peaked at 49.4 MB RSS against 40.3 MB
 # (certified d = 4..7: 33.9 against 32.8 MB), no faster beyond noise.
 _BATCH_ENTRIES = 1 << 12
 
 
-def _evaluate(keys: list, requests: dict, seconds: list) -> dict:
-    """Each request's share of `_eval_vec`, from calls of one row count and
-    at most `_BATCH_ENTRIES` entries (or one request alone), cut from
-    `requests`, index -> points, in the order `find_roots_many` fixes;
-    keys[i] is pair i's (rows, n).  Each call's time is shared out in
-    `seconds` by products, rows x (n - 1) per point.  If a call raises,
-    each of its requests gets the exception."""
+def _evaluate(evaluator, params_list: Sequence, requests: dict, seconds: list) -> dict:
+    """Each request's share of `evaluator`, `_eval_vec` or `_value_bounds`.
+
+    `requests` maps i to the points of pair params_list[i].  They are taken
+    by row count min(d, n - d), n descending and i, and cut into calls
+    evaluator(rows, runs, z) of one row count and at most `_BATCH_ENTRIES`
+    entries, rows x points (or one request alone), with whole pairs and each
+    pair's n as one (n, count) run; every output array is sliced back per
+    request.  Each call's time is shared out in `seconds` by products,
+    rows x (n - 1) per point.  If a call raises, each of its requests gets
+    the exception."""
+    keys = {}
+    for i in requests:
+        d, n = params_list[i].d, params_list[i].n
+        keys[i] = (min(d, n - d), n)
     calls, entries = [], 0
-    for i, z in requests.items():
-        rows = keys[i][0]
-        if not calls or calls[-1][0] != rows or entries + z.size * rows > _BATCH_ENTRIES:
+    for i in sorted(requests, key=lambda i: (keys[i][0], -keys[i][1], i)):
+        rows, size = keys[i][0], requests[i].size
+        if not calls or calls[-1][0] != rows or entries + size * rows > _BATCH_ENTRIES:
             calls.append((rows, []))
             entries = 0
         calls[-1][1].append(i)
-        entries += z.size * rows
+        entries += size * rows
     answers = {}
     for rows, members in calls:
         runs = [(keys[i][1], requests[i].size) for i in members]
         start = time.perf_counter()
         try:
-            out = _eval_vec(rows, runs, np.concatenate([requests[i] for i in members]))
-        except Exception as exc:  # ends the solves of this call's pairs
+            out = evaluator(rows, runs, np.concatenate([requests[i] for i in members]))
+        except Exception as exc:  # ends what this call's pairs were doing
             out = exc
         elapsed, total = time.perf_counter() - start, sum(c * (n - 1) for n, c in runs)
         lo, failed = 0, isinstance(out, Exception)
@@ -811,12 +826,11 @@ def find_roots_many(
     sweep over its roots still moving, or its residual certificates and
     their real-axis snap candidates.  So a pair makes iterations + 2
     requests (one more when its settled double result misses the
-    certificate), and a pair at n = 2d one.  Sorted once by row count
-    min(d, n - d), n descending and input order, the round's points go to
+    certificate), and a pair at n = 2d one.  The round's points go to
     `_evaluate`, which packs whole pairs into one `_eval_vec` call per row
-    count (see `_BATCH_ENTRIES`), each point with the bits it gets alone,
-    so every RootSet is the one `find_roots` returns.  Repulsion, update,
-    refinement and the n = 2d path run per pair.
+    count min(d, n - d) (see `_BATCH_ENTRIES`), each point with the bits it
+    gets alone, so every RootSet is the one `find_roots` returns.
+    Repulsion, update, refinement and the n = 2d path run per pair.
 
     Returns, in input order, each pair's RootSet, with `seconds` its own
     steps plus its share of each batched call (see `_evaluate`), or the
@@ -827,9 +841,7 @@ def find_roots_many(
     config = config or SolverConfig()
     outcomes = [None] * len(params_list)
     seconds = [0.0] * len(params_list)
-    keys = [(min(p.d, p.n - p.d), p.n) for p in params_list]
-    order = sorted(range(len(keys)), key=lambda i: (keys[i][0], -keys[i][1], i))
-    solves = {i: _solve(params_list[i], config) for i in order}  # stepped in this order
+    solves = {i: _solve(params, config) for i, params in enumerate(params_list)}
     answers = dict.fromkeys(solves)
     while solves:
         requests = {}
@@ -848,7 +860,7 @@ def find_roots_many(
             seconds[i] += time.perf_counter() - start
             if i not in requests:
                 del solves[i]
-        answers = _evaluate(keys, requests, seconds)
+        answers = _evaluate(_eval_vec, params_list, requests, seconds)
     return [
         replace(outcome, seconds=spent) if isinstance(outcome, RootSet) else outcome
         for outcome, spent in zip(outcomes, seconds)

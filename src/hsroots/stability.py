@@ -7,17 +7,22 @@ prove a side.  One loop, `_disks`, decides every disk side in integers by
 `_inside`: on the disk's float radius bound when it has one, else on its
 exact radius from the points' dyadic values, with p evaluated by
 `roots._gaussian_horner` at shift 0, the solver's own exact Horner loop.
-`verify_strip` gives each disk the bound `_float_radii` builds from two
+`verify_strip_many` gives each disk the bound `_float_radii` builds from two
 rigorous float bounds, on |p(z_i)| (`roots._value_bounds`) and on the
-distance product (`roots._distance_product_lower`); `inclusion_strip` gives
-none.  A side the disks do not prove, and every call without roots, goes
-to the Routh table, whose rows are rescaled only by positive constants
-(their gcd), which preserves the sign structure the table's first column
-encodes.  A zero leading element is reported as Boundary, never perturbed.
+distance product (`roots._distance_product_lower`).  The value bounds of
+all its pairs come in batches, through the solver's own packing plan
+(`roots._evaluate`): one call per row count min(d, n - d), as the solver's
+lockstep rounds make.  `verify_strip` is that driver on one pair, and
+`inclusion_strip` gives no disk a float bound.  A side the disks do not
+prove, and every call without roots, goes to the Routh table, whose rows
+are rescaled only by positive constants (their gcd), which preserves the
+sign structure the table's first column encodes.  A zero leading element
+is reported as Boundary, never perturbed.
 """
 
 import cmath
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, gcd, isfinite
 from typing import Optional, Sequence, Tuple
@@ -27,7 +32,7 @@ import numpy as np
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
-from .roots import _distance_product_lower, _gaussian_horner, _to_fixed, _value_bounds
+from .roots import _distance_product_lower, _evaluate, _gaussian_horner, _to_fixed, _value_bounds
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -58,10 +63,15 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class StripVerdict:
-    """Joint verdict for the open strip -n/d < Re < 0."""
+    """Joint verdict for the open strip -n/d < Re < 0.
+
+    `seconds` is the wall time spent on the pair (see `verify_strip_many`);
+    it varies from run to run, so equality and repr leave it out.
+    """
 
     left_ok: StabilityVerdict
     right_ok: StabilityVerdict
+    seconds: float = field(default=0.0, repr=False, compare=False)
 
     @property
     def overall(self) -> bool:
@@ -200,19 +210,22 @@ def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optiona
     return points if len(set(points)) == degree else None
 
 
-def _float_radii(params: HypersimplexParams, poly: RationalPolynomial, points: list) -> list:
+def _float_radii(
+    params: HypersimplexParams, poly: RationalPolynomial, points: list, values: tuple
+) -> list:
     """Per point, the float bound on its disk as (x, x_den, radius_sq, scale):
     Re z_i = x / x_den and (N |W_i| x_den)**2 <= radius_sq / scale.
 
-    With V_i >= (n-1)! |p(z_i)| from `roots._value_bounds`, D_i <=
-    prod_{j != i} |z_i - z_j|**2 from `roots._distance_product_lower` and the
-    integer E = (n-1)! a_N, the bound is N**2 V_i**2 x_den**2 / (E**2 D_i),
-    a ratio of integers since V_i, D_i and Re z_i are dyadic.  The entry is
-    None where V_i is not finite; where D_i = 0 the scale is 0, and `_inside`
-    proves nothing on it.
+    `values` is `roots._value_bounds`'s output at the points, V_i >=
+    (n-1)! |p(z_i)|, as `verify_strip_many` gets it from a batched call.
+    With D_i <= prod_{j != i} |z_i - z_j|**2 from
+    `roots._distance_product_lower` and the integer E = (n-1)! a_N, the
+    bound is N**2 V_i**2 x_den**2 / (E**2 D_i), a ratio of integers since
+    V_i, D_i and Re z_i are dyadic.  The entry is None where V_i is not
+    finite; where D_i = 0 the scale is 0, and `_inside` proves nothing on it.
     """
     z = np.array(points)
-    value, value_e = _value_bounds(params.d, params.n, z)
+    value, value_e = values
     dist, dist_e = _distance_product_lower(z)
     lead = int(poly.leading_coefficient * factorial(params.n - 1))
     lead_sq, degree_sq = lead * lead, z.size * z.size
@@ -326,6 +339,68 @@ def verify_half_plane(
     raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
 
 
+def verify_strip_many(params_list: Sequence[HypersimplexParams], roots_list: Sequence) -> list:
+    """`verify_strip` for every pair, with the value bounds in batches.
+
+    roots_list[i] holds the numeric roots of params_list[i], or None.  Three
+    steps: per pair, the domain check, p and `_disk_points`; then the value
+    bounds at every pair's points from `roots._evaluate`, the solver's own
+    packing plan, so one `_value_bounds` call per row count min(d, n - d)
+    (at most `roots._BATCH_ENTRIES` entries, whole pairs, n descending),
+    each point with the bits it gets alone; then per pair `_float_radii`,
+    `_disks` and the Routh table for any side still unproven.  So every
+    verdict is the one the pair gets alone.
+
+    Returns, in input order, each pair's StripVerdict, with `seconds` its
+    own steps plus its share of each batched call (split as `_evaluate`
+    splits it), or the exception that ended its certificate: one raised by
+    its own step ends no other pair's, one raised by a `_value_bounds` call
+    ends the pairs in that call.
+    """
+    outcomes = [None] * len(params_list)
+    seconds = [0.0] * len(params_list)
+    prepared = {}
+    for i, (params, roots) in enumerate(zip(params_list, roots_list, strict=True)):
+        start = time.perf_counter()
+        try:
+            params.require_conjecture_domain()
+            poly = ehrhart_polynomial(params)
+            prepared[i] = poly, None if roots is None else _disk_points(poly, roots)
+        except Exception as exc:  # the pair ends here; the others go on
+            outcomes[i] = exc
+        seconds[i] += time.perf_counter() - start
+    requests = {i: np.array(points) for i, (_, points) in prepared.items() if points is not None}
+    values = _evaluate(_value_bounds, params_list, requests, seconds)
+    for i, (poly, points) in prepared.items():
+        start = time.perf_counter()
+        try:
+            outcomes[i] = _strip(params_list[i], poly, points, values.get(i))
+        except Exception as exc:  # its own step, or its `_value_bounds` call
+            outcomes[i] = exc
+        seconds[i] += time.perf_counter() - start
+    return [
+        replace(outcome, seconds=spent) if isinstance(outcome, StripVerdict) else outcome
+        for outcome, spent in zip(outcomes, seconds)
+    ]
+
+
+def _strip(params: HypersimplexParams, poly: RationalPolynomial, points, values) -> StripVerdict:
+    """The last step of `verify_strip_many` for one pair: the disks around
+    `points` (None: no disks) on `values`, their value bounds or the
+    exception of their call, and the Routh table for a side they leave open."""
+    bound = Fraction(params.n, params.d)
+    left_in = right_in = False
+    if points is not None:
+        if isinstance(values, Exception):
+            raise values
+        first = _float_radii(params, poly, points, values)
+        left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
+    included = StabilityVerdict(STABLE, certifier="inclusion")
+    right = included if right_in else verify_half_plane(params, 0, "left_of")
+    left = included if left_in else verify_half_plane(params, -bound, "right_of")
+    return StripVerdict(left_ok=left, right_ok=right)
+
+
 def verify_strip(
     params: HypersimplexParams, roots: Optional[Sequence[complex]] = None
 ) -> StripVerdict:
@@ -343,16 +418,10 @@ def verify_strip(
     the polynomial itself (Re < 0), the left test to q(z) = p(-z - n/d)
     (Re > -n/d).
     Unstable and Boundary verdicts only ever come from the table.
+
+    This is `verify_strip_many` on the one pair, raising what ended it.
     """
-    params.require_conjecture_domain()
-    poly = ehrhart_polynomial(params)
-    bound = Fraction(params.n, params.d)
-    points = None if roots is None else _disk_points(poly, roots)
-    left_in = right_in = False
-    if points is not None:
-        first = _float_radii(params, poly, points)
-        left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
-    included = StabilityVerdict(STABLE, certifier="inclusion")
-    right = included if right_in else verify_half_plane(params, 0, "left_of")
-    left = included if left_in else verify_half_plane(params, -bound, "right_of")
-    return StripVerdict(left_ok=left, right_ok=right)
+    (outcome,) = verify_strip_many([params], [roots])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

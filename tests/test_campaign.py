@@ -5,6 +5,7 @@ import pytest
 
 import hsroots.campaign
 import hsroots.roots
+import hsroots.stability
 from hsroots.campaign import (
     DIAGONAL,
     PAPER_GRID,
@@ -166,7 +167,7 @@ def test_campaign_solves_each_pair_as_find_roots_does(tmp_path, monkeypatch, see
         assert list(map(repr, find_roots_many(grid, config.solver))) == list(map(repr, alone))
 
     report = run_campaign(config)
-    expected = [_row(params, rs, False) for params, rs in zip(grid, alone)]
+    expected = [_row(params, rs, None) for params, rs in zip(grid, alone)]
     assert [repr(replace(row, millis=0.0)) for row in report.rows] == [
         repr(replace(row, millis=0.0)) for row in expected
     ]
@@ -224,8 +225,8 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
 
 def test_campaign_evaluates_each_row_count_once_per_round(monkeypatch):
     # a round makes one product-form evaluation per row count for the start
-    # points, a sweep, the certificates or the snap candidates of all pairs;
-    # solved one pair after another, this grid took 486 evaluations
+    # points, a sweep, or the certificates with their snap candidates of all
+    # pairs; solved one pair after another, this grid took 486 evaluations
     config = CampaignConfig(d_min=4, d_max=5, certify=False)
     off_diagonal = [HypersimplexParams(d, n) for d, n in config.pairs() if n != 2 * d]
     solved = find_roots_many(off_diagonal, config.solver)
@@ -242,6 +243,57 @@ def test_campaign_evaluates_each_row_count_once_per_round(monkeypatch):
     monkeypatch.setattr(hsroots.roots, "_term_products", counted)
     run_campaign(config)
     assert len(calls) <= (sweeps + 4) * len(row_counts)
+
+
+def test_campaign_certifies_each_row_count_in_one_batched_call(monkeypatch):
+    # the certificates' value bounds are packed by the solver's plan: on
+    # d = 4..5 one error-mode factor loop per `_value_bounds` call, at most
+    # two per row count for the whole grid (2 in all), where certifying
+    # pair by pair took one per pair (43); the solver's stay in derivative mode
+    config = CampaignConfig(d_min=4, d_max=5, certify=True)
+    row_counts = {min(d, n - d) for d, n in config.pairs()}
+    modes, bound_calls = [], []
+    real_products, real_bounds = hsroots.roots._term_products, hsroots.stability._value_bounds
+
+    def counted_products(*args, **kwargs):
+        modes.append(kwargs.get("mode", "derivative"))
+        return real_products(*args, **kwargs)
+
+    def counted_bounds(*args):
+        bound_calls.append(args)
+        return real_bounds(*args)
+
+    monkeypatch.setattr(hsroots.roots, "_term_products", counted_products)
+    monkeypatch.setattr(hsroots.stability, "_value_bounds", counted_bounds)
+    report = run_campaign(config)
+    assert report.all_certified
+    assert set(modes) == {"derivative", "error"}
+    assert 0 < modes.count("error") == len(bound_calls) <= 2 * len(row_counts) < len(config.pairs())
+
+
+def test_campaign_certificate_failing_in_its_batched_call_leaves_the_others(tmp_path, monkeypatch):
+    # the value-bound call holding (4, 9) holds every d = 4 pair: those
+    # pairs are reported as errors, and the pairs of row count 5 are still
+    # certified and written
+    base = dict(d_min=4, d_max=5, certify=True)
+    run_campaign(CampaignConfig(**base, output_dir=tmp_path / "all"))
+    real = hsroots.stability._value_bounds
+
+    def flaky(d, runs, z):
+        if any(n == 9 for n, _ in runs):
+            raise RuntimeError("bounds exploded")
+        return real(d, runs, z)
+
+    monkeypatch.setattr(hsroots.stability, "_value_bounds", flaky)
+    report = run_campaign(CampaignConfig(**base, output_dir=tmp_path / "one_failed"))
+    failed = list(range(8, 25))
+    assert [error.split(": ", 1)[0] for error in report.errors] == [f"d=4 n={n}" for n in failed]
+    assert all("RuntimeError: bounds exploded" in error for error in report.errors)
+    assert {row.d for row in report.rows} == {5} and all(row.certified for row in report.rows)
+    for name in ("report.csv", "roots.csv"):
+        everything = (tmp_path / "all" / name).read_text().splitlines()
+        kept = everything[:1] + [line for line in everything[1:] if not line.startswith("4,")]
+        assert (tmp_path / "one_failed" / name).read_text().splitlines() == kept
 
 
 def test_numeric_pass_property(tmp_path):

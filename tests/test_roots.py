@@ -250,10 +250,10 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     requests = [0] * len(params)
     real = hsroots.roots._evaluate
 
-    def counted(keys, asked, seconds):
+    def counted(evaluator, pairs, asked, seconds):
         for i in asked:
             requests[i] += 1
-        return real(keys, asked, seconds)
+        return real(evaluator, pairs, asked, seconds)
 
     monkeypatch.setattr(hsroots.roots, "_evaluate", counted)
     solved = find_roots_many(params)
@@ -429,6 +429,39 @@ def test_eval_vec_batch_equals_single(d, n):
             _eval_vec(d, runs[::-1], np.concatenate(parts[::-1]))
         with pytest.raises(ValueError, match="one row count"):
             _eval_vec(d, [(2 * d, 1), (2 * d - 1, 1)], z[:2])
+
+
+@pytest.mark.parametrize(
+    "d,ns",
+    [
+        pytest.param(7, (63, 33, 30, 20, 17, 14), id="7-mixed"),
+        pytest.param(3, (40, 9, 9, 6), id="3-mixed"),
+        pytest.param(22, (44,), id="22-44"),
+    ],
+)
+def test_value_bounds_batch_equals_single(d, ns):
+    # the error mode of the factor loop is batch-independent too: on (n, count)
+    # runs each point's bound has the bits of its own call and of its pair's
+    # call, with columns ending on and off the 16-factor rescale grid, the
+    # far point 1e5 i in every run, and the safety factor of each point's n
+    parts = [np.append(mixed_points(d, n), 1e5j) for n in ns]
+    z = np.concatenate(parts)
+    runs = [(n, part.size) for n, part in zip(ns, parts)]
+    batch = _value_bounds(d, runs, z)
+    point_n = [n for n, count in runs for _ in range(count)]
+    for i in range(z.size):
+        one = _value_bounds(d, point_n[i], z[i:i + 1])
+        assert as_bytes(one) == as_bytes(tuple(a[i:i + 1] for a in batch)), i
+    start = 0
+    for n, part in zip(ns, parts):
+        own = tuple(a[start:start + part.size] for a in batch)
+        assert as_bytes(_value_bounds(d, n, part)) == as_bytes(own), n
+        start += part.size
+    if len(ns) > 1:
+        with pytest.raises(ValueError, match="non-increasing"):
+            _value_bounds(d, runs[::-1], np.concatenate(parts[::-1]))
+    with pytest.raises(ValueError, match="one row count"):
+        _value_bounds(d, [(2 * d, 1), (2 * d - 1, 1)], z[:2])
 
 
 def test_eval_vec_runs_of_equal_n_share_a_call():

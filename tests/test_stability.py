@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hsroots.stability
+from hsroots.campaign import CampaignConfig
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
-from hsroots.roots import _distance_product_lower, _value_bounds, find_roots
+from hsroots.roots import _distance_product_lower, _value_bounds, find_roots, find_roots_many
 from hsroots.stability import (
     _disks,
     _dyadic,
@@ -22,6 +24,7 @@ from hsroots.stability import (
     StripVerdict,
     verify_half_plane,
     verify_strip,
+    verify_strip_many,
 )
 
 
@@ -256,6 +259,44 @@ def test_verify_strip_rejects_out_of_domain():
         verify_strip(HypersimplexParams(3, 5))
 
 
+def test_verify_strip_many_agrees_with_verify_strip_and_isolates_failures(monkeypatch):
+    # the certified d = 4..5 grid in one call, with a repeated root, whose
+    # points carry no disks, so both sides go to Routh, and a pair outside
+    # the conjecture domain, which fails alone
+    grid = [HypersimplexParams(d, n) for d, n in CampaignConfig(d_min=4, d_max=5).pairs()]
+    roots = [rs.roots for rs in find_roots_many(grid)]
+    alone = [verify_strip(params, r) for params, r in zip(grid, roots)]
+    assert all(verdict.overall for verdict in alone)
+    repeated, outside = HypersimplexParams(4, 10), HypersimplexParams(3, 5)
+    spoiled = list(roots[grid.index(repeated)])
+    spoiled[0] = spoiled[1]
+    pairs, lists = grid + [repeated, outside], roots + [spoiled, find_roots(outside).roots]
+    many = verify_strip_many(pairs, lists)
+    assert many[:len(grid)] == alone
+    assert many[-2] == verify_strip(repeated)
+    assert many[-2].left_ok.certifier == many[-2].right_ok.certifier == "routh"
+    assert isinstance(many[-1], ConjectureDomain)
+
+    # a failed value-bound call ends the pairs in it, all d = 4 pairs of row
+    # count 4, and no other pair
+    real, failed = hsroots.stability._value_bounds, []
+
+    def flaky(d, runs, z):
+        if any(n == 9 for n, _ in runs):
+            failed.append([n for n, _ in runs])
+            raise RuntimeError("bounds exploded")
+        return real(d, runs, z)
+
+    monkeypatch.setattr(hsroots.stability, "_value_bounds", flaky)
+    many = verify_strip_many(grid, roots)
+    assert failed == [list(range(24, 7, -1))]  # one call, whole pairs, n descending
+    for params, verdict, expected in zip(grid, many, alone):
+        if params.d == 4:
+            assert isinstance(verdict, RuntimeError), params
+        else:
+            assert verdict == expected, params
+
+
 def test_verify_half_plane_threshold_instances():
     assert verify_half_plane(HypersimplexParams(4, 45), 1, "left_of").status == "Stable"
     assert verify_half_plane(HypersimplexParams(4, 24), -6, "right_of").status == "Stable"
@@ -362,13 +403,18 @@ def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
     assert_value_bounds_hold(d, n, points)
 
 
+def float_radii(params, poly, points):
+    """`_float_radii` on the value bounds of one `_value_bounds` call."""
+    return _float_radii(params, poly, points, _value_bounds(params.d, params.n, np.array(points)))
+
+
 def assert_float_pass_sound(params, roots):
-    """Every float radius bound of `_float_radii` is at least the exact
+    """Every float radius bound of `float_radii` is at least the exact
     radius of its disk, and `_disks` gives the same verdict with the float
     bounds as with the exact test alone."""
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
-    first = _float_radii(params, poly, roots)
+    first = float_radii(params, poly, roots)
     for i, entry in enumerate(first):
         if entry is None or entry[3] == 0:
             continue
@@ -419,7 +465,7 @@ def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
     assert_float_pass_sound(params, roots)
     # every point gets both float bounds, and its entry is exactly the
     # radius bound they give, over the dyadic Re z_i
-    first = _float_radii(params, poly, roots)
+    first = float_radii(params, poly, roots)
     for z, entry, radius_sq in zip(roots, first, float_radius_sq(params, poly, roots)):
         assert entry is not None and entry[3] > 0, z
         x, x_den, bound_sq, scale = entry
@@ -445,7 +491,7 @@ def test_float_pass_leaves_both_sides_open_without_a_distance_bound():
     # 1e-160 apart, the squared distance 1e-320 is subnormal: D_i = 0
     params = HypersimplexParams(4, 12)
     points = [0j, 1e-160 + 0j] + list(find_roots(params).roots)[2:]
-    first = _float_radii(params, ehrhart_polynomial(params), points)
+    first = float_radii(params, ehrhart_polynomial(params), points)
     for entry in first[:2]:
         assert entry[3] == 0
         assert _inside(Fraction(-3), Fraction(0), *entry) == (False, False)
@@ -469,7 +515,7 @@ def test_float_pass_skips_a_point_without_a_value_bound():
     # None, the exact disk fails both sides and Routh certifies the strip
     params = HypersimplexParams(4, 12)
     points = [complex(1e200)] + list(find_roots(params).roots)[1:]
-    assert _float_radii(params, ehrhart_polynomial(params), points)[0] is None
+    assert float_radii(params, ehrhart_polynomial(params), points)[0] is None
     verdict = verify_strip(params, points)
     assert verdict.overall is True
     assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
@@ -480,7 +526,7 @@ def float_proven(params, roots):
     bound = Fraction(params.n, params.d)
     sides = [
         _inside(-bound, Fraction(0), *entry) if entry else (False, False)
-        for entry in _float_radii(params, ehrhart_polynomial(params), roots)
+        for entry in float_radii(params, ehrhart_polynomial(params), roots)
     ]
     return [i for i, s in enumerate(sides) if s[0]], [i for i, s in enumerate(sides) if s[1]]
 

@@ -18,6 +18,13 @@ whichever other rows are built with it.  `phi`, `f_term_modulus` (a log2
 modulus, so it keeps values beyond the double range) and `check_aida` are
 calls of size 1.  The contour samples are made block by block as arrays
 (`ContourSpec.sample_blocks`).
+
+The monotonicity checks use that every factor (d-s)z + k - s has real
+coefficients: a term at re - i*t is the exact conjugate of the term at
+re + i*t, so each ratio takes the same bits at both heights.  They evaluate
+the distinct magnitudes |t| of their heights alone (the default grid's are
+built as they are, given heights are folded by a sort), and build the
+two orders they compare in one call, as two (n, count) runs.
 """
 
 import functools
@@ -30,7 +37,7 @@ import numpy as np
 
 from .ehrhart import _integer
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
-from .roots import _term_products
+from .roots import _per_point, _runs, _term_products
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
 _BLOCK = 4096  # points per evaluator call
@@ -51,22 +58,26 @@ def _validate_indices(n: int, d: int, s: int, smallest: int = 0) -> Tuple[int, i
     return n, d, s
 
 
-def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+def _log2_terms(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| for s in rows (all d
     when None) as a (len(rows), len(z)) array, -inf where a factor vanishes;
-    batch- and row-independent like `_term_products`."""
+    batch- and row-independent like `_term_products`, whose n it takes: an
+    int or (n, count) runs along z, n non-increasing."""
     rows = range(d) if rows is None else rows
+    runs = _runs(n, z.size)
     # terms beyond the double range overflow to inf or NaN; callers fail on those
     with np.errstate(over="ignore", invalid="ignore"):
-        prod, _, exps = _term_products(d, n, z, rows, mode="value")
-    log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
+        prod, _, exps = _term_products(d, runs, z, rows, mode="value")
+    columns = [[math.log2(math.comb(value, s)) for s in rows] for value, _ in runs]
+    log_binom = _per_point(columns, runs)
     with np.errstate(divide="ignore"):
-        return np.log2(np.abs(prod)) + exps + log_binom[:, None]
+        return np.log2(np.abs(prod)) + exps + log_binom
 
 
-def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+def _ratios(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     """phi for s in rows (all d when None) as a (len(rows), len(z)) array, by
-    exponent difference; rows[0] must be 0, the dominant term."""
+    exponent difference; rows[0] must be 0, the dominant term.  n is an int
+    or (n, count) runs, as `_log2_terms` takes it."""
     logs = _log2_terms(n, d, z, rows)
     poles = np.flatnonzero(logs[0] == -np.inf)
     if poles.size:
@@ -93,40 +104,66 @@ def phi(n: int, d: int, s: int, z: complex) -> float:
 
 def default_beta_grid(n: int, points: int = 400):
     """0 plus `points` log-spaced magnitudes in [1e-3, 1e2]*n, both signs."""
-    return _beta_grid(n, points).tolist()
+    magnitudes = _beta_magnitudes(n, points)
+    return np.concatenate((magnitudes, -magnitudes[1:])).tolist()
+
+
+def _beta_magnitudes(n: int, points: int) -> np.ndarray:
+    """0 and the positive half of `default_beta_grid`, ascending: the
+    distinct magnitudes the checks evaluate on it."""
+    n, points = _integer("n", n), _integer("points", points)
+    return np.concatenate(([0.0], n * _beta_powers(points)))
 
 
 @functools.lru_cache(maxsize=8)
-def _beta_grid(n: int, points: int) -> np.ndarray:
-    """`default_beta_grid` as a read-only array, memoised for the checks of
-    every s at the last few n; unbounded, a `bounds_contour` pass would keep
-    about 40 grids alive for its whole run.  Each magnitude is
-    n * 10.0 ** t in Python floats, on purpose: np.power does not round
-    every one of them the same way."""
+def _beta_powers(points: int) -> np.ndarray:
+    """10.0 ** t for `points` steps t from -3 to 2, as a read-only array.
+    Each power is taken in Python floats, on purpose: np.power does not
+    round every one of them the same way."""
     if points < 2:
         raise DomainViolation(f"the beta grid needs at least 2 points, got {points}")
-    out = [0.0]
-    for i in range(points):
-        t = -3.0 + 5.0 * i / (points - 1)
-        out.append(n * 10.0 ** t)
-    out.extend(-b for b in out[1:])
-    grid = np.array(out)
-    grid.setflags(write=False)
-    return grid
+    powers = np.array([10.0 ** (-3.0 + 5.0 * i / (points - 1)) for i in range(points)])
+    powers.setflags(write=False)
+    return powers
+
+
+def _magnitudes(n: int, beta_samples) -> np.ndarray:
+    """The distinct |t| a check evaluates, ascending: those of the default
+    grid at n when beta_samples is None, else those of the samples, with
+    DomainViolation when there is none or one is not finite, which would
+    give a vacuous pass or NaN ratios."""
+    if beta_samples is None:
+        return _beta_magnitudes(n, 400)
+    t = np.sort(np.abs(np.asarray(beta_samples, dtype=float)))
+    if t.size == 0:
+        raise DomainViolation("need at least one height")
+    if not np.isfinite(t[-1]):  # sorted, an inf or NaN comes last
+        raise DomainViolation(f"the heights must be finite, got {t[-1]}")
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
 def _strictly_less(lhs: float, rhs: float) -> bool:
     return lhs < rhs * (1.0 - RELATIVE_SLACK)
 
 
-def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, heights):
+def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, t):
     """Whether phi_s of order n_next at re_next + i*t is strictly below phi_s of
-    order n at re + i*t at every height t where not both of them vanish."""
-    heights = np.asarray(heights, dtype=float)
-    for start in range(0, heights.size, _BLOCK):
-        t = heights[start:start + _BLOCK]
-        larger = _ratios(n, d, re + 1j * t, (0, s))[1]
-        smaller = _ratios(n_next, d, re_next + 1j * t, (0, s))[1]
+    order n at re + i*t at every height t where not both of them vanish.
+
+    The checks pass the distinct magnitudes of their heights, as each ratio
+    takes the same bits at -t as at t (see the module docstring).  Each
+    block builds both orders in one `_ratios` call, as two runs of its
+    heights, the larger n first.
+    """
+    t = np.asarray(t, dtype=float)
+    swap = n_next > n
+    orders = ((n_next, re_next), (n, re)) if swap else ((n, re), (n_next, re_next))
+    for start in range(0, t.size, _BLOCK // 2):
+        block = t[start:start + _BLOCK // 2]
+        z = np.concatenate([x + 1j * block for _, x in orders])
+        ratios = _ratios([(value, block.size) for value, _ in orders], d, z, (0, s))[1]
+        first, second = ratios[:block.size], ratios[block.size:]
+        larger, smaller = (second, first) if swap else (first, second)
         both_zero = (smaller == 0.0) & (larger == 0.0)
         if not (both_zero | (smaller < larger * (1.0 - RELATIVE_SLACK))).all():
             return False
@@ -139,12 +176,10 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
 
     Samples where both ratios vanish exactly (the origin, where every s >= 1
     term has a zero factor) are degenerate for a strict comparison and are
-    skipped.
+    skipped.  beta_samples must be finite and not empty (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
-    if beta_samples is None:
-        beta_samples = _beta_grid(n, 400)
-    return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, beta_samples)
+    return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, _magnitudes(n, beta_samples))
 
 
 def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
@@ -152,14 +187,12 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     ratio for order n; each order is evaluated on its own edge Re = -n/d.
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
+    beta_samples must be finite and not empty (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
-    if beta_samples is None:
-        beta_samples = _beta_grid(n, 400)
-    heights = -np.asarray(beta_samples, dtype=float)
-    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, heights)
+    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, _magnitudes(n, beta_samples))
 
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:

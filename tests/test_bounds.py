@@ -22,7 +22,9 @@ from hsroots.bounds import (
     phi,
     ratio_bound,
     rouche_margin,
+    _beta_magnitudes,
     _log2_terms,
+    _magnitudes,
     _ratio_falls,
     _ratios,
 )
@@ -113,6 +115,21 @@ def test_default_beta_grid_needs_two_points():
             default_beta_grid(7, points)
 
 
+def test_beta_grid_matches_the_python_loop():
+    # n times the memoised powers rounds as n * 10.0 ** t does, sign bits
+    # included, and the checks' magnitudes are exactly the grid folded
+    for points in (2, 12, 400):
+        for n in range(2, 200):
+            out = [0.0]
+            for i in range(points):
+                out.append(n * 10.0 ** (-3.0 + 5.0 * i / (points - 1)))
+            out.extend(-b for b in out[1:])
+            grid = np.array(default_beta_grid(n, points))
+            assert grid.tobytes() == np.array(out).tobytes(), (n, points)
+            folded = _magnitudes(n, grid).tobytes()
+            assert _beta_magnitudes(n, points).tobytes() == folded, (n, points)
+
+
 def test_check_migi_examples():
     grid = [7 * 10 ** t for t in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
     assert check_migi(7, 3, 1, grid) is True
@@ -129,6 +146,81 @@ def test_ratio_falls_fails_on_the_swapped_orders():
     # migi at (3, 7) holds, so asking order 7 to sit below order 8 must fail
     assert check_migi(7, 3, 1) is True
     assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, default_beta_grid(7)) is False
+
+
+def test_monotone_checks_reject_empty_or_non_finite_heights():
+    for heights in ([], np.array([]), [math.nan], [math.inf, 1.0], [1.0, -math.inf]):
+        for check in (check_migi, check_hidari):
+            with pytest.raises(DomainViolation, match="height"):
+                check(7, 3, 1, heights)
+
+
+def test_monotone_checks_fold_the_heights():
+    # given heights become their distinct magnitudes, ascending, -0.0 as 0.0
+    folded = _magnitudes(7, [-5.0, 3.0, -0.0, 5.0, 0.0, -3.0, 7.5])
+    assert folded.tobytes() == np.array([0.0, 3.0, 5.0, 7.5]).tobytes()
+    assert _magnitudes(7, [-5.0, -0.0]).tobytes() == np.array([0.0, 5.0]).tobytes()
+    positive = np.array(default_beta_grid(12, 12)[1:13])
+    mirrored = np.concatenate((-positive[::-1], [-0.0], positive))
+    for heights in (positive, -positive, mirrored, np.concatenate((mirrored, positive[3:7]))):
+        assert check_migi(12, 4, 1, heights) is True
+        assert check_hidari(14, 4, 2, heights) is True
+    # the swapped orders fail at every height but 0, where both ratios vanish
+    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, _magnitudes(7, [0.0, -5.0])) is False
+    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, _magnitudes(7, [-0.0])) is True
+
+
+def test_monotone_checks_make_one_call_on_the_distinct_magnitudes(monkeypatch):
+    calls = []
+
+    def ratios(n, d, z, rows=None):
+        calls.append((n, z.copy()))
+        return _ratios(n, d, z, rows)
+
+    monkeypatch.setattr(hsroots.bounds, "_ratios", ratios)
+    assert check_migi(7, 3, 1) is True
+    assert check_hidari(14, 4, 2) is True
+    (migi_runs, migi_z), (hidari_runs, hidari_z) = calls
+    assert migi_runs == [(8, 401), (7, 401)] and hidari_runs == [(18, 401), (14, 401)]
+    magnitudes = np.array(default_beta_grid(7)[:401])
+    assert migi_z.tobytes() == np.concatenate((1j * magnitudes, 1j * magnitudes)).tobytes()
+    magnitudes = np.array(default_beta_grid(14)[:401])
+    expected = np.concatenate((-18 / 4 + 1j * magnitudes, -14 / 4 + 1j * magnitudes))
+    assert hidari_z.tobytes() == expected.tobytes()
+
+
+def test_ratios_are_even_in_the_height_bit_for_bit():
+    # the checks evaluate |t| alone; at the migi and hidari orders every row
+    # of the ratios takes the same bits at re - i*t as at re + i*t
+    for d in (3, 4, 5):
+        for n in range(2 * d, 42):
+            grid = np.array(default_beta_grid(n))
+            orders = [(n, 0.0), (n + 1, 0.0)]
+            if n >= d * d - 2:
+                orders += [(n, -n / d), (n + d, -(n + d) / d)]
+            for order, re in orders:
+                up = _ratios(order, d, re + 1j * grid)
+                down = _ratios(order, d, re - 1j * grid)
+                assert up.tobytes() == down.tobytes(), (d, n, order, re)
+
+
+def test_merged_orders_give_the_separate_calls_bits():
+    for n, d in KERNEL_CASES:
+        for n_next, re, re_next in ((n + 1, 0.0, 0.0), (n + d, -n / d, -(n + d) / d)):
+            t = np.array(default_beta_grid(n, 12))
+            z, z_next = re + 1j * t, re_next + 1j * t
+            both = np.concatenate((z_next, z))
+            for rows in (None, (0, 1), (0, d - 1)):
+                merged = _ratios([(n_next, t.size), (n, t.size)], d, both, rows)
+                apart = [_ratios(n_next, d, z_next, rows), _ratios(n, d, z, rows)]
+                assert merged.tobytes() == np.hstack(apart).tobytes(), (n, d, n_next, rows)
+            # runs of unequal length, all rows
+            both = np.concatenate((z_next[:5], z[5:]))
+            merged = _log2_terms([(n_next, 5), (n, t.size - 5)], d, both)
+            apart = [_log2_terms(n_next, d, z_next[:5]), _log2_terms(n, d, z[5:])]
+            assert merged.tobytes() == np.hstack(apart).tobytes(), (n, d, n_next)
+    with pytest.raises(ValueError, match="non-increasing"):
+        _ratios([(7, 2), (8, 2)], 3, np.array([1j, 2j, 1j, 2j]))
 
 
 def test_check_migi_rejects_s_zero():
@@ -165,6 +257,10 @@ def test_integer_arguments_must_be_integers():
         lambda: check_d4_sum_bound(4.5),
         lambda: check_d4_sum_bound(4.0),
         lambda: check_h_negative(5.0),
+        lambda: default_beta_grid(7.5),
+        lambda: default_beta_grid(7, 2.5),
+        lambda: default_beta_grid(True),
+        lambda: default_beta_grid(7, True),
     )
     for call in calls:
         with pytest.raises(InvalidParams, match="must be an integer"):
@@ -181,6 +277,7 @@ def test_numpy_integer_arguments_match_plain_ints():
     assert check_aida(i(7), i(3), i(1), 1.0, 1.4) is check_aida(7, 3, 1, 1.0, 1.4)
     assert check_d4_sum_bound(i(5)) is check_d4_sum_bound(5) is True
     assert check_h_negative(i(5)) is check_h_negative(5) is True
+    assert default_beta_grid(i(7), i(12)) == default_beta_grid(7, 12)
 
 
 def test_check_hidari_examples():

@@ -27,6 +27,7 @@ built as they are, given heights are folded by a sort), and build the
 two orders they compare in one call, as two (n, count) runs.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -89,17 +90,28 @@ def _ratios(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     return ratios
 
 
+def _point(n: int, d: int, z) -> np.ndarray:
+    """z as an array of one point, for d |z| + n <= 2**51, where 16 factors
+    between rescales stay finite, else DomainViolation (a NaN z too)."""
+    z = complex(z)
+    if not (cmath.isfinite(z) and d * abs(z) + n <= 2**51):
+        raise DomainViolation(f"need a finite z with d|z| + n <= 2**51, got z={z}")
+    return np.array([z])
+
+
 def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
     """log2 |C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)|, -inf where a
-    factor vanishes; a log keeps moduli beyond the double range."""
+    factor vanishes; a log keeps moduli beyond the double range.  z must
+    be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_log2_terms(n, d, np.array([complex(z)]), (s,))[0, 0])
+    return float(_log2_terms(n, d, _point(n, d, z), (s,))[0, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
-    """Modulus ratio of the s-th product term to the dominant (s=0) one."""
+    """Modulus ratio of the s-th product term to the dominant (s=0) one;
+    z must be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_ratios(n, d, np.array([complex(z)]), (0, s))[1, 0])
+    return float(_ratios(n, d, _point(n, d, z), (0, s))[1, 0])
 
 
 def default_beta_grid(n: int, points: int = 400):
@@ -112,6 +124,8 @@ def _beta_magnitudes(n: int, points: int) -> np.ndarray:
     """0 and the positive half of `default_beta_grid`, ascending: the
     distinct magnitudes the checks evaluate on it."""
     n, points = _integer("n", n), _integer("points", points)
+    if n < 2:
+        raise InvalidParams(f"the beta grid needs n >= 2, got n={n}")
     return np.concatenate(([0.0], n * _beta_powers(points)))
 
 
@@ -130,11 +144,14 @@ def _beta_powers(points: int) -> np.ndarray:
 def _magnitudes(n: int, beta_samples) -> np.ndarray:
     """The distinct |t| a check evaluates, ascending: those of the default
     grid at n when beta_samples is None, else those of the samples, with
-    DomainViolation when there is none or one is not finite, which would
-    give a vacuous pass or NaN ratios."""
+    DomainViolation when they are not 1-D, there is none or one is not
+    finite, which would give a vacuous pass or NaN ratios."""
     if beta_samples is None:
         return _beta_magnitudes(n, 400)
-    t = np.sort(np.abs(np.asarray(beta_samples, dtype=float)))
+    t = np.asarray(beta_samples, dtype=float)
+    if t.ndim != 1:
+        raise DomainViolation(f"the heights must be 1-D, got shape {t.shape}")
+    t = np.sort(np.abs(t))
     if t.size == 0:
         raise DomainViolation("need at least one height")
     if not np.isfinite(t[-1]):  # sorted, an inf or NaN comes last
@@ -176,7 +193,7 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
 
     Samples where both ratios vanish exactly (the origin, where every s >= 1
     term has a zero factor) are degenerate for a strict comparison and are
-    skipped.  beta_samples must be finite and not empty (DomainViolation).
+    skipped.  beta_samples must be 1-D, finite and not empty (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, _magnitudes(n, beta_samples))
@@ -187,7 +204,7 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     ratio for order n; each order is evaluated on its own edge Re = -n/d.
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
-    beta_samples must be finite and not empty (DomainViolation).
+    beta_samples must be 1-D, finite and not empty (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:

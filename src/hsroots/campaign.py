@@ -4,18 +4,18 @@ The pairs are solved together, in lockstep (`roots.find_roots_many`):
 each sweep round evaluates p once for all pairs of one row count
 min(d, n - d), and every pair gets the roots and residual certificates
 that `find_roots` gives it alone.  Then the pairs that solved get the exact
-strip certificate together when requested (`stability.verify_strip_many`).
-It starts from those roots: inclusion disks around them, bounded in
-floating point with a rigorous error term (one batched value-bound call
-per row count for the whole grid) and tested in exact integers where that
-bound falls short, prove a side of the strip, and only a side they cannot
-prove runs the Routh table.  Each pair gets the verdict `verify_strip`
-gives it alone.  Results are gathered, sorted by (d, n), and
-written as `report.csv` and `roots.csv`; `hsroots plot` draws the roots as
-SVG scatter plots.  File contents are deterministic for a given
-configuration and seed, byte for byte from run to run: wall-clock timings
-are reported on the console and kept out of the CSV (its millis column is
-pinned to 0).
+strip certificate together when requested (`stability.verify_strip_many`),
+run by the solver's own driver (`roots._lockstep`).  It starts from those
+roots: inclusion disks around them, bounded in floating point with a
+rigorous error term (one batched value-bound call per row count for the
+whole grid) and tested in exact integers where that bound falls short,
+prove a side of the strip, and only a side they cannot prove runs the
+Routh table.  Each pair gets the verdict `verify_strip` gives it alone.
+Results are gathered, sorted by (d, n), and written as `report.csv` and
+`roots.csv`; `hsroots plot` draws the roots as SVG scatter plots.  File
+contents are deterministic for a given configuration and seed, byte for
+byte from run to run: wall-clock timings are reported on the console and
+kept out of the CSV (its millis column is pinned to 0).
 """
 
 import traceback
@@ -84,8 +84,7 @@ class CampaignRow:
 
     `millis` is the pair's share of the wall time: its own solver and
     certificate steps, and its share of each batched evaluation by the
-    products it took there (see `roots.find_roots_many` and
-    `stability.verify_strip_many`).
+    products it took there (see `roots._lockstep`).
     """
 
     d: int

@@ -88,7 +88,11 @@ def in_sublattice(x, d: int) -> bool:
     That lattice is exactly the integer vectors whose coordinate sum is
     divisible by d (differences of vertices give all e_i - e_j, and d*e_1
     is reachable, so the coordinate sum mod d is the only invariant).
+    d must be an integer (see `ehrhart._integer`) with d >= 1.
     """
+    d = _integer("d", d)
+    if d < 1:
+        raise InvalidParams(f"need d >= 1, got d={d}")
     x = list(x)
     if len(x) <= d:
         raise DimensionMismatch(f"vector length {len(x)} must exceed d={d}")

@@ -17,10 +17,10 @@ modulus ratios from the same loop, asking only for the rows it compares
 and for values without derivatives.  In its error mode the loop also
 carries a rigorous bound on each term's rounding error, from which
 `_value_bounds` bounds |p(z)| from above; with `_distance_product_lower`
-it gives the float pass of `stability.verify_strip_many` its only two
-float bounds.  `_evaluate` is the one packing plan of both evaluators: it
-cuts the points of many pairs into calls of one row count min(d, n - d),
-whole pairs, n descending.
+it gives `stability`'s strip certificate its only two float bounds.
+`_lockstep` drives the solves and certificates of many pairs in rounds, and
+`_evaluate`, its packing plan, cuts each round's points into calls of one
+row count min(d, n - d), whole pairs, n descending.
 
 The solver is the Ehrlich-Aberth simultaneous iteration, started on one
 seed-rotated ellipse around the centroid of the roots, which all lie close
@@ -30,7 +30,7 @@ sweep evaluates only the roots still moving.  A solve (`_solve`) is a
 generator that yields each array of points where it needs p and receives
 `_eval_vec`'s output, one request per step: its start, each double sweep,
 and its certificates together with their real-axis snap candidates.  So
-`find_roots_many` runs the sweeps of many pairs in lockstep, with one
+`find_roots_many` runs the sweeps of many pairs under `_lockstep`, with one
 `_eval_vec` call per row count min(d, n - d) and round; `find_roots` is
 that driver on one pair.  The evaluator also returns a noise floor from
 the summed moduli of the alternating-sum terms, which bound its rounding
@@ -816,55 +816,63 @@ def _evaluate(evaluator, params_list: Sequence, requests: dict, seconds: list) -
     return answers
 
 
-def find_roots_many(
-    params_list: Sequence[HypersimplexParams], config: Optional[SolverConfig] = None
-) -> list:
-    """`find_roots` for every pair, solved in lockstep.
-
-    Each round advances every pair's solve (`_solve`) to its next request
-    for p in product form, one per step: its two start points, a double
-    sweep over its roots still moving, or its residual certificates and
-    their real-axis snap candidates.  So a pair makes iterations + 2
-    requests (one more when its settled double result misses the
-    certificate), and a pair at n = 2d one.  The round's points go to
-    `_evaluate`, which packs whole pairs into one `_eval_vec` call per row
-    count min(d, n - d) (see `_BATCH_ENTRIES`), each point with the bits it
-    gets alone, so every RootSet is the one `find_roots` returns.
-    Repulsion, update, refinement and the n = 2d path run per pair.
-
-    Returns, in input order, each pair's RootSet, with `seconds` its own
-    steps plus its share of each batched call (see `_evaluate`), or the
-    exception that ended its solve: one raised by its own step ends no
-    other pair's, one raised by an evaluator call ends the solves of the
-    pairs in that call.
-    """
-    config = config or SolverConfig()
-    outcomes = [None] * len(params_list)
-    seconds = [0.0] * len(params_list)
-    solves = {i: _solve(params, config) for i, params in enumerate(params_list)}
-    answers = dict.fromkeys(solves)
-    while solves:
+def _lockstep(evaluator, params_list: Sequence, steps: Sequence) -> list:
+    """Drives one step generator per pair in rounds: each step yields the
+    points where it needs `evaluator`, all the round's points go to
+    `_evaluate`, and each step gets its share back by `send`, or by `throw`
+    the exception of its call.  Returns, in input order, what each step
+    returned, with `seconds` its own steps plus its share of each call, or
+    the exception that ended it: one raised by its own step ends no other."""
+    outcomes = [None] * len(steps)
+    seconds = [0.0] * len(steps)
+    live = dict(enumerate(steps))
+    answers = dict.fromkeys(live)
+    while live:
         requests = {}
-        for i, solve in list(solves.items()):
+        for i, step in list(live.items()):
             start = time.perf_counter()
             answer = answers[i]
             try:
                 if isinstance(answer, Exception):  # its evaluator call failed
-                    requests[i] = solve.throw(answer)
+                    requests[i] = step.throw(answer)
                 else:
-                    requests[i] = solve.send(answer)
+                    requests[i] = step.send(answer)
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except Exception as exc:  # the pair ends here; the others go on
                 outcomes[i] = exc
             seconds[i] += time.perf_counter() - start
             if i not in requests:
-                del solves[i]
-        answers = _evaluate(_eval_vec, params_list, requests, seconds)
+                del live[i]
+        answers = _evaluate(evaluator, params_list, requests, seconds)
     return [
-        replace(outcome, seconds=spent) if isinstance(outcome, RootSet) else outcome
+        outcome if isinstance(outcome, Exception) else replace(outcome, seconds=spent)
         for outcome, spent in zip(outcomes, seconds)
     ]
+
+
+def _only(outcomes: list):
+    """The one outcome of a single-pair `_lockstep`, or raise what ended it."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def find_roots_many(
+    params_list: Sequence[HypersimplexParams], config: Optional[SolverConfig] = None
+) -> list:
+    """`find_roots` for every pair, each solve (`_solve`) a step of `_lockstep`.
+
+    A pair asks for p at its two start points, at each double sweep over its
+    roots still moving, and at its residual certificates with their snap
+    candidates: iterations + 2 requests (one more when its settled double
+    result misses the certificate), one at n = 2d.  Each point gets the bits
+    it gets alone, so every RootSet is the one `find_roots` returns.
+    Returns each pair's RootSet, or the exception that ended its solve.
+    """
+    config = config or SolverConfig()
+    return _lockstep(_eval_vec, params_list, [_solve(params, config) for params in params_list])
 
 
 def find_roots(
@@ -892,10 +900,7 @@ def find_roots(
 
     This is `find_roots_many` on the one pair, raising what ended its solve.
     """
-    (outcome,) = find_roots_many([params], config)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _only(find_roots_many([params], config))
 
 
 def residual(params: HypersimplexParams, root: complex) -> float:

@@ -9,20 +9,19 @@ exact radius from the points' dyadic values, with p evaluated by
 `roots._gaussian_horner` at shift 0, the solver's own exact Horner loop.
 `verify_strip_many` gives each disk the bound `_float_radii` builds from two
 rigorous float bounds, on |p(z_i)| (`roots._value_bounds`) and on the
-distance product (`roots._distance_product_lower`).  The value bounds of
-all its pairs come in batches, through the solver's own packing plan
-(`roots._evaluate`): one call per row count min(d, n - d), as the solver's
-lockstep rounds make.  `verify_strip` is that driver on one pair, and
-`inclusion_strip` gives no disk a float bound.  A side the disks do not
-prove, and every call without roots, goes to the Routh table, whose rows
-are rescaled only by positive constants (their gcd), which preserves the
-sign structure the table's first column encodes.  A zero leading element
-is reported as Boundary, never perturbed.
+distance product (`roots._distance_product_lower`).  Each pair's
+certificate is a step generator (`_certify`) run by the solver's own
+driver (`roots._lockstep`), so the value bounds of all pairs come in
+batches: one call per row count min(d, n - d).  `verify_strip` is that
+driver on one pair, and `inclusion_strip` gives no disk a float bound.  A
+side the disks do not prove, and every call without roots, goes to the
+Routh table, whose rows are rescaled only by positive constants (their
+gcd), which preserves the sign structure the table's first column
+encodes.  A zero leading element is reported as Boundary, never perturbed.
 """
 
 import cmath
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, gcd, isfinite
 from typing import Optional, Sequence, Tuple
@@ -32,7 +31,9 @@ import numpy as np
 from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
-from .roots import _distance_product_lower, _evaluate, _gaussian_horner, _to_fixed, _value_bounds
+from .roots import (
+    _distance_product_lower, _gaussian_horner, _lockstep, _only, _to_fixed, _value_bounds
+)
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -65,7 +66,7 @@ class StabilityVerdict:
 class StripVerdict:
     """Joint verdict for the open strip -n/d < Re < 0.
 
-    `seconds` is the wall time spent on the pair (see `verify_strip_many`);
+    `seconds` is the wall time spent on the pair (see `roots._lockstep`);
     it varies from run to run, so equality and repr leave it out.
     """
 
@@ -217,7 +218,7 @@ def _float_radii(
     Re z_i = x / x_den and (N |W_i| x_den)**2 <= radius_sq / scale.
 
     `values` is `roots._value_bounds`'s output at the points, V_i >=
-    (n-1)! |p(z_i)|, as `verify_strip_many` gets it from a batched call.
+    (n-1)! |p(z_i)|, as `_certify` gets it from a batched call.
     With D_i <= prod_{j != i} |z_i - z_j|**2 from
     `roots._distance_product_lower` and the integer E = (n-1)! a_N, the
     bound is N**2 V_i**2 x_den**2 / (E**2 D_i), a ratio of integers since
@@ -339,66 +340,38 @@ def verify_half_plane(
     raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
 
 
-def verify_strip_many(params_list: Sequence[HypersimplexParams], roots_list: Sequence) -> list:
-    """`verify_strip` for every pair, with the value bounds in batches.
-
-    roots_list[i] holds the numeric roots of params_list[i], or None.  Three
-    steps: per pair, the domain check, p and `_disk_points`; then the value
-    bounds at every pair's points from `roots._evaluate`, the solver's own
-    packing plan, so one `_value_bounds` call per row count min(d, n - d)
-    (at most `roots._BATCH_ENTRIES` entries, whole pairs, n descending),
-    each point with the bits it gets alone; then per pair `_float_radii`,
-    `_disks` and the Routh table for any side still unproven.  So every
-    verdict is the one the pair gets alone.
-
-    Returns, in input order, each pair's StripVerdict, with `seconds` its
-    own steps plus its share of each batched call (split as `_evaluate`
-    splits it), or the exception that ended its certificate: one raised by
-    its own step ends no other pair's, one raised by a `_value_bounds` call
-    ends the pairs in that call.
-    """
-    outcomes = [None] * len(params_list)
-    seconds = [0.0] * len(params_list)
-    prepared = {}
-    for i, (params, roots) in enumerate(zip(params_list, roots_list, strict=True)):
-        start = time.perf_counter()
-        try:
-            params.require_conjecture_domain()
-            poly = ehrhart_polynomial(params)
-            prepared[i] = poly, None if roots is None else _disk_points(poly, roots)
-        except Exception as exc:  # the pair ends here; the others go on
-            outcomes[i] = exc
-        seconds[i] += time.perf_counter() - start
-    requests = {i: np.array(points) for i, (_, points) in prepared.items() if points is not None}
-    values = _evaluate(_value_bounds, params_list, requests, seconds)
-    for i, (poly, points) in prepared.items():
-        start = time.perf_counter()
-        try:
-            outcomes[i] = _strip(params_list[i], poly, points, values.get(i))
-        except Exception as exc:  # its own step, or its `_value_bounds` call
-            outcomes[i] = exc
-        seconds[i] += time.perf_counter() - start
-    return [
-        replace(outcome, seconds=spent) if isinstance(outcome, StripVerdict) else outcome
-        for outcome, spent in zip(outcomes, seconds)
-    ]
-
-
-def _strip(params: HypersimplexParams, poly: RationalPolynomial, points, values) -> StripVerdict:
-    """The last step of `verify_strip_many` for one pair: the disks around
-    `points` (None: no disks) on `values`, their value bounds or the
-    exception of their call, and the Routh table for a side they leave open."""
+def _certify(params: HypersimplexParams, roots):
+    """One pair's `verify_strip` as a step of `roots._lockstep`: the domain
+    check and p; one request for the value bounds at its points when they
+    can carry disks (`_disk_points`), then `_float_radii` and `_disks` on
+    them; the Routh table for any side still open."""
+    params.require_conjecture_domain()
+    poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
+    points = None if roots is None else _disk_points(poly, roots)
     left_in = right_in = False
     if points is not None:
-        if isinstance(values, Exception):
-            raise values
-        first = _float_radii(params, poly, points, values)
+        first = _float_radii(params, poly, points, (yield np.array(points)))
         left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
     left = included if left_in else verify_half_plane(params, -bound, "right_of")
     return StripVerdict(left_ok=left, right_ok=right)
+
+
+def verify_strip_many(params_list: Sequence[HypersimplexParams], roots_list: Sequence) -> list:
+    """`verify_strip` for every pair, each certificate (`_certify`) a step
+    of `roots._lockstep`.
+
+    roots_list[i] holds the numeric roots of params_list[i], or None.  The
+    value bounds come from the solver's packing plan, one `_value_bounds`
+    call per row count min(d, n - d) and cap, each point with the bits it
+    gets alone, so every verdict is the one `verify_strip` gives.  Returns
+    each pair's StripVerdict, or the exception that ended it; a failed
+    call ends the pairs in it.
+    """
+    pairs = zip(params_list, roots_list, strict=True)
+    return _lockstep(_value_bounds, params_list, [_certify(*pair) for pair in pairs])
 
 
 def verify_strip(
@@ -421,7 +394,4 @@ def verify_strip(
 
     This is `verify_strip_many` on the one pair, raising what ended it.
     """
-    (outcome,) = verify_strip_many([params], [roots])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    return _only(verify_strip_many([params], [roots]))

@@ -100,6 +100,22 @@ def test_phi_pole_raises():
         phi(7, 3, 1, complex(-1.0 / 3.0, 0.0))
 
 
+def test_single_point_ratios_reject_points_beyond_the_double_range():
+    # past d|z| + n = 2**51 the products may overflow between rescales and
+    # came back as NaN; a vanishing factor still gives -inf and 0
+    edge = (2.0**51 - 7) / 3
+    for z in (complex("nan"), complex(0, math.inf), 1e300 + 0j, 1e200 + 0j, complex(0, 2 * edge)):
+        for call in (phi, f_term_modulus):
+            with pytest.raises(DomainViolation, match="2\\*\\*51"):
+                call(7, 3, 1, z)
+    assert math.isfinite(f_term_modulus(7, 3, 1, complex(0, edge)))
+    assert math.isfinite(phi(7, 3, 1, complex(0, edge)))
+    assert f_term_modulus(6, 3, 1, 0j) == -math.inf
+    assert phi(7, 3, 1, 0j) == 0.0
+    with pytest.raises(DomainViolation, match="2\\*\\*51"):
+        check_aida(7, 3, 1, 1.0, 1e300)
+
+
 def test_default_beta_grid_shape():
     grid = default_beta_grid(7)
     assert len(grid) == 801
@@ -152,6 +168,14 @@ def test_monotone_checks_reject_empty_or_non_finite_heights():
     for heights in ([], np.array([]), [math.nan], [math.inf, 1.0], [1.0, -math.inf]):
         for check in (check_migi, check_hidari):
             with pytest.raises(DomainViolation, match="height"):
+                check(7, 3, 1, heights)
+
+
+def test_monotone_checks_reject_heights_that_are_not_1d():
+    # a 2-D array reached numpy's "truth value ... ambiguous" ValueError
+    for heights in ([[1.0, 2.0], [3.0, 4.0]], [[5.0]], 5.0, np.zeros((0, 3))):
+        for check in (check_migi, check_hidari):
+            with pytest.raises(DomainViolation, match="1-D"):
                 check(7, 3, 1, heights)
 
 
@@ -265,6 +289,14 @@ def test_integer_arguments_must_be_integers():
     for call in calls:
         with pytest.raises(InvalidParams, match="must be an integer"):
             call()
+
+
+def test_default_beta_grid_needs_a_pair_order():
+    # no pair 1 <= d < n has n < 2: the grid was all zeros at 0, negative below
+    for n in (1, 0, -7):
+        with pytest.raises(InvalidParams, match="n >= 2"):
+            default_beta_grid(n)
+    assert len(default_beta_grid(2)) == 801
 
 
 def test_numpy_integer_arguments_match_plain_ints():

@@ -209,6 +209,9 @@ def test_bounds_aida_non_finite_lambda_exit_2(capsys):
         code, out, err = run(capsys, *base, lam)
         assert code == 2, lam
         assert out == "" and err.startswith("error:") and "finite" in err
+    # a finite lambda too large for the product-form terms: was FAIL, exit 3
+    code, out, err = run(capsys, *base, "1e300")
+    assert code == 2 and out == "" and "2**51" in err
 
 
 def test_bounds_rouche_output(capsys):

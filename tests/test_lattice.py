@@ -81,6 +81,17 @@ def test_in_sublattice_dimension_guard():
         in_sublattice([1, 1], 2)
 
 
+def test_in_sublattice_validates_d():
+    # d = 0 divided by zero, and a bool d was taken as 1
+    for d in (0, -2):
+        with pytest.raises(InvalidParams, match="d >= 1"):
+            in_sublattice([1, 2, 3], d)
+    for d in (True, 2.0, 1.5):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            in_sublattice([1, 2, 3], d)
+    assert in_sublattice([1, 2, 3], np.int64(2)) is in_sublattice([1, 2, 3], 2) is True
+
+
 def test_query_validation():
     with pytest.raises(InvalidParams):
         CountQuery(4, 4, 1)

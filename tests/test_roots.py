@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from hsroots.roots import (
     _half_degree_factor,
     _initial_points,
     _int_mantissa_exponent,
+    _lockstep,
     _log2_fraction,
     _to_fixed,
     _value_bounds,
@@ -261,6 +263,94 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     for (d, n), rs, count in zip(grid, solved, requests):
         assert rs.converged, (d, n)
         assert count == (1 if n == 2 * d else rs.iterations + 2), (d, n)
+
+
+@dataclass(frozen=True)
+class Toy:
+    """A toy step's result: what it saw, with the driver's `seconds`."""
+
+    seen: tuple
+    seconds: float = field(default=0.0, compare=False)
+
+
+def toy_step(points, rounds=1):
+    """Asks `rounds` times for its points and returns every answer seen."""
+    seen = []
+    for _ in range(rounds):
+        (value,) = yield np.array(points, dtype=complex)
+        seen.append(tuple(value.tolist()))
+    return Toy(tuple(seen))
+
+
+def toy_driver(steps, pairs, fail_rows=None):
+    """`_lockstep` over `steps` with a toy evaluator that doubles its
+    points, or raises on calls of row count `fail_rows`; returns the
+    outcomes and each call's (rows, runs)."""
+    calls = []
+
+    def evaluator(rows, runs, z):
+        calls.append((rows, runs))
+        if rows == fail_rows:
+            raise RuntimeError(f"toy call of row count {rows}")
+        return (2 * z,)
+
+    params = [HypersimplexParams(d, n) for d, n in pairs]
+    return _lockstep(evaluator, params, steps), calls
+
+
+def test_lockstep_ends_only_the_step_that_raises():
+    def broken():
+        raise ValueError("broken on its first send")
+        yield  # a generator that never reaches its yield
+
+    pairs = [(3, 7), (3, 7), (3, 7)]
+    out, calls = toy_driver([toy_step([1j], 2), broken(), toy_step([2.0], 2)], pairs)
+    assert isinstance(out[1], ValueError)
+    assert out[0] == Toy(((2j,), (2j,))) and out[2] == Toy(((4.0,), (4.0,)))
+    assert calls == [(3, [(7, 1), (7, 1)])] * 2
+
+
+def test_lockstep_throws_a_failed_call_into_exactly_its_steps():
+    # the exception is thrown at the yield, so a step may catch it; sent as
+    # a value it would be unpacked as an answer and fail there instead
+    def catching(points):
+        try:
+            yield np.array(points, dtype=complex)
+        except RuntimeError as exc:
+            return Toy((str(exc),))
+        return Toy(("answered",))
+
+    pairs = [(3, 7), (2, 7), (3, 8), (2, 9)]
+    steps = [catching([1.0]), catching([2.0]), toy_step([3.0]), toy_step([4.0])]
+    out, calls = toy_driver(steps, pairs, fail_rows=3)
+    assert calls == [(2, [(9, 1), (7, 1)]), (3, [(8, 1), (7, 1)])]
+    assert out[0] == Toy(("toy call of row count 3",)) and out[1] == Toy(("answered",))
+    assert isinstance(out[2], RuntimeError) and str(out[2]) == "toy call of row count 3"
+    assert out[3] == Toy(((8.0,),))
+
+
+def test_lockstep_returns_in_input_order_with_seconds():
+    # the calls take the pairs by row count and n descending, the results
+    # come back in input order, each with its own steps and call shares
+    pairs = [(2, 5), (3, 9), (2, 8), (4, 9), (3, 7)]
+    steps = [toy_step([complex(k, k)], rounds=k + 1) for k in range(len(pairs))]
+    out, calls = toy_driver(steps, pairs)
+    for k, result in enumerate(out):
+        assert result == Toy(((complex(2 * k, 2 * k),),) * (k + 1)), k
+        assert result.seconds > 0, k
+    assert calls[:3] == [(2, [(8, 1), (5, 1)]), (3, [(9, 1), (7, 1)]), (4, [(9, 1)])]
+    assert len(calls) == 3 + 3 + 3 + 2 + 1  # the row counts still asking, round by round
+
+
+def test_lockstep_makes_no_call_for_a_step_that_never_yields():
+    def direct(value):
+        return Toy((value,))
+        yield
+
+    out, calls = toy_driver([direct(1), direct(2)], [(3, 7), (2, 7)])
+    assert out == [Toy((1,)), Toy((2,))] and calls == []
+    out, calls = toy_driver([direct(1), toy_step([5.0])], [(3, 7), (2, 7)])
+    assert out == [Toy((1,)), Toy(((10.0,),))] and calls == [(2, [(7, 1)])]
 
 
 def test_degree_one():

@@ -27,7 +27,6 @@ built as they are, given heights are folded by a sort), and build the
 two orders they compare in one call, as two (n, count) runs.
 """
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ import numpy as np
 
 from .ehrhart import _integer
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
-from .roots import _per_point, _runs, _term_products
+from .roots import _per_point, _point, _runs, _term_products
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
 _BLOCK = 4096  # points per evaluator call
@@ -90,28 +89,19 @@ def _ratios(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     return ratios
 
 
-def _point(n: int, d: int, z) -> np.ndarray:
-    """z as an array of one point, for d |z| + n <= 2**51, where 16 factors
-    between rescales stay finite, else DomainViolation (a NaN z too)."""
-    z = complex(z)
-    if not (cmath.isfinite(z) and d * abs(z) + n <= 2**51):
-        raise DomainViolation(f"need a finite z with d|z| + n <= 2**51, got z={z}")
-    return np.array([z])
-
-
 def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
     """log2 |C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)|, -inf where a
     factor vanishes; a log keeps moduli beyond the double range.  z must
     be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_log2_terms(n, d, _point(n, d, z), (s,))[0, 0])
+    return float(_log2_terms(n, d, _point(d, n, z), (s,))[0, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
     """Modulus ratio of the s-th product term to the dominant (s=0) one;
     z must be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_ratios(n, d, _point(n, d, z), (0, s))[1, 0])
+    return float(_ratios(n, d, _point(d, n, z), (0, s))[1, 0])
 
 
 def default_beta_grid(n: int, points: int = 400):

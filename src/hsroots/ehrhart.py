@@ -11,7 +11,10 @@ and term s is C(n, s) r_s((d-s)m) / (n-1)! for the one family
 r_0 is the rising factorial (x + 1)...(x + n - 1), built in O(n^2)
 big-integer operations; each next r_s costs one exact synthetic division
 and one multiply by a linear factor, O(n) each, so p takes O(n^2 + dn).
-Everything here is computed in exact big-integer / rational arithmetic.
+Each build then divides the k = (n-1) // min(d, n - d) reciprocity roots
+-1, ..., -k out of (n-1)! p by k more synthetic divisions, O(kn), and keeps
+the quotient with p (`pinned_roots`).  Everything here is computed in
+exact big-integer / rational arithmetic.
 """
 
 import math
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from typing import Tuple
 
 from .errors import ConjectureDomain, InvalidParams, InvalidTermIndex, StructureViolation
 from .polynomial import RationalPolynomial
@@ -140,12 +144,30 @@ def term_polynomial(params: HypersimplexParams, s: int) -> RationalPolynomial:
     return _over_factorial(total, n)
 
 
+@dataclass(frozen=True)
+class _Build:
+    """One pair's exact build: p, the count k of its reciprocity roots
+    -1, ..., -k, and the integer coefficients, lowest first, of
+    (n-1)! p(x) / ((x + 1) ... (x + k)), the quotient of degree n - 1 - k."""
+
+    poly: RationalPolynomial
+    pinned: int
+    quotient: tuple
+
+
 @lru_cache(maxsize=None)
-def _ehrhart_cached(d: int, n: int) -> RationalPolynomial:
+def _ehrhart_cached(d: int, n: int) -> _Build:
     total = [0] * n
     for s, r in enumerate(_shifted_rising(n, d)):
         _add_term(total, r, (-1) ** s * math.comb(n, s), d - s)
-    return _over_factorial(total, n)
+    # every factor (d - s)x + j - s with j = s + (d - s)m <= n - 1 is
+    # (d - s)(x + m), so each term holds x + m for m <= k = (n-1) // rows
+    # (rows = min(d, n - d), the same polynomial); the exact divisions check it
+    pinned = (n - 1) // min(d, n - d)
+    quotient = total
+    for m in range(1, pinned + 1):
+        quotient = _divide_linear(quotient, m)
+    return _Build(_over_factorial(total, n), pinned, tuple(quotient))
 
 
 def ehrhart_polynomial(params: HypersimplexParams) -> RationalPolynomial:
@@ -154,7 +176,23 @@ def ehrhart_polynomial(params: HypersimplexParams) -> RationalPolynomial:
     Alternating sum of `term_polynomial` over s = 0..d-1; degree n-1,
     constant term exactly 1, positive leading coefficient.
     """
-    return _ehrhart_cached(params.d, params.n)
+    return _ehrhart_cached(params.d, params.n).poly
+
+
+def pinned_roots(params: HypersimplexParams) -> Tuple[int, tuple]:
+    """(k, q): p(x) = q(x) (x + 1) ... (x + k) / (n-1)! exactly, with q's
+    integer coefficients lowest first and k = (n-1) // min(d, n - d).
+
+    By Ehrhart-Macdonald reciprocity, (-1)**(n-1) p(-m) counts the interior
+    lattice points of m Delta(d, n), and there are none while dm < n; in
+    product form every term has the factor (d - s)(x + m) for m <= k.  The
+    build divides (x + 1), ..., (x + k) out of (n-1)! p exactly and raises
+    StructureViolation on a nonzero remainder, so the roots -1, ..., -k rest
+    on that division, made on every build.  At 2d <= n, k < n/d: the roots
+    lie inside the strip -n/d < Re < 0.
+    """
+    build = _ehrhart_cached(params.d, params.n)
+    return build.pinned, build.quotient
 
 
 def evaluate_exact(poly: RationalPolynomial, m) -> Fraction:

@@ -22,25 +22,32 @@ it gives `stability`'s strip certificate its only two float bounds.
 `_evaluate`, its packing plan, cuts each round's points into calls of one
 row count min(d, n - d), whole pairs, n descending.
 
-The solver is the Ehrlich-Aberth simultaneous iteration, started on one
-seed-rotated ellipse around the centroid of the roots, which all lie close
-to it: Aberth's (1973) circle, stretched along the real axis to the roots'
-exact second moment where that is positive (see `_initial_points`); each
-sweep evaluates only the roots still moving.  A solve (`_solve`) is a
-generator that yields each array of points where it needs p and receives
-`_eval_vec`'s output, one request per step: its start, each double sweep,
-and its certificates together with their real-axis snap candidates.  So
+By Ehrhart-Macdonald reciprocity -1, ..., -k, k = (n-1) // min(d, n - d),
+are exact roots of every p (`ehrhart.pinned_roots`, checked by exact
+division on every build).  The solver pins them: it sweeps only the
+M = N - k free roots, those of the quotient q = p / ((z + 1) ... (z + k)),
+with Newton ratios q/q' = 1 / (p'/p - sum_m 1 / (z + m)) from the same
+product-form values and the repulsion among the free roots alone, and
+returns the -m exactly, with residual 0.  The sweeps are the Ehrlich-Aberth
+simultaneous iteration, started on one seed-rotated ellipse around the
+centroid of the free roots, which all lie close to it: Aberth's (1973)
+circle, stretched along the real axis to their exact second moment where
+that is positive (see `_initial_points`); each sweep evaluates only the
+roots still moving.  A solve (`_solve`) is a generator that yields each
+array of points where it needs p and receives `_eval_vec`'s output, one
+request per step: its start, each double sweep, and its certificates
+together with their real-axis snap candidates.  So
 `find_roots_many` runs the sweeps of many pairs under `_lockstep`, with one
 `_eval_vec` call per row count min(d, n - d) and round; `find_roots` is
 that driver on one pair.  The evaluator also returns a noise floor from
 the summed moduli of the alternating-sum terms, which bound its rounding
 error.  Near n = 2d the sum cancels below that floor; a root whose value
 sinks into the noise leaves the double sweep, and the iterates are then
-refined by further sweeps whose Newton ratios come from fixed-point p and
-p' on the exact integer coefficients, each from `_gaussian_horner`, the
-one Gaussian-integer Horner loop, which the exact disks of `stability` run
-too.  Only each ratio is rounded to double; the repulsion and the update
-stay in doubles.
+refined by further sweeps whose Newton ratios come from fixed-point q and
+q' on the quotient's exact integer coefficients, each from
+`_gaussian_horner`, the one Gaussian-integer Horner loop, which the exact
+disks of `stability` run too.  Only each ratio is rounded to double; the
+repulsion and the update stay in doubles.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 never evaluates p in its sweeps: p(z) = (z + 1) Q((z + 1)**2) with
@@ -50,6 +57,7 @@ doubles.  Its roots w map back to -1 +- sqrt(w), and the residual
 certificates and the real-axis snap are taken on p as everywhere else.
 """
 
+import cmath
 import functools
 import math
 import numbers
@@ -60,7 +68,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial
+from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial, pinned_roots
 from .errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from .polynomial import _integer_coefficients, _taylor_shift
 
@@ -107,11 +115,12 @@ class SolverConfig:
 class RootSet:
     """All complex roots (with multiplicity), each with a residual certificate.
 
-    `iterations` counts the double-precision sweeps, those on Q at n = 2d
-    (see `find_roots`).  When the roots were refined with exact
-    coefficients, `extended_bits` is the fixed-point precision of that
-    refinement and `extended_sweeps` its sweep count; otherwise they are
-    None and 0.  `seconds` is the wall time spent on the pair (see
+    The pinned roots -1, ..., -k are exact, with residual 0.0.  `iterations`
+    counts the double-precision sweeps of the free roots, those on Q at
+    n = 2d (see `find_roots`); 0 where every root is pinned.  When the
+    roots were refined with exact coefficients, `extended_bits` is the
+    fixed-point precision of that refinement and `extended_sweeps` its
+    sweep count; otherwise they are None and 0.  `seconds` is the wall time spent on the pair (see
     `find_roots_many`); it varies from run to run, so equality and repr
     leave it out.
     """
@@ -145,32 +154,37 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
     return float(value >> shift if shift else value), shift
 
 
-def _finite(value, z):
-    """value, or DomainViolation where it is not finite: the single-point functions
-    hold for d |z| + n <= 2**51, where 16 factors between rescales stay finite."""
-    if not np.isfinite(value):
-        raise DomainViolation(f"p overflows doubles between rescales at z={z}")
-    return value
+def _point(d: int, n: int, z) -> np.ndarray:
+    """z as an array of one point, for d |z| + n <= 2**51, where 16 factors
+    between rescales stay finite, else DomainViolation (a NaN z too): the
+    domain of every single-point function, here and in `bounds`."""
+    z = complex(z)
+    if not (cmath.isfinite(z) and d * abs(z) + n <= 2**51):
+        raise DomainViolation(f"need a finite z with d|z| + n <= 2**51, got z={z}")
+    return np.array([z])
 
 
 def evaluate_scaled(params: HypersimplexParams, z: complex) -> Tuple[complex, int]:
     """(mantissa, exponent) with p(z) = mantissa * 2**exponent, from `_eval_vec`
-    of size 1, so values beyond the double range keep their exponent; for
-    d |z| + n <= 2**51, else DomainViolation (see `_finite`)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        S, _, E, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
+    of size 1, so values beyond the double range keep their exponent; z as
+    `_point` takes it."""
+    S, _, E, _ = _eval_vec(params.d, params.n, _point(params.d, params.n, z))
     mantissa, exponent = _int_mantissa_exponent(math.factorial(params.n - 1))
-    return _finite(complex(S[0] / mantissa), z), int(E[0]) - exponent
+    return complex(S[0] / mantissa), int(E[0]) - exponent
 
 
 def log_derivative(params: HypersimplexParams, z: complex) -> complex:
     """p'(z)/p(z), accumulated by the product rule so vanishing factors are
-    safe; for d |z| + n <= 2**51, else DomainViolation (see `_finite`)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        S, Sp, _, _ = _eval_vec(params.d, params.n, np.array([complex(z)]))
-        if S[0] == 0:
-            raise EvaluationAtRoot(f"polynomial value vanished at {z}")
-        return _finite(complex(Sp[0] / S[0]), z)  # the shared exponent cancels
+    safe; z as `_point` takes it, and DomainViolation where the ratio
+    itself overflows doubles."""
+    S, Sp, _, _ = _eval_vec(params.d, params.n, _point(params.d, params.n, z))
+    if S[0] == 0:
+        raise EvaluationAtRoot(f"polynomial value vanished at {z}")
+    with np.errstate(over="ignore"):
+        ratio = complex(Sp[0] / S[0])  # the shared exponent cancels
+    if not cmath.isfinite(ratio):
+        raise DomainViolation(f"p'/p overflows doubles at z={z}")
+    return ratio
 
 
 def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
@@ -187,40 +201,57 @@ def _start_directions(count: int, seed: int) -> np.ndarray:
 
 
 def _initial_points(params: HypersimplexParams, seed: int):
-    """Deterministic starting points on one ellipse around the root centroid.
+    """Deterministic starting points for the free roots, on one ellipse
+    around their centroid.
 
     A step of the solve (see `_solve`): it yields c and c + i/2 in one
-    request for p, and returns the start points.
+    request for p, and returns the start points.  The free roots are the
+    M = N - k roots of the quotient q(z) = p(z) / ((z + 1) ... (z + k)) of
+    `ehrhart.pinned_roots`; where every root is pinned (d = 1 or n - d = 1)
+    there are none, and nothing is asked.
 
-    Aberth's start: the centre c = -c_{N-1} / (N c_N) is the mean of the
-    roots, and rho = (|p(c)| / |c_N|)^(1/N) is the geometric mean of their
-    distances from c, measured from c + i/2 instead when c is itself a root
-    (c = -n/2 for the simplex d = 1 at even n; c = -1 at n = 2d, which
+    Aberth's start for q: with s1 = -c_{N-1}/c_N and e2 = c_{N-2}/c_N, the
+    sum and second elementary symmetric function of all N roots, the centre
+    c = (s1 + k(k+1)/2) / M is the mean of the free roots, and
+    rho = (|q(c)| / |c_N|)^(1/M), |q(c)| = |p(c)| / prod_m |c + m|, is the
+    geometric mean of their distances from c, measured from c + i/2
+    instead when p(c) = 0 (c = -1 at n = 2d, a pinned root, where
     `find_roots` solves through `_half_degree_roots` instead).  The points
     are c + a cos(theta_k) + i b sin(theta_k) with a = rho + h and
-    b = rho - h, h = M2 / (2 N rho), where by Newton's identities
-    M2 = sum (z_i - c)^2 = s1^2 (N-1)/N - 2 e2 exactly, with
-    s1 = -c_{N-1}/c_N and e2 = c_{N-2}/c_N.  Then a + b = 2 rho keeps rho
-    the geometric mean distance of the points, and, since
-    sum_k exp(2i theta_k) = 0 for N >= 3, their second moment is
-    N (a^2 - b^2) / 2 = M2: the ellipse is as long along the real axis as
-    the roots are.  h is capped at 3 rho / 4 (b >= rho / 4), and is 0, the
-    circle of radius rho, where M2 <= 0 or N <= 2.  The angles theta_k are
-    equally spaced with a seed-derived irrational rotation, so the start
-    breaks the real-axis symmetry of the polynomial.
+    b = rho - h, h = M2 / (2 M rho), where by Newton's identities
+    M2 = sum (z_i - c)^2 = P2 - M c^2 exactly over the free roots, with
+    their power sum P2 = s1^2 - 2 e2 - sum_m m^2.  Then a + b = 2 rho keeps
+    rho the geometric mean distance of the points, and, since
+    sum_k exp(2i theta_k) = 0 for M >= 3, their second moment is
+    M (a^2 - b^2) / 2 = M2: the ellipse is as long along the real axis as
+    the free roots are.  h is capped at 3 rho / 4 (b >= rho / 4), and is 0,
+    the circle of radius rho, where M2 <= 0 or M <= 2.  The angles theta_k
+    are equally spaced with a seed-derived irrational rotation, so the
+    start breaks the real-axis symmetry of the polynomial.
     """
     coeffs = ehrhart_polynomial(params).coeffs
-    degree = params.n - 1
+    pinned, _ = pinned_roots(params)
+    degree = params.n - 1 - pinned
+    if degree == 0:
+        return np.empty(0, dtype=complex)
     lead = coeffs[-1]
     s1 = -coeffs[-2] / lead
-    centre = float(s1 / degree)
+    free_sum = s1 + pinned * (pinned + 1) // 2
+    centre = float(free_sum / degree)
     S, _, E, _ = yield np.array([centre, complex(centre, 0.5)])
     at = 0 if S[0] != 0 else 1
-    log_dist = _values_log2(S, E)[at] - _log2_int(math.factorial(degree)) - _log2_fraction(lead)
+    pinned_logs = np.log2(np.abs(complex(centre, 0.5 * at) + np.arange(1, pinned + 1))).sum()
+    log_dist = (
+        _values_log2(S, E)[at]
+        - _log2_int(math.factorial(params.n - 1))
+        - _log2_fraction(lead)
+        - pinned_logs
+    )
     rho = 2.0 ** (log_dist / degree)
     h = 0.0
     if degree >= 3:
-        moment = s1 * s1 * (degree - 1) / degree - 2 * coeffs[-3] / lead
+        power = s1 * s1 - 2 * coeffs[-3] / lead - pinned * (pinned + 1) * (2 * pinned + 1) // 6
+        moment = power - free_sum * free_sum / degree
         h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
     unit = _start_directions(degree, seed)
     # at h = 0 this rounds exactly as centre + rho * unit, the circle
@@ -476,8 +507,9 @@ def _value_bounds(d: int, n, z: np.ndarray):
     return bound, acc_e
 
 
-def _distance_product_lower(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(m, e) with m * 2**e <= prod_{j != i} |z_i - z_j|**2 for each i;
+def _distance_product_lower(z: np.ndarray, count: Optional[int] = None):
+    """(m, e) with m * 2**e <= prod_{j != i} |z_i - z_j|**2 over all N
+    points z_j, for each of the first `count` points z_i (all N when None);
     m = 0 where a squared distance is 0, subnormal or non-finite.
 
     A squared distance fl(fl(dx)**2 + fl(dy)**2) of at least 2**-1021 is
@@ -486,21 +518,21 @@ def _distance_product_lower(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     mantissa products stay normal, rounds less than twice per factor: the
     result is deflated by 1 - gamma_{8N}.
     """
-    count = z.size
+    rows = z[:count]
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = z.real[:, None] - z.real[None, :]
-        dy = z.imag[:, None] - z.imag[None, :]
+        dx = rows.real[:, None] - z.real[None, :]
+        dy = rows.imag[:, None] - z.imag[None, :]
         sq = dx * dx + dy * dy
     np.fill_diagonal(sq, 1.0)
     usable = (np.isfinite(sq) & (sq >= 2.0**-1021)).all(axis=1)
     mant, exp = np.frexp(np.where(usable[:, None], sq, 1.0))
-    m = np.ones(count)
+    m = np.ones(rows.size)
     e = exp.sum(axis=1)
-    for start in range(0, count, 512):  # 512 mantissas in [1/2, 1) stay normal
+    for start in range(0, z.size, 512):  # 512 mantissas in [1/2, 1) stay normal
         part, part_e = np.frexp(mant[:, start:start + 512].prod(axis=1))
         m, m_e = np.frexp(m * part)
         e += part_e + m_e
-    return np.where(usable, m * (1 - _gamma(8 * count)), 0.0), e
+    return np.where(usable, m * (1 - _gamma(8 * z.size)), 0.0), e
 
 
 def _residual_logs(
@@ -559,7 +591,7 @@ def _gaussian_horner(coeffs: list, x: int, y: int, shift: int) -> Tuple[int, int
     return re, im
 
 
-def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
+def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray, _answer):
     """Newton ratios p/p' from `_gaussian_horner`, each rounded once to double.
 
     `values` are the integer coefficients c_k << bits of p and `slopes` the
@@ -587,20 +619,22 @@ def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
 def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int):
     """Ehrlich-Aberth sweeps that move z in place; returns (sweeps, settled).
 
-    Each sweep yields the roots still moving and, from what is sent back,
-    `ratios` returns the Newton ratios p/p' at them and a mask of the points
-    where p is below its evaluation noise.  A root leaves the sweep once its
-    correction is at most tol * (1 + |z|), or once it is noise-limited: from
-    there its corrections only wander.  `settled` is True when every root
-    left by the correction test.
+    Each sweep yields the roots still moving and, from them and what is
+    sent back, `ratios(points, answer)` returns the Newton ratios at them
+    and a mask of the points where p is below its evaluation noise.  A root
+    leaves the sweep once its correction is at most tol * (1 + |z|), or once
+    it is noise-limited: from there its corrections only wander.  `settled`
+    is True when every root left by the correction test; an empty z takes
+    no sweep.
     """
     active = np.ones(z.size, dtype=bool)
     noise_limited = False
     sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
+    while active.any() and sweeps < max_sweeps:
+        sweeps += 1
         idx = np.flatnonzero(active)
         z_active = z[idx]
-        w, noisy = ratios((yield z_active))
+        w, noisy = ratios(z_active, (yield z_active))
         w[~np.isfinite(w)] = 0.0
         denom = 1.0 - w * _repulsion(z_active, z, idx)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -610,8 +644,6 @@ def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int):
         done = np.abs(correction) <= tol * (1.0 + np.abs(z[idx]))
         noise_limited |= bool((noisy & ~done).any())
         active[idx[done | noisy]] = False
-        if not active.any():
-            break
     return sweeps, not (noise_limited or active.any())
 
 
@@ -626,22 +658,25 @@ def _repulsion(z_active: np.ndarray, z: np.ndarray, idx: np.ndarray) -> np.ndarr
 
 
 def _sweep_here(sweeps):
-    """Run `_ea_sweeps` whose `ratios` take the points themselves, sending
-    each sweep's points straight back; returns what it returns."""
-    points = next(sweeps)
-    while True:
-        try:
-            points = sweeps.send(points)
-        except StopIteration as stop:
-            return stop.value
+    """Run `_ea_sweeps` whose `ratios` evaluate at the points themselves,
+    answering each sweep with None; returns what it returns."""
+    try:
+        next(sweeps)
+        while True:
+            sweeps.send(None)
+    except StopIteration as stop:
+        return stop.value
 
 
-def _double_ratios(values):
-    """Newton ratios from `_eval_vec`'s output, and where |S| is at most its
-    noise floor."""
+def _double_ratios(exact: np.ndarray, points: np.ndarray, values):
+    """Newton ratios q/q' of q(z) = p(z) / prod_m (z + m) over the pinned
+    roots -m in `exact`, as 1 / (p'/p - sum_m 1 / (z + m)) from
+    `_eval_vec`'s output at the points, and where |S| is at most its noise
+    floor."""
     S, Sp, _, floor = values
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = S / Sp  # shared exponent cancels in p/p'
+        poles = (1.0 / (points[:, None] - exact)).sum(axis=1)
+        w = 1.0 / (Sp / S - poles)  # the shared exponent cancels in p'/p
     return w, np.abs(S) <= floor
 
 
@@ -695,7 +730,7 @@ def _half_degree_roots(
     rho = (abs(value) / abs(coeffs[0])) ** (1 / degree)
     w = centre + rho * _start_directions(degree, config.seed)
 
-    def ratios(points):
+    def ratios(points, _answer):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.polyval(coeffs, points) / np.polyval(slopes, points)
         return ratio, np.zeros(points.size, dtype=bool)
@@ -751,21 +786,29 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     if n == 2 * d:
         return (yield from _half_degree_roots(params, config, tol, coeff_logs))
 
+    pinned, quotient = pinned_roots(params)
+    exact = -np.arange(1, pinned + 1) + 0j
     z = yield from _initial_points(params, config.seed)
-    iterations, settled = yield from _ea_sweeps(z, _double_ratios, tol, config.max_iterations)
+    ratios = functools.partial(_double_ratios, exact)
+    iterations, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
     if settled:
-        result = yield from _finish(params, z, tol, iterations, True, coeff_logs)
+        result = yield from _finish(
+            params, np.concatenate((z, exact)), tol, iterations, True, coeff_logs
+        )
         if result.converged:
             return result
 
-    finite = coeff_logs[np.isfinite(coeff_logs)]
-    bits = int(1.5 * max(finite.max() - finite.min(), 0.0)) + 96
-    coeffs = _integer_coefficients(ehrhart_polynomial(params))
-    values = [c << bits for c in coeffs]
-    slopes = [(k * c) << bits for k, c in enumerate(coeffs)][1:]
+    logs = [_log2_int(abs(c)) for c in quotient if c]
+    bits = int(1.5 * (max(logs) - min(logs))) + 96
+    values = [c << bits for c in quotient]
+    slopes = [(k * c) << bits for k, c in enumerate(quotient)][1:]
     ratios = functools.partial(_exact_ratios, values, slopes, bits)
     sweeps, settled = _sweep_here(_ea_sweeps(z, ratios, tol, config.max_iterations))
-    return (yield from _finish(params, z, tol, iterations, settled, coeff_logs, bits, sweeps))
+    return (
+        yield from _finish(
+            params, np.concatenate((z, exact)), tol, iterations, settled, coeff_logs, bits, sweeps
+        )
+    )
 
 
 # The most rows x points one evaluator call of `_evaluate` takes from
@@ -865,9 +908,10 @@ def find_roots_many(
     """`find_roots` for every pair, each solve (`_solve`) a step of `_lockstep`.
 
     A pair asks for p at its two start points, at each double sweep over its
-    roots still moving, and at its residual certificates with their snap
-    candidates: iterations + 2 requests (one more when its settled double
-    result misses the certificate), one at n = 2d.  Each point gets the bits
+    free roots still moving, and at its residual certificates with their
+    snap candidates: iterations + 2 requests (one more when its settled
+    double result misses the certificate), one at n = 2d and where every
+    root is pinned.  Each point gets the bits
     it gets alone, so every RootSet is the one `find_roots` returns.
     Returns each pair's RootSet, or the exception that ended its solve.
     """
@@ -880,23 +924,27 @@ def find_roots(
 ) -> RootSet:
     """All n-1 complex roots by Ehrlich-Aberth iteration.
 
+    The roots -1, ..., -k of `ehrhart.pinned_roots` are returned exactly;
+    the sweeps move only the M = n - 1 - k free roots, the roots of the
+    quotient q, and none run where M = 0 (d = 1 or n - d = 1).
     Deterministic given the seed, which only turns the start points along
-    their ellipse around the root centroid (`_initial_points`).  Convergence
-    demands both a small final correction and a residual certificate at or
-    below the tolerance.  The sweeps first run in doubles; a root whose
-    product-form value sinks into its rounding noise (the alternating sum
-    cancels deeply near n = 2d) stops there.  If any root stopped that
-    way, or the double result misses the certificate, the same iterates are
-    refined by further sweeps whose Newton ratios come from exact integer
-    coefficients in fixed point, with 1.5 times the coefficients' log2
-    spread plus 96 fractional bits (see `_exact_ratios`).
-    `iterations` counts the double sweeps, `extended_bits` and
-    `extended_sweeps` the refinement.  A result that still misses the
+    their ellipse around the free roots' centroid (`_initial_points`).
+    Convergence demands both a small final correction and a residual
+    certificate on p at or below the tolerance, at all n - 1 roots.  The
+    sweeps first run in doubles; a root whose product-form value sinks into
+    its rounding noise (the alternating sum cancels deeply near n = 2d)
+    stops there.  If any root stopped that way, or the double result misses
+    the certificate, the same iterates are refined by further sweeps whose
+    Newton ratios come from q's exact integer coefficients in fixed point,
+    with 1.5 times those coefficients' log2 spread plus 96 fractional bits
+    (see `_exact_ratios`).  `iterations` counts the double sweeps,
+    `extended_bits` and `extended_sweeps` the refinement.  A result that still misses the
     certificate is returned with converged=False.
 
     At n = 2d the sweeps run on the half-degree factor Q instead, in doubles
-    and with no refinement (`_half_degree_roots`): `iterations` counts them
-    and `extended_bits` is None.  Only that input property selects the path.
+    and with no refinement (`_half_degree_roots`), which holds the one
+    pinned root -1 exactly already: `iterations` counts them and
+    `extended_bits` is None.  Only that input property selects the path.
 
     This is `find_roots_many` on the one pair, raising what ended its solve.
     """
@@ -904,10 +952,8 @@ def find_roots(
 
 
 def residual(params: HypersimplexParams, root: complex) -> float:
-    """Relative backward error |p(root)| / sum_k |c_k| |root|^k; for
-    d |root| + n <= 2**51, else DomainViolation (see `_finite`)."""
-    coeff_logs = _coefficient_logs(params)
-    z = np.array([complex(root)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _eval_vec(params.d, params.n, z)
-    return _finite(float(_residuals(params, coeff_logs, z, values)[0]), root)
+    """Relative backward error |p(root)| / sum_k |c_k| |root|^k; root as
+    `_point` takes it."""
+    z = _point(params.d, params.n, root)
+    values = _eval_vec(params.d, params.n, z)
+    return float(_residuals(params, _coefficient_logs(params), z, values)[0])

@@ -3,10 +3,14 @@
 Every verdict rests on integer arithmetic or on rigorous error bounds.
 Given numeric approximations of all the roots, a side of the strip is first
 tried with Weierstrass inclusion disks around them; the disks can only
-prove a side.  One loop, `_disks`, decides every disk side in integers by
-`_inside`: on the disk's float radius bound when it has one, else on its
-exact radius from the points' dyadic values, with p evaluated by
-`roots._gaussian_horner` at shift 0, the solver's own exact Horner loop.
+prove a side.  The pinned roots -1, ..., -k (`ehrhart.pinned_roots`) lie
+inside the strip, as k < n/d, and need no disk: when the given roots hold
+every one of them exactly, `verify_strip` builds disks of radius
+(N - k) |W_i| around the N - k others only, else around all N.  One loop,
+`_disks`, decides every disk side in integers by `_inside`: on the disk's
+float radius bound when it has one, else on its exact radius from the
+points' dyadic values, with p evaluated by `roots._gaussian_horner` at
+shift 0, the solver's own exact Horner loop.
 `verify_strip_many` gives each disk the bound `_float_radii` builds from two
 rigorous float bounds, on |p(z_i)| (`roots._value_bounds`) and on the
 distance product (`roots._distance_product_lower`).  Each pair's
@@ -28,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, ehrhart_polynomial
+from .ehrhart import HypersimplexParams, ehrhart_polynomial, pinned_roots
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
 from .roots import (
@@ -214,24 +218,28 @@ def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optiona
 def _float_radii(
     params: HypersimplexParams, poly: RationalPolynomial, points: list, values: tuple
 ) -> list:
-    """Per point, the float bound on its disk as (x, x_den, radius_sq, scale):
-    Re z_i = x / x_den and (N |W_i| x_den)**2 <= radius_sq / scale.
+    """Per disk, the float bound on it as (x, x_den, radius_sq, scale):
+    Re z_i = x / x_den and (M |W_i| x_den)**2 <= radius_sq / scale.
 
-    `values` is `roots._value_bounds`'s output at the points, V_i >=
-    (n-1)! |p(z_i)|, as `_certify` gets it from a batched call.
-    With D_i <= prod_{j != i} |z_i - z_j|**2 from
-    `roots._distance_product_lower` and the integer E = (n-1)! a_N, the
-    bound is N**2 V_i**2 x_den**2 / (E**2 D_i), a ratio of integers since
-    V_i, D_i and Re z_i are dyadic.  The entry is None where V_i is not
-    finite; where D_i = 0 the scale is 0, and `_inside` proves nothing on it.
+    `values` is `roots._value_bounds`'s output at the first M points, the
+    disk centres (see `_disks`), V_i >= (n-1)! |p(z_i)|, as `_certify` gets
+    it from a batched call.  With D_i <= prod_{j != i} |z_i - z_j|**2 over
+    all the points from `roots._distance_product_lower` and the integer
+    E = (n-1)! a_N, the bound is M**2 V_i**2 x_den**2 / (E**2 D_i), a ratio
+    of integers since V_i, D_i and Re z_i are dyadic.  The entry is None
+    where V_i is not finite; where D_i = 0 the scale is 0, and `_inside`
+    proves nothing on it.
     """
     z = np.array(points)
     value, value_e = values
-    dist, dist_e = _distance_product_lower(z)
+    count = value.size
+    dist, dist_e = _distance_product_lower(z, count)
     lead = int(poly.leading_coefficient * factorial(params.n - 1))
-    lead_sq, degree_sq = lead * lead, z.size * z.size
+    lead_sq, degree_sq = lead * lead, count * count
     radii = []
-    rows = zip(z.real.tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist())
+    rows = zip(
+        z.real[:count].tolist(), value.tolist(), value_e.tolist(), dist.tolist(), dist_e.tolist()
+    )
     for re, v, v_e, m, m_e in rows:
         if not isfinite(v):
             radii.append(None)
@@ -251,17 +259,22 @@ def _float_radii(
 def _disks(
     poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction, first: list
 ) -> Tuple[bool, bool]:
-    """Whether the disk around every point lies inside Re > lower, and
-    inside Re < upper.
+    """Whether the disk of radius M |W_i| around each of the first
+    M = len(first) points lies inside Re > lower, and inside Re < upper.
 
-    `_inside` decides each disk side on first[i], a radius bound from
-    `_float_radii`, when that entry is present.  Only a side still open and
-    not proven by it gets the exact radius: each double is taken exactly as
-    (x_i + i y_i) / 2**B, p(z_i) 2**(BN) comes from `roots._gaussian_horner`
-    at shift 0 and prod_{j != i} (z_i - z_j) 2**(B(N-1)) from an exact
-    product.  The loop stops once both sides fail.
+    The other N - M points must be exact roots of poly inside both sides
+    (`_certify` puts the pinned roots -1, ..., -k there): the roots of
+    poly divided by their linear factors lie in these M disks (see
+    `inclusion_strip`), with W_i unchanged, so the disks prove a side for
+    every root.  `_inside` decides each disk side on first[i], a radius
+    bound from `_float_radii`, when that entry is present.  Only a side
+    still open and not proven by it gets the exact radius: each double is
+    taken exactly as (x_i + i y_i) / 2**B, p(z_i) 2**(BN) comes from
+    `roots._gaussian_horner` at shift 0 and prod_{j != i} (z_i - z_j)
+    2**(B(N-1)) over all N points from an exact product.  The loop stops
+    once both sides fail.
     """
-    degree = poly.degree
+    degree, count = poly.degree, len(first)
     left = right = True
     nodes = None
     for i, bound in enumerate(first):
@@ -282,8 +295,8 @@ def _disks(
             if j != i:
                 a, b = x - u, y - v
                 qr, qi = qr * a - qi * b, qr * b + qi * a
-        # W_i = P / (a_N Q 2**B): N |W_i| 2**B = sqrt(radius_sq / scale)
-        radius_sq = degree * degree * (pr * pr + pi * pi)
+        # W_i = P / (a_N Q 2**B): M |W_i| 2**B = sqrt(radius_sq / scale)
+        radius_sq = count * count * (pr * pr + pi * pi)
         scale = lead * lead * (qr * qr + qi * qi)
         in_left, in_right = _inside(lower, upper, x, 1 << bits, radius_sq, scale)
         left, right = in_left if test_left else left, in_right if test_right else right
@@ -340,18 +353,34 @@ def verify_half_plane(
     raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
 
 
+def _free_first(points: list, pinned: int) -> Tuple[list, int]:
+    """The points with the free ones first, and how many are free: the
+    pinned roots -1, ..., -pinned go last when every one of them is among
+    the points exactly, and all N points are free otherwise."""
+    exact = [complex(-m) for m in range(1, pinned + 1)]
+    known = set(exact)
+    free = [z for z in points if z not in known]
+    if len(free) != len(points) - pinned:
+        return points, len(points)
+    return free + exact, len(free)
+
+
 def _certify(params: HypersimplexParams, roots):
     """One pair's `verify_strip` as a step of `roots._lockstep`: the domain
-    check and p; one request for the value bounds at its points when they
-    can carry disks (`_disk_points`), then `_float_radii` and `_disks` on
-    them; the Routh table for any side still open."""
+    check and p; when the roots can carry disks (`_disk_points`), one
+    request for the value bounds at the free ones (`_free_first`), then
+    `_float_radii` and `_disks` on them; the Routh table for any side still
+    open."""
     params.require_conjecture_domain()
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
     points = None if roots is None else _disk_points(poly, roots)
     left_in = right_in = False
     if points is not None:
-        first = _float_radii(params, poly, points, (yield np.array(points)))
+        points, count = _free_first(points, pinned_roots(params)[0])
+        first = []
+        if count:
+            first = _float_radii(params, poly, points, (yield np.array(points[:count])))
         left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
@@ -382,14 +411,15 @@ def verify_strip(
     Requires the standing assumption 2d <= n.  Given numeric approximations
     of all n-1 roots (e.g. `find_roots(params).roots`), each side is first
     tried with the inclusion disks of `inclusion_strip`, under the same
-    checks of the points.  `_disks` decides each disk side first on the
-    float radius bound of `_float_radii`; a disk whose bound already lies
-    inside a side counts for that side, and only a side still open gets the
-    exact radius.  The verdict is the one the exact test alone would give.  A
-    side the disks do not prove, or both sides when no roots are given, goes
-    to the Routh table of `verify_half_plane`: the right test applies it to
-    the polynomial itself (Re < 0), the left test to q(z) = p(-z - n/d)
-    (Re > -n/d).
+    checks of the points, around the free roots only when every pinned root
+    -1, ..., -k is among them exactly (see `_disks`).  `_disks` decides
+    each disk side first on the float radius bound of `_float_radii`; a
+    disk whose bound already lies inside a side counts for that side, and
+    only a side still open gets the exact radius.  The verdict is the one
+    the exact test alone would give.  A side the disks do not prove, or
+    both sides when no roots are given, goes to the Routh table of
+    `verify_half_plane`: the right test applies it to the polynomial itself
+    (Re < 0), the left test to q(z) = p(-z - n/d) (Re > -n/d).
     Unstable and Boundary verdicts only ever come from the table.
 
     This is `verify_strip_many` on the one pair, raising what ended it.

@@ -3,7 +3,8 @@ its wall time.  Criterion 3 has two tiers; the full tier (d up to 10, about
 8 seconds: numeric roots, then inclusion disks with the Routh table as the
 fallback) runs when HSR_FULL=1 is set, together with a numeric sweep of the
 diagonal n = 2d for d = 4..75, 100 and 150, and seeds 1..3 at d = 40, 75
-and 100 (about 11 seconds).
+and 100 (about 11 seconds), and the cold solve and certificate of the tall
+pair (4, 1500) (about 11 seconds).
 """
 
 import cmath
@@ -140,6 +141,27 @@ def test_diagonal_numeric_full():
                 rootset = find_roots(HypersimplexParams(d, 2 * d), SolverConfig(seed=seed))
                 assert rootset.converged, (d, seed)
                 assert rootset.extended_bits is None, (d, seed)
+
+
+@pytest.mark.skipif(
+    os.environ.get("HSR_FULL") != "1",
+    reason="full tier (cold tall pair (4, 1500), ~11 s); set HSR_FULL=1",
+)
+def test_tall_pair_converges_cold():
+    # the roots -1..-374 are pinned, and the 1125 free roots settle in the
+    # double sweeps from the cold start under the default cap of 200; the
+    # disks around them prove both sides.  About 11 s on a shared 2-core
+    # VM (build 1.8 s, find_roots 8.9 s in 164 sweeps, verify_strip 0.15 s)
+    params = HypersimplexParams(4, 1500)
+    config = SolverConfig()
+    with Stopwatch("tall pair (4, 1500), cold", 60):
+        rootset = find_roots(params, config)
+        verdict = verify_strip(params, rootset.roots)
+    assert rootset.converged
+    assert rootset.iterations < config.max_iterations and rootset.extended_bits is None
+    assert {complex(-m) for m in range(1, 375)} <= set(rootset.roots)
+    assert verdict.overall
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
 
 
 def test_criterion_4_d3_theorem_instances():

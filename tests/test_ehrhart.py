@@ -11,6 +11,7 @@ from hsroots.ehrhart import (
     ehrhart_polynomial,
     evaluate_exact,
     normalized_volume,
+    pinned_roots,
     term_polynomial,
 )
 from hsroots.errors import InvalidParams, InvalidTermIndex, StructureViolation
@@ -264,3 +265,39 @@ def test_term_values_at_zero():
         assert term_polynomial(params, 0).evaluate(0) == 1
         for s in range(1, d):
             assert term_polynomial(params, s).evaluate(0) == 0
+
+
+def integer_roots_in(coeffs: list, lo: int, hi: int) -> list:
+    """The integers m in [lo, hi] with sum_k coeffs[k] m**k == 0, exactly."""
+    return [m for m in range(lo, hi + 1) if sum(c * m**k for k, c in enumerate(coeffs)) == 0]
+
+
+def test_reciprocity_roots_are_pinned_exactly():
+    # p(-m) = 0 exactly for m <= k = (n-1) // min(d, n-d): m Delta(d, n) has
+    # no interior lattice point while m min(d, n-d) < n; the quotient keeps
+    # p's other roots and has no integer root left in [-n, 0]
+    for n in range(2, 31):
+        for d in range(1, n):
+            params = HypersimplexParams(d, n)
+            poly = ehrhart_polynomial(params)
+            pinned, quotient = pinned_roots(params)
+            assert pinned == (n - 1) // min(d, n - d), (d, n)
+            assert len(quotient) == n - pinned, (d, n)
+            for m in range(1, pinned + 1):
+                assert evaluate_exact(poly, -m) == 0, (d, n, m)
+            assert integer_roots_in(list(quotient), -n, 0) == [], (d, n)
+            # quotient times (x + 1) ... (x + k) is (n-1)! p again
+            product = list(quotient)
+            for m in range(1, pinned + 1):
+                product = [a * m + b for a, b in zip(product + [0], [0] + product)]
+            assert tuple(Fraction(c, math.factorial(n - 1)) for c in product) == poly.coeffs
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 7), (4, 20), (9, 96), (22, 45)])
+def test_deflating_past_the_pinned_roots_raises(d, n):
+    # -(k + 1) is no root: with k = (n-1) // d, (k + 1) d >= n, and m Delta(d, n)
+    # has interior points; one more exact division leaves a remainder
+    pinned, quotient = pinned_roots(HypersimplexParams(d, n))
+    assert (pinned + 1) * d >= n
+    with pytest.raises(StructureViolation, match=f"x \\+ {pinned + 1} does not divide"):
+        _divide_linear(list(quotient), pinned + 1)

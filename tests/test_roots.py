@@ -8,7 +8,7 @@ import pytest
 
 import hsroots.roots
 from hsroots.campaign import CampaignConfig
-from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact
+from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact, pinned_roots
 from hsroots.errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
@@ -106,20 +106,33 @@ def test_evaluate_scaled_beyond_double_range():
 
 
 def test_single_point_functions_raise_beyond_their_range():
-    # at (7, 63) the product form keeps its exponent at z = 1e18, while at
-    # 1e19 sixteen factors overflow between two rescales, where these
-    # functions used to return NaN
+    # the single-point functions hold for d |z| + n <= 2**51, as `bounds.phi`
+    # does: at (7, 63) the product form keeps its exponent at z = 1e14, while
+    # 1e18 is past the bound (7e18 > 2**51) though it would still evaluate,
+    # and at 1e19 sixteen factors overflow between two rescales
     params = HypersimplexParams(7, 63)
-    mantissa, exponent = evaluate_scaled(params, 1e18)
-    assert exponent == 3657
-    expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 10**18))
+    mantissa, exponent = evaluate_scaled(params, 1e14)
+    expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 10**14))
     assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
-    assert log_derivative(params, 1e18) == pytest.approx(62e-18, rel=1e-12)
-    assert residual(params, 1e18) == pytest.approx(1.0, rel=1e-9)
-    for z in (1e19, 1e19j, -1e19 + 3j):
+    assert log_derivative(params, 1e14) == pytest.approx(62e-14, rel=1e-12)
+    assert residual(params, 1e14) == pytest.approx(1.0, rel=1e-9)
+    for z in (1e18, 1e18j, -1e18 + 3j, 1e19, complex(math.nan, 0), complex(0, math.inf)):
         for function in (evaluate_scaled, log_derivative, residual):
-            with pytest.raises(DomainViolation, match="overflows doubles"):
+            with pytest.raises(DomainViolation, match=r"d\|z\| \+ n <= 2\*\*51"):
                 function(params, z)
+    # the edge itself: at (1, 3), z = -(2**51 - 3) is in and one more is out
+    simplex = HypersimplexParams(1, 3)
+    mantissa, exponent = evaluate_scaled(simplex, -(2.0**51 - 3))
+    edge = evaluate_exact(ehrhart_polynomial(simplex), -(2**51 - 3))
+    assert mantissa * 2.0**exponent == pytest.approx(float(edge), rel=1e-15)
+    with pytest.raises(DomainViolation):
+        evaluate_scaled(simplex, -(2.0**51 - 2))
+    # inside the domain p'/p itself can overflow: 1e-310 above the root -1,
+    # p'/p is about -1e310 i
+    params = HypersimplexParams(4, 20)
+    assert log_derivative(params, complex(-1, 1e-300)).imag == pytest.approx(-1e300, rel=1e-12)
+    with pytest.raises(DomainViolation, match="p'/p overflows doubles"):
+        log_derivative(params, complex(-1, 1e-310))
 
 
 def test_log_derivative_simplex_values():
@@ -238,15 +251,19 @@ def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
     rs = find_roots(HypersimplexParams(4, 20))
     assert rs.extended_bits is None
-    assert sizes[:2] == [2, 19]  # the start points, then every root's first sweep
-    assert len(sizes) == rs.iterations + 2
+    # the start points, then the first sweep of every free root: 19 - 4, as
+    # -1..-4 are pinned; the certificates take all 19 roots
+    assert sizes[:2] == [2, 15]
+    assert sizes[-1] >= 19 and len(sizes) == rs.iterations + 2
+    assert {complex(-m) for m in range(1, 5)} <= set(rs.roots)
 
 
 def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     # a pair off the diagonal asks once for its start, once per double sweep
     # and once for its certificates with their snap candidates, also when it
     # is refined in exact arithmetic, as at (15, 31); at n = 2d the sweeps
-    # run on Q, so only the certificates are asked for
+    # run on Q, and at (1, 3) every root is pinned, so only the certificates
+    # are asked for
     grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
     params = [HypersimplexParams(d, n) for d, n in grid]
     requests = [0] * len(params)
@@ -262,7 +279,7 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     assert solved[grid.index((15, 31))].extended_bits is not None
     for (d, n), rs, count in zip(grid, solved, requests):
         assert rs.converged, (d, n)
-        assert count == (1 if n == 2 * d else rs.iterations + 2), (d, n)
+        assert count == (1 if n == 2 * d or d == 1 else rs.iterations + 2), (d, n)
 
 
 @dataclass(frozen=True)
@@ -753,13 +770,15 @@ def test_find_roots_diagonal_d40_in_strip():
 
 
 def start_shape(params):
-    """The centre c = -c_{N-1} / (N c_N) of the start and the exact second
-    moment M2 = sum (z_i - c)^2 of the roots, from the power sum
-    sum z_i^2 = s1^2 - 2 e2 (Newton's identities)."""
-    coeffs = ehrhart_polynomial(params).coeffs
-    degree = len(coeffs) - 1
-    s1 = -coeffs[-2] / coeffs[-1]
-    e2 = coeffs[-3] / coeffs[-1] if degree > 1 else 0
+    """The centre c = -q_{M-1} / (M q_M) of the start and the exact second
+    moment M2 = sum (z_i - c)^2 of the M free roots, read off the
+    quotient q of `pinned_roots` itself: its power sum is
+    s1^2 - 2 e2 with s1 = -q_{M-1} / q_M and e2 = q_{M-2} / q_M (Newton's
+    identities)."""
+    _, quotient = pinned_roots(params)
+    degree = len(quotient) - 1
+    s1 = Fraction(-quotient[-2], quotient[-1])
+    e2 = Fraction(quotient[-3], quotient[-1]) if degree > 1 else 0
     return float(s1 / degree), s1 * s1 - 2 * e2 - s1 * s1 / degree
 
 
@@ -767,12 +786,19 @@ def start_points(params, seed):
     """`_initial_points` on its own, answered by `_eval_vec` at each
     request, as `find_roots` answers it."""
     step = _initial_points(params, seed)
-    points = next(step)
-    while True:
-        try:
+    try:
+        points = next(step)
+        while True:
             points = step.send(_eval_vec(params.d, params.n, points))
-        except StopIteration as stop:
-            return stop.value
+    except StopIteration as stop:
+        return stop.value
+
+
+def free_roots(params, roots):
+    """The roots other than the pinned -1, ..., -k."""
+    pinned, _ = pinned_roots(params)
+    exact = {complex(-m) for m in range(1, pinned + 1)}
+    return [r for r in roots if r not in exact]
 
 
 def ellipse_axes(points, centre):
@@ -798,64 +824,94 @@ def second_moment(points):
     return sum((z - sum(points) / len(points)) ** 2 for z in points)
 
 
-@pytest.mark.parametrize("d,n", [(1, 7), (2, 3), (4, 11), (7, 30), (9, 96)])
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 8), (4, 11), (7, 30), (9, 96)])
 def test_initial_points_on_aberth_circle(d, n):
-    # Aberth's centre and radius: the mean of the roots and (a + b) / 2 their
-    # geometric mean distance from it, both read off the polynomial before
-    # any sweep, whether the start is stretched or not
+    # Aberth's centre and radius for the quotient: the mean of the free roots
+    # and (a + b) / 2 their geometric mean distance from it, both read off
+    # the polynomial before any sweep, whether the start is stretched or not
     params = HypersimplexParams(d, n)
     z = start_points(params, 0)
     centre = start_shape(params)[0]
+    assert z.size == n - 1 - pinned_roots(params)[0]
     assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
-    rs = find_roots(params)
-    mean = sum(rs.roots) / len(rs.roots)
+    free = free_roots(params, find_roots(params).roots)
+    assert len(free) == z.size
+    mean = sum(free) / len(free)
     assert abs(centre - mean) <= 1e-12 * abs(mean)
     anchor = centre if evaluate_scaled(params, centre)[0] != 0 else complex(centre, 0.5)
     assert mean_radius(z, centre) == pytest.approx(
-        geometric_mean_distance(rs.roots, anchor), rel=1e-9
+        geometric_mean_distance(free, anchor), rel=1e-9
     )
 
 
 @pytest.mark.parametrize("d,n", [(4, 11), (5, 17), (7, 30), (9, 96)])
 def test_initial_points_match_the_second_moment(d, n):
-    # stretched along the real axis until sum (z_k - c)^2 is the roots' own
+    # stretched along the real axis until sum (z_k - c)^2 is the free roots' own
     params = HypersimplexParams(d, n)
     z = start_points(params, 0)
     centre, moment = start_shape(params)
     assert moment > 0
     assert second_moment(z.tolist()) == pytest.approx(float(moment), rel=1e-12)
-    assert second_moment(find_roots(params).roots) == pytest.approx(float(moment), rel=1e-9)
+    free = free_roots(params, find_roots(params).roots)
+    assert second_moment(free) == pytest.approx(float(moment), rel=1e-9)
     a, b = ellipse_axes(z, centre)
     assert a > b > (a + b) / 8  # longer along the real axis, above the floor
 
 
-@pytest.mark.parametrize("d,n", [(1, 2), (3, 4), (2, 4), (8, 16)])
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 6), (8, 16), (13, 26)])
 def test_initial_points_when_the_centre_is_a_root(d, n):
-    # the centroid is an exact root here, so the radius is measured from c + i/2
+    # at n = 2d the free roots are symmetric about -1, a pinned root: their
+    # centroid is an exact root of p, so the radius is measured from c + i/2
     params = HypersimplexParams(d, n)
     z = start_points(params, 0)
-    assert np.isfinite(z).all() and len(set(z.tolist())) == n - 1
+    assert np.isfinite(z).all() and len(set(z.tolist())) == n - 2
     centre = start_shape(params)[0]
-    assert evaluate_scaled(params, centre)[0] == 0
+    assert centre == -1.0 and evaluate_scaled(params, centre)[0] == 0
     rs = find_roots(params)
     assert rs.converged
     assert mean_radius(z, centre) == pytest.approx(
-        geometric_mean_distance(rs.roots, complex(centre, 0.5)), rel=1e-9
+        geometric_mean_distance(free_roots(params, rs.roots), complex(centre, 0.5)), rel=1e-9
     )
 
 
 @pytest.mark.parametrize(
-    "d,n", [(1, 2), (1, 3), (2, 4), (8, 16), (3, 7), (4, 9), (8, 17), (22, 45), (11, 24)]
+    "d,n", [(2, 5), (3, 5), (2, 4), (8, 16), (3, 7), (4, 9), (8, 17), (22, 45), (11, 24)]
 )
 def test_initial_points_fall_back_to_the_circle(d, n):
-    # at n = 2d and n = 2d + 1 (and n = 2d + 2 from d = 11) the roots' second
-    # moment is not positive, and at N <= 2 the ellipse would not match it:
-    # the start is Aberth's circle
+    # at n = 2d and n = 2d + 1 (and n = 2d + 2 from d = 5) the free roots'
+    # second moment is not positive, and at M <= 2 the ellipse would not
+    # match it: the start is Aberth's circle
     params = HypersimplexParams(d, n)
     centre, moment = start_shape(params)
-    assert n <= 3 or moment <= 0
     z = start_points(params, 0)
-    assert np.abs(z - centre) == pytest.approx(np.full(n - 1, abs(z[0] - centre)), rel=1e-12)
+    assert z.size <= 2 or moment <= 0
+    assert np.abs(z - centre) == pytest.approx(np.full(z.size, abs(z[0] - centre)), rel=1e-12)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (1, 7), (2, 3), (3, 4), (1, 20), (19, 20)])
+def test_pairs_with_every_root_pinned_need_no_start(d, n, monkeypatch):
+    # at d = 1 or n - d = 1 every root -1, ..., -(n-1) is pinned: the start
+    # is empty and asks for nothing, no sweep runs, and the only request is
+    # the certificates', where each root's residual is exactly 0
+    params = HypersimplexParams(d, n)
+    assert pinned_roots(params)[0] == n - 1
+    step = _initial_points(params, 0)
+    with pytest.raises(StopIteration) as stop:
+        next(step)
+    assert stop.value.value.size == 0
+    sizes = []
+    real = hsroots.roots._eval_vec
+
+    def counted(*args):
+        sizes.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
+    rs = find_roots(params)
+    assert sizes == [n - 1]
+    assert rs.roots == tuple(complex(-m) for m in range(n - 1, 0, -1))
+    assert rs.residuals == (0.0,) * (n - 1)
+    assert rs.iterations == 0 and rs.converged and rs.extended_bits is None
 
 
 def test_seed_rotates_the_start_circle():
@@ -880,27 +936,38 @@ def test_seed_rotates_the_start_circle():
         assert abs(rotation[0] - 1) > 0.1
 
 
-def test_initial_points_keep_the_minor_axis_floor():
+def test_initial_points_keep_the_minor_axis_floor(monkeypatch):
     # the simplex roots -1..-19 lie on the real axis: the moment alone would
-    # flatten the ellipse past b = 0, so b stops at rho / 4 and a at 7 rho / 4
+    # flatten the ellipse past b = 0, so b stops at rho / 4 and a at 7 rho / 4.
+    # Every one of them is pinned, and no quotient of a pair with n <= 120
+    # reaches the floor, so the quotient here is p itself: k = 0 hands the
+    # solver all 19 roots to start and sweep
     params = HypersimplexParams(1, 20)
-    centre, moment = start_shape(params)
+    assert pinned_roots(params)[0] == 19
+    fact = math.factorial(19)
+    whole = tuple(int(c * fact) for c in ehrhart_polynomial(params).coeffs)
+    monkeypatch.setattr(hsroots.roots, "pinned_roots", lambda _: (0, whole))
+    centre = -10.0
+    moment = sum((m - centre) ** 2 for m in range(-19, 0))
     rho = geometric_mean_distance(range(-19, 0), complex(centre, 0.5))
     assert moment / (2 * 19 * rho) > 0.75 * rho
     z = start_points(params, 0)
+    assert z.mean() == pytest.approx(centre, rel=1e-12)
     assert ellipse_axes(z, centre) == pytest.approx((1.75 * rho, 0.25 * rho), rel=1e-9)
     rs = find_roots(params)
-    assert rs.converged
+    assert rs.converged and rs.iterations > 0
     assert match_distance(rs.roots, list(range(-19, 0))) <= 1e-9
 
 
 def test_sweep_counts_stay_under_their_ceilings():
     # the moment ellipse took the seed-0 double sweeps from 1736 to 1288 on
-    # the paper grid d = 4..7 and from 124 to 61 at (9, 96..99); the ceilings
-    # leave room for platform rounding, and the circle start fails both
+    # the paper grid d = 4..7 and from 124 to 61 at (9, 96..99); pinning the
+    # roots -1..-k and sweeping only the quotient's took them to 1047 and 53.
+    # The ceilings leave about 13% for platform rounding, and sweeping all
+    # N roots (1279 and 61) fails both
     grid = CampaignConfig(d_min=4, d_max=7).pairs()
     tall = [(9, n) for n in range(96, 100)]
-    for pairs, ceiling in ((grid, 1450), (tall, 80)):
+    for pairs, ceiling in ((grid, 1180), (tall, 60)):
         runs = [find_roots(HypersimplexParams(d, n)) for d, n in pairs]
         assert all(rs.converged for rs in runs)
         assert sum(rs.iterations for rs in runs) <= ceiling

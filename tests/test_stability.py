@@ -7,7 +7,7 @@ import pytest
 
 import hsroots.stability
 from hsroots.campaign import CampaignConfig
-from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
+from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, pinned_roots
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
 from hsroots.roots import _distance_product_lower, _value_bounds, find_roots, find_roots_many
@@ -403,9 +403,12 @@ def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
     assert_value_bounds_hold(d, n, points)
 
 
-def float_radii(params, poly, points):
-    """`_float_radii` on the value bounds of one `_value_bounds` call."""
-    return _float_radii(params, poly, points, _value_bounds(params.d, params.n, np.array(points)))
+def float_radii(params, poly, centres, points=None):
+    """`_float_radii` on the value bounds of one `_value_bounds` call at the
+    disk centres, the first points (all of them when points is None)."""
+    points = centres if points is None else points
+    values = _value_bounds(params.d, params.n, np.array(centres))
+    return _float_radii(params, poly, points, values)
 
 
 def assert_float_pass_sound(params, roots):
@@ -564,3 +567,110 @@ def test_strip_verdict_overall_is_derived_from_its_sides():
     assert not StripVerdict(unstable, verdict.right_ok).overall
     with pytest.raises(TypeError):
         StripVerdict(verdict.left_ok, verdict.right_ok, overall=False)
+
+
+# The pinned roots: -1, ..., -k are exact roots of p inside the strip, so
+# `_certify` puts them last and builds disks of radius M |W_i| around the
+# M = N - k free points only, when every -m is among the given roots.
+
+
+def value_bound_sizes(monkeypatch):
+    """The sizes of the `_value_bounds` requests the certificates make."""
+    sizes, real = [], hsroots.stability._value_bounds
+
+    def counted(d, runs, z):
+        sizes.append(z.size)
+        return real(d, runs, z)
+
+    monkeypatch.setattr(hsroots.stability, "_value_bounds", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("d,n", [(4, 20), (5, 17), (9, 96), (10, 20)])
+def test_certificate_skips_the_pinned_roots(d, n, monkeypatch):
+    params = HypersimplexParams(d, n)
+    pinned, _ = pinned_roots(params)
+    rs = find_roots(params)
+    exact = [complex(-m) for m in range(1, pinned + 1)]
+    assert all(rs.roots.count(z) == 1 for z in exact)
+    assert all(rs.residuals[rs.roots.index(z)] == 0.0 for z in exact)
+    sizes = value_bound_sizes(monkeypatch)
+    verdict = verify_strip(params, rs.roots)
+    assert sizes == [n - 1 - pinned]
+    assert verdict.overall
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
+    # the M disks are those of the quotient q around the free points, built
+    # independently from q's coefficients: each float radius bound is at
+    # least the exact radius M |W_i| there, and the sides agree
+    poly = ehrhart_polynomial(params)
+    quotient = RationalPolynomial(pinned_roots(params)[1])
+    free = [z for z in rs.roots if z not in exact]
+    first = float_radii(params, poly, free, free + exact)
+    for i, (_, x_den, radius_sq, scale) in enumerate(first):
+        assert Fraction(radius_sq, scale * x_den * x_den) >= exact_radius_sq(quotient, free, i), i
+    bound = Fraction(n, d)
+    sides = inclusion_strip(quotient, free, -bound, 0)
+    assert sides == (True, True)
+    assert _disks(poly, free + exact, -bound, Fraction(0), [None] * len(free)) == sides
+
+
+@pytest.mark.parametrize("d,n,m", [(4, 20, 1), (4, 20, 4), (9, 96, 7)])
+def test_a_pinned_root_off_by_one_ulp_falls_back_to_all_disks(d, n, m, monkeypatch):
+    # -m moved by one ulp is no longer the exact root: all N points carry
+    # disks, as before the pinning, and the verdict is the same
+    params = HypersimplexParams(d, n)
+    roots = list(find_roots(params).roots)
+    pinned_verdict = verify_strip(params, roots)
+    at = roots.index(complex(-m))
+    for moved in (np.nextafter(-m, -math.inf), np.nextafter(-m, math.inf)):
+        roots[at] = complex(moved)
+        sizes = value_bound_sizes(monkeypatch)
+        verdict = verify_strip(params, roots)
+        assert sizes == [n - 1]
+        assert verdict == pinned_verdict
+        assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
+
+
+def test_a_free_point_on_a_pinned_root_proves_no_side(monkeypatch):
+    # a free point equal to -1 repeats a point: no disk is built, Routh
+    # decides both sides; and as a disk centre next to the pinned -1 its
+    # distance product and exact radius are 0, so neither bound proves a side
+    params = HypersimplexParams(4, 20)
+    poly = ehrhart_polynomial(params)
+    bound = Fraction(params.n, params.d)
+    roots = list(find_roots(params).roots)
+    exact = [complex(-m) for m in range(1, 5)]
+    free = [z for z in roots if z not in exact]
+    assert len(free) == 15
+    spoiled = [complex(-1)] + free[1:] + exact
+    sizes = value_bound_sizes(monkeypatch)
+    verdict = verify_strip(params, spoiled)
+    assert sizes == []
+    assert verdict == verify_strip(params)
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
+    first = float_radii(params, poly, spoiled[:15], spoiled)
+    assert first[0][3] == 0
+    assert _disks(poly, spoiled, -bound, Fraction(0), [None] * 15) == (False, False)
+    assert _disks(poly, spoiled, -bound, Fraction(0), first) == (False, False)
+
+
+@pytest.mark.parametrize("d,n", [(1, 5), (1, 12)])
+def test_every_root_pinned_needs_no_disk(d, n, monkeypatch):
+    # at d = 1 the roots are exactly -1, ..., -(n-1), all inside the strip
+    params = HypersimplexParams(d, n)
+    sizes = value_bound_sizes(monkeypatch)
+    verdict = verify_strip(params, find_roots(params).roots)
+    assert sizes == []
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
+    assert verdict.overall and verify_strip(params).overall
+
+
+@pytest.mark.parametrize("d,n", [(4, 20), (9, 96)])
+def test_distance_product_rows_of_the_free_points(d, n):
+    # the first `count` rows, each over all N points, bit for bit as in the full call
+    z = np.array(find_roots(HypersimplexParams(d, n)).roots)
+    full = _distance_product_lower(z)
+    for count in (0, 1, z.size // 2, z.size):
+        part = _distance_product_lower(z, count)
+        for a, b in zip(part, full):
+            assert a.tobytes() == b[:count].tobytes()

@@ -12,19 +12,20 @@ rationals.
 The product terms come from the factor loop of `roots` (`_term_products`),
 in its value-only mode: no derivative rows are built.  `_ratios` evaluates
 the modulus ratios on blocks of up to `_BLOCK` points, for the rows it is
-asked for: `rouche_margin` sums all d of them, while `check_migi`,
-`check_hidari` and `phi` build only rows 0 and s.  A row has the same bits
-whichever other rows are built with it.  `phi`, `f_term_modulus` (a log2
-modulus, so it keeps values beyond the double range) and `check_aida` are
-calls of size 1.  The contour samples are made block by block as arrays
-(`ContourSpec.sample_blocks`).
+asked for: `rouche_margin` sums all d of them, while `phi` builds only rows
+0 and s.  A row has the same bits whichever other rows are built with it.
+`phi`, `f_term_modulus` (a log2 modulus, so it keeps values beyond the
+double range) and `check_aida` are calls of size 1.  The contour samples
+are made block by block as arrays (`ContourSpec.sample_blocks`).
 
-The monotonicity checks use that every factor (d-s)z + k - s has real
-coefficients: a term at re - i*t is the exact conjugate of the term at
-re + i*t, so each ratio takes the same bits at both heights.  They evaluate
-the distinct magnitudes |t| of their heights alone (the default grid's are
-built as they are, given heights are folded by a sort), and build the
-two orders they compare in one call, as two (n, count) runs.
+The monotonicity checks never build a full product.  Both orders they
+compare are products over one arithmetic progression of factors
+(d-s)z + j - s, and their edges lie a whole number apart, so the factors
+common to both orders cancel in the quotient Q of the two ratios: about 4n
+factors per height leave at most 2d (`_log2_quotient`).  Every factor has
+real coefficients, so Q is even in the height: the checks evaluate the
+distinct magnitudes |t| of their heights alone (the default grid's are
+built as they are, given heights are folded by a sort).
 """
 
 import functools
@@ -37,9 +38,10 @@ import numpy as np
 
 from .ehrhart import _integer
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
-from .roots import _per_point, _point, _runs, _term_products
+from .roots import _point, _term_products
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
+_LOG2_PASS = math.log2(1.0 - RELATIVE_SLACK)
 _BLOCK = 4096  # points per evaluator call
 
 IMAGINARY_AXIS = "imaginary_axis"
@@ -58,26 +60,22 @@ def _validate_indices(n: int, d: int, s: int, smallest: int = 0) -> Tuple[int, i
     return n, d, s
 
 
-def _log2_terms(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| for s in rows (all d
     when None) as a (len(rows), len(z)) array, -inf where a factor vanishes;
-    batch- and row-independent like `_term_products`, whose n it takes: an
-    int or (n, count) runs along z, n non-increasing."""
+    batch- and row-independent like `_term_products`."""
     rows = range(d) if rows is None else rows
-    runs = _runs(n, z.size)
     # terms beyond the double range overflow to inf or NaN; callers fail on those
     with np.errstate(over="ignore", invalid="ignore"):
-        prod, _, exps = _term_products(d, runs, z, rows, mode="value")
-    columns = [[math.log2(math.comb(value, s)) for s in rows] for value, _ in runs]
-    log_binom = _per_point(columns, runs)
+        prod, _, exps = _term_products(d, n, z, rows, mode="value")
+    log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
     with np.errstate(divide="ignore"):
-        return np.log2(np.abs(prod)) + exps + log_binom
+        return np.log2(np.abs(prod)) + exps + log_binom[:, None]
 
 
-def _ratios(n, d: int, z: np.ndarray, rows=None) -> np.ndarray:
+def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
     """phi for s in rows (all d when None) as a (len(rows), len(z)) array, by
-    exponent difference; rows[0] must be 0, the dominant term.  n is an int
-    or (n, count) runs, as `_log2_terms` takes it."""
+    exponent difference; rows[0] must be 0, the dominant term."""
     logs = _log2_terms(n, d, z, rows)
     poles = np.flatnonzero(logs[0] == -np.inf)
     if poles.size:
@@ -153,28 +151,68 @@ def _strictly_less(lhs: float, rhs: float) -> bool:
     return lhs < rhs * (1.0 - RELATIVE_SLACK)
 
 
-def _ratio_falls(n: int, d: int, s: int, n_next: int, re: float, re_next: float, t):
+def _outside(lo: int, hi: int, other_lo: int, other_hi: int) -> list:
+    """The integers of [lo, hi] outside the nonempty [other_lo, other_hi], ascending."""
+    return [*range(lo, min(hi, other_lo - 1) + 1), *range(max(lo, other_hi + 1), hi + 1)]
+
+
+def _log2_quotient(n: int, d: int, s: int, n_next: int, p: int, q: int, delta: int, t):
+    """log2 Q, Q = phi_s(n_next, z + delta) / phi_s(n, z) at z = p/q + i*t,
+    from the factors the two orders do not share (see `_ratio_falls`), for
+    integers p, q > 0 and delta; -inf or inf where one of them vanishes.
+    t lies in the domain of `_ratio_falls`, where |factor|**2 <= 2**104."""
+    weight, square, slope2 = [], [], []  # per factor left: +-1/2, real part**2, slope**2
+    for row, sign in ((s, 0.5), (0, -0.5)):
+        slope = d - row
+        lo, hi = 1 + slope * delta, n_next - 1 + slope * delta
+        for side, js in ((sign, _outside(lo, hi, 1, n - 1)), (-sign, _outside(1, n - 1, lo, hi))):
+            for j in js:
+                # one rounding from integers, so that a vanishing factor is exactly 0
+                real = (slope * p + (j - row) * q) / q
+                weight.append(side)
+                square.append(real * real)
+                slope2.append(slope * slope)
+    square, slope2 = np.array(square)[:, None], np.array(slope2, dtype=float)[:, None]
+    with np.errstate(divide="ignore"):
+        logs = np.log2(square + slope2 * (t * t))
+    return math.log2(math.comb(n_next, s) / math.comb(n, s)) + np.dot(weight, logs)
+
+
+def _ratio_falls(n: int, d: int, s: int, n_next: int, re, re_next, t) -> bool:
     """Whether phi_s of order n_next at re_next + i*t is strictly below phi_s of
     order n at re + i*t at every height t where not both of them vanish.
 
-    The checks pass the distinct magnitudes of their heights, as each ratio
-    takes the same bits at -t as at t (see the module docstring).  Each
-    block builds both orders in one `_ratios` call, as two runs of its
-    heights, the larger n first.
+    Every factor is (d-s)z + j - s for one row s.  With z' = z + delta, an
+    integer, the factor k of order n_next at z' is the factor
+    j = k + (d-s)delta at z, so the orders multiply the same progression
+    over J' = [1 + (d-s)delta, n_next - 1 + (d-s)delta] and J = [1, n-1].
+    Their quotient Q keeps, of row s, the factors of J' outside J above the
+    line and those of J outside J' below it, of row 0 the other way round,
+    times C(n_next, s) / C(n, s); the check passes iff log2 Q stays below
+    log2(1 - RELATIVE_SLACK).  On the right edge (delta = 0, n_next = n + 1)
+    one factor per row is left, j = n; on the left edge (delta = -1,
+    n_next = n + d) row s keeps j in [1 - (d-s), 0] and [n, n + s - 1],
+    row 0 keeps j in [1 - d, 0].
+
+    re and re_next are exact rationals (an int, a Fraction, or a float read
+    exactly) a whole number apart, else ValueError.  The largest height
+    must lie in the domain of `phi` for both orders (DomainViolation).  Row
+    s vanishes only at t = 0, on j0 = s - (d-s)re: both ratios vanish
+    there, and the height is skipped, when j0 is an integer in J and J'.
     """
+    (p, q), (p_next, q_next) = re.as_integer_ratio(), re_next.as_integer_ratio()
+    delta, rest = divmod(p_next - p, q)
+    if q_next != q or rest:
+        raise ValueError(f"the edges must be a whole number apart, got {re} and {re_next}")
     t = np.asarray(t, dtype=float)
-    swap = n_next > n
-    orders = ((n_next, re_next), (n, re)) if swap else ((n, re), (n_next, re_next))
-    for start in range(0, t.size, _BLOCK // 2):
-        block = t[start:start + _BLOCK // 2]
-        z = np.concatenate([x + 1j * block for _, x in orders])
-        ratios = _ratios([(value, block.size) for value, _ in orders], d, z, (0, s))[1]
-        first, second = ratios[:block.size], ratios[block.size:]
-        larger, smaller = (second, first) if swap else (first, second)
-        both_zero = (smaller == 0.0) & (larger == 0.0)
-        if not (both_zero | (smaller < larger * (1.0 - RELATIVE_SLACK))).all():
-            return False
-    return True
+    top = float(np.abs(t).max())
+    for order, x in ((n, re), (n_next, re_next)):
+        _point(d, order, complex(x, top))
+    j0, rest = divmod(s * q - (d - s) * p, q)
+    shift = (d - s) * delta
+    if rest == 0 and max(1, 1 + shift) <= j0 <= min(n - 1, n_next - 1 + shift):
+        t = t[t != 0]
+    return bool((_log2_quotient(n, d, s, n_next, p, q, delta, t) < _LOG2_PASS).all())
 
 
 def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
@@ -183,10 +221,11 @@ def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
 
     Samples where both ratios vanish exactly (the origin, where every s >= 1
     term has a zero factor) are degenerate for a strict comparison and are
-    skipped.  beta_samples must be 1-D, finite and not empty (DomainViolation).
+    skipped.  beta_samples must be 1-D, finite and not empty, with
+    d |z| + n + 1 <= 2**51 at the largest (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
-    return _ratio_falls(n, d, s, n + 1, 0.0, 0.0, _magnitudes(n, beta_samples))
+    return _ratio_falls(n, d, s, n + 1, 0, 0, _magnitudes(n, beta_samples))
 
 
 def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
@@ -194,12 +233,15 @@ def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
     ratio for order n; each order is evaluated on its own edge Re = -n/d.
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
-    beta_samples must be 1-D, finite and not empty (DomainViolation).
+    Heights where both ratios vanish (t = 0 when d divides s*n) are skipped.
+    beta_samples must be 1-D, finite and not empty, with d |z| + n + d <=
+    2**51 at the largest, z on the edge of order n + d (DomainViolation).
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
-    return _ratio_falls(n, d, s, n + d, -n / d, -(n + d) / d, _magnitudes(n, beta_samples))
+    edge, edge_next = Fraction(-n, d), Fraction(-n - d, d)
+    return _ratio_falls(n, d, s, n + d, edge, edge_next, _magnitudes(n, beta_samples))
 
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:

@@ -190,8 +190,8 @@ def test_criterion_5_half_plane_instances():
 
 def test_criterion_6_lemma_property_suite():
     with Stopwatch("6 lemma property suite", 20):
-        for d in range(2, 6):
-            for n in range(2 * d, 21):
+        for d in range(2, 8):
+            for n in range(2 * d, 61):
                 for s in range(1, d):
                     assert check_migi(n, d, s), ("migi", d, n, s)
                     if n >= d * d - 2:

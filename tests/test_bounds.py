@@ -22,7 +22,9 @@ from hsroots.bounds import (
     phi,
     ratio_bound,
     rouche_margin,
+    RELATIVE_SLACK,
     _beta_magnitudes,
+    _log2_quotient,
     _log2_terms,
     _magnitudes,
     _ratio_falls,
@@ -194,28 +196,118 @@ def test_monotone_checks_fold_the_heights():
     assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, _magnitudes(7, [-0.0])) is True
 
 
-def test_monotone_checks_make_one_call_on_the_distinct_magnitudes(monkeypatch):
+def test_monotone_checks_make_no_product_call_on_the_distinct_magnitudes(monkeypatch):
     calls = []
 
-    def ratios(n, d, z, rows=None):
-        calls.append((n, z.copy()))
-        return _ratios(n, d, z, rows)
+    def quotient(n, d, s, n_next, p, q, delta, t):
+        calls.append(t.copy())
+        return _log2_quotient(n, d, s, n_next, p, q, delta, t)
 
-    monkeypatch.setattr(hsroots.bounds, "_ratios", ratios)
+    def products(*args, **kwargs):
+        raise AssertionError("a monotone check built a full product")
+
+    monkeypatch.setattr(hsroots.bounds, "_log2_quotient", quotient)
+    monkeypatch.setattr(hsroots.bounds, "_term_products", products)
     assert check_migi(7, 3, 1) is True
     assert check_hidari(14, 4, 2) is True
-    (migi_runs, migi_z), (hidari_runs, hidari_z) = calls
-    assert migi_runs == [(8, 401), (7, 401)] and hidari_runs == [(18, 401), (14, 401)]
-    magnitudes = np.array(default_beta_grid(7)[:401])
-    assert migi_z.tobytes() == np.concatenate((1j * magnitudes, 1j * magnitudes)).tobytes()
-    magnitudes = np.array(default_beta_grid(14)[:401])
-    expected = np.concatenate((-18 / 4 + 1j * magnitudes, -14 / 4 + 1j * magnitudes))
-    assert hidari_z.tobytes() == expected.tobytes()
+    assert check_hidari(15, 4, 1) is True
+    assert check_migi(12, 4, 1, [-5.0, 3.0, -0.0, 5.0]) is True
+    # t = 0, where both ratios vanish (always for migi, for hidari where d | s n),
+    # is skipped; at (4, 15, 1) it is evaluated
+    migi, hidari, evaluated, given = calls
+    assert migi.tobytes() == np.array(default_beta_grid(7)[1:401]).tobytes()
+    assert hidari.tobytes() == np.array(default_beta_grid(14)[1:401]).tobytes()
+    assert evaluated.tobytes() == np.array(default_beta_grid(15)[:401]).tobytes()
+    assert given.tobytes() == np.array([3.0, 5.0]).tobytes()
+
+
+def test_monotone_checks_reject_heights_beyond_the_double_range():
+    # past d|z| + n = 2**51, the domain of phi, the product form overflowed:
+    # 1e60 warned "invalid value encountered in subtract", 1e150 and 1e300
+    # returned False; the checks now refuse such heights before any work
+    for height in (1e20, 1e60, 1e150, -1e300):
+        for check in (check_migi, check_hidari):
+            with pytest.raises(DomainViolation, match="2\\*\\*51"):
+                check(7, 3, 1, [1.0, height])
+    edge = (2**51 - 8) // 3  # 3 edge + 8 = 2**51 for migi's order n + 1 = 8
+    assert check_migi(7, 3, 1, [0.0, float(edge)]) is True
+    with pytest.raises(DomainViolation, match="2\\*\\*51"):
+        check_migi(7, 3, 1, [float(edge + 1)])
+
+
+def ratio_falls_oracle(larger: np.ndarray, smaller: np.ndarray) -> bool:
+    """The product-form comparison of the ratios of two orders at each height,
+    heights where both vanish exactly skipped."""
+    both_zero = (smaller == 0.0) & (larger == 0.0)
+    return bool((both_zero | (smaller < larger * (1.0 - RELATIVE_SLACK))).all())
+
+
+def log2_quotient(n: int, d: int, s: int, n_next: int, re, re_next, t) -> np.ndarray:
+    """`_log2_quotient` between the edges re and re_next, exact rationals."""
+    re = Fraction(re)
+    delta = Fraction(re_next) - re
+    assert delta.denominator == 1
+    return _log2_quotient(n, d, s, n_next, re.numerator, re.denominator, int(delta), np.asarray(t))
+
+
+def monotone_cases(d_values, n_max: int):
+    """(n, d, s, n_next, re, re_next) of every migi and hidari check with
+    2d <= n <= n_max."""
+    for d in d_values:
+        for n in range(2 * d, n_max + 1):
+            orders = [(n + 1, 0, 0)]
+            if n >= d * d - 2:
+                orders.append((n + d, Fraction(-n, d), Fraction(-n - d, d)))
+            for s in range(1, d):
+                for order in orders:
+                    yield (n, d, s) + order
+
+
+def test_quotient_matches_the_product_form_oracle():
+    # phi of each order from the product form, at the float edge -n/d as the
+    # checks built it; verdicts equal, the swapped orders too, and log2 Q
+    # within 1e-12 of log2 phi_next - log2 phi wherever both ratios are nonzero
+    checks = {0: check_migi, -1: check_hidari}
+    for n, d, s, n_next, re, re_next in monotone_cases(range(2, 9), 60):
+        t = _magnitudes(n, None)
+        larger = _ratios(n, d, float(re) + 1j * t, (0, s))[1]
+        smaller = _ratios(n_next, d, float(re_next) + 1j * t, (0, s))[1]
+        case = (n, d, s, n_next)
+        assert checks[re_next - re](n, d, s) is ratio_falls_oracle(larger, smaller), case
+        swapped = _ratio_falls(n_next, d, s, n, re_next, re, t)
+        assert swapped is ratio_falls_oracle(smaller, larger), case
+        nonzero = (larger > 0) & (smaller > 0)
+        expected = np.log2(smaller[nonzero]) - np.log2(larger[nonzero])
+        got = log2_quotient(n, d, s, n_next, re, re_next, t)
+        assert np.abs(got[nonzero] - expected).max() <= 1e-12, case
+        back = log2_quotient(n_next, d, s, n, re_next, re, t)
+        assert np.abs(back[nonzero] + expected).max() <= 1e-12, case
+        # every factor has real coefficients: Q is even in the height
+        assert log2_quotient(n, d, s, n_next, re, re_next, -t).tobytes() == got.tobytes()
+
+
+def test_both_ratios_vanish_at_zero_exactly_where_the_integers_say():
+    # hidari at (d, n, s) = (4, 14, 2): 4 | 2 * 14, so the factor j = 9 of
+    # row 2 vanishes at t = 0 in both orders, and the height is skipped
+    edge, edge_next = Fraction(-14, 4), Fraction(-18, 4)
+    for order, re in ((14, edge), (18, edge_next)):
+        assert _ratios(order, 4, np.array([complex(re)]), (0, 2))[1, 0] == 0.0
+    assert check_hidari(14, 4, 2, [0.0]) is True
+    assert _ratio_falls(18, 4, 2, 14, edge_next, edge, [0.0]) is True
+    # at (4, 15, 1) neither ratio vanishes: t = 0 is a height like any other
+    edge, edge_next = Fraction(-15, 4), Fraction(-19, 4)
+    at_zero = log2_quotient(15, 4, 1, 19, edge, edge_next, np.array([0.0]))
+    assert at_zero[0] < 0 and check_hidari(15, 4, 1, [0.0]) is True
+    assert _ratio_falls(19, 4, 1, 15, edge_next, edge, [0.0]) is False
+    # the edges of the two orders must be a whole number apart
+    with pytest.raises(ValueError, match="whole number apart"):
+        _ratio_falls(14, 4, 2, 18, edge, Fraction(-17, 4), [1.0])
 
 
 def test_ratios_are_even_in_the_height_bit_for_bit():
-    # the checks evaluate |t| alone; at the migi and hidari orders every row
-    # of the ratios takes the same bits at re - i*t as at re + i*t
+    # at the migi and hidari orders every row of the product-form ratios
+    # takes the same bits at re - i*t as at re + i*t, as the factors have
+    # real coefficients; the checks' quotient Q is even in t the same way
     for d in (3, 4, 5):
         for n in range(2 * d, 42):
             grid = np.array(default_beta_grid(n))
@@ -226,25 +318,6 @@ def test_ratios_are_even_in_the_height_bit_for_bit():
                 up = _ratios(order, d, re + 1j * grid)
                 down = _ratios(order, d, re - 1j * grid)
                 assert up.tobytes() == down.tobytes(), (d, n, order, re)
-
-
-def test_merged_orders_give_the_separate_calls_bits():
-    for n, d in KERNEL_CASES:
-        for n_next, re, re_next in ((n + 1, 0.0, 0.0), (n + d, -n / d, -(n + d) / d)):
-            t = np.array(default_beta_grid(n, 12))
-            z, z_next = re + 1j * t, re_next + 1j * t
-            both = np.concatenate((z_next, z))
-            for rows in (None, (0, 1), (0, d - 1)):
-                merged = _ratios([(n_next, t.size), (n, t.size)], d, both, rows)
-                apart = [_ratios(n_next, d, z_next, rows), _ratios(n, d, z, rows)]
-                assert merged.tobytes() == np.hstack(apart).tobytes(), (n, d, n_next, rows)
-            # runs of unequal length, all rows
-            both = np.concatenate((z_next[:5], z[5:]))
-            merged = _log2_terms([(n_next, 5), (n, t.size - 5)], d, both)
-            apart = [_log2_terms(n_next, d, z_next[:5]), _log2_terms(n, d, z[5:])]
-            assert merged.tobytes() == np.hstack(apart).tobytes(), (n, d, n_next)
-    with pytest.raises(ValueError, match="non-increasing"):
-        _ratios([(7, 2), (8, 2)], 3, np.array([1j, 2j, 1j, 2j]))
 
 
 def test_check_migi_rejects_s_zero():

@@ -11,12 +11,12 @@ rationals.
 
 The product terms come from the factor loop of `roots` (`_term_products`),
 in its value-only mode: no derivative rows are built.  `_ratios` evaluates
-the modulus ratios on blocks of up to `_BLOCK` points, for the rows it is
-asked for: `rouche_margin` sums all d of them, while `phi` builds only rows
-0 and s.  A row has the same bits whichever other rows are built with it.
-`phi`, `f_term_modulus` (a log2 modulus, so it keeps values beyond the
-double range) and `check_aida` are calls of size 1.  The contour samples
-are made block by block as arrays (`ContourSpec.sample_blocks`).
+the modulus ratios of all d rows on blocks of up to `_BLOCK` points, and
+`rouche_margin` sums them.  A row's bits do not depend on the other rows,
+so `phi` and `f_term_modulus` (a log2 modulus, so it keeps values beyond
+the double range) read row s of one such call of size 1, as `check_aida`
+does through `phi`.  The contour samples are made block by block as
+arrays (`ContourSpec.sample_blocks`).
 
 The monotonicity checks never build a full product.  Both orders they
 compare are products over one arithmetic progression of factors
@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .ehrhart import _integer
+from .ehrhart import HypersimplexParams, _integer
 from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
 from .roots import _point, _term_products
 
@@ -51,32 +51,32 @@ _KINDS = (IMAGINARY_AXIS, LEFT_EDGE, HORIZONTAL_EDGE)
 
 
 def _validate_indices(n: int, d: int, s: int, smallest: int = 0) -> Tuple[int, int, int]:
-    """n, d and s as plain ints (see `ehrhart._integer`), checked."""
-    n, d, s = _integer("n", n), _integer("d", d), _integer("s", s)
-    if not 1 <= d < n:
-        raise InvalidParams(f"need 1 <= d < n, got (d={d}, n={n})")
+    """n, d and s as plain ints (see `ehrhart._integer`), checked, (d, n)
+    as `HypersimplexParams` checks them."""
+    s = _integer("s", s)
+    params = HypersimplexParams(d, n)
+    n, d = params.n, params.d
     if not smallest <= s <= d - 1:
         raise DomainViolation(f"need {smallest} <= s <= d-1, got (n={n}, d={d}, s={s})")
     return n, d, s
 
 
-def _log2_terms(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
-    """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| for s in rows (all d
-    when None) as a (len(rows), len(z)) array, -inf where a factor vanishes;
-    batch- and row-independent like `_term_products`."""
-    rows = range(d) if rows is None else rows
+def _log2_terms(n: int, d: int, z: np.ndarray) -> np.ndarray:
+    """log2 |C(n,s) prod_{k=1}^{n-1} ((d-s)z + k - s)| for s = 0..d-1 as a
+    (d, len(z)) array, -inf where a factor vanishes; batch-independent like
+    `_term_products`."""
     # terms beyond the double range overflow to inf or NaN; callers fail on those
     with np.errstate(over="ignore", invalid="ignore"):
-        prod, _, exps = _term_products(d, n, z, rows, mode="value")
-    log_binom = np.array([math.log2(math.comb(n, s)) for s in rows])
+        prod, _, exps = _term_products(d, n, z, mode="value")
+    log_binom = np.array([math.log2(math.comb(n, s)) for s in range(d)])
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(prod)) + exps + log_binom[:, None]
 
 
-def _ratios(n: int, d: int, z: np.ndarray, rows=None) -> np.ndarray:
-    """phi for s in rows (all d when None) as a (len(rows), len(z)) array, by
-    exponent difference; rows[0] must be 0, the dominant term."""
-    logs = _log2_terms(n, d, z, rows)
+def _ratios(n: int, d: int, z: np.ndarray) -> np.ndarray:
+    """phi for s = 0..d-1 as a (d, len(z)) array, by exponent difference
+    from row 0, the dominant term."""
+    logs = _log2_terms(n, d, z)
     poles = np.flatnonzero(logs[0] == -np.inf)
     if poles.size:
         raise DivisionByZeroTerm(f"dominant term vanishes at z={complex(z[poles[0]])}")
@@ -92,14 +92,14 @@ def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
     factor vanishes; a log keeps moduli beyond the double range.  z must
     be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_log2_terms(n, d, _point(d, n, z), (s,))[0, 0])
+    return float(_log2_terms(n, d, _point(d, n, z))[s, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:
     """Modulus ratio of the s-th product term to the dominant (s=0) one;
     z must be finite with d |z| + n <= 2**51 (DomainViolation)."""
     n, d, s = _validate_indices(n, d, s)
-    return float(_ratios(n, d, _point(d, n, z), (0, s))[1, 0])
+    return float(_ratios(n, d, _point(d, n, z))[s, 0])
 
 
 def default_beta_grid(n: int, points: int = 400):
@@ -287,10 +287,10 @@ class ContourSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainViolation(f"unknown contour kind {self.kind!r}")
-        for name in ("d", "n", "samples"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.d < self.n:
-            raise InvalidParams(f"need 1 <= d < n, got (d={self.d}, n={self.n})")
+        params = HypersimplexParams(self.d, self.n)
+        object.__setattr__(self, "d", params.d)
+        object.__setattr__(self, "n", params.n)
+        object.__setattr__(self, "samples", _integer("samples", self.samples))
         if self.samples < 2:
             raise DomainViolation("need at least 2 samples")
         lo, hi = self.resolved_range()

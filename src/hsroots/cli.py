@@ -84,24 +84,29 @@ def cmd_count(args) -> int:
 
 def cmd_roots(args) -> int:
     params = HypersimplexParams(args.d, args.n)
-    rootset = find_roots(params, _solver_config(args))
+    config = _solver_config(args)
+    rootset = find_roots(params, config)
     text = "\n".join([ROOTS_HEADER, *roots_csv_lines(args.d, args.n, rootset)]) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     if not rootset.converged:
-        sweeps = f"{rootset.iterations} iterations"
-        if rootset.extended_bits is not None:
-            sweeps += (
-                f" and {rootset.extended_sweeps} exact sweeps at "
-                f"{rootset.extended_bits} fractional bits"
+        if rootset.iterations == 0 and rootset.extended_bits is None:
+            # no sweep ran (n = 2d), so only the residual certificate failed
+            tolerance = config.resolved_tolerance(params.degree)
+            detail = (
+                f": max residual {rootset.max_residual:.3e} above the tolerance {tolerance:.3e}"
             )
-        print(
-            f"warning: not converged after {sweeps} "
-            f"(max residual {rootset.max_residual:.3e})",
-            file=sys.stderr,
-        )
+        else:
+            sweeps = f"{rootset.iterations} iterations"
+            if rootset.extended_bits is not None:
+                sweeps += (
+                    f" and {rootset.extended_sweeps} exact sweeps at "
+                    f"{rootset.extended_bits} fractional bits"
+                )
+            detail = f" after {sweeps} (max residual {rootset.max_residual:.3e})"
+        print(f"warning: not converged{detail}", file=sys.stderr)
         return EXIT_FAILED
     return EXIT_OK
 

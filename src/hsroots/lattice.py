@@ -9,7 +9,7 @@ state, plus a guarded naive enumerator that cross-checks the DP.
 import itertools
 from dataclasses import dataclass
 
-from .ehrhart import _integer
+from .ehrhart import HypersimplexParams, _integer
 from .errors import DimensionMismatch, InvalidParams
 
 NAIVE_ENUMERATION_LIMIT = 10**7
@@ -25,10 +25,10 @@ class CountQuery:
     strict: bool = False
 
     def __post_init__(self):
-        for name in ("d", "n", "m"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not 1 <= self.d < self.n:
-            raise InvalidParams(f"need 1 <= d < n, got (d={self.d}, n={self.n})")
+        params = HypersimplexParams(self.d, self.n)
+        object.__setattr__(self, "d", params.d)
+        object.__setattr__(self, "n", params.n)
+        object.__setattr__(self, "m", _integer("m", self.m))
         if self.m < 0:
             raise InvalidParams(f"dilation must be nonnegative, got m={self.m}")
 

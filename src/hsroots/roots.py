@@ -13,11 +13,11 @@ aligns them to the point's largest term exponent; `_eval_vec` sums them
 and their derivatives row after row, for the solver, the residual
 certificates, the real-axis snap and the single-point functions
 `evaluate_scaled`, `log_derivative` and `residual`.  `bounds` takes its
-modulus ratios from the same loop, asking only for the rows it compares
-and for values without derivatives.  In its error mode the loop also
-carries a rigorous bound on each term's rounding error, from which
-`_value_bounds` bounds |p(z)| from above; with `_distance_product_lower`
-it gives `stability`'s strip certificate its only two float bounds.
+modulus ratios from the same loop, as values without derivatives.  In
+its error mode the loop also carries a rigorous bound on each term's
+rounding error, from which `_value_bounds` bounds |p(z)| from above; with
+`_distance_product_lower` it gives `stability`'s strip certificate its
+only two float bounds.
 `_lockstep` drives the solves and certificates of many pairs in rounds, and
 `_evaluate`, its packing plan, cuts each round's points into calls of one
 row count min(d, n - d), whole pairs, n descending.
@@ -50,11 +50,12 @@ disks of `stability` run too.  Only each ratio is rounded to double; the
 repulsion and the update stay in doubles.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
-never evaluates p in its sweeps: p(z) = (z + 1) Q((z + 1)**2) with
-deg Q = d - 1 (`_half_degree_factor`, checked exactly on every call), Q's
-coefficients span a few bits, and the sweeps run on Q by Horner's rule in
-doubles.  Its roots w map back to -1 +- sqrt(w), and the residual
-certificates and the real-axis snap are taken on p as everywhere else.
+runs no sweep: p(z) = (z + 1) Q((z + 1)**2) with deg Q = d - 1
+(`_half_degree_factor`, checked exactly on every call), Q's coefficients
+span a few bits, and its roots w are the eigenvalues of its companion
+matrix (`np.roots`), with no start point, seed or iteration cap.  They map
+back to -1 +- sqrt(w), and the residual certificates and the real-axis
+snap are taken on p as everywhere else.
 """
 
 import cmath
@@ -86,7 +87,9 @@ class SolverConfig:
     """Iteration cap, relative residual target, and seed for initial placement.
 
     tolerance=None selects 1e-10 for degrees up to 59 and 1e-8 above, where
-    conditioning is worse.
+    conditioning is worse.  At n = 2d only the tolerance counts: the roots
+    come from an eigenvalue solve with no start point and no sweeps (see
+    `find_roots`), so the seed and the cap have no effect there.
     """
 
     max_iterations: int = 200
@@ -116,13 +119,13 @@ class RootSet:
     """All complex roots (with multiplicity), each with a residual certificate.
 
     The pinned roots -1, ..., -k are exact, with residual 0.0.  `iterations`
-    counts the double-precision sweeps of the free roots, those on Q at
-    n = 2d (see `find_roots`); 0 where every root is pinned.  When the
-    roots were refined with exact coefficients, `extended_bits` is the
-    fixed-point precision of that refinement and `extended_sweeps` its
-    sweep count; otherwise they are None and 0.  `seconds` is the wall time spent on the pair (see
-    `find_roots_many`); it varies from run to run, so equality and repr
-    leave it out.
+    counts the double-precision sweeps of the free roots; it is 0 where
+    every root is pinned and at n = 2d, where no sweep runs (see
+    `find_roots`).  When the roots were refined with exact coefficients,
+    `extended_bits` is the fixed-point precision of that refinement and
+    `extended_sweeps` its sweep count; otherwise they are None and 0.
+    `seconds` is the wall time spent on the pair (see `find_roots_many`); it
+    varies from run to run, so equality and repr leave it out.
     """
 
     roots: Tuple[complex, ...]
@@ -192,14 +195,6 @@ def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
     return np.array([_log2_fraction(c) for c in poly.coeffs], dtype=float)
 
 
-def _start_directions(count: int, seed: int) -> np.ndarray:
-    """exp(i theta_k) at count equally spaced angles, all turned by the
-    seed-derived irrational rotation frac(golden ratio (seed + 1)) of a turn."""
-    phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
-    angles = 2.0 * math.pi * (np.arange(count) + 0.5) / count + phase
-    return np.exp(1j * angles)
-
-
 def _initial_points(params: HypersimplexParams, seed: int):
     """Deterministic starting points for the free roots, on one ellipse
     around their centroid.
@@ -226,8 +221,9 @@ def _initial_points(params: HypersimplexParams, seed: int):
     M (a^2 - b^2) / 2 = M2: the ellipse is as long along the real axis as
     the free roots are.  h is capped at 3 rho / 4 (b >= rho / 4), and is 0,
     the circle of radius rho, where M2 <= 0 or M <= 2.  The angles theta_k
-    are equally spaced with a seed-derived irrational rotation, so the
-    start breaks the real-axis symmetry of the polynomial.
+    are equally spaced and all turned by the seed-derived irrational
+    rotation frac(golden ratio (seed + 1)) of a turn, so the start breaks
+    the real-axis symmetry of the polynomial.
     """
     coeffs = ehrhart_polynomial(params).coeffs
     pinned, _ = pinned_roots(params)
@@ -253,7 +249,8 @@ def _initial_points(params: HypersimplexParams, seed: int):
         power = s1 * s1 - 2 * coeffs[-3] / lead - pinned * (pinned + 1) * (2 * pinned + 1) // 6
         moment = power - free_sum * free_sum / degree
         h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
-    unit = _start_directions(degree, seed)
+    phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
+    unit = np.exp(1j * (2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase))
     # at h = 0 this rounds exactly as centre + rho * unit, the circle
     return centre + (rho + h) * unit.real + 1j * ((rho - h) * unit.imag)
 
@@ -263,20 +260,19 @@ def _runs(n, size: int) -> list:
     return [(n, size)] if isinstance(n, numbers.Integral) else n
 
 
-def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"):
+def _term_products(d: int, n, z: np.ndarray, mode: str = "derivative"):
     """The alternating-sum terms and their derivatives in scaled form.
 
-    Row j of the (len(rows), len(z)) arrays holds term s = rows[j] (all d
-    terms when rows is None), prod_{k=1}^{n-1} ((d-s)z + k - s), as
-    prod[j] * 2**exps[j] and its z-derivative as prod_d[j] * 2**exps[j],
-    built up one linear factor at a time (a vanishing factor leaves an exact
-    0).  n is an int or (n, count) runs along z (see `_runs`) with n
-    non-increasing, so that the points still multiplying at factor k are a
-    prefix of the columns.  An entry is rescaled by a power of two when it
-    strays beyond 2**+-200, tested at every 16th factor and at its own last
-    factor n - 1; the other entries are left alone, so every point and every
-    row gets the same bits whether it is built alone or in a batch.  Returns
-    (prod, prod_d, exps).
+    Row s of the (d, len(z)) arrays holds term s,
+    prod_{k=1}^{n-1} ((d-s)z + k - s), as prod[s] * 2**exps[s] and its
+    z-derivative as prod_d[s] * 2**exps[s], built up one linear factor at a
+    time (a vanishing factor leaves an exact 0).  n is an int or (n, count)
+    runs along z (see `_runs`) with n non-increasing, so that the points
+    still multiplying at factor k are a prefix of the columns.  An entry is
+    rescaled by a power of two when it strays beyond 2**+-200, tested at
+    every 16th factor and at its own last factor n - 1; the other entries
+    are left alone, so every point gets the same bits whether it is built
+    alone or in a batch.  Returns (prod, prod_d, exps).
 
     mode="value" never builds prod_d and returns None in its place; the
     rescale test then looks at |prod| alone, so prod and exps may differ
@@ -299,7 +295,7 @@ def _term_products(d: int, n, z: np.ndarray, rows=None, mode: str = "derivative"
         ends[value - 1] = after
     if after != 0:
         raise ValueError(f"the runs count {z.size - after} points, z has {z.size}")
-    index = np.arange(d)[:, None] if rows is None else np.array(rows)[:, None]
+    index = np.arange(d)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
     slope = (d - index).astype(complex)
     offsets = (np.arange(1, runs[0][0])[:, None, None] - index).astype(complex)
@@ -699,46 +695,24 @@ def _half_degree_factor(params: HypersimplexParams) -> list:
     return shifted[1::2]
 
 
-def _half_degree_roots(
-    params: HypersimplexParams, config: SolverConfig, tol: float, coeff_logs
-) -> RootSet:
+def _half_degree_roots(params: HypersimplexParams, tol: float, coeff_logs) -> RootSet:
     """The roots at n = 2d from the M = d - 1 roots w of Q (`_half_degree_factor`).
 
-    Q's coefficients are divided by the largest one; their log2 spread stays
-    below 5 bits up to d = 150, where p's spans hundreds, so Horner's rule in
-    doubles (`np.polyval` on Q and `np.polyder(Q)`) gives Q/Q' with no
-    cancellation worth a noise test.  The
-    Ehrlich-Aberth sweeps on Q start on Aberth's circle: centre
-    c = -Q_{M-1} / (M Q_M), the mean of the w, and radius
-    (|Q(c)| / |Q_M|)^(1/M), measured at c + i/2 where Q(c) rounds to 0; the
-    seed turns the points as in `_initial_points`.  Each w gives
-    z = -1 +- sqrt(w), and z = -1 completes the n - 1 roots; `_finish`
-    certifies them on p itself.
+    Q's coefficients are divided by the largest one; their log2 spread
+    stays below 5.4 bits up to d = 300, where p's spans hundreds, so the
+    eigenvalues of Q's companion matrix (`np.roots`) are its roots to
+    backward stability (Edelman and Murakami 1995): no sweep and no start
+    point, so the seed plays no part.  w is made complex before its square
+    root, which would be NaN at a negative real double.  Each w gives
+    z = -1 +- sqrt(w), and z = -1 completes the n - 1 roots (at d = 1, Q is
+    a constant with no root); `_finish` certifies them on p itself.
     """
     factor = _half_degree_factor(params)
-    degree = len(factor) - 1
-    if degree == 0:  # d = 1: p(z) = z + 1
-        return (yield from _finish(params, np.array([-1.0 + 0j]), tol, 0, True, coeff_logs))
     top = max(map(abs, factor))
-    coeffs = np.array([c / top for c in reversed(factor)])  # highest degree first
-    slopes = np.polyder(coeffs)
-    centre = -factor[-2] / (degree * factor[-1])
-    for point in (centre, complex(centre, 0.5)):
-        value = np.polyval(coeffs, complex(point))
-        if value != 0:
-            break
-    rho = (abs(value) / abs(coeffs[0])) ** (1 / degree)
-    w = centre + rho * _start_directions(degree, config.seed)
-
-    def ratios(points, _answer):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.polyval(coeffs, points) / np.polyval(slopes, points)
-        return ratio, np.zeros(points.size, dtype=bool)
-
-    sweeps, settled = _sweep_here(_ea_sweeps(w, ratios, tol, config.max_iterations))
+    w = np.roots([c / top for c in reversed(factor)]).astype(complex)
     root = np.sqrt(w)
     z = np.concatenate(([-1.0 + 0j], -1 + root, -1 - root))
-    return (yield from _finish(params, z, tol, sweeps, settled, coeff_logs))
+    return (yield from _finish(params, z, tol, 0, True, coeff_logs))
 
 
 def _finish(
@@ -779,12 +753,13 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     """One pair's solve, as `find_roots` describes it, as a generator: it
     yields each array of points where it needs p and p' in product form,
     receives `_eval_vec`'s output there, and returns the RootSet.  The
-    exact refinement and the half-degree path compute their own ratios."""
+    exact refinement computes its own ratios, and the half-degree path asks
+    for p only at its certificates."""
     d, n = params.d, params.n
     tol = config.resolved_tolerance(n - 1)
     coeff_logs = _coefficient_logs(params)
     if n == 2 * d:
-        return (yield from _half_degree_roots(params, config, tol, coeff_logs))
+        return (yield from _half_degree_roots(params, tol, coeff_logs))
 
     pinned, quotient = pinned_roots(params)
     exact = -np.arange(1, pinned + 1) + 0j
@@ -911,8 +886,8 @@ def find_roots_many(
     free roots still moving, and at its residual certificates with their
     snap candidates: iterations + 2 requests (one more when its settled
     double result misses the certificate), one at n = 2d and where every
-    root is pinned.  Each point gets the bits
-    it gets alone, so every RootSet is the one `find_roots` returns.
+    root is pinned.  Each point gets the bits it gets alone, so every
+    RootSet is the one `find_roots` returns.
     Returns each pair's RootSet, or the exception that ended its solve.
     """
     config = config or SolverConfig()
@@ -922,7 +897,7 @@ def find_roots_many(
 def find_roots(
     params: HypersimplexParams, config: Optional[SolverConfig] = None
 ) -> RootSet:
-    """All n-1 complex roots by Ehrlich-Aberth iteration.
+    """All n-1 complex roots, by Ehrlich-Aberth iteration off the diagonal.
 
     The roots -1, ..., -k of `ehrhart.pinned_roots` are returned exactly;
     the sweeps move only the M = n - 1 - k free roots, the roots of the
@@ -938,13 +913,15 @@ def find_roots(
     Newton ratios come from q's exact integer coefficients in fixed point,
     with 1.5 times those coefficients' log2 spread plus 96 fractional bits
     (see `_exact_ratios`).  `iterations` counts the double sweeps,
-    `extended_bits` and `extended_sweeps` the refinement.  A result that still misses the
-    certificate is returned with converged=False.
+    `extended_bits` and `extended_sweeps` the refinement.  A result that
+    still misses the certificate is returned with converged=False.
 
-    At n = 2d the sweeps run on the half-degree factor Q instead, in doubles
-    and with no refinement (`_half_degree_roots`), which holds the one
-    pinned root -1 exactly already: `iterations` counts them and
-    `extended_bits` is None.  Only that input property selects the path.
+    At n = 2d the roots come instead from the eigenvalues of the companion
+    matrix of the half-degree factor Q, with no sweep and no refinement
+    (`_half_degree_roots`), and the one pinned root -1 exactly: the seed and
+    the iteration cap play no part, `iterations` is 0 and `extended_bits`
+    None, and only the residual certificate decides convergence.  Only that
+    input property selects the path.
 
     This is `find_roots_many` on the one pair, raising what ended its solve.
     """

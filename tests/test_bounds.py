@@ -270,8 +270,8 @@ def test_quotient_matches_the_product_form_oracle():
     checks = {0: check_migi, -1: check_hidari}
     for n, d, s, n_next, re, re_next in monotone_cases(range(2, 9), 60):
         t = _magnitudes(n, None)
-        larger = _ratios(n, d, float(re) + 1j * t, (0, s))[1]
-        smaller = _ratios(n_next, d, float(re_next) + 1j * t, (0, s))[1]
+        larger = _ratios(n, d, float(re) + 1j * t)[s]
+        smaller = _ratios(n_next, d, float(re_next) + 1j * t)[s]
         case = (n, d, s, n_next)
         assert checks[re_next - re](n, d, s) is ratio_falls_oracle(larger, smaller), case
         swapped = _ratio_falls(n_next, d, s, n, re_next, re, t)
@@ -291,7 +291,7 @@ def test_both_ratios_vanish_at_zero_exactly_where_the_integers_say():
     # row 2 vanishes at t = 0 in both orders, and the height is skipped
     edge, edge_next = Fraction(-14, 4), Fraction(-18, 4)
     for order, re in ((14, edge), (18, edge_next)):
-        assert _ratios(order, 4, np.array([complex(re)]), (0, 2))[1, 0] == 0.0
+        assert _ratios(order, 4, np.array([complex(re)]))[2, 0] == 0.0
     assert check_hidari(14, 4, 2, [0.0]) is True
     assert _ratio_falls(18, 4, 2, 14, edge_next, edge, [0.0]) is True
     # at (4, 15, 1) neither ratio vanishes: t = 0 is a height like any other
@@ -640,20 +640,18 @@ def test_blocking_changes_no_bits(monkeypatch):
 
 
 def test_log2_terms_and_ratios_row_selection_changes_no_bits():
+    # f_term_modulus picks row s of one full call at its point, as phi does
+    # (see test_log2_terms_and_ratios_batch_independent)
     for n, d in KERNEL_CASES:
         z = kernel_points(n, d)
         logs = _log2_terms(n, d, z)
-        finite = z[logs[0] > -math.inf]  # phi needs f_0 != 0
-        ratios = _ratios(n, d, finite)
-        for s in range(d):
-            picked = _log2_terms(n, d, z, (0, s))
-            assert picked.tobytes() == logs[[0, s]].tobytes(), (n, d, s)
-            assert _log2_terms(n, d, z, (s,)).tobytes() == logs[[s]].tobytes(), (n, d, s)
-            picked = _ratios(n, d, finite, (0, s))
-            assert picked.tobytes() == ratios[[0, s]].tobytes(), (n, d, s)
+        for i, point in enumerate(z):
+            for s in range(d):
+                value = f_term_modulus(n, d, s, complex(point))
+                assert np.float64(value).tobytes() == logs[s, i].tobytes(), (n, d, s, point)
     # the zero-factor points are among the compared ones
-    assert _log2_terms(7, 3, np.array([0j]), (0, 2))[1, 0] == -math.inf
-    assert _log2_terms(7, 3, np.array([complex(-1.0 / 3, 0.0)]), (0, 1))[0, 0] == -math.inf
+    assert _log2_terms(7, 3, np.array([0j]))[2, 0] == -math.inf
+    assert _log2_terms(7, 3, np.array([complex(-1.0 / 3, 0.0)]))[0, 0] == -math.inf
 
 
 def sample_formula(spec: ContourSpec) -> list:

@@ -137,6 +137,20 @@ def test_roots_warning_counts_exact_sweeps(capsys):
     )
 
 
+def test_roots_warning_on_the_diagonal_gives_the_missed_tolerance(capsys):
+    # at n = 2d no sweep runs, so the warning names the residual and the
+    # tolerance it missed instead of a sweep count
+    config = SolverConfig(tolerance=1e-30)
+    rootset = find_roots(HypersimplexParams(4, 8), config)
+    assert rootset.iterations == 0 and not rootset.converged
+    code, out, err = run(capsys, "roots", "--d", "4", "--n", "8", "--tolerance", "1e-30")
+    assert code == 3 and out.startswith("d,n,root_index")
+    assert err == (
+        f"warning: not converged: max residual {rootset.max_residual:.3e} "
+        "above the tolerance 1.000e-30\n"
+    )
+
+
 def test_roots_to_file(tmp_path, capsys):
     target = tmp_path / "r.csv"
     code, out, _ = run(capsys, "roots", "--d", "2", "--n", "5", "--out", str(target))

@@ -261,9 +261,9 @@ def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
 def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     # a pair off the diagonal asks once for its start, once per double sweep
     # and once for its certificates with their snap candidates, also when it
-    # is refined in exact arithmetic, as at (15, 31); at n = 2d the sweeps
-    # run on Q, and at (1, 3) every root is pinned, so only the certificates
-    # are asked for
+    # is refined in exact arithmetic, as at (15, 31); at n = 2d the roots
+    # are Q's eigenvalues mapped back, and at (1, 3) every root is pinned, so
+    # only the certificates are asked for
     grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
     params = [HypersimplexParams(d, n) for d, n in grid]
     requests = [0] * len(params)
@@ -730,6 +730,19 @@ def test_diagonal_roots_come_from_the_half_degree_factor(d):
     assert rs.extended_bits is None and rs.extended_sweeps == 0
     assert len(rs.roots) == 2 * d - 1 and -1 in rs.roots
     assert_matches_mpmath(params, rs.roots)
+
+
+@pytest.mark.parametrize("d", [4, 16, 40])
+def test_diagonal_roots_do_not_depend_on_the_seed(d):
+    # at n = 2d the roots are the eigenvalues of Q's companion matrix mapped
+    # back, with no start point and no sweep: every seed gives one RootSet,
+    # whose conjugate pairs are exact
+    params = HypersimplexParams(d, 2 * d)
+    first = find_roots(params, SolverConfig(seed=0))
+    assert first.converged and first.iterations == 0
+    assert set(first.roots) == {z.conjugate() for z in first.roots}
+    for seed in range(1, 4):
+        assert find_roots(params, SolverConfig(seed=seed)) == first, (d, seed)
 
 
 def test_half_degree_factor_of_the_smallest_diagonals():

@@ -144,6 +144,13 @@ def term_polynomial(params: HypersimplexParams, s: int) -> RationalPolynomial:
     return _over_factorial(total, n)
 
 
+def _term_rows(d: int, n: int) -> int:
+    """min(d, n - d), the number of alternating-sum terms to run: x -> 1 - x
+    maps Delta(d, n) onto Delta(n - d, n), which has the same polynomial.  The
+    one rule for `pinned_roots`' count and the rows and packing key of `roots`."""
+    return min(d, n - d)
+
+
 @dataclass(frozen=True)
 class _Build:
     """One pair's exact build: p, the count k of its reciprocity roots
@@ -160,10 +167,9 @@ def _ehrhart_cached(d: int, n: int) -> _Build:
     total = [0] * n
     for s, r in enumerate(_shifted_rising(n, d)):
         _add_term(total, r, (-1) ** s * math.comb(n, s), d - s)
-    # every factor (d - s)x + j - s with j = s + (d - s)m <= n - 1 is
-    # (d - s)(x + m), so each term holds x + m for m <= k = (n-1) // rows
-    # (rows = min(d, n - d), the same polynomial); the exact divisions check it
-    pinned = (n - 1) // min(d, n - d)
+    # every factor (d - s)x + j - s with j = s + (d - s)m <= n - 1 is (d - s)(x + m),
+    # so each term holds x + m for m <= k; the exact divisions check it
+    pinned = (n - 1) // _term_rows(d, n)
     quotient = total
     for m in range(1, pinned + 1):
         quotient = _divide_linear(quotient, m)

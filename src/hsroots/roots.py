@@ -36,18 +36,18 @@ that is positive (see `_initial_points`); each sweep evaluates only the
 roots still moving.  A solve (`_solve`) is a generator that yields each
 array of points where it needs p and receives `_eval_vec`'s output, one
 request per step: its start, each double sweep, and its certificates
-together with their real-axis snap candidates.  So
-`find_roots_many` runs the sweeps of many pairs under `_lockstep`, with one
-`_eval_vec` call per row count min(d, n - d) and round; `find_roots` is
-that driver on one pair.  The evaluator also returns a noise floor from
-the summed moduli of the alternating-sum terms, which bound its rounding
-error.  Near n = 2d the sum cancels below that floor; a root whose value
-sinks into the noise leaves the double sweep, and the iterates are then
-refined by further sweeps whose Newton ratios come from fixed-point q and
-q' on the quotient's exact integer coefficients, each from
-`_gaussian_horner`, the one Gaussian-integer Horner loop, which the exact
-disks of `stability` run too.  Only each ratio is rounded to double; the
-repulsion and the update stay in doubles.
+with their real-axis snap candidates; an exact sweep (below) yields None,
+for one round with no evaluation.  So `find_roots_many` runs the sweeps of
+many pairs under `_lockstep`, one `_eval_vec` call per row count
+min(d, n - d) and round; `find_roots` is that driver on one pair.  The
+evaluator also returns a noise floor from the summed moduli of the
+alternating-sum terms, which bound its rounding error.  Near n = 2d the sum
+cancels below that floor; a root whose value sinks into the noise leaves the
+double sweep, and the iterates are then refined by further sweeps whose
+Newton ratios come from fixed-point q and q' on the quotient's exact integer
+coefficients, each from `_gaussian_horner`, the one Gaussian-integer Horner
+loop, which the exact disks of `stability` run too.  Only each ratio is
+rounded to double; the repulsion and the update stay in doubles.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 runs no sweep: p(z) = (z + 1) Q((z + 1)**2) with deg Q = d - 1
@@ -69,7 +69,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, _integer, ehrhart_polynomial, pinned_roots
+from .ehrhart import HypersimplexParams, _integer, _term_rows, ehrhart_polynomial, pinned_roots
 from .errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from .polynomial import _integer_coefficients, _taylor_shift
 
@@ -205,18 +205,19 @@ def _initial_points(params: HypersimplexParams, seed: int):
     `ehrhart.pinned_roots`; where every root is pinned (d = 1 or n - d = 1)
     there are none, and nothing is asked.
 
-    Aberth's start for q: with s1 = -c_{N-1}/c_N and e2 = c_{N-2}/c_N, the
-    sum and second elementary symmetric function of all N roots, the centre
-    c = (s1 + k(k+1)/2) / M is the mean of the free roots, and
-    rho = (|q(c)| / |c_N|)^(1/M), |q(c)| = |p(c)| / prod_m |c + m|, is the
+    Aberth's start for q: with q's top coefficients q_M, q_{M-1}, q_{M-2}
+    (`pinned_roots`' integers), s1 = -q_{M-1}/q_M and e2 = q_{M-2}/q_M, the
+    sum and second elementary symmetric function of the free roots, the
+    centre c = s1 / M is their mean, and rho = (|q(c)| / |c_N|)^(1/M),
+    |q(c)| = |p(c)| / prod_m |c + m| with c_N p's leading coefficient, is the
     geometric mean of their distances from c, measured from c + i/2
     instead when p(c) = 0 (c = -1 at n = 2d, a pinned root, where
     `find_roots` solves through `_half_degree_roots` instead).  The points
     are c + a cos(theta_k) + i b sin(theta_k) with a = rho + h and
     b = rho - h, h = M2 / (2 M rho), where by Newton's identities
     M2 = sum (z_i - c)^2 = P2 - M c^2 exactly over the free roots, with
-    their power sum P2 = s1^2 - 2 e2 - sum_m m^2.  Then a + b = 2 rho keeps
-    rho the geometric mean distance of the points, and, since
+    their power sum P2 = s1^2 - 2 e2.  Then a + b = 2 rho keeps rho the
+    geometric mean distance of the points, and, since
     sum_k exp(2i theta_k) = 0 for M >= 3, their second moment is
     M (a^2 - b^2) / 2 = M2: the ellipse is as long along the real axis as
     the free roots are.  h is capped at 3 rho / 4 (b >= rho / 4), and is 0,
@@ -225,29 +226,25 @@ def _initial_points(params: HypersimplexParams, seed: int):
     rotation frac(golden ratio (seed + 1)) of a turn, so the start breaks
     the real-axis symmetry of the polynomial.
     """
-    coeffs = ehrhart_polynomial(params).coeffs
-    pinned, _ = pinned_roots(params)
-    degree = params.n - 1 - pinned
+    pinned, quotient = pinned_roots(params)
+    degree = len(quotient) - 1
     if degree == 0:
         return np.empty(0, dtype=complex)
-    lead = coeffs[-1]
-    s1 = -coeffs[-2] / lead
-    free_sum = s1 + pinned * (pinned + 1) // 2
-    centre = float(free_sum / degree)
+    s1 = Fraction(-quotient[-2], quotient[-1])
+    centre = float(s1 / degree)
     S, _, E, _ = yield np.array([centre, complex(centre, 0.5)])
     at = 0 if S[0] != 0 else 1
     pinned_logs = np.log2(np.abs(complex(centre, 0.5 * at) + np.arange(1, pinned + 1))).sum()
     log_dist = (
         _values_log2(S, E)[at]
         - _log2_int(math.factorial(params.n - 1))
-        - _log2_fraction(lead)
+        - _log2_fraction(ehrhart_polynomial(params).leading_coefficient)
         - pinned_logs
     )
     rho = 2.0 ** (log_dist / degree)
     h = 0.0
     if degree >= 3:
-        power = s1 * s1 - 2 * coeffs[-3] / lead - pinned * (pinned + 1) * (2 * pinned + 1) // 6
-        moment = power - free_sum * free_sum / degree
+        moment = s1 * s1 - 2 * Fraction(quotient[-3], quotient[-1]) - s1 * s1 / degree
         h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
     phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
     unit = np.exp(1j * (2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase))
@@ -393,8 +390,8 @@ def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
 
     x -> 1 - x maps the hypersimplex (d, n) onto (n - d, n), so both have
     the same polynomial; the sum runs over the fewer terms, rows =
-    min(d, n - d), chosen here and nowhere else, the same for every run of
-    n (an int or runs, see `_runs`).  prod and second come from
+    min(d, n - d) of `ehrhart._term_rows`, the same for every run of n (an
+    int or runs, see `_runs`).  prod and second come from
     `_term_products` in `mode`; cm holds the double mantissas of C(n, s),
     s < rows, one column per point, and signed the same with the
     alternating sign.  acc_e is the largest term exponent of each point,
@@ -402,8 +399,8 @@ def _aligned_terms(d: int, n, z: np.ndarray, mode: str):
     them.  Returns (rows, prod, second, cm, signed, acc_e, shift, scale).
     """
     runs = _runs(n, z.size)
-    rows = min(d, runs[-1][0] - d)
-    if any(min(d, value - d) != rows for value, _ in runs):
+    rows = _term_rows(d, runs[-1][0])
+    if any(_term_rows(d, value) != rows for value, _ in runs):
         raise ValueError(f"the points of one call need one row count, got d={d} and runs {runs}")
     prod, second, exps = _term_products(rows, runs, z, mode=mode)
     columns = [_binomial_column(value, rows) for value, _ in runs]
@@ -587,8 +584,9 @@ def _gaussian_horner(coeffs: list, x: int, y: int, shift: int) -> Tuple[int, int
     return re, im
 
 
-def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray, _answer):
-    """Newton ratios p/p' from `_gaussian_horner`, each rounded once to double.
+def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
+    """Newton ratios p/p' from `_gaussian_horner`, each rounded once to double,
+    as a ratios step of `_ea_sweeps` that yields None: no evaluation.
 
     `values` are the integer coefficients c_k << bits of p and `slopes` the
     coefficients (k c_k) << bits of p', so with N the degree of p the
@@ -599,6 +597,7 @@ def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray, _an
     represent comes back non-finite, as a double ratio would.  No point is
     noise-limited.
     """
+    yield None
     w = np.empty(points.size, dtype=complex)
     for i, z in enumerate(points):
         x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
@@ -615,13 +614,13 @@ def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray, _an
 def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int):
     """Ehrlich-Aberth sweeps that move z in place; returns (sweeps, settled).
 
-    Each sweep yields the roots still moving and, from them and what is
-    sent back, `ratios(points, answer)` returns the Newton ratios at them
-    and a mask of the points where p is below its evaluation noise.  A root
-    leaves the sweep once its correction is at most tol * (1 + |z|), or once
-    it is noise-limited: from there its corrections only wander.  `settled`
-    is True when every root left by the correction test; an empty z takes
-    no sweep.
+    Each sweep runs `ratios(points)` on the roots still moving, a generator
+    that yields the points where it needs p (or None, needing no evaluation)
+    and returns the Newton ratios there and a mask of the points where p is
+    below its evaluation noise.  A root leaves the sweep once its correction
+    is at most tol * (1 + |z|), or once it is noise-limited: from there its
+    corrections only wander.  `settled` is True when every root left by the
+    correction test; an empty z takes no sweep.
     """
     active = np.ones(z.size, dtype=bool)
     noise_limited = False
@@ -630,7 +629,7 @@ def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int):
         sweeps += 1
         idx = np.flatnonzero(active)
         z_active = z[idx]
-        w, noisy = ratios(z_active, (yield z_active))
+        w, noisy = yield from ratios(z_active)
         w[~np.isfinite(w)] = 0.0
         denom = 1.0 - w * _repulsion(z_active, z, idx)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -653,23 +652,12 @@ def _repulsion(z_active: np.ndarray, z: np.ndarray, idx: np.ndarray) -> np.ndarr
         return (1.0 / diff).sum(axis=1)
 
 
-def _sweep_here(sweeps):
-    """Run `_ea_sweeps` whose `ratios` evaluate at the points themselves,
-    answering each sweep with None; returns what it returns."""
-    try:
-        next(sweeps)
-        while True:
-            sweeps.send(None)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _double_ratios(exact: np.ndarray, points: np.ndarray, values):
+def _double_ratios(exact: np.ndarray, points: np.ndarray):
     """Newton ratios q/q' of q(z) = p(z) / prod_m (z + m) over the pinned
     roots -m in `exact`, as 1 / (p'/p - sum_m 1 / (z + m)) from
-    `_eval_vec`'s output at the points, and where |S| is at most its noise
-    floor."""
-    S, Sp, _, floor = values
+    `_eval_vec`'s output at the points, which it yields, and where |S| is
+    at most its noise floor."""
+    S, Sp, _, floor = yield points
     with np.errstate(divide="ignore", invalid="ignore"):
         poles = (1.0 / (points[:, None] - exact)).sum(axis=1)
         w = 1.0 / (Sp / S - poles)  # the shared exponent cancels in p'/p
@@ -720,7 +708,10 @@ def _finish(
 ):
     """The roots z, snapped and sorted, with their residual certificates:
     the last step of the solve, one request for p at z followed by the
-    real-axis snap candidates, the real parts of the roots near the axis."""
+    real-axis snap candidates, the real parts of the roots near the axis.
+    Where p's coefficients cancel, far points meet this backward error (at
+    (30, 65), 0.11 (1 + |z|) from any root), so converged needs `clean_exit`,
+    the sweeps' correction test, too."""
     near = np.flatnonzero(
         (z.imag != 0) & (np.abs(z.imag) <= 10 * tol * (1 + np.abs(z.real)))
     )
@@ -753,8 +744,8 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     """One pair's solve, as `find_roots` describes it, as a generator: it
     yields each array of points where it needs p and p' in product form,
     receives `_eval_vec`'s output there, and returns the RootSet.  The
-    exact refinement computes its own ratios, and the half-degree path asks
-    for p only at its certificates."""
+    exact refinement's sweeps yield None and compute their own ratios, and
+    the half-degree path asks for p only at its certificates."""
     d, n = params.d, params.n
     tol = config.resolved_tolerance(n - 1)
     coeff_logs = _coefficient_logs(params)
@@ -767,9 +758,8 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     ratios = functools.partial(_double_ratios, exact)
     iterations, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
     if settled:
-        result = yield from _finish(
-            params, np.concatenate((z, exact)), tol, iterations, True, coeff_logs
-        )
+        roots = np.concatenate((z, exact))
+        result = yield from _finish(params, roots, tol, iterations, True, coeff_logs)
         if result.converged:
             return result
 
@@ -778,12 +768,9 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     values = [c << bits for c in quotient]
     slopes = [(k * c) << bits for k, c in enumerate(quotient)][1:]
     ratios = functools.partial(_exact_ratios, values, slopes, bits)
-    sweeps, settled = _sweep_here(_ea_sweeps(z, ratios, tol, config.max_iterations))
-    return (
-        yield from _finish(
-            params, np.concatenate((z, exact)), tol, iterations, settled, coeff_logs, bits, sweeps
-        )
-    )
+    sweeps, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
+    roots = np.concatenate((z, exact))
+    return (yield from _finish(params, roots, tol, iterations, settled, coeff_logs, bits, sweeps))
 
 
 # The most rows x points one evaluator call of `_evaluate` takes from
@@ -808,7 +795,7 @@ def _evaluate(evaluator, params_list: Sequence, requests: dict, seconds: list) -
     keys = {}
     for i in requests:
         d, n = params_list[i].d, params_list[i].n
-        keys[i] = (min(d, n - d), n)
+        keys[i] = (_term_rows(d, n), n)
     calls, entries = [], 0
     for i in sorted(requests, key=lambda i: (keys[i][0], -keys[i][1], i)):
         rows, size = keys[i][0], requests[i].size
@@ -838,7 +825,8 @@ def _lockstep(evaluator, params_list: Sequence, steps: Sequence) -> list:
     """Drives one step generator per pair in rounds: each step yields the
     points where it needs `evaluator`, all the round's points go to
     `_evaluate`, and each step gets its share back by `send`, or by `throw`
-    the exception of its call.  Returns, in input order, what each step
+    the exception of its call; a step that yields None gets None and no
+    call.  Returns, in input order, what each step
     returned, with `seconds` its own steps plus its share of each call, or
     the exception that ended it: one raised by its own step ends no other."""
     outcomes = [None] * len(steps)
@@ -862,7 +850,9 @@ def _lockstep(evaluator, params_list: Sequence, steps: Sequence) -> list:
             seconds[i] += time.perf_counter() - start
             if i not in requests:
                 del live[i]
-        answers = _evaluate(evaluator, params_list, requests, seconds)
+        asked = {i: points for i, points in requests.items() if points is not None}
+        answers = dict.fromkeys(requests)
+        answers.update(_evaluate(evaluator, params_list, asked, seconds))
     return [
         outcome if isinstance(outcome, Exception) else replace(outcome, seconds=spent)
         for outcome, spent in zip(outcomes, seconds)
@@ -886,8 +876,9 @@ def find_roots_many(
     free roots still moving, and at its residual certificates with their
     snap candidates: iterations + 2 requests (one more when its settled
     double result misses the certificate), one at n = 2d and where every
-    root is pinned.  Each point gets the bits it gets alone, so every
-    RootSet is the one `find_roots` returns.
+    root is pinned; an exact sweep asks None, one round with no call.  Each
+    point gets the bits it gets alone, so every RootSet is the one
+    `find_roots` returns.
     Returns each pair's RootSet, or the exception that ended its solve.
     """
     config = config or SolverConfig()
@@ -905,11 +896,13 @@ def find_roots(
     Deterministic given the seed, which only turns the start points along
     their ellipse around the free roots' centroid (`_initial_points`).
     Convergence demands both a small final correction and a residual
-    certificate on p at or below the tolerance, at all n - 1 roots.  The
-    sweeps first run in doubles; a root whose product-form value sinks into
-    its rounding noise (the alternating sum cancels deeply near n = 2d)
-    stops there.  If any root stopped that way, or the double result misses
-    the certificate, the same iterates are refined by further sweeps whose
+    certificate on p at or below the tolerance, at all n - 1 roots: the
+    certificate, a backward error relative to p's coefficients, is met far
+    from any root where they cancel (see `_finish`).  The sweeps first run
+    in doubles; a root whose product-form value sinks into its rounding
+    noise (the alternating sum cancels deeply near n = 2d) stops there.  If
+    any root stopped that way, even with the certificate met, or the double
+    result misses it, the same iterates are refined by further sweeps whose
     Newton ratios come from q's exact integer coefficients in fixed point,
     with 1.5 times those coefficients' log2 spread plus 96 fractional bits
     (see `_exact_ratios`).  `iterations` counts the double sweeps,

@@ -370,6 +370,22 @@ def test_lockstep_makes_no_call_for_a_step_that_never_yields():
     assert out == [Toy((1,)), Toy(((10.0,),))] and calls == [(2, [(7, 1)])]
 
 
+def test_lockstep_answers_a_none_request_with_none_and_no_call():
+    # None asks for no evaluation: the step gets None back in the next round,
+    # and a round in which every step says None makes no call at all
+    def sometimes(points):
+        first = yield None
+        (value,) = yield np.array(points, dtype=complex)
+        last = yield None
+        return Toy((first, tuple(value.tolist()), last))
+
+    out, calls = toy_driver([sometimes([1.0]), toy_step([2.0], 3)], [(3, 7), (2, 7)])
+    assert out == [Toy((None, (2.0,), None)), Toy(((4.0,),) * 3)]
+    assert calls == [(2, [(7, 1)]), (2, [(7, 1)]), (3, [(7, 1)]), (2, [(7, 1)])]
+    out, calls = toy_driver([sometimes([1.0])], [(3, 7)])
+    assert out == [Toy((None, (2.0,), None))] and calls == [(3, [(7, 1)])]
+
+
 def test_degree_one():
     rs = find_roots(HypersimplexParams(1, 2))
     assert rs.converged
@@ -718,6 +734,63 @@ def test_find_roots_refines_noise_limited_iterates():
     assert rs.extended_bits is not None and rs.extended_sweeps > 0
     assert rs.iterations < SolverConfig().max_iterations
     assert_matches_mpmath(params, rs.roots)
+
+
+def test_each_exact_sweep_is_one_round_without_a_request(monkeypatch):
+    # the refinement's ratios need no evaluation: each of its sweeps is one
+    # driver round in which _evaluate gets nothing for the pair, between the
+    # request of its last double sweep and that of its certificates
+    asked = []
+    real = hsroots.roots._evaluate
+
+    def recorded(evaluator, pairs, requests, seconds):
+        asked.append(0 in requests)
+        return real(evaluator, pairs, requests, seconds)
+
+    monkeypatch.setattr(hsroots.roots, "_evaluate", recorded)
+    rs = find_roots(HypersimplexParams(15, 31))
+    assert rs.converged and rs.extended_sweeps > 0
+    # the start, each double sweep, the exact sweeps, the certificates and
+    # the round in which the solve returns
+    expected = [True] * (rs.iterations + 1) + [False] * rs.extended_sweeps + [True, False]
+    assert asked == expected
+
+
+def test_a_failed_exact_sweep_ends_only_its_own_pair(monkeypatch):
+    # (15, 31) and (16, 33) are both refined in fixed point; an exception in
+    # the ratios of the first ends that pair alone, and every other RootSet
+    # is the one find_roots returns on its own
+    grid = [(15, 31), (16, 33), (4, 20), (5, 10), (1, 3)]
+    params = [HypersimplexParams(d, n) for d, n in grid]
+    alone = [find_roots(p) for p in params]
+    assert alone[1].extended_bits is not None
+    doomed = len(pinned_roots(params[0])[1])
+    real = hsroots.roots._exact_ratios
+
+    def flaky(values, slopes, bits, points):
+        if len(values) == doomed:
+            yield None
+            raise ArithmeticError("fixed point failed")
+        return (yield from real(values, slopes, bits, points))
+
+    monkeypatch.setattr(hsroots.roots, "_exact_ratios", flaky)
+    solved = find_roots_many(params)
+    assert isinstance(solved[0], ArithmeticError)
+    assert solved[1:] == alone[1:]
+
+
+@pytest.mark.parametrize("d,n", [(30, 61), (25, 51)])
+def test_refined_roots_prove_the_strip_by_inclusion(d, n):
+    # the double iterates are noise-limited, yet they meet the residual
+    # certificate; at (30, 61) they lie up to 3.5e-2 (1 + |z|) from the
+    # refined roots, too far for the inclusion disks, so only the refined
+    # roots prove both sides without the Routh table
+    params = HypersimplexParams(d, n)
+    rs = find_roots(params)
+    assert rs.converged and rs.extended_bits is not None
+    verdict = verify_strip(params, rs.roots)
+    assert verdict.overall
+    assert verdict.left_ok.certifier == verdict.right_ok.certifier == "inclusion"
 
 
 @pytest.mark.parametrize("d", [8, 16, 24])

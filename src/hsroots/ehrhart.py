@@ -13,15 +13,15 @@ big-integer operations; each next r_s costs one exact synthetic division
 and one multiply by a linear factor, O(n) each, so p takes O(n^2 + dn).
 Each build then divides the k = (n-1) // min(d, n - d) reciprocity roots
 -1, ..., -k out of (n-1)! p by k more synthetic divisions, O(kn), and keeps
-the quotient with p (`pinned_roots`).  Everything here is computed in
-exact big-integer / rational arithmetic.
+the quotient (`pinned_roots`), all in exact integers: `roots` and
+`stability` work on P = (n-1)! p, and p's Fractions serve `ehrhart_polynomial`.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Tuple
 
@@ -153,13 +153,17 @@ def _term_rows(d: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class _Build:
-    """One pair's exact build: p, the count k of its reciprocity roots
-    -1, ..., -k, and the integer coefficients, lowest first, of
-    (n-1)! p(x) / ((x + 1) ... (x + k)), the quotient of degree n - 1 - k."""
+    """One pair's exact build: P = (n-1)! p's integer coefficients, lowest
+    first, the count k of p's reciprocity roots -1, ..., -k, and the integers
+    of P(x) / ((x + 1) ... (x + k)); `poly`, p, is made once, on first use."""
 
-    poly: RationalPolynomial
+    coeffs: tuple
     pinned: int
     quotient: tuple
+
+    @cached_property
+    def poly(self) -> RationalPolynomial:
+        return _over_factorial(self.coeffs, len(self.coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +177,7 @@ def _ehrhart_cached(d: int, n: int) -> _Build:
     quotient = total
     for m in range(1, pinned + 1):
         quotient = _divide_linear(quotient, m)
-    return _Build(_over_factorial(total, n), pinned, tuple(quotient))
+    return _Build(tuple(total), pinned, tuple(quotient))
 
 
 def ehrhart_polynomial(params: HypersimplexParams) -> RationalPolynomial:

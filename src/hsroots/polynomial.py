@@ -2,7 +2,8 @@
 
 Coefficients are stored ascending (index k holds the coefficient of m^k) as
 `fractions.Fraction` values, which keeps every entry in lowest terms with a
-positive denominator.  Instances are immutable and safe to share.
+positive denominator.  Instances are immutable and safe to share.  Internal
+code works on the integers of P = (n-1)! p instead (see `ehrhart`).
 """
 
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ def _taylor_shift(coeffs: list, a: int, b: int = 1) -> list:
     """
     degree = len(coeffs) - 1
     out = [c * b ** (degree - k) for k, c in enumerate(coeffs)]
-    for i in range(degree):
+    for i in range(degree if a else 0):  # a shift by 0 adds only zeros
         for j in range(degree - 1, i - 1, -1):
             out[j] += a * out[j + 1]
     return [c * b**k for k, c in enumerate(out)]

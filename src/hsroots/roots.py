@@ -55,7 +55,9 @@ runs no sweep: p(z) = (z + 1) Q((z + 1)**2) with deg Q = d - 1
 span a few bits, and its roots w are the eigenvalues of its companion
 matrix (`np.roots`), with no start point, seed or iteration cap.  They map
 back to -1 +- sqrt(w), and the residual certificates and the real-axis
-snap are taken on p as everywhere else.
+snap are taken on p as everywhere else.  Every exact step here works on
+the integers C_k of P = (n-1)! p that the build keeps (`ehrhart`), the
+scale in which `_eval_vec` returns its values.
 """
 
 import cmath
@@ -69,9 +71,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, _integer, _term_rows, ehrhart_polynomial, pinned_roots
+from .ehrhart import HypersimplexParams, _ehrhart_cached, _integer, _term_rows, pinned_roots
 from .errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
-from .polynomial import _integer_coefficients, _taylor_shift
+from .polynomial import _taylor_shift
 
 _GOLDEN = 0.6180339887498949
 # unit roundoff of doubles and the constants of `_value_bounds`
@@ -147,8 +149,6 @@ def _log2_int(value: int) -> float:
 
 
 def _log2_fraction(value: Fraction) -> float:
-    if value == 0:
-        return -math.inf
     return _log2_int(abs(value.numerator)) - _log2_int(value.denominator)
 
 
@@ -191,8 +191,10 @@ def log_derivative(params: HypersimplexParams, z: complex) -> complex:
 
 
 def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
-    poly = ehrhart_polynomial(params)
-    return np.array([_log2_fraction(c) for c in poly.coeffs], dtype=float)
+    """log2 |C_k| of P = (n-1)! p, lowest first; no C_k is 0, as
+    hypersimplices are Ehrhart positive (Ferroni 2021)."""
+    coeffs = _ehrhart_cached(params.d, params.n).coeffs
+    return np.array([_log2_int(abs(c)) for c in coeffs], dtype=float)
 
 
 def _initial_points(params: HypersimplexParams, seed: int):
@@ -235,10 +237,11 @@ def _initial_points(params: HypersimplexParams, seed: int):
     S, _, E, _ = yield np.array([centre, complex(centre, 0.5)])
     at = 0 if S[0] != 0 else 1
     pinned_logs = np.log2(np.abs(complex(centre, 0.5 * at) + np.arange(1, pinned + 1))).sum()
+    lead = Fraction(_ehrhart_cached(params.d, params.n).coeffs[-1], math.factorial(params.n - 1))
     log_dist = (
         _values_log2(S, E)[at]
         - _log2_int(math.factorial(params.n - 1))
-        - _log2_fraction(ehrhart_polynomial(params).leading_coefficient)
+        - _log2_fraction(lead)  # the reduced a_N: the start points' last bits depend on it
         - pinned_logs
     )
     rho = 2.0 ** (log_dist / degree)
@@ -528,33 +531,26 @@ def _distance_product_lower(z: np.ndarray, count: Optional[int] = None):
     return np.where(usable, m * (1 - _gamma(8 * z.size)), 0.0), e
 
 
-def _residual_logs(
-    coeff_logs: np.ndarray, value_log2: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """residual = |p(z)| / sum_k |c_k| |z|^k, all in log2 space."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = np.log2(np.abs(z))
-        k = np.arange(coeff_logs.shape[0])[:, None]
-        terms = coeff_logs[:, None] + k * logz[None, :]
-    terms[0, :] = coeff_logs[0]  # k=0 term is |c_0| even at z=0
-    np.nan_to_num(terms, copy=False, nan=-np.inf)  # 0 * log(0) rows at z=0
-    top = terms.max(axis=0)
-    # summed row after row, as sum(axis=0) does for two or more points (it
-    # sums a single column pairwise), so a point's residual is batch-independent
-    denom = top + np.log2(np.cumsum(np.exp2(terms - top[None, :]), axis=0)[-1])
-    return np.exp2(value_log2 - denom)
-
-
 def _values_log2(mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(mantissa)) + exponent
 
 
-def _residuals(params: HypersimplexParams, coeff_logs: np.ndarray, z: np.ndarray, values):
-    """The residuals at z from `_eval_vec`'s output `values` there."""
+def _residuals(coeff_logs: np.ndarray, z: np.ndarray, values) -> np.ndarray:
+    """residual = |P(z)| / sum_k |C_k| |z|^k, all in log2 space, from
+    `_eval_vec`'s output `values` at z and `coeff_logs`, the log2 |C_k|."""
     S, _, E, _ = values
-    value_log2 = _values_log2(S, E) - _log2_int(math.factorial(params.n - 1))
-    return _residual_logs(coeff_logs, value_log2, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logz = np.log2(np.abs(z))
+        k = np.arange(coeff_logs.shape[0])[:, None]
+        terms = coeff_logs[:, None] + k * logz[None, :]
+    terms[0, :] = coeff_logs[0]  # k=0 term is |C_0| even at z=0
+    np.nan_to_num(terms, copy=False, nan=-np.inf)  # 0 * log(0) rows at z=0
+    top = terms.max(axis=0)
+    # summed row after row, as sum(axis=0) does for two or more points (it
+    # sums a single column pairwise), so a point's residual is batch-independent
+    denom = top + np.log2(np.cumsum(np.exp2(terms - top[None, :]), axis=0)[-1])
+    return np.exp2(_values_log2(S, E) - denom)
 
 
 def _to_fixed(value: float, bits: int) -> int:
@@ -670,12 +666,12 @@ def _half_degree_factor(params: HypersimplexParams) -> list:
 
     At n = 2d the hypersimplex is Gorenstein (De Negri and Hibi 1997), so
     p(-2 - z) = -p(z): q(y) = p(y - 1) is odd, and Q(y**2) = q(y) / y.  q
-    comes exactly from `_taylor_shift` on p's integer coefficients, and every
+    comes exactly from `_taylor_shift` on the integers of (n-1)! p, and every
     even coefficient of q is checked to be 0 on each call, so the factor rests
     on that check, not on the theorem.  Where one is not 0 (every pair with
     n != 2d) this raises StructureViolation.
     """
-    shifted = _taylor_shift(_integer_coefficients(ehrhart_polynomial(params)), -1)
+    shifted = _taylor_shift(_ehrhart_cached(params.d, params.n).coeffs, -1)
     if any(shifted[0::2]):
         raise StructureViolation(
             f"p(y - 1) has a nonzero even coefficient at (d, n) = ({params.d}, {params.n})"
@@ -683,7 +679,7 @@ def _half_degree_factor(params: HypersimplexParams) -> list:
     return shifted[1::2]
 
 
-def _half_degree_roots(params: HypersimplexParams, tol: float, coeff_logs) -> RootSet:
+def _half_degree_roots(params: HypersimplexParams, tol: float) -> RootSet:
     """The roots at n = 2d from the M = d - 1 roots w of Q (`_half_degree_factor`).
 
     Q's coefficients are divided by the largest one; their log2 spread
@@ -700,12 +696,10 @@ def _half_degree_roots(params: HypersimplexParams, tol: float, coeff_logs) -> Ro
     w = np.roots([c / top for c in reversed(factor)]).astype(complex)
     root = np.sqrt(w)
     z = np.concatenate(([-1.0 + 0j], -1 + root, -1 - root))
-    return (yield from _finish(params, z, tol, 0, True, coeff_logs))
+    return (yield from _finish(params, z, tol, 0, True))
 
 
-def _finish(
-    params, z, tol, iterations, clean_exit, coeff_logs, extended_bits=None, extended_sweeps=0
-):
+def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended_sweeps=0):
     """The roots z, snapped and sorted, with their residual certificates:
     the last step of the solve, one request for p at z followed by the
     real-axis snap candidates, the real parts of the roots near the axis.
@@ -717,7 +711,7 @@ def _finish(
     )
     candidates = z.real[near].astype(complex)
     points = np.concatenate((z, candidates))
-    residuals = _residuals(params, coeff_logs, points, (yield points))
+    residuals = _residuals(_coefficient_logs(params), points, (yield points))
     residuals, snap_residuals = residuals[:z.size], residuals[z.size:]
 
     # snap numerically-real roots onto the axis when the certificate allows
@@ -748,9 +742,8 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     the half-degree path asks for p only at its certificates."""
     d, n = params.d, params.n
     tol = config.resolved_tolerance(n - 1)
-    coeff_logs = _coefficient_logs(params)
     if n == 2 * d:
-        return (yield from _half_degree_roots(params, tol, coeff_logs))
+        return (yield from _half_degree_roots(params, tol))
 
     pinned, quotient = pinned_roots(params)
     exact = -np.arange(1, pinned + 1) + 0j
@@ -759,7 +752,7 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     iterations, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
     if settled:
         roots = np.concatenate((z, exact))
-        result = yield from _finish(params, roots, tol, iterations, True, coeff_logs)
+        result = yield from _finish(params, roots, tol, iterations, True)
         if result.converged:
             return result
 
@@ -770,7 +763,7 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     ratios = functools.partial(_exact_ratios, values, slopes, bits)
     sweeps, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
     roots = np.concatenate((z, exact))
-    return (yield from _finish(params, roots, tol, iterations, settled, coeff_logs, bits, sweeps))
+    return (yield from _finish(params, roots, tol, iterations, settled, bits, sweeps))
 
 
 # The most rows x points one evaluator call of `_evaluate` takes from
@@ -926,4 +919,4 @@ def residual(params: HypersimplexParams, root: complex) -> float:
     `_point` takes it."""
     z = _point(params.d, params.n, root)
     values = _eval_vec(params.d, params.n, z)
-    return float(_residuals(params, _coefficient_logs(params), z, values)[0])
+    return float(_residuals(_coefficient_logs(params), z, values)[0])

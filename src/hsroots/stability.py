@@ -22,17 +22,19 @@ side the disks do not prove, and every call without roots, goes to the
 Routh table, whose rows are rescaled only by positive constants (their
 gcd), which preserves the sign structure the table's first column
 encodes.  A zero leading element is reported as Boundary, never perturbed.
+The disks, the shift and the table run on the integers of P = (n-1)! p
+(`ehrhart`); the public functions on a `RationalPolynomial` clear denominators.
 """
 
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, gcd, isfinite
+from math import gcd, isfinite
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ehrhart import HypersimplexParams, ehrhart_polynomial, pinned_roots
+from .ehrhart import HypersimplexParams, _ehrhart_cached
 from .errors import ZeroPolynomial
 from .polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
 from .roots import (
@@ -87,8 +89,8 @@ def shift_polynomial(poly: RationalPolynomial, c) -> RationalPolynomial:
     """Exact Taylor shift: returns q with q(z) = p(z + c); p itself when c == 0.
 
     With c = a/b and L the lcm of p's denominators, `_taylor_shift` shifts
-    the integers L p in integer arithmetic to L b**N p(z + c), and each
-    coefficient is divided by L b**N once at the end.
+    the integers L p to L b**N p(z + c), each then divided by L b**N once;
+    internal code shifts the integers of P = (n-1)! p with it directly.
     """
     c = Fraction(c)
     if c == 0 or poly.is_zero:
@@ -125,7 +127,11 @@ def routh_hurwitz(poly: RationalPolynomial) -> StabilityVerdict:
     """
     if poly.is_zero or poly.degree < 1:
         raise ZeroPolynomial("stability test needs degree >= 1")
-    coeffs = _integer_coefficients(poly)
+    return _routh_table(_integer_coefficients(poly))
+
+
+def _routh_table(coeffs: list) -> StabilityVerdict:
+    """`routh_hurwitz` on integer coefficients, lowest first, at any positive scale."""
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     deg = len(coeffs) - 1
@@ -204,37 +210,33 @@ def _inside(
     )
 
 
-def _disk_points(poly: RationalPolynomial, points: Sequence[complex]) -> Optional[list]:
+def _disk_points(degree: int, points: Sequence[complex]) -> Optional[list]:
     """The points as complex numbers when they can carry inclusion disks:
     N = degree of them, finite and distinct (as doubles, hence as dyadic
     rationals); None otherwise."""
     points = [complex(z) for z in points]
-    degree = poly.degree
     if degree < 1 or len(points) != degree or not all(map(cmath.isfinite, points)):
         return None
     return points if len(set(points)) == degree else None
 
 
-def _float_radii(
-    params: HypersimplexParams, poly: RationalPolynomial, points: list, values: tuple
-) -> list:
+def _float_radii(lead: int, points: list, values: tuple) -> list:
     """Per disk, the float bound on it as (x, x_den, radius_sq, scale):
     Re z_i = x / x_den and (M |W_i| x_den)**2 <= radius_sq / scale.
 
     `values` is `roots._value_bounds`'s output at the first M points, the
-    disk centres (see `_disks`), V_i >= (n-1)! |p(z_i)|, as `_certify` gets
-    it from a batched call.  With D_i <= prod_{j != i} |z_i - z_j|**2 over
-    all the points from `roots._distance_product_lower` and the integer
-    E = (n-1)! a_N, the bound is M**2 V_i**2 x_den**2 / (E**2 D_i), a ratio
-    of integers since V_i, D_i and Re z_i are dyadic.  The entry is None
-    where V_i is not finite; where D_i = 0 the scale is 0, and `_inside`
-    proves nothing on it.
+    disk centres (see `_disks`), V_i >= |P(z_i)| for P = (n-1)! p, as
+    `_certify` gets it from a batched call, and `lead` is P's leading
+    coefficient C_N.  With D_i <= prod_{j != i} |z_i - z_j|**2 over all the
+    points from `roots._distance_product_lower`, the bound is
+    M**2 V_i**2 x_den**2 / (C_N**2 D_i), a ratio of integers since V_i, D_i
+    and Re z_i are dyadic.  The entry is None where V_i is not finite; where
+    D_i = 0 the scale is 0, and `_inside` proves nothing on it.
     """
     z = np.array(points)
     value, value_e = values
     count = value.size
     dist, dist_e = _distance_product_lower(z, count)
-    lead = int(poly.leading_coefficient * factorial(params.n - 1))
     lead_sq, degree_sq = lead * lead, count * count
     radii = []
     rows = zip(
@@ -248,7 +250,7 @@ def _float_radii(
         v, v_den = v.as_integer_ratio()
         m, m_den = m.as_integer_ratio()
         # every denominator is a power of two: V_i = v 2**a, D_i = m 2**b,
-        # x_den = 2**B, and the bound reads N^2 v^2 2**(2a + 2B - b) / (E^2 m)
+        # x_den = 2**B, and the bound reads N^2 v^2 2**(2a + 2B - b) / (C_N^2 m)
         shift = 2 * (v_e - v_den.bit_length() + x_den.bit_length()) - m_e + m_den.bit_length() - 1
         radius_sq = degree_sq * v * v << max(shift, 0)
         scale = lead_sq * m << max(-shift, 0)
@@ -257,16 +259,17 @@ def _float_radii(
 
 
 def _disks(
-    poly: RationalPolynomial, points: list, lower: Fraction, upper: Fraction, first: list
+    coeffs: Sequence[int], points: list, lower: Fraction, upper: Fraction, first: list
 ) -> Tuple[bool, bool]:
     """Whether the disk of radius M |W_i| around each of the first
     M = len(first) points lies inside Re > lower, and inside Re < upper.
 
-    The other N - M points must be exact roots of poly inside both sides
-    (`_certify` puts the pinned roots -1, ..., -k there): the roots of
-    poly divided by their linear factors lie in these M disks (see
-    `inclusion_strip`), with W_i unchanged, so the disks prove a side for
-    every root.  `_inside` decides each disk side on first[i], a radius
+    p has the integer coefficients `coeffs`, lowest first (or any positive
+    multiple of them).  The other N - M points must be exact roots of p
+    inside both sides (`_certify` puts the pinned roots -1, ..., -k there):
+    the roots of p divided by their linear factors lie in these M disks
+    (see `inclusion_strip`), with W_i unchanged, so the disks prove a side
+    for every root.  `_inside` decides each disk side on first[i], a radius
     bound from `_float_radii`, when that entry is present.  Only a side
     still open and not proven by it gets the exact radius: each double is
     taken exactly as (x_i + i y_i) / 2**B, p(z_i) 2**(BN) comes from
@@ -274,7 +277,7 @@ def _disks(
     2**(B(N-1)) over all N points from an exact product.  The loop stops
     once both sides fail.
     """
-    degree, count = poly.degree, len(first)
+    degree, count, lead = len(coeffs) - 1, len(first), coeffs[-1]
     left = right = True
     nodes = None
     for i, bound in enumerate(first):
@@ -284,8 +287,6 @@ def _disks(
             continue
         if nodes is None:
             nodes, bits = _dyadic(points)
-            coeffs = _integer_coefficients(poly)
-            lead = coeffs[-1]
             # c_k 2**(B(N-k)): Horner on x + iy then yields p(z) 2**(BN)
             scaled = [c << (bits * (degree - k)) for k, c in enumerate(coeffs)]
         x, y = nodes[i]
@@ -332,25 +333,26 @@ def inclusion_strip(
     float bound.  Non-finite or repeated points, or a point count other than
     N, prove nothing.
     """
-    points = _disk_points(poly, points)
+    points = _disk_points(poly.degree, points)
     if points is None:
         return False, False
-    return _disks(poly, points, Fraction(lower), Fraction(upper), [None] * len(points))
+    coeffs = _integer_coefficients(poly)
+    return _disks(coeffs, points, Fraction(lower), Fraction(upper), [None] * len(points))
 
 
-def verify_half_plane(
-    params: HypersimplexParams, c, side: str
-) -> StabilityVerdict:
-    """Certify that every root has Re < c (side='left_of') or Re > c ('right_of')."""
+def verify_half_plane(params: HypersimplexParams, c, side: str) -> StabilityVerdict:
+    """Certify that every root has Re < c (side='left_of') or Re > c ('right_of').
+
+    The Routh table runs on b**N P(z + c), c = a/b, from `_taylor_shift` on
+    the integers of P = (n-1)! p, or for 'right_of' on b**N P(c - z).
+    """
     c = Fraction(c)
-    poly = ehrhart_polynomial(params)
-    if side == "left_of":
-        # roots of p(z + c) are the roots of p shifted left by c
-        return routh_hurwitz(shift_polynomial(poly, c))
+    if side not in ("left_of", "right_of"):
+        raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
+    coeffs = _taylor_shift(_ehrhart_cached(params.d, params.n).coeffs, c.numerator, c.denominator)
     if side == "right_of":
-        # q(z) = p(-z + c): Re(root of p) > c iff q is stable
-        return routh_hurwitz(reflect_polynomial(shift_polynomial(poly, c)))
-    raise ValueError(f"side must be 'left_of' or 'right_of', got {side!r}")
+        coeffs = [-v if k % 2 else v for k, v in enumerate(coeffs)]
+    return _routh_table(coeffs)
 
 
 def _free_first(points: list, pinned: int) -> Tuple[list, int]:
@@ -367,21 +369,21 @@ def _free_first(points: list, pinned: int) -> Tuple[list, int]:
 
 def _certify(params: HypersimplexParams, roots):
     """One pair's `verify_strip` as a step of `roots._lockstep`: the domain
-    check and p; when the roots can carry disks (`_disk_points`), one
-    request for the value bounds at the free ones (`_free_first`), then
-    `_float_radii` and `_disks` on them; the Routh table for any side still
-    open."""
+    check and the build; when the roots can carry disks (`_disk_points`),
+    one request for the value bounds at the free ones (`_free_first`), then
+    `_float_radii` and `_disks` on them, all on the integers of
+    P = (n-1)! p; the Routh table for any side still open."""
     params.require_conjecture_domain()
-    poly = ehrhart_polynomial(params)
+    build = _ehrhart_cached(params.d, params.n)
     bound = Fraction(params.n, params.d)
-    points = None if roots is None else _disk_points(poly, roots)
+    points = None if roots is None else _disk_points(params.degree, roots)
     left_in = right_in = False
     if points is not None:
-        points, count = _free_first(points, pinned_roots(params)[0])
+        points, count = _free_first(points, build.pinned)
         first = []
         if count:
-            first = _float_radii(params, poly, points, (yield np.array(points[:count])))
-        left_in, right_in = _disks(poly, points, -bound, Fraction(0), first)
+            first = _float_radii(build.coeffs[-1], points, (yield np.array(points[:count])))
+        left_in, right_in = _disks(build.coeffs, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
     left = included if left_in else verify_half_plane(params, -bound, "right_of")

@@ -167,10 +167,10 @@ def test_verify_certified(capsys):
 
 def test_verify_tall_pair_certified_by_the_disks(capsys, monkeypatch):
     # degree 95: the inclusion disks prove both sides, so no Routh table runs
-    def no_table(poly):
+    def no_table(coeffs):
         raise AssertionError("the Routh table ran")
 
-    monkeypatch.setattr(hsroots.stability, "routh_hurwitz", no_table)
+    monkeypatch.setattr(hsroots.stability, "_routh_table", no_table)
     code, out, _ = run(capsys, "verify", "--d", "9", "--n", "96")
     assert code == 0
     assert out.strip() == "CERTIFIED"

@@ -1,12 +1,14 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hsroots.ehrhart
 import hsroots.stability
-from hsroots.campaign import CampaignConfig
+from hsroots.campaign import CampaignConfig, run_campaign
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, pinned_roots
 from hsroots.errors import ConjectureDomain, ZeroPolynomial
 from hsroots.polynomial import RationalPolynomial, _integer_coefficients, _taylor_shift
@@ -403,12 +405,12 @@ def test_value_bounds_hold_on_and_beside_factor_zeros(d, n):
     assert_value_bounds_hold(d, n, points)
 
 
-def float_radii(params, poly, centres, points=None):
+def float_radii(params, centres, points=None):
     """`_float_radii` on the value bounds of one `_value_bounds` call at the
     disk centres, the first points (all of them when points is None)."""
     points = centres if points is None else points
     values = _value_bounds(params.d, params.n, np.array(centres))
-    return _float_radii(params, poly, points, values)
+    return _float_radii(scaled_coefficients(params.d, params.n)[-1], points, values)
 
 
 def assert_float_pass_sound(params, roots):
@@ -417,14 +419,15 @@ def assert_float_pass_sound(params, roots):
     bounds as with the exact test alone."""
     poly = ehrhart_polynomial(params)
     bound = Fraction(params.n, params.d)
-    first = float_radii(params, poly, roots)
+    first = float_radii(params, roots)
     for i, entry in enumerate(first):
         if entry is None or entry[3] == 0:
             continue
         _, x_den, radius_sq, scale = entry
         assert Fraction(radius_sq, scale * x_den * x_den) >= exact_radius_sq(poly, roots, i), i
-    exact_only = _disks(poly, roots, -bound, Fraction(0), [None] * len(roots))
-    assert _disks(poly, roots, -bound, Fraction(0), first) == exact_only
+    coeffs = scaled_coefficients(params.d, params.n)
+    exact_only = _disks(coeffs, roots, -bound, Fraction(0), [None] * len(roots))
+    assert _disks(coeffs, roots, -bound, Fraction(0), first) == exact_only
 
 
 def test_value_and_radius_bounds_hold_at_noise_limited_roots():
@@ -468,7 +471,7 @@ def test_radius_bounds_hold_around_perturbed_roots(d, n, noise):
     assert_float_pass_sound(params, roots)
     # every point gets both float bounds, and its entry is exactly the
     # radius bound they give, over the dyadic Re z_i
-    first = float_radii(params, poly, roots)
+    first = float_radii(params, roots)
     for z, entry, radius_sq in zip(roots, first, float_radius_sq(params, poly, roots)):
         assert entry is not None and entry[3] > 0, z
         x, x_den, bound_sq, scale = entry
@@ -494,7 +497,7 @@ def test_float_pass_leaves_both_sides_open_without_a_distance_bound():
     # 1e-160 apart, the squared distance 1e-320 is subnormal: D_i = 0
     params = HypersimplexParams(4, 12)
     points = [0j, 1e-160 + 0j] + list(find_roots(params).roots)[2:]
-    first = float_radii(params, ehrhart_polynomial(params), points)
+    first = float_radii(params, points)
     for entry in first[:2]:
         assert entry[3] == 0
         assert _inside(Fraction(-3), Fraction(0), *entry) == (False, False)
@@ -509,8 +512,9 @@ def test_disks_take_each_side_from_the_float_bound_or_the_exact_radius():
     exact = [(-5, 4, 49 * 16, 144), (-11, 4, 49 * 16, 144)]
     loose = [(x, x_den, radius_sq * 100, scale) for x, x_den, radius_sq, scale in exact]
     for first in (exact, loose, [exact[0], None], [None, loose[1]], [None, None]):
-        assert _disks(poly, points, Fraction(-4), Fraction(-2, 3), first) == (True, False)
-        assert _disks(poly, points, Fraction(-10, 3), Fraction(0), first) == (False, True)
+        coeffs = _integer_coefficients(poly)
+        assert _disks(coeffs, points, Fraction(-4), Fraction(-2, 3), first) == (True, False)
+        assert _disks(coeffs, points, Fraction(-10, 3), Fraction(0), first) == (False, True)
 
 
 def test_float_pass_skips_a_point_without_a_value_bound():
@@ -518,7 +522,7 @@ def test_float_pass_skips_a_point_without_a_value_bound():
     # None, the exact disk fails both sides and Routh certifies the strip
     params = HypersimplexParams(4, 12)
     points = [complex(1e200)] + list(find_roots(params).roots)[1:]
-    assert float_radii(params, ehrhart_polynomial(params), points)[0] is None
+    assert float_radii(params, points)[0] is None
     verdict = verify_strip(params, points)
     assert verdict.overall is True
     assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
@@ -529,7 +533,7 @@ def float_proven(params, roots):
     bound = Fraction(params.n, params.d)
     sides = [
         _inside(-bound, Fraction(0), *entry) if entry else (False, False)
-        for entry in float_radii(params, ehrhart_polynomial(params), roots)
+        for entry in float_radii(params, roots)
     ]
     return [i for i, s in enumerate(sides) if s[0]], [i for i, s in enumerate(sides) if s[1]]
 
@@ -602,16 +606,16 @@ def test_certificate_skips_the_pinned_roots(d, n, monkeypatch):
     # the M disks are those of the quotient q around the free points, built
     # independently from q's coefficients: each float radius bound is at
     # least the exact radius M |W_i| there, and the sides agree
-    poly = ehrhart_polynomial(params)
+    coeffs = scaled_coefficients(d, n)
     quotient = RationalPolynomial(pinned_roots(params)[1])
     free = [z for z in rs.roots if z not in exact]
-    first = float_radii(params, poly, free, free + exact)
+    first = float_radii(params, free, free + exact)
     for i, (_, x_den, radius_sq, scale) in enumerate(first):
         assert Fraction(radius_sq, scale * x_den * x_den) >= exact_radius_sq(quotient, free, i), i
     bound = Fraction(n, d)
     sides = inclusion_strip(quotient, free, -bound, 0)
     assert sides == (True, True)
-    assert _disks(poly, free + exact, -bound, Fraction(0), [None] * len(free)) == sides
+    assert _disks(coeffs, free + exact, -bound, Fraction(0), [None] * len(free)) == sides
 
 
 @pytest.mark.parametrize("d,n,m", [(4, 20, 1), (4, 20, 4), (9, 96, 7)])
@@ -636,7 +640,7 @@ def test_a_free_point_on_a_pinned_root_proves_no_side(monkeypatch):
     # decides both sides; and as a disk centre next to the pinned -1 its
     # distance product and exact radius are 0, so neither bound proves a side
     params = HypersimplexParams(4, 20)
-    poly = ehrhart_polynomial(params)
+    coeffs = scaled_coefficients(4, 20)
     bound = Fraction(params.n, params.d)
     roots = list(find_roots(params).roots)
     exact = [complex(-m) for m in range(1, 5)]
@@ -648,10 +652,10 @@ def test_a_free_point_on_a_pinned_root_proves_no_side(monkeypatch):
     assert sizes == []
     assert verdict == verify_strip(params)
     assert verdict.left_ok.certifier == verdict.right_ok.certifier == "routh"
-    first = float_radii(params, poly, spoiled[:15], spoiled)
+    first = float_radii(params, spoiled[:15], spoiled)
     assert first[0][3] == 0
-    assert _disks(poly, spoiled, -bound, Fraction(0), [None] * 15) == (False, False)
-    assert _disks(poly, spoiled, -bound, Fraction(0), first) == (False, False)
+    assert _disks(coeffs, spoiled, -bound, Fraction(0), [None] * 15) == (False, False)
+    assert _disks(coeffs, spoiled, -bound, Fraction(0), first) == (False, False)
 
 
 @pytest.mark.parametrize("d,n", [(1, 5), (1, 12)])
@@ -674,3 +678,59 @@ def test_distance_product_rows_of_the_free_points(d, n):
         part = _distance_product_lower(z, count)
         for a, b in zip(part, full):
             assert a.tobytes() == b[:count].tobytes()
+
+
+# The internal code works on the integers of P = (n-1)! p that each build
+# keeps; p's Fractions (`ehrhart._over_factorial`) are made only for the
+# public functions on a RationalPolynomial.
+
+
+def test_the_internal_path_builds_no_fraction_polynomial(monkeypatch):
+    tall = HypersimplexParams(4, 24)
+    pairs = [HypersimplexParams(9, 96)] + [HypersimplexParams(d, 2 * d) for d in range(4, 9)]
+
+    def verdicts():
+        report = run_campaign(CampaignConfig(d_min=4, d_max=5, certify=True))
+        solved = find_roots_many(pairs)
+        return (
+            [replace(row, millis=0.0) for row in report.rows],
+            report.errors,
+            solved,
+            verify_strip_many(pairs, [rs.roots for rs in solved]),
+            verify_strip(tall),
+            [verify_half_plane(tall, Fraction(-7, 3), side) for side in ("left_of", "right_of")],
+        )
+
+    expected = verdicts()
+
+    def no_fractions(ints, n):
+        raise AssertionError("a Fraction polynomial was built")
+
+    hsroots.ehrhart._ehrhart_cached.cache_clear()
+    monkeypatch.setattr(hsroots.ehrhart, "_over_factorial", no_fractions)
+    got = verdicts()
+    assert got == expected
+    assert not got[1] and all(row.certified for row in got[0])
+    assert got[4].left_ok.certifier == got[4].right_ok.certifier == "routh"
+
+
+def test_integer_routh_path_matches_the_public_fraction_path():
+    # verify_half_plane shifts and reflects the integers of (n-1)! p; the
+    # public functions do the same on p's Fractions, and every status and
+    # witness agree, Boundary included: d = 1 has the roots -1, ..., -(n-1)
+    statuses = set()
+    for n in range(2, 31):
+        for d in range(1, min(7, n)):
+            params = HypersimplexParams(d, n)
+            poly = ehrhart_polynomial(params)
+            edge = Fraction(-n, d)
+            for c in (Fraction(0), edge, edge + Fraction(1, 7), Fraction(-1)):
+                shifted = shift_polynomial(poly, c)
+                public = {
+                    "left_of": routh_hurwitz(shifted),
+                    "right_of": routh_hurwitz(reflect_polynomial(shifted)),
+                }
+                for side, verdict in public.items():
+                    assert verify_half_plane(params, c, side) == verdict, (d, n, c, side)
+                    statuses.add(verdict.status)
+    assert statuses == {"Stable", "Unstable", "Boundary"}

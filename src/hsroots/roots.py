@@ -7,12 +7,17 @@ exponent.  That keeps full relative accuracy at degrees where expanded
 coefficients would overflow doubles.  One factor loop, `_term_products`,
 builds the terms for a whole array of points at once, each point with the
 same bits alone as in any batch; the points' n comes as (n, count) runs,
-n descending, and a point stops after its own n - 1 factors while the
-others go on.  `_aligned_terms` runs it on the min(d, n - d) terms and
-aligns them to the point's largest term exponent; `_eval_vec` sums them
-and their derivatives row after row, for the solver, the residual
-certificates, the real-axis snap and the single-point functions
-`evaluate_scaled`, `log_derivative` and `residual`.  `bounds` takes its
+n descending, and a point stops after its own steps while the others go
+on.  With its derivative it multiplies the factors two at a time,
+(y + j)(y + n - j) = w**2 - (n/2 - j)**2 with w = y + n/2, so a term takes
+(n - 1) // 2 steps; its value-only and error modes, which `bounds` and
+the strip certificate read, keep one factor a step, which is more
+accurate beside a real-axis zero of a factor.  `_aligned_terms` runs it
+on the min(d, n - d) terms and aligns them to the point's largest term
+exponent; `_eval_vec` sums them and their derivatives row after row, for
+the solver, the residual certificates, the real-axis snap and the
+single-point functions `evaluate_scaled`, `log_derivative` and
+`residual`.  `bounds` takes its
 modulus ratios from the same loop, as values without derivatives.  In
 its error mode the loop also carries a rigorous bound on each term's
 rounding error, from which `_value_bounds` bounds |p(z)| from above; with
@@ -158,9 +163,10 @@ def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
 
 
 def _point(d: int, n: int, z) -> np.ndarray:
-    """z as an array of one point, for d |z| + n <= 2**51, where 16 factors
-    between rescales stay finite, else DomainViolation (a NaN z too): the
-    domain of every single-point function, here and in `bounds`."""
+    """z as an array of one point, for d |z| + n <= 2**51, where the 8 pairs
+    (or 16 single factors) of `_term_products` between rescales stay below
+    2**1020, else DomainViolation (a NaN z too): the domain of every
+    single-point function, here and in `bounds`."""
     z = complex(z)
     if not (cmath.isfinite(z) and d * abs(z) + n <= 2**51):
         raise DomainViolation(f"need a finite z with d|z| + n <= 2**51, got z={z}")
@@ -264,45 +270,77 @@ def _term_products(d: int, n, z: np.ndarray, mode: str = "derivative"):
     """The alternating-sum terms and their derivatives in scaled form.
 
     Row s of the (d, len(z)) arrays holds term s,
-    prod_{k=1}^{n-1} ((d-s)z + k - s), as prod[s] * 2**exps[s] and its
-    z-derivative as prod_d[s] * 2**exps[s], built up one linear factor at a
-    time (a vanishing factor leaves an exact 0).  n is an int or (n, count)
-    runs along z (see `_runs`) with n non-increasing, so that the points
-    still multiplying at factor k are a prefix of the columns.  An entry is
-    rescaled by a power of two when it strays beyond 2**+-200, tested at
-    every 16th factor and at its own last factor n - 1; the other entries
-    are left alone, so every point gets the same bits whether it is built
-    alone or in a batch.  Returns (prod, prod_d, exps).
+    prod_{k=1}^{n-1} (y + k) with y = (d-s)z - s, as prod[s] * 2**exps[s]
+    and its z-derivative as prod_d[s] * 2**exps[s] (a vanishing factor
+    leaves an exact 0).  n is an int or (n, count) runs along z (see
+    `_runs`) with n non-increasing, so that the points still multiplying
+    at step k are a prefix of the columns.
 
-    mode="value" never builds prod_d and returns None in its place; the
-    rescale test then looks at |prod| alone, so prod and exps may differ
-    from the full call by a power of two that cancels in prod * 2**exps.
-    mode="error" builds the same values as mode="value" up to that power of
-    two, and returns in place of prod_d a real array mu that bounds
-    |true term - computed term| in the same scale (see `_value_bounds` for
-    the recurrence); the rescale test looks at max(|prod|, mu).  The default
-    and value-only modes run no operation of the error mode.
+    The default mode multiplies the factors in symmetric pairs: with
+    w = y + n/2 and m_j = n/2 - j, (y + j)(y + n - j) = w**2 - m_j**2, whose
+    z-derivative is 2(d-s)w for every j.  So w, v = w**2 and dv = 2(d-s)w
+    are built once, and each of the (n - 1) // 2 steps j is
+    factor = v - m_j**2, prod_d = prod_d factor + prod dv,
+    prod = prod factor, with the squares m_j**2 one column per point (exact
+    in doubles for n <= 2**26).  For even n the middle factor y + n/2 = w
+    has no partner: prod starts at w and prod_d at d - s, else at 1 and 0.
+    An entry is rescaled by a power of two when max(|prod|, |prod_d|)
+    strays beyond 2**+-200, tested at every 8th pair and at its own last
+    pair; the other entries are left alone, so every point gets the same
+    bits whether it is built alone or in a batch.  Within `_point`'s domain d|z| + n <= 2**51,
+    |factor| + |dv| <= (d|z| + n)**2 <= 2**102 (rows <= n/2), so 8 pairs
+    from below 2**200 stay below 2**1020.  Returns (prod, prod_d, exps).
+
+    mode="value" and mode="error" multiply one linear factor y + k at a
+    time and rescale at every 16th factor and at the last, n - 1.  Pairing
+    rounds w once at magnitude n/2, so beside a real-axis zero of a factor
+    a pair loses up to about n/2 in relative accuracy: at the nudged pole of
+    the low horizontal edge of (3, 6), lam = 1e-12, the modulus ratio of
+    `bounds` would be 3.8e-12 off the exact one, against 1e-15 one factor a
+    step.  The sampled ratios of `bounds` and the rigorous bound of
+    `_value_bounds` would pay that; the solver does not, as the pinned roots
+    still give exact zeros (w = m_j is exact there).  mode="value" never
+    builds prod_d and returns None in its place; the rescale test then
+    looks at |prod| alone, so prod and exps may differ from the full call
+    by a power of two that cancels in prod * 2**exps.  mode="error" builds
+    the same values as mode="value" up to that power of two, and returns in
+    place of prod_d a real array mu that bounds |true term - computed term|
+    in the same scale (see `_value_bounds` for the recurrence); the rescale
+    test looks at max(|prod|, mu).  The default and value-only modes run no
+    operation of the error mode.
     """
     derivative, error = mode == "derivative", mode == "error"
     runs = _runs(n, z.size)
     if any(later > value for (value, _), (later, _) in zip(runs, runs[1:])):
         raise ValueError("n must be non-increasing along z")
-    # ends maps each last factor k = n - 1, ascending, to the number of
-    # points still multiplying after it; runs of one n share their end
+    # a step is a pair in the default mode, else a factor; ends maps each
+    # last step, ascending, to the number of points still multiplying after
+    # it, and runs with one last step share their end
+    grid = 8 if derivative else 16
     ends, after = {}, z.size
     for value, count in reversed(runs):
         after -= count
-        ends[value - 1] = after
+        ends[(value - 1) // 2 if derivative else value - 1] = after
     if after != 0:
         raise ValueError(f"the runs count {z.size - after} points, z has {z.size}")
     index = np.arange(d)[:, None]
     # complex constants spare numpy a cast per operation; the values are exact
     slope = (d - index).astype(complex)
-    offsets = (np.arange(1, runs[0][0])[:, None, None] - index).astype(complex)
     slope_z = slope * z[None, :]
-    prod = np.ones(slope_z.shape, dtype=complex)
-    prod_d = np.zeros(slope_z.shape, dtype=complex) if derivative else None
-    mu = grow_err = fresh_err = None
+    v = dv = squares = offsets = prod_d = mu = grow_err = fresh_err = None
+    if derivative:
+        halves = _per_point([value / 2 for value, _ in runs], runs)
+        w = slope_z + (halves - index).astype(complex)
+        v, dv = w * w, (2 * slope) * w
+        j = np.arange(1, (runs[0][0] + 1) // 2)
+        m = _per_point([value / 2 - j for value, _ in runs], runs)
+        squares = (m * m).astype(complex)
+        odd = _per_point([value % 2 == 1 for value, _ in runs], runs)
+        prod, prod_d = np.where(odd, 1 + 0j, w), np.where(odd, 0j, slope)
+        slope_z = None
+    else:
+        offsets = (np.arange(1, runs[0][0])[:, None, None] - index).astype(complex)
+        prod = np.ones(slope_z.shape, dtype=complex)
     if error:
         mu = np.zeros(slope_z.shape)
         # mu's update mu (m_k + e_k) + |prod|_1 (e_k + sqrt5 u m_k) of
@@ -314,36 +352,39 @@ def _term_products(d: int, n, z: np.ndarray, mode: str = "derivative"):
         grow_err = slope_err + (1 + _U_ROUND) * 2.0**-536
         fresh = (_U_ROUND + _SQRT5_U) * (1 + 4 * _U)
         fresh_err = slope_err + (_U_ROUND + _SQRT5_U) * 2.0**-536
-    all_exps = exps = np.zeros(slope_z.shape, dtype=np.int64)
-    # prod and the second array of the points past their last factor, filled
+    all_exps = exps = np.zeros(prod.shape, dtype=np.int64)
+    # prod and the second array of the points past their last step, filled
     # from the right; a view would keep each shrinking array alive
     done = [None if a is None else np.empty_like(a) for a in (prod, prod_d if derivative else mu)]
     live, k = z.size, 0
     for end, after in ends.items():
         for k in range(k + 1, end + 1):
-            factor = slope_z + offsets[k - 1]
             # out of place on purpose: numpy's in-place complex multiply rounds
             # differently on a one-element array, which would break batch-independence
             if derivative:
-                prod_d = prod_d * factor + prod * slope
-            elif error:
+                factor = v - squares[k - 1]
+                prod_d = prod_d * factor + prod * dv
+            else:
+                factor = slope_z + offsets[k - 1]
+            if error:
                 re, im = factor.real, factor.imag
                 f_abs = np.sqrt(re * re + im * im)
                 p_mod = np.abs(prod.real) + np.abs(prod.imag)
                 mu = mu * (grow_err + grow * f_abs) + p_mod * (fresh_err + fresh * f_abs) + _TINY
             prod = prod * factor
-            if k % 16 == 0 and k < end:
+            if k % grid == 0 and k < end:
                 _rescale(0, prod, prod_d, mu, exps)
-        # the points ending here get their last rescale; at a 16th factor all do
-        _rescale(0 if end % 16 == 0 else after, prod, prod_d, mu, exps)
+        # the points ending here get their last rescale; at a positive
+        # multiple of the grid all do
+        _rescale(0 if end and end % grid == 0 else after, prod, prod_d, mu, exps)
         for out, a in zip(done, (prod, prod_d if derivative else mu)):
             if a is not None:
                 out[:, after:live] = a[:, after:]
         live = after
         # exps shrinks as a view: its writes land in all_exps
-        slope_z, prod, prod_d, mu, grow_err, fresh_err, exps = (
+        slope_z, v, dv, squares, prod, prod_d, mu, grow_err, fresh_err, exps = (
             None if a is None else a[:, :live]
-            for a in (slope_z, prod, prod_d, mu, grow_err, fresh_err, exps)
+            for a in (slope_z, v, dv, squares, prod, prod_d, mu, grow_err, fresh_err, exps)
         )
     return done[0], done[1], all_exps
 
@@ -423,9 +464,13 @@ def _eval_vec(d: int, n, z: np.ndarray):
     (n-1)! * p(z) = S * 2**E and (n-1)! * p'(z) = Sp * 2**E, and the noise
     floor 4 (n + rows) 2**-53 A of S, with A = sum_s C(n, s) |term_s| * 2**-E
     over the rows of `_aligned_terms`: each term carries about n roundings
-    and the sum rows more, so |S| <= floor means S may be all noise.  n is
-    an int or the points' (n, count) runs, as `_aligned_terms` takes it:
-    each point gets the bits it gets alone.
+    ((n - 1) // 2 pair steps of `_term_products`, two each) and the sum
+    rows more, so |S| <= floor means S may be all noise.  A pair
+    w**2 - m**2 rounds relative to |w|**2 + m**2, not to its own modulus:
+    beside a real-axis zero of a factor its term loses up to about n/2 in
+    relative accuracy, which the floor does not count; pinned roots still
+    give an exact 0.  n is an int or the points' (n, count) runs, as
+    `_aligned_terms` takes it: each point gets the bits it gets alone.
     """
     runs = _runs(n, z.size)
     rows, prod, prod_d, cm, signed, acc_e, _, scale = _aligned_terms(d, runs, z, "derivative")

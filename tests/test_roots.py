@@ -8,13 +8,20 @@ import pytest
 
 import hsroots.roots
 from hsroots.campaign import CampaignConfig
-from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial, evaluate_exact, pinned_roots
+from hsroots.ehrhart import (
+    HypersimplexParams,
+    _ehrhart_cached,
+    ehrhart_polynomial,
+    evaluate_exact,
+    pinned_roots,
+)
 from hsroots.errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     _GOLDEN,
     RootSet,
     SolverConfig,
+    _aligned_terms,
     _binomial_column,
     _eval_vec,
     _gaussian_horner,
@@ -456,19 +463,27 @@ def noise_scale(d, n):
 def loop_eval(d, n, z):
     """The evaluator with one pass over the points per alternating-sum term:
     the same float operations as `_eval_vec`, in the same order, for
-    d <= n / 2."""
+    d <= n / 2 and n >= 3.  Each step multiplies the pair of factors
+    (y + j)(y + n - j) = w**2 - (n/2 - j)**2 with w = y + n/2 and
+    y = (d-s)z - s; for even n the term starts at the middle factor w."""
     acc = acc_d = acc_e = None
     terms = []
     for s in range(d):
         slope = float(d - s)
-        prod = np.ones(z.shape[0], dtype=complex)
-        prod_d = np.zeros(z.shape[0], dtype=complex)
+        w = slope * z + (n / 2 - s)
+        v, dv = w * w, 2 * slope * w
+        if n % 2:
+            prod = np.ones(z.shape[0], dtype=complex)
+            prod_d = np.zeros(z.shape[0], dtype=complex)
+        else:
+            prod, prod_d = w, np.full(z.shape[0], slope, dtype=complex)
         exps = np.zeros(z.shape[0], dtype=np.int64)
-        for k in range(1, n):
-            factor = slope * z + (k - s)
-            prod_d = prod_d * factor + prod * slope
+        pairs = (n - 1) // 2
+        for j in range(1, pairs + 1):
+            factor = v - (n / 2 - j) ** 2
+            prod_d = prod_d * factor + prod * dv
             prod = prod * factor
-            if k % 16 == 0 or k == n - 1:
+            if j % 8 == 0 or j == pairs:
                 _, e = np.frexp(np.maximum(np.abs(prod), np.abs(prod_d)))
                 adjust = np.where(np.abs(e) > 200, e, 0)
                 if adjust.any():
@@ -513,6 +528,105 @@ def test_eval_vec_matches_loop_reference(d, n):
     assert as_bytes(_eval_vec(d, n, z)) == as_bytes(loop_eval(d, n, z))
 
 
+def paired_error_bounds(d, n, z):
+    """Exact P = (n-1)! p and P' at the double z, and bounds on how far
+    `_eval_vec`'s S 2**E and Sp 2**E may lie from them, for d <= n / 2.
+
+    Row s is T = prod_j f_j, the pairs f_j = w**2 - m_j**2 of the linear
+    factors, w = (d-s)z + n/2 - s, m_j = n/2 - j, times w for even n.  With
+    u = 2**-53, every |.| below taken as the larger |Re| + |Im| and exact
+    Fractions throughout:
+    - w^ = fl(fl((d-s)z) + n/2 - s) is within dw = 2u((d-s)|z| + |w|);
+    - v^ = fl(w^ w^) is within sqrt5 u |w^|**2 of w^**2 (Brent, Percival
+      and Zimmermann 2007), so within ev = sqrt5 u (|w| + dw)**2
+      + dw (2|w| + dw) of w**2; m_j**2 is exact, so the pair factor
+      fl(v^ - m_j**2) is within e_j = (1 + u) ev + u |f_j| of f_j;
+    - dv^ = fl(2(d-s) w^) is within edv = 2(d-s)(dw + sqrt5 u (|w| + dw))
+      of dv = 2(d-s)w, the z-derivative of every pair.
+    Let P_j = prod_{i<=j} |f_i| and Q_j = Q_{j-1}|f_j| + P_{j-1}|dv| bound
+    the exact |T_j| and |T'_j|, from P_0 = 1, Q_0 = 0 (odd n) or
+    P_0 = |w|, Q_0 = d - s (even n).  Each complex multiply is within
+    sqrt5 u and each add within u of its exact result, so by induction
+    |T^_j - T_j| <= B_j - P_j and |T'^_j - T'_j| <= D_j - Q_j, where
+    B_j = B_{j-1}(|f_j| + e_j)(1 + sqrt5 u) and
+    D_j = (D_{j-1}(|f_j| + e_j) + B_{j-1}(|dv| + edv))(1 + u)(1 + sqrt5 u),
+    from B_0 = P_0 + (dw for even n) and D_0 = Q_0: the step
+    T'^ fl(f^) + T^ dv^ is within D_{j-1}(|f| + e) - Q_{j-1}|f|
+    + B_{j-1}(|dv| + edv) - P_{j-1}|dv| before its own roundings.  The
+    rescales are exact powers of two.  The binomial mantissa is within
+    2**-52 of C(n, s) and the signed multiply rounds within sqrt5 u, so a
+    row is within (1 + 5u) C B - C P of C T; the d - 1 complex additions
+    of the sum add 2 gamma_{d-1} (1 + 5u) sum C B (2 for |Re| + |Im|
+    against the modulus), and a subnormal aligned row 2**-1074 times 2**E.
+    """
+    u = Fraction(1, 2**53)
+    root5u = Fraction(9, 4) * u  # above sqrt5 u, and dyadic
+    x, y = Fraction(z.real), Fraction(z.imag)
+    size = abs(x) + abs(y)
+    sums = [Fraction(0)] * 4  # the error bounds of S and Sp, and sum C B, sum C D
+    for s in range(d):
+        a, half = d - s, Fraction(n, 2) - s
+        wr, wi = a * x + half, a * y
+        w, v_re, v_im = abs(wr) + abs(wi), wr * wr - wi * wi, abs(2 * wr * wi)
+        dw = 2 * u * (a * size + w)
+        ev = root5u * (w + dw) ** 2 + dw * (2 * w + dw)
+        dv, edv = 2 * a * w, 2 * a * (dw + root5u * (w + dw))
+        if n % 2:
+            P, Q, B, D = Fraction(1), Fraction(0), Fraction(1), Fraction(0)
+        else:
+            P, Q, B, D = w, Fraction(a), w + dw, Fraction(a)
+        for j in range(1, (n - 1) // 2 + 1):
+            f = abs(v_re - (Fraction(n, 2) - j) ** 2) + v_im
+            e = (1 + u) * ev + u * f
+            D = (D * (f + e) + B * (dv + edv)) * (1 + u) * (1 + root5u)
+            Q = Q * f + P * dv
+            B = B * (f + e) * (1 + root5u)
+            P = P * f
+        c = math.comb(n, s)
+        for i, (big, exact) in enumerate(((B, P), (D, Q))):
+            sums[i] += (1 + 5 * u) * c * big - c * exact
+            sums[2 + i] += c * big
+    gamma = (d - 1) * u / (1 - (d - 1) * u)
+    coeffs = _ehrhart_cached(d, n).coeffs
+    slopes = [k * c for k, c in enumerate(coeffs)][1:]
+    exact = [gaussian_eval(RationalPolynomial(c), x, y) for c in (coeffs, slopes)]
+    return [
+        (value, sums[i] + 2 * gamma * (1 + 5 * u) * sums[2 + i])
+        for i, value in enumerate(exact)
+    ]
+
+
+def pair_zero_points(d, n):
+    """The zeros z = (s - j)/(d - s) of the linear factors of the rows s,
+    each once, and the doubles just above them."""
+    zeros = np.unique([(s - j) / (d - s) for s in range(d) for j in range(1, n)])
+    return np.concatenate((zeros, np.nextafter(zeros, np.inf))).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 2), (1, 3), (2, 3), (5, 16), (8, 16), (4, 17), (3, 41)]
+)
+def test_eval_vec_within_the_paired_error_bound_of_exact_values(d, n):
+    # S 2**E and Sp 2**E against exact P and P' on the dyadic points, within
+    # the bound of `paired_error_bounds`: n = 2 has no pair, n = 3 one pair,
+    # even n the middle factor w; beside a pair zero w**2 - m**2 cancels,
+    # and far out the terms of n = 41 are rescaled
+    z = mixed_points(d, n)
+    if n < 20:
+        z = np.concatenate((z, pair_zero_points(d, n)))
+    S, Sp, E, _ = _eval_vec(d, n, z)
+    shift = _aligned_terms(d, n, z, "derivative")[6]
+    assert (shift >= -1074).all()  # no aligned row is clamped
+    for i, point in enumerate(z):
+        scale = Fraction(2) ** int(E[i])
+        bounds = paired_error_bounds(d, n, point)
+        for got, ((want_re, want_im), bound) in zip((S[i], Sp[i]), bounds):
+            bound += d * Fraction(2) ** -1074 * scale  # subnormal aligned rows
+            err_re = Fraction(got.real) * scale - want_re
+            err_im = Fraction(got.imag) * scale - want_im
+            assert err_re**2 + err_im**2 <= bound**2, (point, got)
+
+
 @pytest.mark.parametrize(
     "d,n",
     [
@@ -521,13 +635,16 @@ def test_eval_vec_matches_loop_reference(d, n):
         (22, 44),
         pytest.param(7, (63, 33, 30, 20, 17, 14), id="7-mixed"),
         pytest.param(3, (40, 9, 9, 6), id="3-mixed"),
+        pytest.param(7, (41, 40, 40, 39, 17), id="7-pairs"),
     ],
 )
 def test_eval_vec_batch_equals_single(d, n):
-    # with (n, count) runs, columns end at factors on and off the 16-factor
-    # rescale grid, each at its own n - 1, while longer columns go on; at
-    # 1e5 i the terms of n = 63 stray past 2**200 before the column of
-    # n = 30 ends, and must wait for factor 32 to be rescaled
+    # with (n, count) runs, columns end at pairs on and off the 8-pair
+    # rescale grid, each at its own (n - 1) // 2, while longer columns go
+    # on; n = 40 and 39 share their 19 pairs, one starting at the middle
+    # factor and one not, and n = 17 ends on the grid at pair 8; at 1e5 i
+    # the terms of n = 63 stray past 2**200 before the column of n = 30
+    # ends at pair 14, and must wait for pair 16 to be rescaled
     ns = n if isinstance(n, tuple) else (n,)
     far = [] if len(ns) == 1 else [1e5j]
     parts = [np.append(mixed_points(d, n), far) for n in ns]

@@ -33,16 +33,17 @@ division on every build).  The solver pins them: it sweeps only the
 M = N - k free roots, those of the quotient q = p / ((z + 1) ... (z + k)),
 with Newton ratios q/q' = 1 / (p'/p - sum_m 1 / (z + m)) from the same
 product-form values and the repulsion among the free roots alone, and
-returns the -m exactly, with residual 0.  The sweeps are the Ehrlich-Aberth
-simultaneous iteration, started on one seed-rotated ellipse around the
-centroid of the free roots, which all lie close to it: Aberth's (1973)
-circle, stretched along the real axis to their exact second moment where
-that is positive (see `_initial_points`); each sweep evaluates only the
-roots still moving.  A solve (`_solve`) is a generator that yields each
-array of points where it needs p and receives `_eval_vec`'s output, one
-request per step: its start, each double sweep, and its certificates
-with their real-axis snap candidates; an exact sweep (below) yields None,
-for one round with no evaluation.  So `find_roots_many` runs the sweeps of
+returns the -m exactly, with residual 0, never evaluated.  The sweeps are
+the Ehrlich-Aberth simultaneous iteration, started on one seed-rotated
+ellipse around the centroid of the free roots, which all lie close to it:
+Aberth's (1973) circle, stretched along the real axis to their exact
+second moment where that is positive, all read off q's integers (see
+`_initial_points`); each sweep evaluates only the roots still moving.  A
+solve (`_solve`) is a generator that yields each array of points where it
+needs p and receives `_eval_vec`'s output, one request per step: each
+double sweep, and its certificates at the free roots with their
+real-axis snap candidates; an exact sweep (below) yields None, for one
+round with no evaluation.  So `find_roots_many` runs the sweeps of
 many pairs under `_lockstep`, one `_eval_vec` call per row count
 min(d, n - d) and round; `find_roots` is that driver on one pair.  The
 evaluator also returns a noise floor from the summed moduli of the
@@ -153,10 +154,6 @@ def _log2_int(value: int) -> float:
     return math.log2(value >> shift) + shift
 
 
-def _log2_fraction(value: Fraction) -> float:
-    return _log2_int(abs(value.numerator)) - _log2_int(value.denominator)
-
-
 def _int_mantissa_exponent(value: int) -> Tuple[float, int]:
     shift = max(0, value.bit_length() - 60)
     return float(value >> shift if shift else value), shift
@@ -203,25 +200,26 @@ def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:
     return np.array([_log2_int(abs(c)) for c in coeffs], dtype=float)
 
 
-def _initial_points(params: HypersimplexParams, seed: int):
+def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     """Deterministic starting points for the free roots, on one ellipse
     around their centroid.
 
-    A step of the solve (see `_solve`): it yields c and c + i/2 in one
-    request for p, and returns the start points.  The free roots are the
-    M = N - k roots of the quotient q(z) = p(z) / ((z + 1) ... (z + k)) of
-    `ehrhart.pinned_roots`; where every root is pinned (d = 1 or n - d = 1)
-    there are none, and nothing is asked.
+    The free roots are the M = N - k roots of the quotient
+    q(z) = p(z) / ((z + 1) ... (z + k)) of `ehrhart.pinned_roots`, none
+    where every root is pinned (d = 1 or n - d = 1); nothing is evaluated
+    in product form.
 
     Aberth's start for q: with q's top coefficients q_M, q_{M-1}, q_{M-2}
     (`pinned_roots`' integers), s1 = -q_{M-1}/q_M and e2 = q_{M-2}/q_M, the
     sum and second elementary symmetric function of the free roots, the
-    centre c = s1 / M is their mean, and rho = (|q(c)| / |c_N|)^(1/M),
-    |q(c)| = |p(c)| / prod_m |c + m| with c_N p's leading coefficient, is the
-    geometric mean of their distances from c, measured from c + i/2
-    instead when p(c) = 0 (c = -1 at n = 2d, a pinned root, where
-    `find_roots` solves through `_half_degree_roots` instead).  The points
-    are c + a cos(theta_k) + i b sin(theta_k) with a = rho + h and
+    centre c = s1 / M, rounded to the double x / 2**B, is their mean, and
+    rho = (|q(c)| / |q_M|)^(1/M) is the geometric mean of their distances
+    from c.  q(c) 2**(BM) comes exactly from `_gaussian_horner` at shift 0
+    on q's integers, q_j shifted by B(M - j) (B >= 1), so
+    log2 rho = (log2 |q(c) 2**(BM)| - BM - log2 |q_M|) / M.  A pinned root
+    -m is no root of q, so q(c) = 0 only where c is a free root itself;
+    there the distances are measured from c + i/2, exactly the same way.
+    The points are c + a cos(theta_k) + i b sin(theta_k) with a = rho + h and
     b = rho - h, h = M2 / (2 M rho), where by Newton's identities
     M2 = sum (z_i - c)^2 = P2 - M c^2 exactly over the free roots, with
     their power sum P2 = s1^2 - 2 e2.  Then a + b = 2 rho keeps rho the
@@ -234,22 +232,19 @@ def _initial_points(params: HypersimplexParams, seed: int):
     rotation frac(golden ratio (seed + 1)) of a turn, so the start breaks
     the real-axis symmetry of the polynomial.
     """
-    pinned, quotient = pinned_roots(params)
+    _, quotient = pinned_roots(params)
     degree = len(quotient) - 1
     if degree == 0:
         return np.empty(0, dtype=complex)
     s1 = Fraction(-quotient[-2], quotient[-1])
     centre = float(s1 / degree)
-    S, _, E, _ = yield np.array([centre, complex(centre, 0.5)])
-    at = 0 if S[0] != 0 else 1
-    pinned_logs = np.log2(np.abs(complex(centre, 0.5 * at) + np.arange(1, pinned + 1))).sum()
-    lead = Fraction(_ehrhart_cached(params.d, params.n).coeffs[-1], math.factorial(params.n - 1))
-    log_dist = (
-        _values_log2(S, E)[at]
-        - _log2_int(math.factorial(params.n - 1))
-        - _log2_fraction(lead)  # the reduced a_N: the start points' last bits depend on it
-        - pinned_logs
-    )
+    bits = max(1, centre.as_integer_ratio()[1].bit_length() - 1)
+    x = _to_fixed(centre, bits)
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(quotient)]
+    re, im = _gaussian_horner(scaled, x, 0, 0)
+    if re == 0:  # c is a root of q: measure from c + i/2
+        re, im = _gaussian_horner(scaled, x, 1 << (bits - 1), 0)
+    log_dist = _log2_int(re * re + im * im) / 2 - bits * degree - _log2_int(abs(quotient[-1]))
     rho = 2.0 ** (log_dist / degree)
     h = 0.0
     if degree >= 3:
@@ -298,8 +293,8 @@ def _term_products(d: int, n, z: np.ndarray, mode: str = "derivative"):
     the low horizontal edge of (3, 6), lam = 1e-12, the modulus ratio of
     `bounds` would be 3.8e-12 off the exact one, against 1e-15 one factor a
     step.  The sampled ratios of `bounds` and the rigorous bound of
-    `_value_bounds` would pay that; the solver does not, as the pinned roots
-    still give exact zeros (w = m_j is exact there).  mode="value" never
+    `_value_bounds` would pay that; the solver does not evaluate at the
+    pinned roots, the real zeros every term shares.  mode="value" never
     builds prod_d and returns None in its place; the rescale test then
     looks at |prod| alone, so prod and exps may differ from the full call
     by a power of two that cancels in prod * 2**exps.  mode="error" builds
@@ -576,16 +571,12 @@ def _distance_product_lower(z: np.ndarray, count: Optional[int] = None):
     return np.where(usable, m * (1 - _gamma(8 * z.size)), 0.0), e
 
 
-def _values_log2(mantissa: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log2(np.abs(mantissa)) + exponent
-
-
 def _residuals(coeff_logs: np.ndarray, z: np.ndarray, values) -> np.ndarray:
     """residual = |P(z)| / sum_k |C_k| |z|^k, all in log2 space, from
     `_eval_vec`'s output `values` at z and `coeff_logs`, the log2 |C_k|."""
     S, _, E, _ = values
     with np.errstate(divide="ignore", invalid="ignore"):
+        value_logs = np.log2(np.abs(S)) + E
         logz = np.log2(np.abs(z))
         k = np.arange(coeff_logs.shape[0])[:, None]
         terms = coeff_logs[:, None] + k * logz[None, :]
@@ -595,7 +586,7 @@ def _residuals(coeff_logs: np.ndarray, z: np.ndarray, values) -> np.ndarray:
     # summed row after row, as sum(axis=0) does for two or more points (it
     # sums a single column pairwise), so a point's residual is batch-independent
     denom = top + np.log2(np.cumsum(np.exp2(terms - top[None, :]), axis=0)[-1])
-    return np.exp2(_values_log2(S, E) - denom)
+    return np.exp2(value_logs - denom)
 
 
 def _to_fixed(value: float, bits: int) -> int:
@@ -733,37 +724,41 @@ def _half_degree_roots(params: HypersimplexParams, tol: float) -> RootSet:
     backward stability (Edelman and Murakami 1995): no sweep and no start
     point, so the seed plays no part.  w is made complex before its square
     root, which would be NaN at a negative real double.  Each w gives
-    z = -1 +- sqrt(w), and z = -1 completes the n - 1 roots (at d = 1, Q is
-    a constant with no root); `_finish` certifies them on p itself.
+    z = -1 +- sqrt(w) (at d = 1, Q is a constant with no root); `_finish`
+    adds the pinned root z = -1 and certifies the others on p itself.
     """
     factor = _half_degree_factor(params)
     top = max(map(abs, factor))
     w = np.roots([c / top for c in reversed(factor)]).astype(complex)
     root = np.sqrt(w)
-    z = np.concatenate(([-1.0 + 0j], -1 + root, -1 - root))
+    z = np.concatenate((-1 + root, -1 - root))
     return (yield from _finish(params, z, tol, 0, True))
 
 
 def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended_sweeps=0):
-    """The roots z, snapped and sorted, with their residual certificates:
-    the last step of the solve, one request for p at z followed by the
-    real-axis snap candidates, the real parts of the roots near the axis.
-    Where p's coefficients cancel, far points meet this backward error (at
-    (30, 65), 0.11 (1 + |z|) from any root), so converged needs `clean_exit`,
-    the sweeps' correction test, too."""
+    """The free roots z and the pinned -1, ..., -k of `pinned_roots` (exact,
+    residual 0.0, never evaluated), snapped and sorted, with their residual
+    certificates: the last step of the solve, one request for p at z and
+    its real-axis snap candidates, the real parts of the free roots near the
+    axis, and none where z is empty.  Where p's coefficients cancel, far
+    points meet this backward error (at (30, 65), 0.11 (1 + |z|) from any
+    root), so converged needs `clean_exit`, the sweeps' correction test, too."""
     near = np.flatnonzero(
         (z.imag != 0) & (np.abs(z.imag) <= 10 * tol * (1 + np.abs(z.real)))
     )
     candidates = z.real[near].astype(complex)
     points = np.concatenate((z, candidates))
-    residuals = _residuals(_coefficient_logs(params), points, (yield points))
-    residuals, snap_residuals = residuals[:z.size], residuals[z.size:]
+    measured = np.empty(0)
+    if points.size:
+        measured = _residuals(_coefficient_logs(params), points, (yield points))
+    pinned, _ = pinned_roots(params)
+    snapped = np.concatenate((z, -np.arange(1, pinned + 1) + 0j))
+    residuals = np.concatenate((measured[:z.size], np.zeros(pinned)))
 
     # snap numerically-real roots onto the axis when the certificate allows
-    ok = snap_residuals <= tol
-    snapped = z.copy()
+    ok = measured[z.size:] <= tol
     snapped[near[ok]] = candidates[ok]
-    residuals[near[ok]] = snap_residuals[ok]
+    residuals[near[ok]] = measured[z.size:][ok]
     order = np.lexsort((snapped.imag, snapped.real))
     snapped = snapped[order]
     residuals = residuals[order]
@@ -781,23 +776,22 @@ def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended
 
 def _solve(params: HypersimplexParams, config: SolverConfig):
     """One pair's solve, as `find_roots` describes it, as a generator: it
-    yields each array of points where it needs p and p' in product form,
-    receives `_eval_vec`'s output there, and returns the RootSet.  The
-    exact refinement's sweeps yield None and compute their own ratios, and
-    the half-degree path asks for p only at its certificates."""
+    yields each array of free points where it needs p and p' in product
+    form, receives `_eval_vec`'s output there, and returns the RootSet.
+    The start is read off q's integers, the exact refinement's sweeps yield
+    None and compute their own ratios, and the half-degree path asks for p
+    only at its certificates."""
     d, n = params.d, params.n
     tol = config.resolved_tolerance(n - 1)
     if n == 2 * d:
         return (yield from _half_degree_roots(params, tol))
 
     pinned, quotient = pinned_roots(params)
-    exact = -np.arange(1, pinned + 1) + 0j
-    z = yield from _initial_points(params, config.seed)
-    ratios = functools.partial(_double_ratios, exact)
+    z = _initial_points(params, config.seed)
+    ratios = functools.partial(_double_ratios, -np.arange(1, pinned + 1) + 0j)
     iterations, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
     if settled:
-        roots = np.concatenate((z, exact))
-        result = yield from _finish(params, roots, tol, iterations, True)
+        result = yield from _finish(params, z, tol, iterations, True)
         if result.converged:
             return result
 
@@ -807,8 +801,7 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     slopes = [(k * c) << bits for k, c in enumerate(quotient)][1:]
     ratios = functools.partial(_exact_ratios, values, slopes, bits)
     sweeps, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
-    roots = np.concatenate((z, exact))
-    return (yield from _finish(params, roots, tol, iterations, settled, bits, sweeps))
+    return (yield from _finish(params, z, tol, iterations, settled, bits, sweeps))
 
 
 # The most rows x points one evaluator call of `_evaluate` takes from
@@ -910,11 +903,12 @@ def find_roots_many(
 ) -> list:
     """`find_roots` for every pair, each solve (`_solve`) a step of `_lockstep`.
 
-    A pair asks for p at its two start points, at each double sweep over its
-    free roots still moving, and at its residual certificates with their
-    snap candidates: iterations + 2 requests (one more when its settled
-    double result misses the certificate), one at n = 2d and where every
-    root is pinned; an exact sweep asks None, one round with no call.  Each
+    A pair asks for p at each double sweep over its free roots still
+    moving, and at its residual certificates on the free roots with their
+    snap candidates: iterations + 1 requests (one more when its settled
+    double result misses the certificate), one at n = 2d, and none where
+    every root is pinned (M = 0); the start and the pinned roots ask
+    nothing, and an exact sweep asks None, one round with no call.  Each
     point gets the bits it gets alone, so every RootSet is the one
     `find_roots` returns.
     Returns each pair's RootSet, or the exception that ended its solve.
@@ -928,22 +922,23 @@ def find_roots(
 ) -> RootSet:
     """All n-1 complex roots, by Ehrlich-Aberth iteration off the diagonal.
 
-    The roots -1, ..., -k of `ehrhart.pinned_roots` are returned exactly;
-    the sweeps move only the M = n - 1 - k free roots, the roots of the
-    quotient q, and none run where M = 0 (d = 1 or n - d = 1).
+    The roots -1, ..., -k of `ehrhart.pinned_roots` are returned exactly,
+    with residual 0.0 and never evaluated; the sweeps move only the
+    M = n - 1 - k free roots, the roots of the quotient q, and none run,
+    and nothing is evaluated, where M = 0 (d = 1 or n - d = 1).
     Deterministic given the seed, which only turns the start points along
-    their ellipse around the free roots' centroid (`_initial_points`).
-    Convergence demands both a small final correction and a residual
-    certificate on p at or below the tolerance, at all n - 1 roots: the
-    certificate, a backward error relative to p's coefficients, is met far
-    from any root where they cancel (see `_finish`).  The sweeps first run
-    in doubles; a root whose product-form value sinks into its rounding
-    noise (the alternating sum cancels deeply near n = 2d) stops there.  If
-    any root stopped that way, even with the certificate met, or the double
-    result misses it, the same iterates are refined by further sweeps whose
-    Newton ratios come from q's exact integer coefficients in fixed point,
-    with 1.5 times those coefficients' log2 spread plus 96 fractional bits
-    (see `_exact_ratios`).  `iterations` counts the double sweeps,
+    their ellipse around the free roots' centroid (`_initial_points`, read
+    off q's integers exactly).  Convergence demands both a small final
+    correction and a residual certificate on p at or below the tolerance,
+    at all M free roots: the certificate, a backward error relative to p's
+    coefficients, is met far from any root where they cancel (see
+    `_finish`).  The sweeps first run in doubles; a root whose product-form
+    value sinks into its rounding noise (the alternating sum cancels deeply
+    near n = 2d) stops there.  If any root stopped that way, even with the
+    certificate met, or the double result misses it, the same iterates are
+    refined by further sweeps whose Newton ratios come from q's exact
+    integer coefficients in fixed point, with 1.5 times those coefficients'
+    log2 spread plus 96 fractional bits (see `_exact_ratios`).  `iterations` counts the double sweeps,
     `extended_bits` and `extended_sweeps` the refinement.  A result that
     still misses the certificate is returned with converged=False.
 

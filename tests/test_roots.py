@@ -29,7 +29,7 @@ from hsroots.roots import (
     _initial_points,
     _int_mantissa_exponent,
     _lockstep,
-    _log2_fraction,
+    _log2_int,
     _to_fixed,
     _value_bounds,
     evaluate_scaled,
@@ -58,6 +58,10 @@ def delta_3_6_roots():
         root = cmath.sqrt(w)
         out.extend([-1 + root, -1 - root])
     return out
+
+
+def _log2_fraction(value: Fraction) -> float:
+    return _log2_int(abs(value.numerator)) - _log2_int(value.denominator)
 
 
 def match_distance(got, expected):
@@ -244,9 +248,9 @@ def test_find_roots_deterministic_per_seed():
 
 def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     # calls are packed by whole pairs, so a pair's own request beyond
-    # _BATCH_ENTRIES rows x points still takes one call: one for the two
-    # start points, one per double sweep and one for the certificates with
-    # their snap candidates, as when solved alone
+    # _BATCH_ENTRIES rows x points still takes one call: one per double
+    # sweep and one for the certificates with their snap candidates, as
+    # when solved alone; the start asks for nothing
     sizes = []
     real = hsroots.roots._eval_vec
 
@@ -258,19 +262,19 @@ def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
     rs = find_roots(HypersimplexParams(4, 20))
     assert rs.extended_bits is None
-    # the start points, then the first sweep of every free root: 19 - 4, as
-    # -1..-4 are pinned; the certificates take all 19 roots
-    assert sizes[:2] == [2, 15]
-    assert sizes[-1] >= 19 and len(sizes) == rs.iterations + 2
+    # first the sweep of every free root: 19 - 4, as -1..-4 are pinned; the
+    # certificates take the 15 free roots and their snap candidates
+    assert sizes[0] == 15
+    assert sizes[-1] >= 15 and len(sizes) == rs.iterations + 1
     assert {complex(-m) for m in range(1, 5)} <= set(rs.roots)
 
 
 def test_find_roots_many_makes_one_request_per_step(monkeypatch):
-    # a pair off the diagonal asks once for its start, once per double sweep
-    # and once for its certificates with their snap candidates, also when it
-    # is refined in exact arithmetic, as at (15, 31); at n = 2d the roots
-    # are Q's eigenvalues mapped back, and at (1, 3) every root is pinned, so
-    # only the certificates are asked for
+    # a pair off the diagonal asks once per double sweep and once for its
+    # certificates with their snap candidates, also when it is refined in
+    # exact arithmetic, as at (15, 31); at n = 2d the roots are Q's
+    # eigenvalues mapped back, so only the certificates are asked for, and
+    # at (1, 3) every root is pinned, so nothing is
     grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
     params = [HypersimplexParams(d, n) for d, n in grid]
     requests = [0] * len(params)
@@ -286,7 +290,7 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     assert solved[grid.index((15, 31))].extended_bits is not None
     for (d, n), rs, count in zip(grid, solved, requests):
         assert rs.converged, (d, n)
-        assert count == (1 if n == 2 * d or d == 1 else rs.iterations + 2), (d, n)
+        assert count == (0 if d == 1 else 1 if n == 2 * d else rs.iterations + 1), (d, n)
 
 
 @dataclass(frozen=True)
@@ -867,9 +871,9 @@ def test_each_exact_sweep_is_one_round_without_a_request(monkeypatch):
     monkeypatch.setattr(hsroots.roots, "_evaluate", recorded)
     rs = find_roots(HypersimplexParams(15, 31))
     assert rs.converged and rs.extended_sweeps > 0
-    # the start, each double sweep, the exact sweeps, the certificates and
-    # the round in which the solve returns
-    expected = [True] * (rs.iterations + 1) + [False] * rs.extended_sweeps + [True, False]
+    # each double sweep, the exact sweeps, the certificates and the round in
+    # which the solve returns; the start asks for nothing
+    expected = [True] * rs.iterations + [False] * rs.extended_sweeps + [True, False]
     assert asked == expected
 
 
@@ -985,18 +989,6 @@ def start_shape(params):
     return float(s1 / degree), s1 * s1 - 2 * e2 - s1 * s1 / degree
 
 
-def start_points(params, seed):
-    """`_initial_points` on its own, answered by `_eval_vec` at each
-    request, as `find_roots` answers it."""
-    step = _initial_points(params, seed)
-    try:
-        points = next(step)
-        while True:
-            points = step.send(_eval_vec(params.d, params.n, points))
-    except StopIteration as stop:
-        return stop.value
-
-
 def free_roots(params, roots):
     """The roots other than the pinned -1, ..., -k."""
     pinned, _ = pinned_roots(params)
@@ -1027,13 +1019,15 @@ def second_moment(points):
     return sum((z - sum(points) / len(points)) ** 2 for z in points)
 
 
-@pytest.mark.parametrize("d,n", [(2, 5), (3, 8), (4, 11), (7, 30), (9, 96)])
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 8), (4, 11), (7, 30), (9, 96), (2, 64), (4, 144)])
 def test_initial_points_on_aberth_circle(d, n):
     # Aberth's centre and radius for the quotient: the mean of the free roots
     # and (a + b) / 2 their geometric mean distance from it, both read off
-    # the polynomial before any sweep, whether the start is stretched or not
+    # the polynomial before any sweep, whether the start is stretched or
+    # not; at (2, 64) and (4, 144) the centre is a pinned root, where p
+    # vanishes but q does not, so the distances are still taken from c
     params = HypersimplexParams(d, n)
-    z = start_points(params, 0)
+    z = _initial_points(params, 0)
     centre = start_shape(params)[0]
     assert z.size == n - 1 - pinned_roots(params)[0]
     assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
@@ -1041,9 +1035,8 @@ def test_initial_points_on_aberth_circle(d, n):
     assert len(free) == z.size
     mean = sum(free) / len(free)
     assert abs(centre - mean) <= 1e-12 * abs(mean)
-    anchor = centre if evaluate_scaled(params, centre)[0] != 0 else complex(centre, 0.5)
     assert mean_radius(z, centre) == pytest.approx(
-        geometric_mean_distance(free, anchor), rel=1e-9
+        geometric_mean_distance(free, centre), rel=1e-9
     )
 
 
@@ -1051,7 +1044,7 @@ def test_initial_points_on_aberth_circle(d, n):
 def test_initial_points_match_the_second_moment(d, n):
     # stretched along the real axis until sum (z_k - c)^2 is the free roots' own
     params = HypersimplexParams(d, n)
-    z = start_points(params, 0)
+    z = _initial_points(params, 0)
     centre, moment = start_shape(params)
     assert moment > 0
     assert second_moment(z.tolist()) == pytest.approx(float(moment), rel=1e-12)
@@ -1064,16 +1057,17 @@ def test_initial_points_match_the_second_moment(d, n):
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 6), (8, 16), (13, 26)])
 def test_initial_points_when_the_centre_is_a_root(d, n):
     # at n = 2d the free roots are symmetric about -1, a pinned root: their
-    # centroid is an exact root of p, so the radius is measured from c + i/2
+    # centroid is an exact root of p but not of q, so the radius is still
+    # their geometric mean distance from c itself
     params = HypersimplexParams(d, n)
-    z = start_points(params, 0)
+    z = _initial_points(params, 0)
     assert np.isfinite(z).all() and len(set(z.tolist())) == n - 2
     centre = start_shape(params)[0]
     assert centre == -1.0 and evaluate_scaled(params, centre)[0] == 0
     rs = find_roots(params)
     assert rs.converged
     assert mean_radius(z, centre) == pytest.approx(
-        geometric_mean_distance(free_roots(params, rs.roots), complex(centre, 0.5)), rel=1e-9
+        geometric_mean_distance(free_roots(params, rs.roots), centre), rel=1e-9
     )
 
 
@@ -1086,7 +1080,7 @@ def test_initial_points_fall_back_to_the_circle(d, n):
     # match it: the start is Aberth's circle
     params = HypersimplexParams(d, n)
     centre, moment = start_shape(params)
-    z = start_points(params, 0)
+    z = _initial_points(params, 0)
     assert z.size <= 2 or moment <= 0
     assert np.abs(z - centre) == pytest.approx(np.full(z.size, abs(z[0] - centre)), rel=1e-12)
 
@@ -1094,14 +1088,11 @@ def test_initial_points_fall_back_to_the_circle(d, n):
 @pytest.mark.parametrize("d,n", [(1, 2), (1, 3), (1, 7), (2, 3), (3, 4), (1, 20), (19, 20)])
 def test_pairs_with_every_root_pinned_need_no_start(d, n, monkeypatch):
     # at d = 1 or n - d = 1 every root -1, ..., -(n-1) is pinned: the start
-    # is empty and asks for nothing, no sweep runs, and the only request is
-    # the certificates', where each root's residual is exactly 0
+    # is empty, no sweep runs, and nothing is evaluated, not even for the
+    # certificates, where each root's residual is exactly 0
     params = HypersimplexParams(d, n)
     assert pinned_roots(params)[0] == n - 1
-    step = _initial_points(params, 0)
-    with pytest.raises(StopIteration) as stop:
-        next(step)
-    assert stop.value.value.size == 0
+    assert _initial_points(params, 0).size == 0
     sizes = []
     real = hsroots.roots._eval_vec
 
@@ -1111,10 +1102,50 @@ def test_pairs_with_every_root_pinned_need_no_start(d, n, monkeypatch):
 
     monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
     rs = find_roots(params)
-    assert sizes == [n - 1]
+    assert sizes == []
     assert rs.roots == tuple(complex(-m) for m in range(n - 1, 0, -1))
     assert rs.residuals == (0.0,) * (n - 1)
     assert rs.iterations == 0 and rs.converged and rs.extended_bits is None
+
+
+def test_no_pinned_root_is_evaluated(monkeypatch):
+    # the solver asks for p only at free points: no point of any evaluator
+    # call is a pinned -m of its own pair, and every pinned root comes back
+    # with residual exactly 0.0, also at (2, 64), whose centre c = -16 is
+    # pinned, and on the diagonal (4, 8)
+    grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((2, 64), (4, 8), (9, 96))
+    params = [HypersimplexParams(d, n) for d, n in grid]
+    real = hsroots.roots._eval_vec
+    calls = []
+
+    def recorded(rows, runs, z):
+        lo = 0
+        for n, count in runs:
+            pinned, _ = pinned_roots(HypersimplexParams(rows, n))
+            calls.append(np.isin(z[lo:lo + count], -np.arange(1, pinned + 1)).any())
+            lo += count
+        return real(rows, runs, z)
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", recorded)
+    solved = find_roots_many(params)
+    assert calls and not any(calls)
+    for p, rs in zip(params, solved):
+        pinned, _ = pinned_roots(p)
+        residuals = dict(zip(rs.roots, rs.residuals))
+        assert all(residuals[complex(-m)] == 0.0 for m in range(1, pinned + 1)), (p.d, p.n)
+
+
+@pytest.mark.parametrize("d,n", [(4, 20), (2, 64), (9, 96), (1, 20)])
+def test_initial_points_evaluate_nothing(d, n, monkeypatch):
+    # the start is read off the quotient's integers alone
+    params = HypersimplexParams(d, n)
+
+    def refuses(*args):
+        raise AssertionError("the start evaluated p")
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", refuses)
+    z = _initial_points(params, 0)
+    assert z.size == n - 1 - pinned_roots(params)[0] and np.isfinite(z).all()
 
 
 def test_seed_rotates_the_start_circle():
@@ -1122,7 +1153,7 @@ def test_seed_rotates_the_start_circle():
     # leaves the centre and both axes alone
     params = HypersimplexParams(5, 17)
     centre = start_shape(params)[0]
-    base = start_points(params, 0)
+    base = _initial_points(params, 0)
     a, b = ellipse_axes(base, centre)
     assert a > 1.5 * b
 
@@ -1130,7 +1161,7 @@ def test_seed_rotates_the_start_circle():
         return (points - centre).real / a + 1j * (points - centre).imag / b
 
     for seed in (1, 2, 7):
-        z = start_points(params, seed)
+        z = _initial_points(params, seed)
         assert abs(z.mean() - centre) <= 1e-12 * abs(centre)
         assert ellipse_axes(z, centre) == pytest.approx((a, b), rel=1e-12)
         turn = math.modf(_GOLDEN * (seed + 1))[0] - math.modf(_GOLDEN)[0]
@@ -1142,9 +1173,11 @@ def test_seed_rotates_the_start_circle():
 def test_initial_points_keep_the_minor_axis_floor(monkeypatch):
     # the simplex roots -1..-19 lie on the real axis: the moment alone would
     # flatten the ellipse past b = 0, so b stops at rho / 4 and a at 7 rho / 4.
-    # Every one of them is pinned, and no quotient of a pair with n <= 120
-    # reaches the floor, so the quotient here is p itself: k = 0 hands the
-    # solver all 19 roots to start and sweep
+    # Every one of them is pinned, and no quotient of a pair reaches the
+    # floor (h / rho is at most 0.685 for d = 2..10, n <= 300, and 0.720 at
+    # (2, 2000)), so the quotient here is p itself: k = 0 hands the solver
+    # all 19 roots to start and sweep, and its centre c = -10 is a root of
+    # that q, so the radius is measured from c + i/2
     params = HypersimplexParams(1, 20)
     assert pinned_roots(params)[0] == 19
     fact = math.factorial(19)
@@ -1154,7 +1187,7 @@ def test_initial_points_keep_the_minor_axis_floor(monkeypatch):
     moment = sum((m - centre) ** 2 for m in range(-19, 0))
     rho = geometric_mean_distance(range(-19, 0), complex(centre, 0.5))
     assert moment / (2 * 19 * rho) > 0.75 * rho
-    z = start_points(params, 0)
+    z = _initial_points(params, 0)
     assert z.mean() == pytest.approx(centre, rel=1e-12)
     assert ellipse_axes(z, centre) == pytest.approx((1.75 * rho, 0.25 * rho), rel=1e-9)
     rs = find_roots(params)

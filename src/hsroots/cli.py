@@ -1,6 +1,8 @@
 """Command-line surface: single-instance queries, batch campaigns, plots.
 
 A campaign is configured by flags alone; `hsroots plot` draws its SVGs.
+Each command imports the layers it runs, so `poly`, `count`, `plot`,
+`--help` and argument errors load no numpy.
 
 Exit codes: 0 success/certified, 1 numeric-only pass without certification,
 2 invalid arguments or an unreadable/unwritable path, 3 verification failure.
@@ -12,22 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import (
-    ContourSpec,
-    check_aida,
-    check_d4_sum_bound,
-    check_h_negative,
-    check_hidari,
-    check_migi,
-    rouche_margin,
-)
-from .campaign import ROOTS_HEADER, CampaignConfig, roots_csv_lines, run_campaign
-from .ehrhart import HypersimplexParams, ehrhart_polynomial
 from .errors import HsrootsError
-from .lattice import CountQuery, count_points
-from .roots import SolverConfig, find_roots
-from .stability import BOUNDARY, verify_strip
-from .svgplot import write_group_svgs
 
 EXIT_OK = 0
 EXIT_NUMERIC_ONLY = 1
@@ -39,14 +26,18 @@ EXIT_FAILED = 3
 _SOLVER_FIELDS = {"max_iter": "max_iterations", "tolerance": "tolerance", "seed": "seed"}
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_config(args):
     """A SolverConfig from the solver flags that were given; SolverConfig
     supplies the defaults."""
+    from .roots import SolverConfig
+
     given = {field: getattr(args, key) for key, field in _SOLVER_FIELDS.items()}
     return SolverConfig(**{field: value for field, value in given.items() if value is not None})
 
 
 def cmd_poly(args) -> int:
+    from .ehrhart import HypersimplexParams, ehrhart_polynomial
+
     poly = ehrhart_polynomial(HypersimplexParams(args.d, args.n))
     coeffs = list(poly.coeffs)
     if args.format == "plain":
@@ -70,6 +61,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .lattice import CountQuery, count_points
+
     value = count_points(CountQuery(args.d, args.n, args.m, strict=args.strict))
     if args.format == "json":
         print(
@@ -83,6 +76,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .campaign import ROOTS_HEADER, roots_csv_lines
+    from .ehrhart import HypersimplexParams
+    from .roots import find_roots
+
     params = HypersimplexParams(args.d, args.n)
     config = _solver_config(args)
     rootset = find_roots(params, config)
@@ -112,6 +109,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .ehrhart import HypersimplexParams
+    from .roots import find_roots
+    from .stability import BOUNDARY, verify_strip
+
     params = HypersimplexParams(args.d, args.n)
     params.require_conjecture_domain()
     verdict = verify_strip(params, find_roots(params).roots)
@@ -128,6 +129,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import (
+        ContourSpec,
+        check_aida,
+        check_d4_sum_bound,
+        check_h_negative,
+        check_hidari,
+        check_migi,
+        rouche_margin,
+    )
+
     sub = args.bound_check
     if sub in ("migi", "hidari"):
         passed = {"migi": check_migi, "hidari": check_hidari}[sub](args.n, args.d, args.s)
@@ -166,7 +177,9 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if passed else EXIT_FAILED
 
 
-def _campaign_config(args) -> CampaignConfig:
+def _campaign_config(args):
+    from .campaign import CampaignConfig
+
     return CampaignConfig(
         d_min=args.d_min,
         d_max=args.d_max,
@@ -180,6 +193,8 @@ def _campaign_config(args) -> CampaignConfig:
 
 
 def cmd_campaign(args) -> int:
+    from .campaign import run_campaign
+
     config = _campaign_config(args)
     report = run_campaign(config)
     for row in report.rows:
@@ -203,6 +218,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .svgplot import write_group_svgs
+
     written = write_group_svgs(Path(args.roots), Path(args.out))
     for path in written:
         print(path)

@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hsroots
 import hsroots.campaign
@@ -185,7 +186,7 @@ def test_verify_reports_each_failed_side(capsys, monkeypatch):
         (stable, StabilityVerdict(UNSTABLE), "FAILED(right)"),
     ):
         verdict = StripVerdict(left, right)
-        monkeypatch.setattr(hsroots.cli, "verify_strip", lambda params, roots: verdict)
+        monkeypatch.setattr(hsroots.stability, "verify_strip", lambda params, roots: verdict)
         code, out, _ = run(capsys, "verify", "--d", "3", "--n", "6")
         assert (code, out.strip()) == (3, expected)
 
@@ -305,28 +306,121 @@ def test_public_names_resolve():
     assert not hasattr(hsroots, "ScaledComplex") and not hasattr(hsroots, "scaled")
 
 
+def fresh_python(*args):
+    """Run a fresh interpreter that imports hsroots from this checkout."""
+    src = str(Path(hsroots.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(hsroots.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-m", "hsroots", "--help"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("usage: hsroots")
+    assert fresh_python("-m", "hsroots", "--help").startswith("usage: hsroots")
 
 
-def test_import_leaves_mpmath_out():
-    src = str(Path(hsroots.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, hsroots; print('mpmath' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+# the last line printed: the heavy modules and the hsroots submodules loaded
+_LOADED = """
+print(json.dumps([
+    sorted({"numpy", "mpmath"} & set(sys.modules)),
+    sorted(m for m in sys.modules if m.startswith("hsroots.")),
+]))
+"""
+
+
+@pytest.mark.parametrize(
+    "statement, heavy, submodules",
+    [
+        pytest.param("pass", [], [], id="import"),
+        pytest.param(
+            "hsroots.ehrhart_polynomial(hsroots.HypersimplexParams(3, 7))",
+            [], ["ehrhart", "errors", "polynomial"], id="ehrhart_polynomial",
+        ),
+        pytest.param(
+            "hsroots.normalized_volume(hsroots.HypersimplexParams(3, 7))",
+            [], ["ehrhart", "errors", "polynomial"], id="normalized_volume",
+        ),
+        pytest.param(
+            "hsroots.count_points(hsroots.CountQuery(2, 4, 3))",
+            [], ["ehrhart", "errors", "lattice", "polynomial"], id="count_points",
+        ),
+        pytest.param(
+            "hsroots.cli.main(['poly', '--d', '3', '--n', '6'])",
+            [], ["cli", "ehrhart", "errors", "polynomial"], id="cli_poly",
+        ),
+        pytest.param(
+            "hsroots.cli.main(['count', '--d', '2', '--n', '4', '--m', '3'])",
+            [], ["cli", "ehrhart", "errors", "lattice", "polynomial"], id="cli_count",
+        ),
+        pytest.param(
+            "hsroots.cli.main(['plot', '--roots', f'{TMP}/roots.csv', '--out', TMP])",
+            [], ["cli", "errors", "svgplot"], id="cli_plot",
+        ),
+        pytest.param(
+            "with contextlib.suppress(SystemExit): hsroots.cli.main(['--help'])",
+            [], ["cli", "errors"], id="cli_help",
+        ),
+        pytest.param(
+            "with contextlib.suppress(SystemExit): hsroots.cli.main(['roots', '--d', 'x'])",
+            [], ["cli", "errors"], id="cli_bad_args",
+        ),
+        # the hook really loads: the solver's first name brings numpy in
+        pytest.param(
+            "hsroots.find_roots",
+            ["numpy"], ["ehrhart", "errors", "polynomial", "roots"], id="find_roots",
+        ),
+    ],
+)
+def test_import_loads_only_what_is_used(statement, heavy, submodules, tmp_path):
+    (tmp_path / "roots.csv").write_text("d,n,root_index,re,im,residual\n3,6,0,-1,0,0\n")
+    prelude = f"import contextlib, json, sys, hsroots\nTMP = {str(tmp_path)!r}"
+    out = fresh_python("-c", f"{prelude}\n{statement}\n{_LOADED}")
+    loaded = json.loads(out.splitlines()[-1])
+    assert loaded == [heavy, [f"hsroots.{name}" for name in submodules]]
+
+
+def test_public_surface_in_a_fresh_interpreter():
+    out = fresh_python("-c", """
+import json, sys
+import hsroots
+names = dir(hsroots)
+resolved = [hsroots.roots.__name__, hsroots.stability.__name__]
+same = [
+    getattr(hsroots, name) is getattr(sys.modules[f"hsroots.{module}"], name)
+    for name, module in hsroots._SOURCE.items()
+]
+star = {}
+exec("from hsroots import *", star)
+try:
+    hsroots.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "all": hsroots.__all__,
+    "table": [name for names in hsroots._EXPORTS.values() for name in names],
+    "dir": names,
+    "resolved": resolved,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "same": all(same),
+    "missing": missing,
+}))
+""")
+    surface = json.loads(out)
+    submodules = [
+        "bounds", "campaign", "cli", "ehrhart", "errors",
+        "lattice", "polynomial", "roots", "stability", "svgplot",
+    ]
+    assert surface["all"] == sorted(surface["table"])
+    assert len(set(surface["table"])) == len(surface["table"]) == 45
+    assert set(surface["dir"]) >= {*surface["all"], *submodules}
+    assert surface["resolved"] == ["hsroots.roots", "hsroots.stability"]
+    assert surface["star"] == surface["all"]
+    assert surface["same"]
+    assert surface["missing"] == "module 'hsroots' has no attribute 'no_such_name'"
 
 
 def test_bounds_pair_outside_the_domain_exit_2(capsys):

@@ -480,6 +480,16 @@ def _eval_vec(d: int, n, z: np.ndarray):
     return acc, acc_d, acc_e, noise * magnitude
 
 
+def _eval_values(d: int, n, z: np.ndarray):
+    """(S, E) with (n-1)! * p(z) = S * 2**E, summed as `_eval_vec` sums it
+    from `_aligned_terms` in value mode, one factor a step and no
+    derivative: what the residual certificates read.  n is an int or the
+    points' (n, count) runs, as `_eval_vec` takes it: each point gets the
+    bits it gets alone."""
+    _, prod, _, _, signed, acc_e, _, scale = _aligned_terms(d, _runs(n, z.size), z, "value")
+    return np.cumsum(prod * signed * scale, axis=0)[-1].copy(), acc_e
+
+
 def _gamma(k: int) -> float:
     """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
     return k * _U / (1 - k * _U)
@@ -573,8 +583,8 @@ def _distance_product_lower(z: np.ndarray, count: Optional[int] = None):
 
 def _residuals(coeff_logs: np.ndarray, z: np.ndarray, values) -> np.ndarray:
     """residual = |P(z)| / sum_k |C_k| |z|^k, all in log2 space, from
-    `_eval_vec`'s output `values` at z and `coeff_logs`, the log2 |C_k|."""
-    S, _, E, _ = values
+    `_eval_values`' output `values` at z and `coeff_logs`, the log2 |C_k|."""
+    S, E = values
     with np.errstate(divide="ignore", invalid="ignore"):
         value_logs = np.log2(np.abs(S)) + E
         logz = np.log2(np.abs(z))
@@ -616,9 +626,9 @@ def _gaussian_horner(coeffs: list, x: int, y: int, shift: int) -> Tuple[int, int
     return re, im
 
 
-def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
-    """Newton ratios p/p' from `_gaussian_horner`, each rounded once to double,
-    as a ratios step of `_ea_sweeps` that yields None: no evaluation.
+def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray) -> np.ndarray:
+    """Newton ratios p/p' at the points from `_gaussian_horner`, each rounded
+    once to double: the exact refinement's ratios (see `_Sweep`).
 
     `values` are the integer coefficients c_k << bits of p and `slopes` the
     coefficients (k c_k) << bits of p', so with N the degree of p the
@@ -626,10 +636,8 @@ def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
     |P / 2**bits - p(z)| <= 2**(1-bits) sum_{j<N} |z|**j and
     |D / 2**bits - p'(z)| <= 2**(1-bits) sum_{j<N-1} |z|**j.
     Python's int / int division rounds correctly; a ratio it cannot
-    represent comes back non-finite, as a double ratio would.  No point is
-    noise-limited.
+    represent comes back non-finite, as a double ratio would.
     """
-    yield None
     w = np.empty(points.size, dtype=complex)
     for i, z in enumerate(points):
         x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
@@ -640,60 +648,7 @@ def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray):
             w[i] = complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
         except (ZeroDivisionError, OverflowError):
             w[i] = math.inf
-    return w, np.zeros(points.size, dtype=bool)
-
-
-def _ea_sweeps(z: np.ndarray, ratios, tol: float, max_sweeps: int):
-    """Ehrlich-Aberth sweeps that move z in place; returns (sweeps, settled).
-
-    Each sweep runs `ratios(points)` on the roots still moving, a generator
-    that yields the points where it needs p (or None, needing no evaluation)
-    and returns the Newton ratios there and a mask of the points where p is
-    below its evaluation noise.  A root leaves the sweep once its correction
-    is at most tol * (1 + |z|), or once it is noise-limited: from there its
-    corrections only wander.  `settled` is True when every root left by the
-    correction test; an empty z takes no sweep.
-    """
-    active = np.ones(z.size, dtype=bool)
-    noise_limited = False
-    sweeps = 0
-    while active.any() and sweeps < max_sweeps:
-        sweeps += 1
-        idx = np.flatnonzero(active)
-        z_active = z[idx]
-        w, noisy = yield from ratios(z_active)
-        w[~np.isfinite(w)] = 0.0
-        denom = 1.0 - w * _repulsion(z_active, z, idx)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            correction = np.where(denom != 0, w / denom, w)
-        correction[~np.isfinite(correction)] = 0.0
-        z[idx] = z_active - correction
-        done = np.abs(correction) <= tol * (1.0 + np.abs(z[idx]))
-        noise_limited |= bool((noisy & ~done).any())
-        active[idx[done | noisy]] = False
-    return sweeps, not (noise_limited or active.any())
-
-
-def _repulsion(z_active: np.ndarray, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """sum_{j != i} 1 / (z_i - z_j) for each i in idx, z_active = z[idx].  A
-    function of its own, so that its len(idx) x len(z) array is freed before
-    `_ea_sweeps` yields again: in lockstep every pair's sweeps wait at once."""
-    diff = z_active[:, None] - z[None, :]
-    diff[np.arange(idx.size), idx] = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (1.0 / diff).sum(axis=1)
-
-
-def _double_ratios(exact: np.ndarray, points: np.ndarray):
-    """Newton ratios q/q' of q(z) = p(z) / prod_m (z + m) over the pinned
-    roots -m in `exact`, as 1 / (p'/p - sum_m 1 / (z + m)) from
-    `_eval_vec`'s output at the points, which it yields, and where |S| is
-    at most its noise floor."""
-    S, Sp, _, floor = yield points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        poles = (1.0 / (points[:, None] - exact)).sum(axis=1)
-        w = 1.0 / (Sp / S - poles)  # the shared exponent cancels in p'/p
-    return w, np.abs(S) <= floor
+    return w
 
 
 def _half_degree_factor(params: HypersimplexParams) -> list:
@@ -738,11 +693,12 @@ def _half_degree_roots(params: HypersimplexParams, tol: float) -> RootSet:
 def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended_sweeps=0):
     """The free roots z and the pinned -1, ..., -k of `pinned_roots` (exact,
     residual 0.0, never evaluated), snapped and sorted, with their residual
-    certificates: the last step of the solve, one request for p at z and
-    its real-axis snap candidates, the real parts of the free roots near the
-    axis, and none where z is empty.  Where p's coefficients cancel, far
-    points meet this backward error (at (30, 65), 0.11 (1 + |z|) from any
-    root), so converged needs `clean_exit`, the sweeps' correction test, too."""
+    certificates: the last step of the solve, one request for p's values
+    (`_eval_values`) at z and its real-axis snap candidates, the real parts
+    of the free roots near the axis, and none where z is empty.  Where p's
+    coefficients cancel, far points meet this backward error (at (30, 65),
+    0.11 (1 + |z|) from any root), so converged needs `clean_exit`, the
+    sweeps' correction test, too."""
     near = np.flatnonzero(
         (z.imag != 0) & (np.abs(z.imag) <= 10 * tol * (1 + np.abs(z.real)))
     )
@@ -750,7 +706,7 @@ def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended
     points = np.concatenate((z, candidates))
     measured = np.empty(0)
     if points.size:
-        measured = _residuals(_coefficient_logs(params), points, (yield points))
+        measured = _residuals(_coefficient_logs(params), points, (yield _eval_values, points))
     pinned, _ = pinned_roots(params)
     snapped = np.concatenate((z, -np.arange(1, pinned + 1) + 0j))
     residuals = np.concatenate((measured[:z.size], np.zeros(pinned)))
@@ -774,13 +730,35 @@ def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """A solve's request for Ehrlich-Aberth sweeps of its free roots z,
+    which `_lockstep` moves in place and answers with (sweeps, settled).
+
+    Each sweep moves the roots still moving by one update of `_Sweeps`,
+    with Newton ratios q/q' from `_eval_vec` and the `pinned` roots
+    -1, ..., -k, or, where `exact` is (values, slopes, bits), from
+    `_exact_ratios` on q's fixed-point coefficients.  A root leaves once its
+    correction is at most tol (1 + |z|), or once it is noise-limited (|p|
+    at most `_eval_vec`'s floor): from there its corrections only wander.
+    After `cap` sweeps every root stops.  `settled` is True when every root
+    left by the correction test; an empty z takes no sweep.
+    """
+
+    z: np.ndarray
+    pinned: int
+    tol: float
+    cap: int
+    exact: Optional[tuple] = None
+
+
 def _solve(params: HypersimplexParams, config: SolverConfig):
-    """One pair's solve, as `find_roots` describes it, as a generator: it
-    yields each array of free points where it needs p and p' in product
-    form, receives `_eval_vec`'s output there, and returns the RootSet.
-    The start is read off q's integers, the exact refinement's sweeps yield
-    None and compute their own ratios, and the half-degree path asks for p
-    only at its certificates."""
+    """One pair's solve, as `find_roots` describes it, as a step of
+    `_lockstep`: it hands the driver its free roots once for the double
+    sweeps, and once more for the exact refinement's, as a `_Sweep`, asks
+    for p's values at its certificates (`_finish`), and returns the
+    RootSet.  The start is read off q's integers, and the half-degree path
+    asks for p only at its certificates."""
     d, n = params.d, params.n
     tol = config.resolved_tolerance(n - 1)
     if n == 2 * d:
@@ -788,8 +766,7 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
 
     pinned, quotient = pinned_roots(params)
     z = _initial_points(params, config.seed)
-    ratios = functools.partial(_double_ratios, -np.arange(1, pinned + 1) + 0j)
-    iterations, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
+    iterations, settled = yield _Sweep(z, pinned, tol, config.max_iterations)
     if settled:
         result = yield from _finish(params, z, tol, iterations, True)
         if result.converged:
@@ -799,78 +776,298 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     bits = int(1.5 * (max(logs) - min(logs))) + 96
     values = [c << bits for c in quotient]
     slopes = [(k * c) << bits for k, c in enumerate(quotient)][1:]
-    ratios = functools.partial(_exact_ratios, values, slopes, bits)
-    sweeps, settled = yield from _ea_sweeps(z, ratios, tol, config.max_iterations)
+    exact = (values, slopes, bits)
+    sweeps, settled = yield _Sweep(z, pinned, tol, config.max_iterations, exact)
     return (yield from _finish(params, z, tol, iterations, settled, bits, sweeps))
 
 
-# The most rows x points one evaluator call of `_evaluate` takes from
-# several pairs; a larger request gets a call of its own, as alone.
-# Packing changes no bit, and the cap holds memory, not time: uncapped, a
+# The most entries one array call of the driver takes: rows x points in an
+# evaluator call of several pairs (a larger request gets a call of its own,
+# as alone), and points x padded width in a temporary of the sweep update.
+# Neither changes a bit, and the cap holds memory, not time: uncapped, a
 # numeric paper grid d = 4..10 peaked at 49.4 MB RSS against 40.3 MB
 # (certified d = 4..7: 33.9 against 32.8 MB), no faster beyond noise.
 _BATCH_ENTRIES = 1 << 12
 
+# -0 is the identity of addition, also beside a zero sum, so entries of a
+# row set to it leave the row's running sum bit for bit as it was
+_NEG_ZERO = complex(-0.0, -0.0)
 
-def _evaluate(evaluator, params_list: Sequence, requests: dict, seconds: list) -> dict:
-    """Each request's share of `evaluator`, `_eval_vec` or `_value_bounds`.
 
-    `requests` maps i to the points of pair params_list[i].  They are taken
-    by row count min(d, n - d), n descending and i, and cut into calls
-    evaluator(rows, runs, z) of one row count and at most `_BATCH_ENTRIES`
-    entries, rows x points (or one request alone), with whole pairs and each
-    pair's n as one (n, count) run; every output array is sliced back per
-    request.  Each call's time is shared out in `seconds` by products,
-    rows x (n - 1) per point.  If a call raises, each of its requests gets
-    the exception."""
-    keys = {}
-    for i in requests:
-        d, n = params_list[i].d, params_list[i].n
-        keys[i] = (_term_rows(d, n), n)
+def _packed(items) -> list:
+    """Cuts `items`, (key, rows, member, size) in packing order, into calls
+    (key, members): consecutive members of one key, up to `_BATCH_ENTRIES`
+    entries rows x points, and a larger member alone."""
     calls, entries = [], 0
-    for i in sorted(requests, key=lambda i: (keys[i][0], -keys[i][1], i)):
-        rows, size = keys[i][0], requests[i].size
-        if not calls or calls[-1][0] != rows or entries + size * rows > _BATCH_ENTRIES:
-            calls.append((rows, []))
+    for key, rows, member, size in items:
+        if not calls or calls[-1][0] != key or entries + size * rows > _BATCH_ENTRIES:
+            calls.append((key, []))
             entries = 0
-        calls[-1][1].append(i)
+        calls[-1][1].append(member)
         entries += size * rows
+    return calls
+
+
+def _call(evaluator, rows: int, runs: list, z: np.ndarray, members: list, seconds: list):
+    """evaluator(rows, runs, z), or the exception it raised; its time is
+    shared out in `seconds` to `members`, one per run, by products,
+    rows x (n - 1) per point."""
+    start = time.perf_counter()
+    try:
+        out = evaluator(rows, runs, z)
+    except Exception as exc:  # ends what this call's pairs were doing
+        out = exc
+    elapsed, total = time.perf_counter() - start, sum(c * (n - 1) for n, c in runs)
+    for i, (n, count) in zip(members, runs):
+        seconds[i] += elapsed * (count * (n - 1)) / total
+    return out
+
+
+def _evaluate(params_list: Sequence, requests: dict, seconds: list) -> dict:
+    """Each request's share of its evaluator.
+
+    `requests` maps i to (evaluator, points) of pair params_list[i]; the
+    evaluator, `_eval_values` or `_value_bounds`, is the request's kind.
+    They are taken by kind, in order of first request, then row count
+    min(d, n - d), n descending and i, and cut by `_packed` into calls
+    evaluator(rows, runs, z) of one kind and row count, with whole pairs and
+    each pair's n as one (n, count) run; every output array is sliced back
+    per request, and the time shared out by `_call`.  If a call raises,
+    each of its requests gets the exception."""
+    kinds = list(dict.fromkeys(evaluator for evaluator, _ in requests.values()))
+    keys = {}
+    for i, (evaluator, _) in requests.items():
+        d, n = params_list[i].d, params_list[i].n
+        keys[i] = (kinds.index(evaluator), _term_rows(d, n), n)
+    order = sorted(requests, key=lambda i: (keys[i][0], keys[i][1], -keys[i][2], i))
     answers = {}
-    for rows, members in calls:
-        runs = [(keys[i][1], requests[i].size) for i in members]
-        start = time.perf_counter()
-        try:
-            out = evaluator(rows, runs, np.concatenate([requests[i] for i in members]))
-        except Exception as exc:  # ends what this call's pairs were doing
-            out = exc
-        elapsed, total = time.perf_counter() - start, sum(c * (n - 1) for n, c in runs)
-        lo, failed = 0, isinstance(out, Exception)
-        for i, (n, count) in zip(members, runs):
-            answers[i] = out if failed else tuple(a[lo:lo + count] for a in out)
-            seconds[i] += elapsed * (count * (n - 1)) / total
+    for (kind, rows), members in _packed(
+        (keys[i][:2], keys[i][1], i, requests[i][1].size) for i in order
+    ):
+        runs = [(keys[i][2], requests[i][1].size) for i in members]
+        z = np.concatenate([requests[i][1] for i in members])
+        out = _call(kinds[kind], rows, runs, z, members, seconds)
+        lo = 0
+        for i, (_, count) in zip(members, runs):
+            answers[i] = out if isinstance(out, Exception) else tuple(a[lo:lo + count] for a in out)
             lo += count
     return answers
 
 
-def _lockstep(evaluator, params_list: Sequence, steps: Sequence) -> list:
-    """Drives one step generator per pair in rounds: each step yields the
-    points where it needs `evaluator`, all the round's points go to
-    `_evaluate`, and each step gets its share back by `send`, or by `throw`
-    the exception of its call; a step that yields None gets None and no
-    call.  Returns, in input order, what each step
-    returned, with `seconds` its own steps plus its share of each call, or
-    the exception that ended it: one raised by its own step ends no other."""
+class _Sweeps:
+    """The sweeps of every pair of `_lockstep` that asked for them (`_Sweep`),
+    one array step a round.
+
+    Row r of `table` holds one pair's free roots, then its pinned -1, ...,
+    -k, then inf up to the width of the widest pair, and `moving` marks the
+    free roots still moving.  The rows are in packing order, double ratios
+    before exact ones, then row count min(d, n - d), n descending and input
+    order, so each `_eval_vec` call of a round, cut by `_packed`, takes one
+    contiguous slice of the round's moving points.  The table stays in
+    place across rounds; it is rebuilt only when pairs join or leave.
+
+    A round takes the Newton ratios w of every moving point, from
+    1 / (p'/p - sum_m 1 / (z + m)) in doubles or, for an exact row, from
+    `_exact_ratios` pair by pair, sets w to 0 where it is not finite, and
+    moves the point by the correction w / (1 - w sum_{j != i} 1 / (z_i - z_j)),
+    over the pair's free roots, or by w where that denominator is 0, and not
+    at all where the correction is not finite, all from the round's old
+    points.  The sums over the row's free and pinned roots run along the
+    row in order (`np.cumsum`), every other entry -0 (`_NEG_ZERO`), so each
+    point gets the bits it gets alone, whatever the padding or the chunks of
+    at most `_BATCH_ENTRIES` entries that bound the update's temporaries.
+    """
+
+    def __init__(self, params_list: Sequence, seconds: list):
+        self.params_list, self.seconds = params_list, seconds
+        self.requests = {}  # pair -> its _Sweep, in row order
+        self.table = np.empty((0, 0), dtype=complex)
+        self.moving = np.empty((0, 0), dtype=bool)
+        self.sweeps = np.empty(0, dtype=np.int64)
+        self.noisy = np.empty(0, dtype=bool)
+
+    def __contains__(self, i) -> bool:
+        return i in self.requests
+
+    def join(self, joining: dict) -> dict:
+        """Adds the pairs of `joining`, i -> _Sweep; returns the answers of
+        those with no free root, which take no sweep."""
+        answers = {i: (0, True) for i, request in joining.items() if not request.z.size}
+        new = {i: request for i, request in joining.items() if request.z.size}
+        if new:
+            old = len(self.requests)
+            self.requests.update(new)
+            width = max(request.z.size for request in self.requests.values())
+            table = np.full((len(self.requests), width), complex(math.inf))
+            moving = np.zeros(table.shape, dtype=bool)
+            table[:old, :self.table.shape[1]] = self.table
+            moving[:old, :self.moving.shape[1]] = self.moving
+            for r, request in enumerate(new.values(), start=old):
+                table[r, :request.z.size] = request.z
+                moving[r, :request.z.size] = True
+            self.table, self.moving = table, moving
+            self.sweeps = np.concatenate((self.sweeps, np.zeros(len(new), dtype=np.int64)))
+            self.noisy = np.concatenate((self.noisy, np.zeros(len(new), dtype=bool)))
+            self._take(sorted(range(len(self.requests)), key=self._key(list(self.requests))))
+        return answers
+
+    def _key(self, members: list):
+        """The packing order of the rows of `members`, as a sort key of r."""
+        def key(r):
+            params = self.params_list[members[r]]
+            exact = self.requests[members[r]].exact is not None
+            return exact, _term_rows(params.d, params.n), -params.n, members[r]
+        return key
+
+    def _take(self, index):
+        """Keeps the rows `index`, in that order, and their per-row constants."""
+        index = np.asarray(index, dtype=np.intp)
+        members = list(self.requests)
+        members = [members[r] for r in index]
+        self.requests = {i: self.requests[i] for i in members}
+        params = [self.params_list[i] for i in members]
+        self.n = [p.n for p in params]
+        self.rows = [_term_rows(p.d, p.n) for p in params]
+        requests = list(self.requests.values())
+        self.doubles = sum(request.exact is None for request in requests)
+        self.free = np.array([request.z.size for request in requests], dtype=np.intp)
+        self.pinned = np.array([request.pinned for request in requests], dtype=np.intp)
+        self.tol = np.array([request.tol for request in requests], dtype=float)
+        self.cap = np.array([request.cap for request in requests], dtype=np.int64)
+        width = int(self.free.max(initial=0))
+        self.table, self.moving = self.table[index, :width], self.moving[index, :width]
+        self.sweeps, self.noisy = self.sweeps[index], self.noisy[index]
+
+    def round(self) -> dict:
+        """One sweep of every row; returns the answers of the pairs whose
+        sweeps ended: (sweeps, settled), or the exception of their failed
+        `_eval_vec` call or `_exact_ratios`, which ends exactly those pairs."""
+        if not self.requests:
+            return {}
+        start, spent = time.perf_counter(), 0.0
+        members = list(self.requests)
+        width = self.table.shape[1]
+        flat = np.flatnonzero(self.moving)
+        owner, column = np.divmod(flat, width)
+        z = self.table.ravel()[flat]
+        counts = np.bincount(owner, minlength=len(members)).tolist()
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.sweeps += 1
+        failed = {}
+        split = bounds[self.doubles]
+        S, Sp, floor = np.empty(split, dtype=complex), np.empty(split, dtype=complex), np.empty(split)
+        calls = _packed((self.rows[r], self.rows[r], r, counts[r]) for r in range(self.doubles))
+        for rows, rs in calls:
+            lo, hi = bounds[rs[0]], bounds[rs[-1] + 1]
+            runs = [(self.n[r], counts[r]) for r in rs]
+            call_start = time.perf_counter()
+            out = _call(_eval_vec, rows, runs, z[lo:hi], [members[r] for r in rs], self.seconds)
+            spent += time.perf_counter() - call_start
+            if isinstance(out, Exception):
+                failed.update(dict.fromkeys(rs, out))
+                S[lo:hi] = Sp[lo:hi] = floor[lo:hi] = math.nan
+            else:
+                S[lo:hi], Sp[lo:hi], _, floor[lo:hi] = out
+        w = np.empty(z.size, dtype=complex)
+        for r in range(self.doubles, len(members)):
+            lo, hi = bounds[r], bounds[r + 1]
+            ratio_start = time.perf_counter()
+            try:
+                w[lo:hi] = _exact_ratios(*self.requests[members[r]].exact, z[lo:hi])
+            except Exception as exc:  # ends this pair's sweeps; the others go on
+                failed[r] = exc
+                w[lo:hi] = math.nan
+            elapsed = time.perf_counter() - ratio_start
+            self.seconds[members[r]] += elapsed
+            spent += elapsed
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            repulsion, poles = self._sums(z, owner, column)
+            w[:split] = 1.0 / (Sp / S - poles[:split])  # the shared exponent cancels in p'/p
+            w[~np.isfinite(w)] = 0.0
+            denom = 1.0 - w * repulsion
+            correction = np.where(denom != 0, w / denom, w)
+        correction[~np.isfinite(correction)] = 0.0
+        z -= correction
+        done = np.abs(correction) <= self.tol[owner] * (1.0 + np.abs(z))
+        noisy = np.zeros(z.size, dtype=bool)
+        noisy[:split] = np.abs(S) <= floor
+        self.table.ravel()[flat] = z
+        self.noisy[owner[noisy & ~done]] = True
+        self.moving.ravel()[flat[done | noisy]] = False
+
+        left = self.moving.any(axis=1)
+        ended = ~left | (self.sweeps >= self.cap)
+        ended[list(failed)] = True
+        answers = {}
+        for r in np.flatnonzero(ended).tolist():
+            request = self.requests[members[r]]
+            if r in failed:
+                answers[members[r]] = failed[r]
+                continue
+            request.z[:] = self.table[r, :request.z.size]
+            answers[members[r]] = int(self.sweeps[r]), not (self.noisy[r] or left[r])
+        share = (time.perf_counter() - start - spent) / z.size
+        for i, count in zip(members, counts):
+            self.seconds[i] += share * count
+        if answers:
+            self._take(np.flatnonzero(~ended))
+        return answers
+
+    def _sums(self, z: np.ndarray, owner: np.ndarray, column: np.ndarray):
+        """For each moving point z_i, in row owner[i] at column column[i],
+        sum_{j != i} 1 / (z_i - z_j) over its row's free roots and
+        sum_m 1 / (z_i + m) over its pair's pinned roots, each a running sum
+        along the row (`np.cumsum`) read at the pair's own last entry, with
+        -0 in place of the term j = i, so no padding enters it.  The points
+        go in chunks of at most `_BATCH_ENTRIES` entries, each as wide as its
+        widest pair."""
+        repulsion = np.empty(z.size, dtype=complex)
+        poles = np.empty(z.size, dtype=complex)
+        step = max(1, _BATCH_ENTRIES // self.table.shape[1])
+        count = np.arange(step)
+        pinned = -np.arange(self.pinned.max() + 1) + 0j  # column 0 stands for no pole
+        for lo in range(0, z.size, step):
+            part = slice(lo, lo + step)
+            own = owner[part]
+            here = count[:own.size]
+            free, k = self.free[own], self.pinned[own]
+            inverse = 1.0 / (z[part, None] - self.table[own, :free.max()])
+            inverse[here, column[part]] = _NEG_ZERO
+            repulsion[part] = np.cumsum(inverse, axis=1)[here, free - 1]
+            inverse = 1.0 / (z[part, None] - pinned[:k.max() + 1])
+            inverse[:, 0] = _NEG_ZERO
+            poles[part] = np.cumsum(inverse, axis=1)[here, k]
+        return repulsion, poles
+
+
+def _lockstep(params_list: Sequence, steps: Sequence) -> list:
+    """Drives one step generator per pair in rounds.
+
+    A step yields what it needs next: (evaluator, points), a `_Sweep`, or
+    None.  Each round, the evaluator requests of all steps go to
+    `_evaluate`, and every sweeping pair takes one sweep in `_Sweeps.round`.
+    A step gets its share of its call back by `send`, or by `throw` the
+    exception of that call; (sweeps, settled) once its sweeps end, so it
+    waits one round per sweep; and None for None, in the next round with
+    no call.  Returns, in input order, what each step returned, with
+    `seconds` its own steps plus its share of each call and of each sweep
+    update, by its moving points, or the exception that ended it: one
+    raised by its own step ends no other."""
     outcomes = [None] * len(steps)
     seconds = [0.0] * len(steps)
+    sweeps = _Sweeps(params_list, seconds)
     live = dict(enumerate(steps))
     answers = dict.fromkeys(live)
     while live:
         requests = {}
         for i, step in list(live.items()):
+            if i in sweeps:
+                continue
             start = time.perf_counter()
             answer = answers[i]
             try:
-                if isinstance(answer, Exception):  # its evaluator call failed
+                if isinstance(answer, Exception):  # its call failed
                     requests[i] = step.throw(answer)
                 else:
                     requests[i] = step.send(answer)
@@ -881,9 +1078,11 @@ def _lockstep(evaluator, params_list: Sequence, steps: Sequence) -> list:
             seconds[i] += time.perf_counter() - start
             if i not in requests:
                 del live[i]
-        asked = {i: points for i, points in requests.items() if points is not None}
         answers = dict.fromkeys(requests)
-        answers.update(_evaluate(evaluator, params_list, asked, seconds))
+        answers.update(sweeps.join({i: r for i, r in requests.items() if isinstance(r, _Sweep)}))
+        asked = {i: r for i, r in requests.items() if isinstance(r, tuple)}
+        answers.update(_evaluate(params_list, asked, seconds))
+        answers.update(sweeps.round())
     return [
         outcome if isinstance(outcome, Exception) else replace(outcome, seconds=spent)
         for outcome, spent in zip(outcomes, seconds)
@@ -914,7 +1113,7 @@ def find_roots_many(
     Returns each pair's RootSet, or the exception that ended its solve.
     """
     config = config or SolverConfig()
-    return _lockstep(_eval_vec, params_list, [_solve(params, config) for params in params_list])
+    return _lockstep(params_list, [_solve(params, config) for params in params_list])
 
 
 def find_roots(
@@ -958,5 +1157,5 @@ def residual(params: HypersimplexParams, root: complex) -> float:
     """Relative backward error |p(root)| / sum_k |c_k| |root|^k; root as
     `_point` takes it."""
     z = _point(params.d, params.n, root)
-    values = _eval_vec(params.d, params.n, z)
+    values = _eval_values(params.d, params.n, z)
     return float(_residuals(_coefficient_logs(params), z, values)[0])

@@ -382,7 +382,8 @@ def _certify(params: HypersimplexParams, roots):
         points, count = _free_first(points, build.pinned)
         first = []
         if count:
-            first = _float_radii(build.coeffs[-1], points, (yield np.array(points[:count])))
+            values = yield _value_bounds, np.array(points[:count])
+            first = _float_radii(build.coeffs[-1], points, values)
         left_in, right_in = _disks(build.coeffs, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
     right = included if right_in else verify_half_plane(params, 0, "left_of")
@@ -402,7 +403,7 @@ def verify_strip_many(params_list: Sequence[HypersimplexParams], roots_list: Seq
     call ends the pairs in it.
     """
     pairs = zip(params_list, roots_list, strict=True)
-    return _lockstep(_value_bounds, params_list, [_certify(*pair) for pair in pairs])
+    return _lockstep(params_list, [_certify(*pair) for pair in pairs])
 
 
 def verify_strip(

@@ -179,11 +179,15 @@ def test_campaign_solves_each_pair_as_find_roots_does(tmp_path, monkeypatch, see
 
 @pytest.mark.parametrize("step", ["_finish", "_eval_vec"])
 def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch, step):
-    # (4, 9) fails in its own last step, or in the evaluator call it shares
-    # with the other pairs of row count 4 (all d = 4), which end with it,
-    # while the pairs of row count 5 go on
+    # (4, 9) fails in its own last step, or in the `_eval_vec` call of its
+    # last (sixth) sweep round, which it shares with every other pair of row
+    # count 4 (all d = 4) still sweeping, which end with it, while the
+    # diagonal (4, 8), the pairs of row count 4 done sweeping (after five
+    # sweeps) and those of row count 5 go on
     base = dict(d_min=4, d_max=5, certify=True)
     run_campaign(CampaignConfig(**base, output_dir=tmp_path / "all"))
+    row_four = [HypersimplexParams(4, n) for n in range(9, 25)]
+    sweeping = [p.n for p, rs in zip(row_four, find_roots_many(row_four)) if rs.iterations >= 6]
     real_step, real_eval_vec = getattr(hsroots.roots, step), hsroots.roots._eval_vec
     evaluations, failed_at, failed_n = [], [], []
 
@@ -197,8 +201,8 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
     def fails(*args):
         if step == "_finish":
             return args[0].n == 9
-        # from the second sweep of (4, 9) on: its first call goes through
-        return holds_9(args) and any(map(holds_9, evaluations))
+        # at the sixth sweep of (4, 9): its first five calls go through
+        return holds_9(args) and sum(map(holds_9, evaluations)) == 5
 
     def flaky(*args):
         if fails(*args):
@@ -213,7 +217,8 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
     # it failed once, while other pairs still had rounds to go
     assert len(failed_at) == 1 and 0 < failed_at[0] < len(evaluations)
     failed = sorted(failed_n[0])
-    assert 9 in failed and (len(failed) > 1) == (step == "_eval_vec")
+    assert failed == ([9] if step == "_finish" else sweeping)
+    assert 9 in failed and 1 < len(sweeping) < len(row_four)
     assert [error.split(": ", 1)[0] for error in report.errors] == [f"d=4 n={n}" for n in failed]
     assert all("RuntimeError: step exploded" in error for error in report.errors)
     for name in ("report.csv", "roots.csv"):
@@ -227,32 +232,38 @@ def test_campaign_pair_failing_mid_round_leaves_the_others(tmp_path, monkeypatch
 
 
 def test_campaign_evaluates_each_row_count_once_per_round(monkeypatch):
-    # a round makes one product-form evaluation per row count for the start
-    # points, a sweep, or the certificates with their snap candidates of all
-    # pairs; solved one pair after another, this grid took 486 evaluations
+    # a round makes at most one product-form evaluation per row count for
+    # the sweeps of all pairs, in derivative mode, and one for their
+    # certificates with their snap candidates, in value mode; the start
+    # evaluates nothing, the sweeps run in rounds 0..sweeps - 1 and the
+    # certificates in rounds 0..sweeps.  Solved one pair after another,
+    # this grid took 486 evaluations
     config = CampaignConfig(d_min=4, d_max=5, certify=False)
     off_diagonal = [HypersimplexParams(d, n) for d, n in config.pairs() if n != 2 * d]
     solved = find_roots_many(off_diagonal, config.solver)
     assert all(rs.extended_bits is None for rs in solved)
     sweeps = max(rs.iterations for rs in solved)
     row_counts = {min(p.d, p.n - p.d) for p in off_diagonal}
-    calls = []
+    modes = []
     real = hsroots.roots._term_products
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        modes.append(kwargs.get("mode", "derivative"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hsroots.roots, "_term_products", counted)
     run_campaign(config)
-    assert len(calls) <= (sweeps + 4) * len(row_counts)
+    assert set(modes) == {"derivative", "value"}
+    assert modes.count("derivative") <= sweeps * len(row_counts)
+    assert modes.count("value") <= (sweeps + 1) * len(row_counts)
 
 
 def test_campaign_certifies_each_row_count_in_one_batched_call(monkeypatch):
     # the certificates' value bounds are packed by the solver's plan: on
     # d = 4..5 one error-mode factor loop per `_value_bounds` call, at most
     # two per row count for the whole grid (2 in all), where certifying
-    # pair by pair took one per pair (43); the solver's stay in derivative mode
+    # pair by pair took one per pair (43); the solver's sweeps stay in
+    # derivative mode and its residual certificates in value mode
     config = CampaignConfig(d_min=4, d_max=5, certify=True)
     row_counts = {min(d, n - d) for d, n in config.pairs()}
     modes, bound_calls = [], []
@@ -270,7 +281,7 @@ def test_campaign_certifies_each_row_count_in_one_batched_call(monkeypatch):
     monkeypatch.setattr(hsroots.stability, "_value_bounds", counted_bounds)
     report = run_campaign(config)
     assert report.all_certified
-    assert set(modes) == {"derivative", "error"}
+    assert set(modes) == {"derivative", "value", "error"}
     assert 0 < modes.count("error") == len(bound_calls) <= 2 * len(row_counts) < len(config.pairs())
 
 

@@ -246,51 +246,86 @@ def test_find_roots_deterministic_per_seed():
     assert match_distance(c.roots, a.roots) < 1e-8
 
 
+def record_rounds(monkeypatch) -> list:
+    """Patches the solver's evaluators, `_exact_ratios` and the end of each
+    driver round (`_Sweeps.round`); returns the list that gets, round by
+    round, the (name, rows, runs, points) of each call made in it.  The last
+    entry is the empty round after the driver stops."""
+    rounds = [[]]
+    for name in ("_eval_vec", "_eval_values", "_exact_ratios"):
+        real = getattr(hsroots.roots, name)
+
+        def recorded(*args, name=name, real=real):
+            rows, runs = (None, None) if name == "_exact_ratios" else args[:2]
+            rounds[-1].append((name, rows, runs, args[-1].size))
+            return real(*args)
+
+        monkeypatch.setattr(hsroots.roots, name, recorded)
+    real_round = hsroots.roots._Sweeps.round
+
+    def closing(self):
+        answers = real_round(self)
+        rounds.append([])
+        return answers
+
+    monkeypatch.setattr(hsroots.roots._Sweeps, "round", closing)
+    return rounds
+
+
 def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
-    # calls are packed by whole pairs, so a pair's own request beyond
-    # _BATCH_ENTRIES rows x points still takes one call: one per double
-    # sweep and one for the certificates with their snap candidates, as
-    # when solved alone; the start asks for nothing
-    sizes = []
-    real = hsroots.roots._eval_vec
-
-    def counted(*args):
-        sizes.append(args[2].size)
-        return real(*args)
-
-    monkeypatch.setattr(hsroots.roots, "_eval_vec", counted)
+    # calls are packed by whole pairs, so a pair's own points beyond
+    # _BATCH_ENTRIES rows x points still take one call: one `_eval_vec` call
+    # per round of double sweeps, on the roots still moving, and one
+    # `_eval_values` call for the certificates with their snap candidates,
+    # as when solved alone; the start asks for nothing, and the sweep update
+    # takes its points one at a time
     monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
+    rounds = record_rounds(monkeypatch)
     rs = find_roots(HypersimplexParams(4, 20))
-    assert rs.extended_bits is None
-    # first the sweep of every free root: 19 - 4, as -1..-4 are pinned; the
-    # certificates take the 15 free roots and their snap candidates
-    assert sizes[0] == 15
-    assert sizes[-1] >= 15 and len(sizes) == rs.iterations + 1
+    assert rs.extended_bits is None and rs.iterations > 1
+    assert len(rounds) == rs.iterations + 3 and rounds[-2:] == [[], []]
+    sweeps = [calls for calls in rounds[:rs.iterations]]
+    assert all(len(calls) == 1 and calls[0][:2] == ("_eval_vec", 4) for calls in sweeps)
+    sizes = [calls[0][3] for calls in sweeps]
+    # first every free root: 19 - 4, as -1..-4 are pinned; then the ones still moving
+    assert sizes[0] == 15 and sizes == sorted(sizes, reverse=True) and sizes[-1] < 15
+    ((name, rows, runs, size),) = rounds[rs.iterations]
+    assert (name, rows, runs) == ("_eval_values", 4, [(20, size)]) and size >= 15
     assert {complex(-m) for m in range(1, 5)} <= set(rs.roots)
+    monkeypatch.undo()
+    assert repr(find_roots(HypersimplexParams(4, 20))) == repr(rs)
 
 
 def test_find_roots_many_makes_one_request_per_step(monkeypatch):
-    # a pair off the diagonal asks once per double sweep and once for its
+    # a pair off the diagonal is evaluated in iterations + 1 rounds, one
+    # call a round: in the `_eval_vec` call of its row count in each round
+    # of double sweeps, then in one `_eval_values` call for its
     # certificates with their snap candidates, also when it is refined in
-    # exact arithmetic, as at (15, 31); at n = 2d the roots are Q's
-    # eigenvalues mapped back, so only the certificates are asked for, and
-    # at (1, 3) every root is pinned, so nothing is
+    # exact arithmetic, as at (15, 31), whose exact sweeps take one round
+    # each; at n = 2d the roots are Q's eigenvalues mapped back, so only
+    # the certificates are evaluated, and at (1, 3) every root is pinned,
+    # so nothing is
     grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
     params = [HypersimplexParams(d, n) for d, n in grid]
-    requests = [0] * len(params)
-    real = hsroots.roots._evaluate
-
-    def counted(evaluator, pairs, asked, seconds):
-        for i in asked:
-            requests[i] += 1
-        return real(evaluator, pairs, asked, seconds)
-
-    monkeypatch.setattr(hsroots.roots, "_evaluate", counted)
+    rounds = record_rounds(monkeypatch)
     solved = find_roots_many(params)
     assert solved[grid.index((15, 31))].extended_bits is not None
-    for (d, n), rs, count in zip(grid, solved, requests):
+    for (d, n), rs in zip(grid, solved):
         assert rs.converged, (d, n)
-        assert count == (0 if d == 1 else 1 if n == 2 * d else rs.iterations + 1), (d, n)
+        seen = [
+            (r, name)
+            for r, calls in enumerate(rounds)
+            for name, rows, runs, _ in calls
+            if rows == min(d, n - d) and any(m == n for m, _ in runs)
+        ]
+        if d == 1:
+            expected = []
+        elif n == 2 * d:
+            expected = [(0, "_eval_values")]
+        else:
+            expected = [(r, "_eval_vec") for r in range(rs.iterations)]
+            expected.append((rs.iterations + rs.extended_sweeps, "_eval_values"))
+        assert seen == expected, (d, n)
 
 
 @dataclass(frozen=True)
@@ -301,29 +336,33 @@ class Toy:
     seconds: float = field(default=0.0, compare=False)
 
 
-def toy_step(points, rounds=1):
-    """Asks `rounds` times for its points and returns every answer seen."""
+class Doubler:
+    """A toy evaluator, the kind of the requests that name it: doubles its
+    points, or raises on calls of row count `fail_rows`, and records each
+    call's (rows, runs)."""
+
+    def __init__(self, fail_rows=None):
+        self.fail_rows, self.calls = fail_rows, []
+
+    def __call__(self, rows, runs, z):
+        self.calls.append((rows, runs))
+        if rows == self.fail_rows:
+            raise RuntimeError(f"toy call of row count {rows}")
+        return (2 * z,)
+
+
+def toy_step(kind, points, rounds=1):
+    """Asks `kind` `rounds` times for its points and returns every answer seen."""
     seen = []
     for _ in range(rounds):
-        (value,) = yield np.array(points, dtype=complex)
+        (value,) = yield kind, np.array(points, dtype=complex)
         seen.append(tuple(value.tolist()))
     return Toy(tuple(seen))
 
 
-def toy_driver(steps, pairs, fail_rows=None):
-    """`_lockstep` over `steps` with a toy evaluator that doubles its
-    points, or raises on calls of row count `fail_rows`; returns the
-    outcomes and each call's (rows, runs)."""
-    calls = []
-
-    def evaluator(rows, runs, z):
-        calls.append((rows, runs))
-        if rows == fail_rows:
-            raise RuntimeError(f"toy call of row count {rows}")
-        return (2 * z,)
-
-    params = [HypersimplexParams(d, n) for d, n in pairs]
-    return _lockstep(evaluator, params, steps), calls
+def toy_driver(steps, pairs):
+    """`_lockstep` over `steps`, one per (d, n) of `pairs`."""
+    return _lockstep([HypersimplexParams(d, n) for d, n in pairs], steps)
 
 
 def test_lockstep_ends_only_the_step_that_raises():
@@ -331,11 +370,12 @@ def test_lockstep_ends_only_the_step_that_raises():
         raise ValueError("broken on its first send")
         yield  # a generator that never reaches its yield
 
+    toy = Doubler()
     pairs = [(3, 7), (3, 7), (3, 7)]
-    out, calls = toy_driver([toy_step([1j], 2), broken(), toy_step([2.0], 2)], pairs)
+    out = toy_driver([toy_step(toy, [1j], 2), broken(), toy_step(toy, [2.0], 2)], pairs)
     assert isinstance(out[1], ValueError)
     assert out[0] == Toy(((2j,), (2j,))) and out[2] == Toy(((4.0,), (4.0,)))
-    assert calls == [(3, [(7, 1), (7, 1)])] * 2
+    assert toy.calls == [(3, [(7, 1), (7, 1)])] * 2
 
 
 def test_lockstep_throws_a_failed_call_into_exactly_its_steps():
@@ -343,15 +383,16 @@ def test_lockstep_throws_a_failed_call_into_exactly_its_steps():
     # a value it would be unpacked as an answer and fail there instead
     def catching(points):
         try:
-            yield np.array(points, dtype=complex)
+            yield toy, np.array(points, dtype=complex)
         except RuntimeError as exc:
             return Toy((str(exc),))
         return Toy(("answered",))
 
+    toy = Doubler(fail_rows=3)
     pairs = [(3, 7), (2, 7), (3, 8), (2, 9)]
-    steps = [catching([1.0]), catching([2.0]), toy_step([3.0]), toy_step([4.0])]
-    out, calls = toy_driver(steps, pairs, fail_rows=3)
-    assert calls == [(2, [(9, 1), (7, 1)]), (3, [(8, 1), (7, 1)])]
+    steps = [catching([1.0]), catching([2.0]), toy_step(toy, [3.0]), toy_step(toy, [4.0])]
+    out = toy_driver(steps, pairs)
+    assert toy.calls == [(2, [(9, 1), (7, 1)]), (3, [(8, 1), (7, 1)])]
     assert out[0] == Toy(("toy call of row count 3",)) and out[1] == Toy(("answered",))
     assert isinstance(out[2], RuntimeError) and str(out[2]) == "toy call of row count 3"
     assert out[3] == Toy(((8.0,),))
@@ -360,14 +401,37 @@ def test_lockstep_throws_a_failed_call_into_exactly_its_steps():
 def test_lockstep_returns_in_input_order_with_seconds():
     # the calls take the pairs by row count and n descending, the results
     # come back in input order, each with its own steps and call shares
+    toy = Doubler()
     pairs = [(2, 5), (3, 9), (2, 8), (4, 9), (3, 7)]
-    steps = [toy_step([complex(k, k)], rounds=k + 1) for k in range(len(pairs))]
-    out, calls = toy_driver(steps, pairs)
+    steps = [toy_step(toy, [complex(k, k)], rounds=k + 1) for k in range(len(pairs))]
+    out = toy_driver(steps, pairs)
     for k, result in enumerate(out):
         assert result == Toy(((complex(2 * k, 2 * k),),) * (k + 1)), k
         assert result.seconds > 0, k
-    assert calls[:3] == [(2, [(8, 1), (5, 1)]), (3, [(9, 1), (7, 1)]), (4, [(9, 1)])]
-    assert len(calls) == 3 + 3 + 3 + 2 + 1  # the row counts still asking, round by round
+    assert toy.calls[:3] == [(2, [(8, 1), (5, 1)]), (3, [(9, 1), (7, 1)]), (4, [(9, 1)])]
+    assert len(toy.calls) == 3 + 3 + 3 + 2 + 1  # the row counts still asking, round by round
+
+
+def test_lockstep_packs_calls_by_kind_and_row_count():
+    # requests of two kinds never share a call, not even at one row count;
+    # the kinds go in the order of their first request, each by row count,
+    # then n descending
+    first, second, order = Doubler(), Doubler(), []
+
+    def named(name, toy):
+        def evaluator(*args):
+            order.append(name)
+            return toy(*args)
+        return evaluator
+
+    kinds = [named("first", first), named("second", second)]
+    pairs = [(3, 7), (2, 7), (3, 8), (2, 9), (3, 9)]
+    steps = [toy_step(kinds[kind], [float(k)], 2) for k, kind in enumerate([0, 1, 1, 0, 0])]
+    out = toy_driver(steps, pairs)
+    assert out == [Toy(((2.0 * k,),) * 2) for k in range(len(pairs))]
+    assert first.calls == [(2, [(9, 1)]), (3, [(9, 1), (7, 1)])] * 2
+    assert second.calls == [(2, [(7, 1)]), (3, [(8, 1)])] * 2
+    assert order == ["first", "first", "second", "second"] * 2
 
 
 def test_lockstep_makes_no_call_for_a_step_that_never_yields():
@@ -375,10 +439,11 @@ def test_lockstep_makes_no_call_for_a_step_that_never_yields():
         return Toy((value,))
         yield
 
-    out, calls = toy_driver([direct(1), direct(2)], [(3, 7), (2, 7)])
-    assert out == [Toy((1,)), Toy((2,))] and calls == []
-    out, calls = toy_driver([direct(1), toy_step([5.0])], [(3, 7), (2, 7)])
-    assert out == [Toy((1,)), Toy(((10.0,),))] and calls == [(2, [(7, 1)])]
+    toy = Doubler()
+    out = toy_driver([direct(1), direct(2)], [(3, 7), (2, 7)])
+    assert out == [Toy((1,)), Toy((2,))] and toy.calls == []
+    out = toy_driver([direct(1), toy_step(toy, [5.0])], [(3, 7), (2, 7)])
+    assert out == [Toy((1,)), Toy(((10.0,),))] and toy.calls == [(2, [(7, 1)])]
 
 
 def test_lockstep_answers_a_none_request_with_none_and_no_call():
@@ -386,15 +451,17 @@ def test_lockstep_answers_a_none_request_with_none_and_no_call():
     # and a round in which every step says None makes no call at all
     def sometimes(points):
         first = yield None
-        (value,) = yield np.array(points, dtype=complex)
+        (value,) = yield toy, np.array(points, dtype=complex)
         last = yield None
         return Toy((first, tuple(value.tolist()), last))
 
-    out, calls = toy_driver([sometimes([1.0]), toy_step([2.0], 3)], [(3, 7), (2, 7)])
+    toy = Doubler()
+    out = toy_driver([sometimes([1.0]), toy_step(toy, [2.0], 3)], [(3, 7), (2, 7)])
     assert out == [Toy((None, (2.0,), None)), Toy(((4.0,),) * 3)]
-    assert calls == [(2, [(7, 1)]), (2, [(7, 1)]), (3, [(7, 1)]), (2, [(7, 1)])]
-    out, calls = toy_driver([sometimes([1.0])], [(3, 7)])
-    assert out == [Toy((None, (2.0,), None))] and calls == [(3, [(7, 1)])]
+    assert toy.calls == [(2, [(7, 1)]), (2, [(7, 1)]), (3, [(7, 1)]), (2, [(7, 1)])]
+    toy = Doubler()
+    out = toy_driver([sometimes([1.0])], [(3, 7)])
+    assert out == [Toy((None, (2.0,), None))] and toy.calls == [(3, [(7, 1)])]
 
 
 def test_degree_one():
@@ -859,45 +926,100 @@ def test_find_roots_refines_noise_limited_iterates():
 
 def test_each_exact_sweep_is_one_round_without_a_request(monkeypatch):
     # the refinement's ratios need no evaluation: each of its sweeps is one
-    # driver round in which _evaluate gets nothing for the pair, between the
-    # request of its last double sweep and that of its certificates
-    asked = []
-    real = hsroots.roots._evaluate
-
-    def recorded(evaluator, pairs, requests, seconds):
-        asked.append(0 in requests)
-        return real(evaluator, pairs, requests, seconds)
-
-    monkeypatch.setattr(hsroots.roots, "_evaluate", recorded)
+    # driver round with no evaluator call, only the pair's `_exact_ratios`
+    # on all its free roots, between the rounds of its double sweeps and
+    # that of its certificates
+    rounds = record_rounds(monkeypatch)
     rs = find_roots(HypersimplexParams(15, 31))
     assert rs.converged and rs.extended_sweeps > 0
-    # each double sweep, the exact sweeps, the certificates and the round in
-    # which the solve returns; the start asks for nothing
-    expected = [True] * rs.iterations + [False] * rs.extended_sweeps + [True, False]
-    assert asked == expected
+    names = [[name for name, *_ in calls] for calls in rounds]
+    # each double sweep, the exact sweeps, the certificates, the round in
+    # which the solve returns, and the empty one after the driver stops;
+    # the start asks for nothing
+    expected = [["_eval_vec"]] * rs.iterations + [["_exact_ratios"]] * rs.extended_sweeps
+    assert names == expected + [["_eval_values"], [], []]
+    assert rounds[rs.iterations][0][3] == 30 - pinned_roots(HypersimplexParams(15, 31))[0]
 
 
 def test_a_failed_exact_sweep_ends_only_its_own_pair(monkeypatch):
-    # (15, 31) and (16, 33) are both refined in fixed point; an exception in
-    # the ratios of the first ends that pair alone, and every other RootSet
-    # is the one find_roots returns on its own
+    # (15, 31) and (16, 33) are both refined in fixed point, and their exact
+    # sweeps share the array step of one round; an exception in the second
+    # exact ratios of the first ends that pair alone, the other's exact
+    # ratios still run in that round, and every other RootSet is the one
+    # find_roots returns on its own
     grid = [(15, 31), (16, 33), (4, 20), (5, 10), (1, 3)]
     params = [HypersimplexParams(d, n) for d, n in grid]
     alone = [find_roots(p) for p in params]
     assert alone[1].extended_bits is not None
     doomed = len(pinned_roots(params[0])[1])
-    real = hsroots.roots._exact_ratios
+    real, calls = hsroots.roots._exact_ratios, []
 
     def flaky(values, slopes, bits, points):
-        if len(values) == doomed:
-            yield None
+        calls.append(len(values) == doomed)
+        if calls[-1] and calls.count(True) == 2:
             raise ArithmeticError("fixed point failed")
-        return (yield from real(values, slopes, bits, points))
+        return real(values, slopes, bits, points)
 
     monkeypatch.setattr(hsroots.roots, "_exact_ratios", flaky)
     solved = find_roots_many(params)
     assert isinstance(solved[0], ArithmeticError)
     assert solved[1:] == alone[1:]
+    assert calls == [True, True, False] + [False] * (alone[1].extended_sweeps - 1)
+
+
+MIXED_GRID = CampaignConfig(d_min=4, d_max=5).pairs() + (
+    (15, 31), (16, 33), (9, 96), (2, 64), (1, 3), (2, 4)
+)
+CAPPED_GRID = ((4, 20), (5, 12), (15, 31), (2, 64), (2, 4), (1, 3))
+
+
+@pytest.mark.parametrize("entries", [None, 256])
+def test_find_roots_many_equals_find_roots_on_a_mixed_grid(entries, monkeypatch):
+    # every pair gets the RootSet find_roots gives it alone, repr for repr:
+    # the paper grid d = 4..5, (15, 31) and (16, 33) refined in fixed
+    # point, the tall (9, 96), (2, 64) with its centre pinned, (1, 3) with
+    # every root pinned and the diagonal (2, 4); and at max_iterations = 3,
+    # where (4, 20) stops at the cap and is refined.  With `_BATCH_ENTRIES`
+    # at 256 the padded sweep update takes its points a few at a time (3 a
+    # chunk while (9, 96) has its 85 free roots) and each row count's sweep
+    # points go to several calls
+    configs = [(MIXED_GRID, SolverConfig()), (CAPPED_GRID, SolverConfig(max_iterations=3))]
+    alone = [[find_roots(HypersimplexParams(d, n), config) for d, n in grid] for grid, config in configs]
+    stopped = alone[1][CAPPED_GRID.index((4, 20))]
+    assert stopped.iterations == 3 and stopped.extended_bits is not None
+    if entries is not None:
+        monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", entries)
+    for (grid, config), expected in zip(configs, alone):
+        solved = find_roots_many([HypersimplexParams(d, n) for d, n in grid], config)
+        assert list(map(repr, solved)) == list(map(repr, expected))
+
+
+def test_a_failed_sweep_call_ends_exactly_its_pairs(monkeypatch):
+    # with `_BATCH_ENTRIES` at 128 each sweep round cuts the d = 4 pairs into
+    # several `_eval_vec` calls; the one holding (4, 9) in the second round
+    # fails, which ends exactly the pairs of that call, and every other
+    # pair, of row count 4 too, gets the RootSet find_roots gives it alone
+    grid = CampaignConfig(d_min=4, d_max=5).pairs()
+    params = [HypersimplexParams(d, n) for d, n in grid]
+    alone = [find_roots(p) for p in params]
+    monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 128)
+    real, holding, failed = hsroots.roots._eval_vec, [], []
+
+    def flaky(rows, runs, z):
+        holding.append(rows == 4 and any(n == 9 for n, _ in runs))
+        if holding[-1] and holding.count(True) == 2:
+            failed.extend(n for n, _ in runs)
+            raise RuntimeError("sweep call failed")
+        return real(rows, runs, z)
+
+    monkeypatch.setattr(hsroots.roots, "_eval_vec", flaky)
+    solved = find_roots_many(params)
+    assert 9 in failed and 1 < len(failed) < len([n for d, n in grid if d == 4 and n != 8])
+    for (d, n), rs, own in zip(grid, solved, alone):
+        if d == 4 and n in failed:
+            assert isinstance(rs, RuntimeError) and str(rs) == "sweep call failed", n
+        else:
+            assert repr(rs) == repr(own), (d, n)
 
 
 @pytest.mark.parametrize("d,n", [(30, 61), (25, 51)])

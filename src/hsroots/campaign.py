@@ -1,11 +1,14 @@
 """Batch verification over (d, n) grids with CSV artifacts.
 
 The pairs are solved together, in lockstep (`roots.find_roots_many`):
-each sweep round evaluates p once for all pairs of one row count
-min(d, n - d), and every pair gets the roots and residual certificates
-that `find_roots` gives it alone.  Then the pairs that solved get the exact
-strip certificate together when requested (`stability.verify_strip_many`),
-run by the solver's own driver (`roots._lockstep`).  It starts from those
+each round takes one sweep of every pair still sweeping in one array step,
+evaluating p once for all pairs of one row count min(d, n - d) (under a
+memory cap), and the residual certificates asked for in that round in one
+value-only call per row count; every pair gets the roots and residual
+certificates that `find_roots` gives it alone.  Then the pairs that solved
+get the exact strip certificate together when requested
+(`stability.verify_strip_many`), run by the solver's own driver
+(`roots._lockstep`).  It starts from those
 roots: inclusion disks around them, bounded in floating point with a
 rigorous error term (one batched value-bound call per row count for the
 whole grid) and tested in exact integers where that bound falls short,
@@ -83,8 +86,9 @@ class CampaignRow:
     """Per-(d, n) outcome: exact verdict, numeric extrema, timing.
 
     `millis` is the pair's share of the wall time: its own solver and
-    certificate steps, and its share of each batched evaluation by the
-    products it took there (see `roots._lockstep`).
+    certificate steps, its share of each batched evaluation by the products
+    it took there, and of each sweep update by its points still moving (see
+    `roots._lockstep`).
     """
 
     d: int

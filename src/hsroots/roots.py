@@ -15,17 +15,17 @@ the strip certificate read, keep one factor a step, which is more
 accurate beside a real-axis zero of a factor.  `_aligned_terms` runs it
 on the min(d, n - d) terms and aligns them to the point's largest term
 exponent; `_eval_vec` sums them and their derivatives row after row, for
-the solver, the residual certificates, the real-axis snap and the
-single-point functions `evaluate_scaled`, `log_derivative` and
-`residual`.  `bounds` takes its
-modulus ratios from the same loop, as values without derivatives.  In
+the solver's sweeps and the single-point functions `evaluate_scaled` and
+`log_derivative`, and `_eval_values` sums the value-only terms for the
+residual certificates, the real-axis snap and `residual`.  `bounds` takes
+its modulus ratios from the same loop, as values without derivatives.  In
 its error mode the loop also carries a rigorous bound on each term's
 rounding error, from which `_value_bounds` bounds |p(z)| from above; with
 `_distance_product_lower` it gives `stability`'s strip certificate its
 only two float bounds.
 `_lockstep` drives the solves and certificates of many pairs in rounds, and
-`_evaluate`, its packing plan, cuts each round's points into calls of one
-row count min(d, n - d), whole pairs, n descending.
+`_packed`, its packing plan, cuts each round's points into calls of one
+kind (evaluator) and row count min(d, n - d), whole pairs, n descending.
 
 By Ehrhart-Macdonald reciprocity -1, ..., -k, k = (n-1) // min(d, n - d),
 are exact roots of every p (`ehrhart.pinned_roots`, checked by exact
@@ -39,21 +39,27 @@ ellipse around the centroid of the free roots, which all lie close to it:
 Aberth's (1973) circle, stretched along the real axis to their exact
 second moment where that is positive, all read off q's integers (see
 `_initial_points`); each sweep evaluates only the roots still moving.  A
-solve (`_solve`) is a generator that yields each array of points where it
-needs p and receives `_eval_vec`'s output, one request per step: each
-double sweep, and its certificates at the free roots with their
-real-axis snap candidates; an exact sweep (below) yields None, for one
-round with no evaluation.  So `find_roots_many` runs the sweeps of
-many pairs under `_lockstep`, one `_eval_vec` call per row count
-min(d, n - d) and round; `find_roots` is that driver on one pair.  The
-evaluator also returns a noise floor from the summed moduli of the
-alternating-sum terms, which bound its rounding error.  Near n = 2d the sum
-cancels below that floor; a root whose value sinks into the noise leaves the
-double sweep, and the iterates are then refined by further sweeps whose
-Newton ratios come from fixed-point q and q' on the quotient's exact integer
-coefficients, each from `_gaussian_horner`, the one Gaussian-integer Horner
-loop, which the exact disks of `stability` run too.  Only each ratio is
-rounded to double; the repulsion and the update stay in doubles.
+solve (`_solve`) is a generator: it hands the driver its free roots, pinned
+count, tolerance and cap once as a `_Sweep`, gets (sweeps, settled) back
+when they are done, and then asks for p's values at its certificates, the
+free roots with their real-axis snap candidates.  The driver (`_Sweeps`)
+keeps the free roots of every sweeping pair in one padded array that stays
+in place across rounds, and each round takes one sweep of all of them: the
+round's `_eval_vec` calls, one per row count min(d, n - d) and cap, on
+contiguous slices of the points still moving, then one Ehrlich-Aberth
+update of every such point in a fixed number of array operations per
+chunk, each point with the bits it gets alone.  So `find_roots_many` runs
+the sweeps of many pairs in lockstep, and `find_roots` is that driver on
+one pair.  `_eval_vec` also returns a noise floor from the summed moduli of
+the alternating-sum terms, which bound its rounding error.  Near n = 2d the
+sum cancels below that floor; a root whose value sinks into the noise leaves
+the double sweep, and the iterates are then refined by further sweeps of the
+same update whose Newton ratios come from fixed-point q and q' on the
+quotient's exact integer coefficients (`_exact_ratios`, pair by pair), each
+from `_gaussian_horner`, the one Gaussian-integer Horner loop, which the
+exact disks of `stability` run too.  Only each ratio is rounded to double;
+the repulsion and the update stay in doubles, and each exact sweep is one
+round with no evaluator call.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 runs no sweep: p(z) = (z + 1) Q((z + 1)**2) with deg Q = d - 1
@@ -858,13 +864,14 @@ class _Sweeps:
     """The sweeps of every pair of `_lockstep` that asked for them (`_Sweep`),
     one array step a round.
 
-    Row r of `table` holds one pair's free roots, then its pinned -1, ...,
-    -k, then inf up to the width of the widest pair, and `moving` marks the
-    free roots still moving.  The rows are in packing order, double ratios
-    before exact ones, then row count min(d, n - d), n descending and input
-    order, so each `_eval_vec` call of a round, cut by `_packed`, takes one
-    contiguous slice of the round's moving points.  The table stays in
-    place across rounds; it is rebuilt only when pairs join or leave.
+    Row r of `table` holds one pair's free roots, then inf up to the width
+    of the widest pair, and `moving` marks the free roots still moving; the
+    pinned -1, ..., -k are the same for every pair, so they come from one
+    shared row.  The rows are in packing order, double ratios before exact
+    ones, then row count min(d, n - d), n descending and input order, so
+    each `_eval_vec` call of a round, cut by `_packed`, takes one contiguous
+    slice of the round's moving points.  The table stays in place across
+    rounds; it is rebuilt only when pairs join or leave.
 
     A round takes the Newton ratios w of every moving point, from
     1 / (p'/p - sum_m 1 / (z + m)) in doubles or, for an exact row, from
@@ -872,10 +879,10 @@ class _Sweeps:
     moves the point by the correction w / (1 - w sum_{j != i} 1 / (z_i - z_j)),
     over the pair's free roots, or by w where that denominator is 0, and not
     at all where the correction is not finite, all from the round's old
-    points.  The sums over the row's free and pinned roots run along the
-    row in order (`np.cumsum`), every other entry -0 (`_NEG_ZERO`), so each
-    point gets the bits it gets alone, whatever the padding or the chunks of
-    at most `_BATCH_ENTRIES` entries that bound the update's temporaries.
+    points.  Every step but the two sums is elementwise, and the sums
+    (`_sums`) run along the row in order, so each point gets the bits it
+    gets alone, whatever the padding or the chunks of at most
+    `_BATCH_ENTRIES` entries that bound the update's temporaries.
     """
 
     def __init__(self, params_list: Sequence, seconds: list):
@@ -982,7 +989,7 @@ class _Sweeps:
             spent += elapsed
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            repulsion, poles = self._sums(z, owner, column)
+            repulsion, poles = self._sums(z, owner, column, bounds)
             w[:split] = 1.0 / (Sp / S - poles[:split])  # the shared exponent cancels in p'/p
             w[~np.isfinite(w)] = 0.0
             denom = 1.0 - w * repulsion
@@ -1014,21 +1021,30 @@ class _Sweeps:
             self._take(np.flatnonzero(~ended))
         return answers
 
-    def _sums(self, z: np.ndarray, owner: np.ndarray, column: np.ndarray):
+    def _sums(self, z: np.ndarray, owner: np.ndarray, column: np.ndarray, bounds: list):
         """For each moving point z_i, in row owner[i] at column column[i],
         sum_{j != i} 1 / (z_i - z_j) over its row's free roots and
         sum_m 1 / (z_i + m) over its pair's pinned roots, each a running sum
         along the row (`np.cumsum`) read at the pair's own last entry, with
-        -0 in place of the term j = i, so no padding enters it.  The points
-        go in chunks of at most `_BATCH_ENTRIES` entries, each as wide as its
-        widest pair."""
+        -0 in place of the term j = i, so no padding enters it.  Row r's
+        points are z[bounds[r]:bounds[r + 1]]; they go in chunks of whole
+        rows, as wide as their widest, of at most `_BATCH_ENTRIES` entries,
+        and a larger row alone, as it would be alone."""
         repulsion = np.empty(z.size, dtype=complex)
         poles = np.empty(z.size, dtype=complex)
-        step = max(1, _BATCH_ENTRIES // self.table.shape[1])
-        count = np.arange(step)
         pinned = -np.arange(self.pinned.max() + 1) + 0j  # column 0 stands for no pole
-        for lo in range(0, z.size, step):
-            part = slice(lo, lo + step)
+        widths = np.maximum(self.free, self.pinned + 1).tolist()
+        count = np.arange(z.size)
+        first = 0
+        while first < len(widths):
+            last, width = first + 1, widths[first]
+            while last < len(widths):
+                wider = max(width, widths[last])
+                if (bounds[last + 1] - bounds[first]) * wider > _BATCH_ENTRIES:
+                    break
+                last, width = last + 1, wider
+            part = slice(bounds[first], bounds[last])
+            first = last
             own = owner[part]
             here = count[:own.size]
             free, k = self.free[own], self.pinned[own]
@@ -1102,15 +1118,19 @@ def find_roots_many(
 ) -> list:
     """`find_roots` for every pair, each solve (`_solve`) a step of `_lockstep`.
 
-    A pair asks for p at each double sweep over its free roots still
-    moving, and at its residual certificates on the free roots with their
-    snap candidates: iterations + 1 requests (one more when its settled
-    double result misses the certificate), one at n = 2d, and none where
-    every root is pinned (M = 0); the start and the pinned roots ask
-    nothing, and an exact sweep asks None, one round with no call.  Each
-    point gets the bits it gets alone, so every RootSet is the one
-    `find_roots` returns.
-    Returns each pair's RootSet, or the exception that ended its solve.
+    The pairs sweep in lockstep: each round takes one double or exact sweep
+    of every pair still sweeping, in one array step (`_Sweeps`), with one
+    `_eval_vec` call per row count min(d, n - d) and cap on the free roots
+    still moving; an exact sweep makes no call.  A pair off the diagonal
+    is evaluated in iterations + 1 rounds: in each round of its double
+    sweeps, and in one `_eval_values` call for its residual certificates on
+    the free roots with their snap candidates (one more when its settled
+    double result misses the certificate); at n = 2d only in that one, and
+    nowhere where every root is pinned (M = 0).  The start and the pinned
+    roots are never evaluated.  Each point gets the bits it gets alone, in
+    any batch and any chunk of the update, so every RootSet is the one
+    `find_roots` returns.  Returns each pair's RootSet, or the exception
+    that ended its solve; a failed call ends exactly the pairs in it.
     """
     config = config or SolverConfig()
     return _lockstep(params_list, [_solve(params, config) for params in params_list])
@@ -1131,13 +1151,15 @@ def find_roots(
     correction and a residual certificate on p at or below the tolerance,
     at all M free roots: the certificate, a backward error relative to p's
     coefficients, is met far from any root where they cancel (see
-    `_finish`).  The sweeps first run in doubles; a root whose product-form
-    value sinks into its rounding noise (the alternating sum cancels deeply
-    near n = 2d) stops there.  If any root stopped that way, even with the
-    certificate met, or the double result misses it, the same iterates are
-    refined by further sweeps whose Newton ratios come from q's exact
-    integer coefficients in fixed point, with 1.5 times those coefficients'
-    log2 spread plus 96 fractional bits (see `_exact_ratios`).  `iterations` counts the double sweeps,
+    `_finish`), evaluated in value mode (`_eval_values`).  The sweeps first
+    run in doubles; a root whose product-form value sinks into its rounding
+    noise (the alternating sum cancels deeply near n = 2d) stops there.  If
+    any root stopped that way, even with the certificate met, or the double
+    result misses it, the same iterates are refined by further sweeps of the
+    same Ehrlich-Aberth update (`_Sweeps`) whose Newton ratios come from q's
+    exact integer coefficients in fixed point, with 1.5 times those
+    coefficients' log2 spread plus 96 fractional bits (see
+    `_exact_ratios`).  `iterations` counts the double sweeps,
     `extended_bits` and `extended_sweeps` the refinement.  A result that
     still misses the certificate is returned with converged=False.
 

@@ -800,6 +800,12 @@ _BATCH_ENTRIES = 1 << 12
 _NEG_ZERO = complex(-0.0, -0.0)
 
 
+def _packing_key(params: HypersimplexParams, i: int) -> tuple:
+    """Where pair i of params goes in a round: by row count min(d, n - d),
+    then n descending, then i."""
+    return _term_rows(params.d, params.n), -params.n, i
+
+
 def _packed(items) -> list:
     """Cuts `items`, (key, rows, member, size) in packing order, into calls
     (key, members): consecutive members of one key, up to `_BATCH_ENTRIES`
@@ -841,16 +847,12 @@ def _evaluate(params_list: Sequence, requests: dict, seconds: list) -> dict:
     per request, and the time shared out by `_call`.  If a call raises,
     each of its requests gets the exception."""
     kinds = list(dict.fromkeys(evaluator for evaluator, _ in requests.values()))
-    keys = {}
-    for i, (evaluator, _) in requests.items():
-        d, n = params_list[i].d, params_list[i].n
-        keys[i] = (kinds.index(evaluator), _term_rows(d, n), n)
-    order = sorted(requests, key=lambda i: (keys[i][0], keys[i][1], -keys[i][2], i))
+    keys = {i: (kinds.index(requests[i][0]), *_packing_key(params_list[i], i)) for i in requests}
     answers = {}
     for (kind, rows), members in _packed(
-        (keys[i][:2], keys[i][1], i, requests[i][1].size) for i in order
+        (keys[i][:2], keys[i][1], i, requests[i][1].size) for i in sorted(requests, key=keys.get)
     ):
-        runs = [(keys[i][2], requests[i][1].size) for i in members]
+        runs = [(params_list[i].n, requests[i][1].size) for i in members]
         z = np.concatenate([requests[i][1] for i in members])
         out = _call(kinds[kind], rows, runs, z, members, seconds)
         lo = 0
@@ -915,16 +917,12 @@ class _Sweeps:
             self.table, self.moving = table, moving
             self.sweeps = np.concatenate((self.sweeps, np.zeros(len(new), dtype=np.int64)))
             self.noisy = np.concatenate((self.noisy, np.zeros(len(new), dtype=bool)))
-            self._take(sorted(range(len(self.requests)), key=self._key(list(self.requests))))
+            keys = [
+                (request.exact is not None, *_packing_key(self.params_list[i], i))
+                for i, request in self.requests.items()
+            ]
+            self._take(sorted(range(len(keys)), key=keys.__getitem__))
         return answers
-
-    def _key(self, members: list):
-        """The packing order of the rows of `members`, as a sort key of r."""
-        def key(r):
-            params = self.params_list[members[r]]
-            exact = self.requests[members[r]].exact is not None
-            return exact, _term_rows(params.d, params.n), -params.n, members[r]
-        return key
 
     def _take(self, index):
         """Keeps the rows `index`, in that order, and their per-row constants."""

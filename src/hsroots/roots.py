@@ -894,6 +894,7 @@ class _Sweeps:
         self.moving = np.empty((0, 0), dtype=bool)
         self.sweeps = np.empty(0, dtype=np.int64)
         self.noisy = np.empty(0, dtype=bool)
+        self._take([])
 
     def __contains__(self, i) -> bool:
         return i in self.requests

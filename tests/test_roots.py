@@ -277,8 +277,8 @@ def test_find_roots_takes_one_evaluator_call_per_step(monkeypatch):
     # _BATCH_ENTRIES rows x points still take one call: one `_eval_vec` call
     # per round of double sweeps, on the roots still moving, and one
     # `_eval_values` call for the certificates with their snap candidates,
-    # as when solved alone; the start asks for nothing, and the sweep update
-    # takes its points one at a time
+    # as when solved alone, and so does its sweep update; the start asks
+    # for nothing
     monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", 8)
     rounds = record_rounds(monkeypatch)
     rs = find_roots(HypersimplexParams(4, 20))
@@ -980,8 +980,8 @@ def test_find_roots_many_equals_find_roots_on_a_mixed_grid(entries, monkeypatch)
     # point, the tall (9, 96), (2, 64) with its centre pinned, (1, 3) with
     # every root pinned and the diagonal (2, 4); and at max_iterations = 3,
     # where (4, 20) stops at the cap and is refined.  With `_BATCH_ENTRIES`
-    # at 256 the padded sweep update takes its points a few at a time (3 a
-    # chunk while (9, 96) has its 85 free roots) and each row count's sweep
+    # at 256 the sweep update's chunks hold a few small pairs each, padded
+    # to the widest, and every larger pair alone, and each row count's sweep
     # points go to several calls
     configs = [(MIXED_GRID, SolverConfig()), (CAPPED_GRID, SolverConfig(max_iterations=3))]
     alone = [[find_roots(HypersimplexParams(d, n), config) for d, n in grid] for grid, config in configs]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -462,6 +463,24 @@ def test_lockstep_answers_a_none_request_with_none_and_no_call():
     toy = Doubler()
     out = toy_driver([sometimes([1.0])], [(3, 7)])
     assert out == [Toy((None, (2.0,), None))] and toy.calls == [(3, [(7, 1)])]
+
+
+def test_each_pair_books_its_share_of_the_sweep_update(monkeypatch):
+    # the update's time goes to the pairs of its round, by their moving
+    # points: with the update slowed by 5 ms a round, a pair alone books at
+    # least 5 ms per double sweep, and a batch books each round's 5 ms
+    # among its pairs
+    real = hsroots.roots._Sweeps._sums
+
+    def slow(*args):
+        time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(hsroots.roots._Sweeps, "_sums", slow)
+    alone = find_roots(HypersimplexParams(4, 20))
+    assert alone.seconds >= 0.005 * alone.iterations > 0
+    solved = find_roots_many([HypersimplexParams(4, n) for n in (9, 20, 24)])
+    assert sum(rs.seconds for rs in solved) >= 0.005 * max(rs.iterations for rs in solved)
 
 
 def test_degree_one():

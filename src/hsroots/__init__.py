@@ -5,8 +5,8 @@ Importing the package loads none of its submodules and not numpy. Each
 public name, and each submodule (`hsroots.roots`, `hsroots.stability`, ...),
 is imported on first use through the module `__getattr__` (PEP 562) and kept
 in the package namespace from then on. The exact layer (`ehrhart`,
-`lattice`, `polynomial`) and `svgplot` run without numpy; the first name
-from `roots`, `stability`, `bounds` or `campaign` loads it.
+`lattice`, `polynomial`) runs without numpy; the first name from `roots`,
+`stability`, `bounds` or `campaign` loads it.
 """
 
 import importlib
@@ -21,22 +21,15 @@ _EXPORTS = {
         "f_term_modulus", "phi", "rouche_margin",
     ),
     "campaign": ("CampaignConfig", "CampaignRow", "VerificationReport", "run_campaign"),
-    "ehrhart": (
-        "HypersimplexParams", "binomial", "ehrhart_polynomial", "evaluate_exact",
-        "normalized_volume", "term_polynomial",
-    ),
-    "lattice": ("CountQuery", "count_points", "count_points_naive", "in_sublattice"),
+    "ehrhart": ("HypersimplexParams", "ehrhart_polynomial", "normalized_volume", "term_polynomial"),
+    "lattice": ("CountQuery", "count_points", "count_points_naive"),
     "polynomial": ("RationalPolynomial",),
-    "roots": (
-        "RootSet", "SolverConfig", "evaluate_scaled", "find_roots", "find_roots_many",
-        "log_derivative", "residual",
-    ),
+    "roots": ("RootSet", "SolverConfig", "find_roots", "find_roots_many", "residual"),
     "stability": (
         "StabilityVerdict", "StripVerdict", "inclusion_strip", "reflect_polynomial",
         "routh_hurwitz", "shift_polynomial", "verify_half_plane", "verify_strip",
         "verify_strip_many",
     ),
-    "svgplot": ("emit_svg", "write_group_svgs"),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "errors")
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

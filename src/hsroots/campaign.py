@@ -15,10 +15,9 @@ whole grid) and tested in exact integers where that bound falls short,
 prove a side of the strip, and only a side they cannot prove runs the
 Routh table.  Each pair gets the verdict `verify_strip` gives it alone.
 Results are gathered, sorted by (d, n), and written as `report.csv` and
-`roots.csv`; `hsroots plot` draws the roots as SVG scatter plots.  File
-contents are deterministic for a given configuration and seed, byte for
-byte from run to run: wall-clock timings are reported on the console and
-kept out of the CSV (its millis column is pinned to 0).
+`roots.csv`.  File contents are deterministic for a given configuration
+and seed, byte for byte from run to run: wall-clock timings are reported
+on the console and kept out of the CSV (its millis column is pinned to 0).
 """
 
 import traceback

@@ -1,8 +1,7 @@
-"""Command-line surface: single-instance queries, batch campaigns, plots.
+"""Command-line surface: single-instance queries and batch campaigns.
 
-A campaign is configured by flags alone; `hsroots plot` draws its SVGs.
-Each command imports the layers it runs, so `poly`, `count`, `plot`,
-`--help` and argument errors load no numpy.
+A campaign is configured by flags alone.  Each command imports the layers
+it runs, so `poly`, `count`, `--help` and argument errors load no numpy.
 
 Exit codes: 0 success/certified, 1 numeric-only pass without certification,
 2 invalid arguments or an unreadable/unwritable path, 3 verification failure.
@@ -217,15 +216,6 @@ def cmd_campaign(args) -> int:
     return EXIT_NUMERIC_ONLY if report.numeric_pass else EXIT_FAILED
 
 
-def cmd_plot(args) -> int:
-    from .svgplot import write_group_svgs
-
-    written = write_group_svgs(Path(args.roots), Path(args.out))
-    for path in written:
-        print(path)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hsroots",
@@ -243,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
     p_poly.set_defaults(func=cmd_poly)
 
-    p_count = commands.add_parser("count", help="brute-force lattice point count")
+    p_count = commands.add_parser("count", help="lattice point count by dynamic programming")
     add_dn(p_count)
     p_count.add_argument("--m", type=int, required=True)
     p_count.add_argument("--strict", action="store_true", help="count interior points")
@@ -296,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--certify", action="store_true", help="run the exact strip test")
     p_campaign.add_argument("--out", default="campaign_out", help="output directory")
     p_campaign.set_defaults(func=cmd_campaign)
-
-    p_plot = commands.add_parser("plot", help="SVG scatter from a roots CSV")
-    p_plot.add_argument("--roots", required=True)
-    p_plot.add_argument("--out", required=True)
-    p_plot.set_defaults(func=cmd_plot)
 
     return parser
 

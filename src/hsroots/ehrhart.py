@@ -69,20 +69,6 @@ class HypersimplexParams:
             )
 
 
-def binomial(a: int, k: int) -> int:
-    """Generalized binomial coefficient C(a, k) for any integer a, k >= 0.
-
-    Defined by the falling factorial a(a-1)...(a-k+1) / k!, which is an
-    exact integer for every integer a (e.g. C(-1, 2) = 1).
-    """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if a >= 0:
-        return math.comb(a, k)
-    # C(a, k) = (-1)^k C(k - a - 1, k) for negative a
-    return (-1) ** k * math.comb(k - a - 1, k)
-
-
 def _times_linear(coeffs: list, c: int) -> list:
     """Coefficients (lowest first) of coeffs(x) * (x + c)."""
     return [a * c + b for a, b in zip(coeffs + [0], [0] + coeffs)]
@@ -203,11 +189,6 @@ def pinned_roots(params: HypersimplexParams) -> Tuple[int, tuple]:
     """
     build = _ehrhart_cached(params.d, params.n)
     return build.pinned, build.quotient
-
-
-def evaluate_exact(poly: RationalPolynomial, m) -> Fraction:
-    """Exact Horner evaluation at an integer or rational point."""
-    return poly.evaluate(Fraction(m))
 
 
 def normalized_volume(params: HypersimplexParams) -> Fraction:

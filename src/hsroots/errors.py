@@ -17,14 +17,6 @@ class ConjectureDomain(HsrootsError, ValueError):
     """Operation requires the standing assumption 2d <= n."""
 
 
-class DimensionMismatch(HsrootsError, ValueError):
-    """Vector length incompatible with the requested lattice."""
-
-
-class EvaluationAtRoot(HsrootsError, ZeroDivisionError):
-    """Logarithmic derivative requested at an exact zero of the polynomial."""
-
-
 class ZeroPolynomial(HsrootsError, ValueError):
     """Stability test on the zero polynomial (or degree < 1)."""
 

@@ -1,4 +1,4 @@
-"""Brute-force lattice point counting for dilated hypersimplices.
+"""Lattice point counting for dilated hypersimplices.
 
 Counts integer vectors with coordinates in [0, m] (or [1, m-1] in strict
 mode) summing to d*m.  Deliberately independent of the closed-form
@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .ehrhart import HypersimplexParams, _integer
-from .errors import DimensionMismatch, InvalidParams
+from .errors import InvalidParams
 
 NAIVE_ENUMERATION_LIMIT = 10**7
 
@@ -80,20 +80,3 @@ def count_points_naive(query: CountQuery) -> int:
         )
     target = d * m
     return sum(1 for x in itertools.product(range(lo, hi + 1), repeat=n) if sum(x) == target)
-
-
-def in_sublattice(x, d: int) -> bool:
-    """Membership in the sublattice spanned by the hypersimplex vertices.
-
-    That lattice is exactly the integer vectors whose coordinate sum is
-    divisible by d (differences of vertices give all e_i - e_j, and d*e_1
-    is reachable, so the coordinate sum mod d is the only invariant).
-    d must be an integer (see `ehrhart._integer`) with d >= 1.
-    """
-    d = _integer("d", d)
-    if d < 1:
-        raise InvalidParams(f"need d >= 1, got d={d}")
-    x = list(x)
-    if len(x) <= d:
-        raise DimensionMismatch(f"vector length {len(x)} must exceed d={d}")
-    return sum(x) % d == 0

@@ -15,8 +15,7 @@ the strip certificate read, keep one factor a step, which is more
 accurate beside a real-axis zero of a factor.  `_aligned_terms` runs it
 on the min(d, n - d) terms and aligns them to the point's largest term
 exponent; `_eval_vec` sums them and their derivatives row after row, for
-the solver's sweeps and the single-point functions `evaluate_scaled` and
-`log_derivative`, and `_eval_values` sums the value-only terms for the
+the solver's sweeps, and `_eval_values` sums the value-only terms for the
 residual certificates, the real-axis snap and `residual`.  `bounds` takes
 its modulus ratios from the same loop, as values without derivatives.  In
 its error mode the loop also carries a rigorous bound on each term's
@@ -84,7 +83,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .ehrhart import HypersimplexParams, _ehrhart_cached, _integer, _term_rows, pinned_roots
-from .errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
+from .errors import DomainViolation, InvalidParams, StructureViolation
 from .polynomial import _taylor_shift
 
 _GOLDEN = 0.6180339887498949
@@ -174,29 +173,6 @@ def _point(d: int, n: int, z) -> np.ndarray:
     if not (cmath.isfinite(z) and d * abs(z) + n <= 2**51):
         raise DomainViolation(f"need a finite z with d|z| + n <= 2**51, got z={z}")
     return np.array([z])
-
-
-def evaluate_scaled(params: HypersimplexParams, z: complex) -> Tuple[complex, int]:
-    """(mantissa, exponent) with p(z) = mantissa * 2**exponent, from `_eval_vec`
-    of size 1, so values beyond the double range keep their exponent; z as
-    `_point` takes it."""
-    S, _, E, _ = _eval_vec(params.d, params.n, _point(params.d, params.n, z))
-    mantissa, exponent = _int_mantissa_exponent(math.factorial(params.n - 1))
-    return complex(S[0] / mantissa), int(E[0]) - exponent
-
-
-def log_derivative(params: HypersimplexParams, z: complex) -> complex:
-    """p'(z)/p(z), accumulated by the product rule so vanishing factors are
-    safe; z as `_point` takes it, and DomainViolation where the ratio
-    itself overflows doubles."""
-    S, Sp, _, _ = _eval_vec(params.d, params.n, _point(params.d, params.n, z))
-    if S[0] == 0:
-        raise EvaluationAtRoot(f"polynomial value vanished at {z}")
-    with np.errstate(over="ignore"):
-        ratio = complex(Sp[0] / S[0])  # the shared exponent cancels
-    if not cmath.isfinite(ratio):
-        raise DomainViolation(f"p'/p overflows doubles at z={z}")
-    return ratio
 
 
 def _coefficient_logs(params: HypersimplexParams) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -356,10 +357,6 @@ print(json.dumps([
             [], ["cli", "ehrhart", "errors", "lattice", "polynomial"], id="cli_count",
         ),
         pytest.param(
-            "hsroots.cli.main(['plot', '--roots', f'{TMP}/roots.csv', '--out', TMP])",
-            [], ["cli", "errors", "svgplot"], id="cli_plot",
-        ),
-        pytest.param(
             "with contextlib.suppress(SystemExit): hsroots.cli.main(['--help'])",
             [], ["cli", "errors"], id="cli_help",
         ),
@@ -374,10 +371,8 @@ print(json.dumps([
         ),
     ],
 )
-def test_import_loads_only_what_is_used(statement, heavy, submodules, tmp_path):
-    (tmp_path / "roots.csv").write_text("d,n,root_index,re,im,residual\n3,6,0,-1,0,0\n")
-    prelude = f"import contextlib, json, sys, hsroots\nTMP = {str(tmp_path)!r}"
-    out = fresh_python("-c", f"{prelude}\n{statement}\n{_LOADED}")
+def test_import_loads_only_what_is_used(statement, heavy, submodules):
+    out = fresh_python("-c", f"import contextlib, json, sys, hsroots\n{statement}\n{_LOADED}")
     loaded = json.loads(out.splitlines()[-1])
     assert loaded == [heavy, [f"hsroots.{name}" for name in submodules]]
 
@@ -412,15 +407,39 @@ print(json.dumps({
     surface = json.loads(out)
     submodules = [
         "bounds", "campaign", "cli", "ehrhart", "errors",
-        "lattice", "polynomial", "roots", "stability", "svgplot",
+        "lattice", "polynomial", "roots", "stability",
     ]
     assert surface["all"] == sorted(surface["table"])
-    assert len(set(surface["table"])) == len(surface["table"]) == 45
+    assert len(set(surface["table"])) == len(surface["table"]) == 38
     assert set(surface["dir"]) >= {*surface["all"], *submodules}
     assert surface["resolved"] == ["hsroots.roots", "hsroots.stability"]
     assert surface["star"] == surface["all"]
     assert surface["same"]
     assert surface["missing"] == "module 'hsroots' has no attribute 'no_such_name'"
+
+
+def readme_block(heading, language):
+    """The first ```language block after the README line `heading`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(f"\n{heading}\n"):]
+    start = after.index(f"```{language}\n") + len(language) + 4
+    return after[start:after.index("```", start)]
+
+
+def test_readme_library_sketch_runs():
+    exec(readme_block("## Library sketch", "python"), {})
+
+
+def test_readme_cli_lines_parse():
+    # a command or flag the docs show but the parser lacks fails here
+    lines = [line for line in readme_block("## CLI", "sh").splitlines() if line.startswith("hsroots ")]
+    assert len(lines) > 10
+    for line in lines:
+        argv = re.sub(r"\[[^]]*\]", "", line.split("#")[0]).split()[1:]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_bounds_pair_outside_the_domain_exit_2(capsys):
@@ -550,7 +569,6 @@ def test_unusable_paths_exit_2(tmp_path, capsys, monkeypatch):
     solved = []
     monkeypatch.setattr(hsroots.campaign, "find_roots_many", lambda *a: solved.append(a))
     for argv in (
-        ["plot", "--roots", str(tmp_path), "--out", str(tmp_path / "figs")],
         ["roots", "--d", "2", "--n", "5", "--out", str(tmp_path)],
         ["campaign", "--d-min", "2", "--d-max", "2", "--grid", "diagonal",
          "--out", str(existing_file)],
@@ -559,69 +577,3 @@ def test_unusable_paths_exit_2(tmp_path, capsys, monkeypatch):
         assert_one_error_line(code, out, err)
     assert existing_file.read_text() == ""
     assert solved == []  # the campaign's --out failed before the first pair
-
-
-def test_plot_roots_missing_column_exit_2(tmp_path, capsys):
-    roots = tmp_path / "roots.csv"
-    roots.write_text("d,n,root_index,re,residual\n1,4,0,-1.0,0.0\n")
-    code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
-    assert_one_error_line(code, out, err)
-    assert "line 2" in err and "'im'" in err
-
-
-def test_plot_roots_non_numeric_field_exit_2(tmp_path, capsys):
-    roots = tmp_path / "roots.csv"
-    roots.write_text("d,n,root_index,re,im,residual\n1,4,0,-1.0,0.0,0.0\n1,4,1,minus two,0.0,0.0\n")
-    code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
-    assert_one_error_line(code, out, err)
-    assert "line 3" in err
-
-
-def test_plot_roots_pair_outside_the_domain_exit_2(tmp_path, capsys):
-    for d, n in ((0, 4), (4, 4), (-1, 3)):
-        roots = tmp_path / "roots.csv"
-        roots.write_text(
-            f"d,n,root_index,re,im,residual\n1,4,0,-1.0,0.0,0.0\n{d},{n},0,-1.0,0.0,0.0\n"
-        )
-        code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
-        assert_one_error_line(code, out, err)
-        assert "line 3" in err and "1 <= d < n" in err, (d, n)
-    assert not (tmp_path / "figs").exists()
-
-
-def test_plot_roots_non_finite_point_exit_2(tmp_path, capsys):
-    for re, im in (("nan", "0.0"), ("-1.0", "inf"), ("-inf", "nan")):
-        roots = tmp_path / "roots.csv"
-        roots.write_text(f"d,n,root_index,re,im,residual\n1,4,0,{re},{im},0.0\n")
-        code, out, err = run(capsys, "plot", "--roots", str(roots), "--out", str(tmp_path / "figs"))
-        assert_one_error_line(code, out, err)
-        assert "line 2" in err and "finite" in err, (re, im)
-    assert not (tmp_path / "figs").exists()
-
-
-def test_plot_simplex_points(tmp_path, capsys):
-    code, _, _ = run(
-        capsys,
-        "campaign", "--d-min", "1", "--d-max", "1",
-        "--grid", "range", "--n-min", "4", "--n-max", "4",
-        "--certify", "--out", str(tmp_path / "camp"),
-    )
-    assert code == 0
-    code, out, _ = run(
-        capsys, "plot", "--roots", str(tmp_path / "camp" / "roots.csv"),
-        "--out", str(tmp_path / "figs"),
-    )
-    assert code == 0
-    svg = (tmp_path / "figs" / "roots_d1.svg").read_text()
-    assert svg.count("<circle") == 3
-    assert "Re=0" in svg and "Re=-4/1" in svg
-
-
-def test_plot_empty_roots_file(tmp_path, capsys):
-    empty = tmp_path / "roots.csv"
-    empty.write_text("d,n,root_index,re,im,residual\n")
-    code, out, _ = run(capsys, "plot", "--roots", str(empty), "--out", str(tmp_path / "figs"))
-    assert code == 0
-    svg = (tmp_path / "figs" / "roots_empty.svg").read_text()
-    assert "<circle" not in svg
-    assert "<line" in svg  # axes only

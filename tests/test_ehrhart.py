@@ -7,9 +7,7 @@ import pytest
 from hsroots.ehrhart import (
     HypersimplexParams,
     _divide_linear,
-    binomial,
     ehrhart_polynomial,
-    evaluate_exact,
     normalized_volume,
     pinned_roots,
     term_polynomial,
@@ -75,32 +73,6 @@ def test_divide_linear_is_exact_or_raises():
     # a remainder only in the constant term
     with pytest.raises(StructureViolation):
         _divide_linear([3, 1], 2)
-
-
-def test_binomial_small_values():
-    assert binomial(5, 3) == 10
-    assert binomial(4, 0) == 1
-    assert binomial(-1, 2) == 1  # (-1)(-2)/2
-
-
-def test_binomial_matches_comb_for_nonnegative():
-    for a in range(0, 12):
-        for k in range(0, 12):
-            assert binomial(a, k) == math.comb(a, k)
-
-
-def test_binomial_negative_matches_falling_factorial():
-    for a in range(-8, 0):
-        for k in range(0, 8):
-            num = 1
-            for j in range(k):
-                num *= a - j
-            assert binomial(a, k) * math.factorial(k) == num
-
-
-def test_binomial_rejects_negative_k():
-    with pytest.raises(ValueError):
-        binomial(3, -1)
 
 
 def test_term_polynomial_simplex():
@@ -206,9 +178,9 @@ def test_params_take_any_integer_type_but_bool():
 
 def test_evaluate_exact_examples():
     p24 = ehrhart_polynomial(HypersimplexParams(2, 4))
-    assert evaluate_exact(p24, 1) == 6  # the C(4,2) vertices
-    assert evaluate_exact(p24, 0) == 1
-    assert evaluate_exact(p24, 2) == 19  # brute-force count, see lattice tests
+    assert p24(1) == 6  # the C(4,2) vertices
+    assert p24(0) == 1
+    assert p24(2) == 19  # brute-force count, see lattice tests
 
 
 def test_normalized_volume_examples():
@@ -284,7 +256,7 @@ def test_reciprocity_roots_are_pinned_exactly():
             assert pinned == (n - 1) // min(d, n - d), (d, n)
             assert len(quotient) == n - pinned, (d, n)
             for m in range(1, pinned + 1):
-                assert evaluate_exact(poly, -m) == 0, (d, n, m)
+                assert poly(-m) == 0, (d, n, m)
             assert integer_roots_in(list(quotient), -n, 0) == [], (d, n)
             # quotient times (x + 1) ... (x + k) is (n-1)! p again
             product = list(quotient)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hsroots.ehrhart import HypersimplexParams, ehrhart_polynomial
-from hsroots.errors import DimensionMismatch, InvalidParams
-from hsroots.lattice import CountQuery, count_points, count_points_naive, in_sublattice
+from hsroots.errors import InvalidParams
+from hsroots.lattice import CountQuery, count_points, count_points_naive
 
 
 def test_count_vertices():
@@ -59,37 +59,6 @@ def test_complement_count_symmetry():
                 assert count_points(CountQuery(d, n, m)) == count_points(
                     CountQuery(n - d, n, m)
                 )
-
-
-def test_counted_points_lie_in_sublattice():
-    for n in range(3, 6):
-        for d in range(1, n - 1):
-            for m in range(3):
-                for x in itertools.product(range(m + 1), repeat=n):
-                    if sum(x) == d * m:
-                        assert in_sublattice(x, d)
-
-
-def test_in_sublattice_examples():
-    assert in_sublattice([1, -1, 0, 0], 2) is True  # e1 - e2
-    assert in_sublattice([1, 0, 0, 0], 2) is False  # e1
-    assert in_sublattice([2, 0, 0, 0], 2) is True  # 2*e1
-
-
-def test_in_sublattice_dimension_guard():
-    with pytest.raises(DimensionMismatch):
-        in_sublattice([1, 1], 2)
-
-
-def test_in_sublattice_validates_d():
-    # d = 0 divided by zero, and a bool d was taken as 1
-    for d in (0, -2):
-        with pytest.raises(InvalidParams, match="d >= 1"):
-            in_sublattice([1, 2, 3], d)
-    for d in (True, 2.0, 1.5):
-        with pytest.raises(InvalidParams, match="must be an integer"):
-            in_sublattice([1, 2, 3], d)
-    assert in_sublattice([1, 2, 3], np.int64(2)) is in_sublattice([1, 2, 3], 2) is True
 
 
 def test_query_validation():

@@ -13,10 +13,9 @@ from hsroots.ehrhart import (
     HypersimplexParams,
     _ehrhart_cached,
     ehrhart_polynomial,
-    evaluate_exact,
     pinned_roots,
 )
-from hsroots.errors import DomainViolation, EvaluationAtRoot, InvalidParams, StructureViolation
+from hsroots.errors import DomainViolation, InvalidParams, StructureViolation
 from hsroots.polynomial import RationalPolynomial
 from hsroots.roots import (
     _GOLDEN,
@@ -31,12 +30,11 @@ from hsroots.roots import (
     _int_mantissa_exponent,
     _lockstep,
     _log2_int,
+    _point,
     _to_fixed,
     _value_bounds,
-    evaluate_scaled,
     find_roots,
     find_roots_many,
-    log_derivative,
     residual,
 )
 from hsroots.stability import _dyadic, _integer_coefficients, verify_strip
@@ -70,16 +68,28 @@ def match_distance(got, expected):
     return max(min(abs(g - e) for g in got) for e in expected)
 
 
+def eval_at(params, z):
+    """`_eval_vec` at the one point `_point` makes of z: (S, Sp, E) with
+    P(z) = S 2**E and P'(z) = Sp 2**E, P = (n-1)! p."""
+    S, Sp, E, _ = _eval_vec(params.d, params.n, _point(params.d, params.n, z))
+    return complex(S[0]), complex(Sp[0]), int(E[0])
+
+
+def log_derivative(params, z):
+    """p'(z)/p(z) from one `eval_at`; the shared exponent cancels."""
+    S, Sp, _ = eval_at(params, z)
+    return Sp / S
+
+
 def test_evaluate_scaled_at_zero_is_one():
-    mantissa, exponent = evaluate_scaled(HypersimplexParams(3, 6), 0j)
-    val = mantissa * 2.0**exponent
-    assert val == pytest.approx(1.0, rel=1e-14)
+    S, _, E = eval_at(HypersimplexParams(3, 6), 0j)
+    assert S * 2.0**E / math.factorial(5) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_evaluate_scaled_at_known_roots():
     for params, root in ((HypersimplexParams(3, 6), -1 + 0j), (HypersimplexParams(1, 4), -2 + 0j)):
-        mantissa, exponent = evaluate_scaled(params, root)
-        assert abs(mantissa * 2.0**exponent) < 1e-12
+        S, _, E = eval_at(params, root)
+        assert abs(S * 2.0**E) / math.factorial(params.n - 1) < 1e-12
 
 
 def test_evaluate_scaled_matches_exact_rational():
@@ -90,10 +100,9 @@ def test_evaluate_scaled_matches_exact_rational():
         params = HypersimplexParams(d, n)
         poly = ehrhart_polynomial(params)
         for z in points:
-            exact = float(evaluate_exact(poly, z))
-            mantissa, exponent = evaluate_scaled(params, complex(z))
-            got = (mantissa * 2.0**exponent).real
-            assert got == pytest.approx(exact, rel=1e-12)
+            exact = float(poly(z) * math.factorial(n - 1))
+            S, _, E = eval_at(params, complex(z))
+            assert (S * 2.0**E).real == pytest.approx(exact, rel=1e-12)
 
 
 def test_evaluate_scaled_matches_exact_at_integers():
@@ -101,10 +110,9 @@ def test_evaluate_scaled_matches_exact_at_integers():
         params = HypersimplexParams(d, n)
         poly = ehrhart_polynomial(params)
         for m in range(6):
-            exact = float(evaluate_exact(poly, m))
-            mantissa, exponent = evaluate_scaled(params, complex(m))
-            got = (mantissa * 2.0**exponent).real
-            assert got == pytest.approx(exact, rel=1e-12)
+            exact = float(poly(m) * math.factorial(n - 1))
+            S, _, E = eval_at(params, complex(m))
+            assert (S * 2.0**E).real == pytest.approx(exact, rel=1e-12)
 
 
 def test_evaluate_scaled_beyond_double_range():
@@ -112,9 +120,9 @@ def test_evaluate_scaled_beyond_double_range():
     # 2**773 at (4, 120); the exponent carries what a double would overflow
     for d, n in [(10, 150), (4, 120)]:
         params = HypersimplexParams(d, n)
-        mantissa, exponent = evaluate_scaled(params, 1000 + 0j)
-        expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 1000))
-        assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
+        S, _, E = eval_at(params, 1000 + 0j)
+        expected = _log2_fraction(ehrhart_polynomial(params)(1000) * math.factorial(n - 1))
+        assert math.log2(abs(S)) + E == pytest.approx(expected, rel=1e-12)
 
 
 def test_single_point_functions_raise_beyond_their_range():
@@ -123,28 +131,22 @@ def test_single_point_functions_raise_beyond_their_range():
     # 1e18 is past the bound (7e18 > 2**51) though it would still evaluate,
     # and at 1e19 sixteen factors overflow between two rescales
     params = HypersimplexParams(7, 63)
-    mantissa, exponent = evaluate_scaled(params, 1e14)
-    expected = _log2_fraction(evaluate_exact(ehrhart_polynomial(params), 10**14))
-    assert math.log2(abs(mantissa)) + exponent == pytest.approx(expected, rel=1e-12)
+    S, _, E = eval_at(params, 1e14)
+    expected = _log2_fraction(ehrhart_polynomial(params)(10**14) * math.factorial(62))
+    assert math.log2(abs(S)) + E == pytest.approx(expected, rel=1e-12)
     assert log_derivative(params, 1e14) == pytest.approx(62e-14, rel=1e-12)
     assert residual(params, 1e14) == pytest.approx(1.0, rel=1e-9)
     for z in (1e18, 1e18j, -1e18 + 3j, 1e19, complex(math.nan, 0), complex(0, math.inf)):
-        for function in (evaluate_scaled, log_derivative, residual):
+        for function in (eval_at, residual):
             with pytest.raises(DomainViolation, match=r"d\|z\| \+ n <= 2\*\*51"):
                 function(params, z)
     # the edge itself: at (1, 3), z = -(2**51 - 3) is in and one more is out
     simplex = HypersimplexParams(1, 3)
-    mantissa, exponent = evaluate_scaled(simplex, -(2.0**51 - 3))
-    edge = evaluate_exact(ehrhart_polynomial(simplex), -(2**51 - 3))
-    assert mantissa * 2.0**exponent == pytest.approx(float(edge), rel=1e-15)
+    S, _, E = eval_at(simplex, -(2.0**51 - 3))
+    edge = ehrhart_polynomial(simplex)(-(2**51 - 3)) * math.factorial(2)
+    assert S * 2.0**E == pytest.approx(float(edge), rel=1e-15)
     with pytest.raises(DomainViolation):
-        evaluate_scaled(simplex, -(2.0**51 - 2))
-    # inside the domain p'/p itself can overflow: 1e-310 above the root -1,
-    # p'/p is about -1e310 i
-    params = HypersimplexParams(4, 20)
-    assert log_derivative(params, complex(-1, 1e-300)).imag == pytest.approx(-1e300, rel=1e-12)
-    with pytest.raises(DomainViolation, match="p'/p overflows doubles"):
-        log_derivative(params, complex(-1, 1e-310))
+        eval_at(simplex, -(2.0**51 - 2))
 
 
 def test_log_derivative_simplex_values():
@@ -157,10 +159,7 @@ def test_log_derivative_simplex_values():
 def test_log_derivative_at_gaussian_point_matches_exact():
     params = HypersimplexParams(2, 4)
     poly = ehrhart_polynomial(params)
-    deriv_coeffs = [k * c for k, c in enumerate(poly.coeffs)][1:]
-    from hsroots.polynomial import RationalPolynomial
-
-    deriv = RationalPolynomial(deriv_coeffs)
+    deriv = RationalPolynomial([k * c for k, c in enumerate(poly.coeffs)][1:])
     p_re, p_im = gaussian_eval(poly, Fraction(0), Fraction(1))
     d_re, d_im = gaussian_eval(deriv, Fraction(0), Fraction(1))
     denom = p_re * p_re + p_im * p_im
@@ -168,14 +167,7 @@ def test_log_derivative_at_gaussian_point_matches_exact():
         float((d_re * p_re + d_im * p_im) / denom),
         float((d_im * p_re - d_re * p_im) / denom),
     )
-    got = log_derivative(params, 1j)
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_log_derivative_raises_at_exact_root():
-    # -1 is an exact root of the d=1 polynomials and the sum vanishes exactly
-    with pytest.raises(EvaluationAtRoot):
-        log_derivative(HypersimplexParams(1, 3), -1 + 0j)
+    assert log_derivative(params, 1j) == pytest.approx(expected, rel=1e-10)
 
 
 def test_find_roots_simplex():
@@ -1204,7 +1196,7 @@ def test_initial_points_when_the_centre_is_a_root(d, n):
     z = _initial_points(params, 0)
     assert np.isfinite(z).all() and len(set(z.tolist())) == n - 2
     centre = start_shape(params)[0]
-    assert centre == -1.0 and evaluate_scaled(params, centre)[0] == 0
+    assert centre == -1.0 and eval_at(params, centre)[0] == 0
     rs = find_roots(params)
     assert rs.converged
     assert mean_radius(z, centre) == pytest.approx(

@@ -23,9 +23,9 @@ compare are products over one arithmetic progression of factors
 (d-s)z + j - s, and their edges lie a whole number apart, so the factors
 common to both orders cancel in the quotient Q of the two ratios: about 4n
 factors per height leave at most 2d (`_log2_quotient`).  Every factor has
-real coefficients, so Q is even in the height: the checks evaluate the
-distinct magnitudes |t| of their heights alone (the default grid's are
-built as they are, given heights are folded by a sort).
+real coefficients, so Q is even in the height: the checks evaluate one
+fixed set of magnitudes |t|, 0 and 400 log-spaced heights from n/1000 to
+100n (`_heights`), which stand for both signs.
 """
 
 import functools
@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .ehrhart import HypersimplexParams, _integer
-from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation, InvalidParams
+from .errors import DivisionByZeroTerm, DomainViolation, HypothesisViolation
 from .roots import _point, _term_products
 
 RELATIVE_SLACK = 1e-12  # a strict inequality must clear this margin to "pass"
@@ -102,49 +102,20 @@ def phi(n: int, d: int, s: int, z: complex) -> float:
     return float(_ratios(n, d, _point(d, n, z))[s, 0])
 
 
-def default_beta_grid(n: int, points: int = 400):
-    """0 plus `points` log-spaced magnitudes in [1e-3, 1e2]*n, both signs."""
-    magnitudes = _beta_magnitudes(n, points)
-    return np.concatenate((magnitudes, -magnitudes[1:])).tolist()
+def _heights(n: int) -> np.ndarray:
+    """The heights |t| the monotonicity checks evaluate at order n,
+    ascending: 0, then n * 10**t at 400 log-spaced t from -3 to 2."""
+    return np.concatenate(([0.0], n * _powers()))
 
 
-def _beta_magnitudes(n: int, points: int) -> np.ndarray:
-    """0 and the positive half of `default_beta_grid`, ascending: the
-    distinct magnitudes the checks evaluate on it."""
-    n, points = _integer("n", n), _integer("points", points)
-    if n < 2:
-        raise InvalidParams(f"the beta grid needs n >= 2, got n={n}")
-    return np.concatenate(([0.0], n * _beta_powers(points)))
-
-
-@functools.lru_cache(maxsize=8)
-def _beta_powers(points: int) -> np.ndarray:
-    """10.0 ** t for `points` steps t from -3 to 2, as a read-only array.
+@functools.lru_cache(maxsize=1)
+def _powers() -> np.ndarray:
+    """10.0 ** t for 400 steps t from -3 to 2, as a read-only array.
     Each power is taken in Python floats, on purpose: np.power does not
     round every one of them the same way."""
-    if points < 2:
-        raise DomainViolation(f"the beta grid needs at least 2 points, got {points}")
-    powers = np.array([10.0 ** (-3.0 + 5.0 * i / (points - 1)) for i in range(points)])
+    powers = np.array([10.0 ** (-3.0 + 5.0 * i / 399) for i in range(400)])
     powers.setflags(write=False)
     return powers
-
-
-def _magnitudes(n: int, beta_samples) -> np.ndarray:
-    """The distinct |t| a check evaluates, ascending: those of the default
-    grid at n when beta_samples is None, else those of the samples, with
-    DomainViolation when they are not 1-D, there is none or one is not
-    finite, which would give a vacuous pass or NaN ratios."""
-    if beta_samples is None:
-        return _beta_magnitudes(n, 400)
-    t = np.asarray(beta_samples, dtype=float)
-    if t.ndim != 1:
-        raise DomainViolation(f"the heights must be 1-D, got shape {t.shape}")
-    t = np.sort(np.abs(t))
-    if t.size == 0:
-        raise DomainViolation("need at least one height")
-    if not np.isfinite(t[-1]):  # sorted, an inf or NaN comes last
-        raise DomainViolation(f"the heights must be finite, got {t[-1]}")
-    return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
 def _strictly_less(lhs: float, rhs: float) -> bool:
@@ -215,33 +186,35 @@ def _ratio_falls(n: int, d: int, s: int, n_next: int, re, re_next, t) -> bool:
     return bool((_log2_quotient(n, d, s, n_next, p, q, delta, t) < _LOG2_PASS).all())
 
 
-def check_migi(n: int, d: int, s: int, beta_samples=None) -> bool:
+def check_migi(n: int, d: int, s: int) -> bool:
     """On the imaginary axis, the ratio for order n+1 sits strictly below
-    the ratio for order n, at every sampled height.
+    the ratio for order n, at the height 0 and 400 log-spaced heights from
+    n/1000 to 100n (`_heights`); by symmetry they stand for both signs.
 
-    Samples where both ratios vanish exactly (the origin, where every s >= 1
-    term has a zero factor) are degenerate for a strict comparison and are
-    skipped.  beta_samples must be 1-D, finite and not empty, with
-    d |z| + n + 1 <= 2**51 at the largest (DomainViolation).
+    The height 0, where both ratios vanish exactly (every s >= 1 term has
+    a zero factor at the origin), is degenerate for a strict comparison
+    and is skipped.  An n so large that the largest height leaves the
+    domain of `phi` raises DomainViolation.
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
-    return _ratio_falls(n, d, s, n + 1, 0, 0, _magnitudes(n, beta_samples))
+    return _ratio_falls(n, d, s, n + 1, 0, 0, _heights(n))
 
 
-def check_hidari(n: int, d: int, s: int, beta_samples=None) -> bool:
+def check_hidari(n: int, d: int, s: int) -> bool:
     """On the left edge, the ratio for order n+d sits strictly below the
-    ratio for order n; each order is evaluated on its own edge Re = -n/d.
+    ratio for order n, at the heights of `check_migi`; each order is
+    evaluated on its own edge Re = -n/d.
 
     Requires n >= d^2 - 2, the hypothesis under which the comparison holds.
-    Heights where both ratios vanish (t = 0 when d divides s*n) are skipped.
-    beta_samples must be 1-D, finite and not empty, with d |z| + n + d <=
-    2**51 at the largest, z on the edge of order n + d (DomainViolation).
+    The height 0 is skipped where both ratios vanish there (when d divides
+    s*n).  An n so large that the largest height leaves the domain of `phi`
+    raises DomainViolation.
     """
     n, d, s = _validate_indices(n, d, s, smallest=1)
     if n < d * d - 2:
         raise HypothesisViolation(f"need n >= d^2 - 2 = {d * d - 2}, got n={n}")
     edge, edge_next = Fraction(-n, d), Fraction(-n - d, d)
-    return _ratio_falls(n, d, s, n + d, edge, edge_next, _magnitudes(n, beta_samples))
+    return _ratio_falls(n, d, s, n + d, edge, edge_next, _heights(n))
 
 
 def aida_bound(n: int, d: int, s: int, lam: float) -> float:

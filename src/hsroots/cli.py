@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import HsrootsError
+from .errors import DomainViolation, HsrootsError
 
 EXIT_OK = 0
 EXIT_NUMERIC_ONLY = 1
@@ -153,6 +153,11 @@ def cmd_bounds(args) -> int:
         kind = kinds.get(args.edge, "horizontal_edge")
         lam = args.lam
         if kind == "horizontal_edge":  # the edge, not the sign of lambda, picks top or bottom
+            if args.beta_max is not None:
+                raise DomainViolation(
+                    "--beta-max sets the height of a vertical edge (imaginary, left), "
+                    f"not of --edge {args.edge}"
+                )
             lam = math.copysign(lam, 1.0 if args.edge == "top" else -1.0)
         rng = (-args.beta_max, args.beta_max) if args.beta_max is not None else None
         report = rouche_margin(
@@ -268,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--edge", choices=("imaginary", "left", "top", "bottom"), required=True)
     sp.add_argument("--samples", type=int, default=1001)
     sp.add_argument("--lambda", dest="lam", type=float, default=math.sqrt(2.0))
-    sp.add_argument("--beta-max", type=float)
+    sp.add_argument(
+        "--beta-max",
+        type=float,
+        help="sample a vertical edge (imaginary, left) over heights [-beta_max, beta_max]; "
+        "default |lambda|*n; not for top or bottom",
+    )
     for name in ("d4sum", "hneg"):
         sp = checks.add_parser(name)
         sp.add_argument("--d", type=int, required=True)

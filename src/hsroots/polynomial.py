@@ -6,9 +6,11 @@ positive denominator.  Instances are immutable and safe to share.  Internal
 code works on the integers of P = (n-1)! p instead (see `ehrhart`).
 """
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,10 @@ class RationalPolynomial:
         return self.coeffs[-1] if self.coeffs else Fraction(0)
 
     def evaluate(self, x):
-        """Horner evaluation; exact when x is an int or Fraction."""
-        if isinstance(x, int):
-            x = Fraction(x)
+        """Horner evaluation; exact when x is an integer (numpy's too) or a
+        Fraction."""
+        if isinstance(x, Integral):
+            x = Fraction(operator.index(x))
         acc = Fraction(0) if isinstance(x, Fraction) else 0.0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -14,7 +14,6 @@ from hsroots.bounds import (
     check_h_negative,
     check_migi,
     check_hidari,
-    default_beta_grid,
     f_term_modulus,
     geometric_factorial_sum,
     h_endpoint_chain_bound,
@@ -23,10 +22,10 @@ from hsroots.bounds import (
     ratio_bound,
     rouche_margin,
     RELATIVE_SLACK,
-    _beta_magnitudes,
+    _heights,
     _log2_quotient,
     _log2_terms,
-    _magnitudes,
+    _powers,
     _ratio_falls,
     _ratios,
 )
@@ -118,41 +117,19 @@ def test_single_point_ratios_reject_points_beyond_the_double_range():
         check_aida(7, 3, 1, 1.0, 1e300)
 
 
-def test_default_beta_grid_shape():
-    grid = default_beta_grid(7)
-    assert len(grid) == 801
-    assert grid[0] == 0.0
-    assert min(grid) == -max(grid)
-    assert max(grid) == pytest.approx(7 * 100.0)
-
-
-def test_default_beta_grid_needs_two_points():
-    assert len(default_beta_grid(7, 2)) == 5
-    for points in (1, 0, -3):
-        with pytest.raises(DomainViolation):
-            default_beta_grid(7, points)
-
-
 def test_beta_grid_matches_the_python_loop():
-    # n times the memoised powers rounds as n * 10.0 ** t does, sign bits
-    # included, and the checks' magnitudes are exactly the grid folded
-    for points in (2, 12, 400):
-        for n in range(2, 200):
-            out = [0.0]
-            for i in range(points):
-                out.append(n * 10.0 ** (-3.0 + 5.0 * i / (points - 1)))
-            out.extend(-b for b in out[1:])
-            grid = np.array(default_beta_grid(n, points))
-            assert grid.tobytes() == np.array(out).tobytes(), (n, points)
-            folded = _magnitudes(n, grid).tobytes()
-            assert _beta_magnitudes(n, points).tobytes() == folded, (n, points)
+    # n times the memoised powers rounds as n * 10.0 ** t does
+    assert not _powers().flags.writeable
+    for n in range(2, 200):
+        out = [0.0] + [n * 10.0 ** (-3.0 + 5.0 * i / 399) for i in range(400)]
+        assert _heights(n).tobytes() == np.array(out).tobytes(), n
 
 
 def test_check_migi_examples():
     grid = [7 * 10 ** t for t in (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
-    assert check_migi(7, 3, 1, grid) is True
-    assert check_migi(7, 3, 2, grid) is True
-    assert check_migi(10, 4, 3, grid) is True
+    for n, d, s in ((7, 3, 1), (7, 3, 2), (10, 4, 3)):
+        assert check_migi(n, d, s) is True
+        assert _ratio_falls(n, d, s, n + 1, 0, 0, grid) is True
 
 
 def test_check_migi_default_grid():
@@ -161,39 +138,14 @@ def test_check_migi_default_grid():
 
 
 def test_ratio_falls_fails_on_the_swapped_orders():
-    # migi at (3, 7) holds, so asking order 7 to sit below order 8 must fail
+    # migi at (3, 7) holds, so asking order 7 to sit below order 8 must fail,
+    # at every height but 0, where both ratios vanish and the height is skipped
     assert check_migi(7, 3, 1) is True
-    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, default_beta_grid(7)) is False
-
-
-def test_monotone_checks_reject_empty_or_non_finite_heights():
-    for heights in ([], np.array([]), [math.nan], [math.inf, 1.0], [1.0, -math.inf]):
-        for check in (check_migi, check_hidari):
-            with pytest.raises(DomainViolation, match="height"):
-                check(7, 3, 1, heights)
-
-
-def test_monotone_checks_reject_heights_that_are_not_1d():
-    # a 2-D array reached numpy's "truth value ... ambiguous" ValueError
-    for heights in ([[1.0, 2.0], [3.0, 4.0]], [[5.0]], 5.0, np.zeros((0, 3))):
-        for check in (check_migi, check_hidari):
-            with pytest.raises(DomainViolation, match="1-D"):
-                check(7, 3, 1, heights)
-
-
-def test_monotone_checks_fold_the_heights():
-    # given heights become their distinct magnitudes, ascending, -0.0 as 0.0
-    folded = _magnitudes(7, [-5.0, 3.0, -0.0, 5.0, 0.0, -3.0, 7.5])
-    assert folded.tobytes() == np.array([0.0, 3.0, 5.0, 7.5]).tobytes()
-    assert _magnitudes(7, [-5.0, -0.0]).tobytes() == np.array([0.0, 5.0]).tobytes()
-    positive = np.array(default_beta_grid(12, 12)[1:13])
-    mirrored = np.concatenate((-positive[::-1], [-0.0], positive))
-    for heights in (positive, -positive, mirrored, np.concatenate((mirrored, positive[3:7]))):
-        assert check_migi(12, 4, 1, heights) is True
-        assert check_hidari(14, 4, 2, heights) is True
-    # the swapped orders fail at every height but 0, where both ratios vanish
-    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, _magnitudes(7, [0.0, -5.0])) is False
-    assert _ratio_falls(8, 3, 1, 7, 0.0, 0.0, _magnitudes(7, [-0.0])) is True
+    heights = _heights(7)
+    assert _ratio_falls(8, 3, 1, 7, 0, 0, heights) is False
+    assert _ratio_falls(8, 3, 1, 7, 0, 0, [0.0]) is True
+    for height in heights[1:]:
+        assert _ratio_falls(8, 3, 1, 7, 0, 0, [height]) is False, height
 
 
 def test_monotone_checks_make_no_product_call_on_the_distinct_magnitudes(monkeypatch):
@@ -211,28 +163,32 @@ def test_monotone_checks_make_no_product_call_on_the_distinct_magnitudes(monkeyp
     assert check_migi(7, 3, 1) is True
     assert check_hidari(14, 4, 2) is True
     assert check_hidari(15, 4, 1) is True
-    assert check_migi(12, 4, 1, [-5.0, 3.0, -0.0, 5.0]) is True
     # t = 0, where both ratios vanish (always for migi, for hidari where d | s n),
     # is skipped; at (4, 15, 1) it is evaluated
-    migi, hidari, evaluated, given = calls
-    assert migi.tobytes() == np.array(default_beta_grid(7)[1:401]).tobytes()
-    assert hidari.tobytes() == np.array(default_beta_grid(14)[1:401]).tobytes()
-    assert evaluated.tobytes() == np.array(default_beta_grid(15)[:401]).tobytes()
-    assert given.tobytes() == np.array([3.0, 5.0]).tobytes()
+    migi, hidari, evaluated = calls
+    assert migi.tobytes() == _heights(7)[1:].tobytes()
+    assert hidari.tobytes() == _heights(14)[1:].tobytes()
+    assert evaluated.tobytes() == _heights(15).tobytes()
 
 
 def test_monotone_checks_reject_heights_beyond_the_double_range():
     # past d|z| + n = 2**51, the domain of phi, the product form overflowed:
     # 1e60 warned "invalid value encountered in subtract", 1e150 and 1e300
     # returned False; the checks now refuse such heights before any work
+    migi = (7, 3, 1, 8, 0, 0)
+    hidari = (7, 3, 1, 10, Fraction(-7, 3), Fraction(-10, 3))
     for height in (1e20, 1e60, 1e150, -1e300):
-        for check in (check_migi, check_hidari):
+        for orders in (migi, hidari):
             with pytest.raises(DomainViolation, match="2\\*\\*51"):
-                check(7, 3, 1, [1.0, height])
+                _ratio_falls(*orders, [1.0, height])
     edge = (2**51 - 8) // 3  # 3 edge + 8 = 2**51 for migi's order n + 1 = 8
-    assert check_migi(7, 3, 1, [0.0, float(edge)]) is True
+    assert _ratio_falls(*migi, [0.0, float(edge)]) is True
     with pytest.raises(DomainViolation, match="2\\*\\*51"):
-        check_migi(7, 3, 1, [float(edge + 1)])
+        _ratio_falls(*migi, [float(edge + 1)])
+    # an n whose largest height 100 n is past the domain, as a CLI --n can give
+    for check in (check_migi, check_hidari):
+        with pytest.raises(DomainViolation, match="2\\*\\*51"):
+            check(2**45, 3, 1)
 
 
 def ratio_falls_oracle(larger: np.ndarray, smaller: np.ndarray) -> bool:
@@ -269,7 +225,7 @@ def test_quotient_matches_the_product_form_oracle():
     # within 1e-12 of log2 phi_next - log2 phi wherever both ratios are nonzero
     checks = {0: check_migi, -1: check_hidari}
     for n, d, s, n_next, re, re_next in monotone_cases(range(2, 9), 60):
-        t = _magnitudes(n, None)
+        t = _heights(n)
         larger = _ratios(n, d, float(re) + 1j * t)[s]
         smaller = _ratios(n_next, d, float(re_next) + 1j * t)[s]
         case = (n, d, s, n_next)
@@ -292,12 +248,12 @@ def test_both_ratios_vanish_at_zero_exactly_where_the_integers_say():
     edge, edge_next = Fraction(-14, 4), Fraction(-18, 4)
     for order, re in ((14, edge), (18, edge_next)):
         assert _ratios(order, 4, np.array([complex(re)]))[2, 0] == 0.0
-    assert check_hidari(14, 4, 2, [0.0]) is True
+    assert _ratio_falls(14, 4, 2, 18, edge, edge_next, [0.0]) is True
     assert _ratio_falls(18, 4, 2, 14, edge_next, edge, [0.0]) is True
     # at (4, 15, 1) neither ratio vanishes: t = 0 is a height like any other
     edge, edge_next = Fraction(-15, 4), Fraction(-19, 4)
     at_zero = log2_quotient(15, 4, 1, 19, edge, edge_next, np.array([0.0]))
-    assert at_zero[0] < 0 and check_hidari(15, 4, 1, [0.0]) is True
+    assert at_zero[0] < 0 and _ratio_falls(15, 4, 1, 19, edge, edge_next, [0.0]) is True
     assert _ratio_falls(19, 4, 1, 15, edge_next, edge, [0.0]) is False
     # the edges of the two orders must be a whole number apart
     with pytest.raises(ValueError, match="whole number apart"):
@@ -310,7 +266,7 @@ def test_ratios_are_even_in_the_height_bit_for_bit():
     # real coefficients; the checks' quotient Q is even in t the same way
     for d in (3, 4, 5):
         for n in range(2 * d, 42):
-            grid = np.array(default_beta_grid(n))
+            grid = _heights(n)
             orders = [(n, 0.0), (n + 1, 0.0)]
             if n >= d * d - 2:
                 orders += [(n, -n / d), (n + d, -(n + d) / d)]
@@ -354,22 +310,10 @@ def test_integer_arguments_must_be_integers():
         lambda: check_d4_sum_bound(4.5),
         lambda: check_d4_sum_bound(4.0),
         lambda: check_h_negative(5.0),
-        lambda: default_beta_grid(7.5),
-        lambda: default_beta_grid(7, 2.5),
-        lambda: default_beta_grid(True),
-        lambda: default_beta_grid(7, True),
     )
     for call in calls:
         with pytest.raises(InvalidParams, match="must be an integer"):
             call()
-
-
-def test_default_beta_grid_needs_a_pair_order():
-    # no pair 1 <= d < n has n < 2: the grid was all zeros at 0, negative below
-    for n in (1, 0, -7):
-        with pytest.raises(InvalidParams, match="n >= 2"):
-            default_beta_grid(n)
-    assert len(default_beta_grid(2)) == 801
 
 
 def test_numpy_integer_arguments_match_plain_ints():
@@ -382,7 +326,6 @@ def test_numpy_integer_arguments_match_plain_ints():
     assert check_aida(i(7), i(3), i(1), 1.0, 1.4) is check_aida(7, 3, 1, 1.0, 1.4)
     assert check_d4_sum_bound(i(5)) is check_d4_sum_bound(5) is True
     assert check_h_negative(i(5)) is check_h_negative(5) is True
-    assert default_beta_grid(i(7), i(12)) == default_beta_grid(7, 12)
 
 
 def test_check_hidari_examples():
@@ -561,9 +504,11 @@ def log2_term_modulus_oracle(n: int, d: int, s: int, z: complex) -> float:
 
 
 def kernel_points(n: int, d: int):
-    """Points on the three edges at default-grid heights, zeros of some terms
-    (0 for every s >= 1, -1/d for s = 0) and points of large modulus."""
-    beta = default_beta_grid(n, 12)
+    """Points on the three edges at 0 and 12 log-spaced heights from n/1000
+    to 100n of both signs, zeros of some terms (0 for every s >= 1, -1/d
+    for s = 0) and points of large modulus."""
+    magnitudes = [n * 10.0 ** (-3.0 + 5.0 * i / 11) for i in range(12)]
+    beta = [0.0, *magnitudes, *(-b for b in magnitudes)]
     points = [complex(0.0, b) for b in beta] + [complex(-n / d, b) for b in beta]
     points += [complex(-a, math.sqrt(2) * n) for a in np.linspace(0.0, n / d, 7)]
     points += [0j, complex(-1.0 / d, 0.0), complex(-2.0 / d, 0.0)]

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -259,12 +260,16 @@ def test_bounds_rouche_horizontal_edges_ignore_the_sign_of_lambda(capsys):
 
 def test_bounds_rouche_non_finite_values_exit_2(capsys):
     base = ("bounds", "rouche", "--edge")
+    vertical_only = "--beta-max sets the height of a vertical edge (imaginary, left)"
     for extra, reason in (
         (("imaginary", "--d", "3", "--n", "7", "--lambda", "nan"), "finite"),
         (("imaginary", "--d", "3", "--n", "7", "--lambda", "inf"), "finite"),
         (("left", "--d", "3", "--n", "7", "--beta-max", "inf"), "finite"),
         (("top", "--d", "3", "--n", "7", "--lambda", "nan"), "finite"),
         (("top", "--d", "3", "--n", "7", "--lambda", "0"), "horizontal edge needs lam != 0"),
+        # --beta-max spans a vertical edge; it built (-5, 5) as a horizontal range
+        (("top", "--d", "3", "--n", "7", "--beta-max", "5"), vertical_only),
+        (("bottom", "--d", "3", "--n", "7", "--beta-max", "5"), vertical_only),
         (("imaginary", "--d", "0", "--n", "5"), "1 <= d < n"),
         (("left", "--d", "0", "--n", "5"), "1 <= d < n"),
         (("imaginary", "--d", "6", "--n", "3"), "1 <= d < n"),
@@ -410,7 +415,7 @@ print(json.dumps({
         "lattice", "polynomial", "roots", "stability",
     ]
     assert surface["all"] == sorted(surface["table"])
-    assert len(set(surface["table"])) == len(surface["table"]) == 38
+    assert len(set(surface["table"])) == len(surface["table"]) == 37
     assert set(surface["dir"]) >= {*surface["all"], *submodules}
     assert surface["resolved"] == ["hsroots.roots", "hsroots.stability"]
     assert surface["star"] == surface["all"]
@@ -440,6 +445,18 @@ def test_readme_cli_lines_parse():
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # syntax newer than requires-python (except*, say) fails here; calls into
+    # a newer library do not
+    root = Path(hsroots.__file__).resolve().parents[2]
+    pyproject = (root / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    paths = sorted((root / "src" / "hsroots").glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, minor))
 
 
 def test_bounds_pair_outside_the_domain_exit_2(capsys):

@@ -183,6 +183,20 @@ def test_evaluate_exact_examples():
     assert p24(2) == 19  # brute-force count, see lattice tests
 
 
+def test_evaluate_is_exact_at_numpy_integers():
+    # a numpy integer fell into the float branch: 72147074769639.98 at (9, 40)
+    poly = ehrhart_polynomial(HypersimplexParams(9, 40))
+    exact = poly(2)
+    assert exact == Fraction(72147074769640)
+    for x in (np.int64(2), np.int32(2)):
+        value = poly(x)
+        assert type(value) is Fraction and value == exact, type(x)
+    # float and complex points still take the float Horner loop
+    assert type(poly(2.0)) is float and poly(2.0) == 72147074769639.98
+    assert poly(2 + 0j) == complex(72147074769639.98, 0.0)
+    assert poly(complex(-1, 0.5)) == complex(-0.0030727795813554337, 0.012850881080757048)
+
+
 def test_normalized_volume_examples():
     assert normalized_volume(HypersimplexParams(3, 6)) == Fraction(11, 20)
     assert normalized_volume(HypersimplexParams(1, 5)) == Fraction(1, 24)

@@ -14,12 +14,27 @@ rigorous error term (one batched value-bound call per row count for the
 whole grid) and tested in exact integers where that bound falls short,
 prove a side of the strip, and only a side they cannot prove runs the
 Routh table.  Each pair gets the verdict `verify_strip` gives it alone.
-Results are gathered, sorted by (d, n), and written as `report.csv` and
+
+A large grid is split into W parts, one process each (`_parts`): W is the
+number of usable CPUs, but at most one part per `_PART_WORK` units of
+estimated work (`_work`, min(d, n - d) (n - 1)**2 a pair), and 1 where the
+"fork" start method is missing.  The pairs go to the parts greedily,
+largest work first, each to the part with the least work so far.  The
+first part is solved in this process and each other in a forked child,
+which sends back its rows, RootSets and error lines (formatted there:
+tracebacks do not pickle).  As every pair gets the bits it gets alone, the
+split changes no byte of the output.  At W = 1 nothing is forked and
+`multiprocessing` is not imported.  A child that dies turns exactly its
+part's pairs into error lines; if this process raises, its children are
+killed and joined first.
+
+Results are gathered in (d, n) order and written as `report.csv` and
 `roots.csv`.  File contents are deterministic for a given configuration
 and seed, byte for byte from run to run: wall-clock timings are reported
 on the console and kept out of the CSV (its millis column is pinned to 0).
 """
 
+import os
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +51,15 @@ RANGE = "range"
 
 REPORT_HEADER = "d,n,degree,certified,re_min,re_max,im_max,max_residual,millis"
 ROOTS_HEADER = "d,n,root_index,re,im,residual"
+
+# The estimated work (`_work`) that fills one part: a grid gets at most one
+# part per this much work, so a grid of less than twice it runs in one
+# process.  A second process costs about 5 ms (fork, pipe, join), so the
+# split pays from a size that depends on the grid's kind: on numeric
+# diagonal grids d = 2..k it lost or tied up to 468k units and won in every
+# alternating pair from 629k, on range grids d = 2..10 it won from about
+# 184k.
+_PART_WORK = 300_000
 
 
 @dataclass(frozen=True)
@@ -126,10 +150,6 @@ class VerificationReport:
         )
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _error_line(d: int, n: int, exc: Exception) -> str:
     if isinstance(exc, (HsrootsError, ValueError)):
         return f"d={d} n={n}: {exc}"
@@ -154,6 +174,102 @@ def _row(
     )
 
 
+def _work(params: HypersimplexParams) -> int:
+    """A pair's estimated cost: its row count min(d, n - d) times its
+    degree squared, the size of one product-form sweep of its roots."""
+    return min(params.d, params.n - params.d) * (params.n - 1) ** 2
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parts(grid) -> list:
+    """The grid's indices in W parts (see the module docstring), each in
+    input order.  Ties in work go in input order, and a pair goes to the
+    first of the parts tied for the least work."""
+    works = [_work(params) for params in grid]
+    count = 1
+    if hasattr(os, "fork"):
+        count = max(1, min(_usable_cpus(), sum(works) // _PART_WORK, len(grid)))
+    loads, parts = [0] * count, [[] for _ in range(count)]
+    for i in sorted(range(len(grid)), key=lambda i: -works[i]):
+        k = loads.index(min(loads))
+        loads[k] += works[i]
+        parts[k].append(i)
+    return [sorted(part) for part in parts]
+
+
+def _solve_part(grid, config: CampaignConfig) -> list:
+    """Each pair's (row, RootSet), or its error line, in grid order."""
+    solved = find_roots_many(grid, config.solver)
+    verdicts = [None] * len(grid)
+    if config.certify:
+        ok = [i for i, outcome in enumerate(solved) if isinstance(outcome, RootSet)]
+        checked = verify_strip_many([grid[i] for i in ok], [solved[i].roots for i in ok])
+        for i, verdict in zip(ok, checked):
+            verdicts[i] = verdict
+    outcomes = []
+    for params, outcome, verdict in zip(grid, solved, verdicts):
+        try:
+            for failure in (outcome, verdict):
+                if isinstance(failure, Exception):
+                    raise failure
+            outcomes.append((_row(params, outcome, verdict), outcome))
+        except Exception as exc:  # any failure in one pair is reported; the others go on
+            outcomes.append(_error_line(params.d, params.n, exc))
+    return outcomes
+
+
+def _send_part(sender, grid, config: CampaignConfig):
+    """A child's whole run: its part's outcomes, sent to the parent."""
+    sender.send(_solve_part(grid, config))
+
+
+def _run_parts(grid, parts, config: CampaignConfig) -> list:
+    """Each part's `_solve_part` outcomes: the first part solved here, every
+    other in a forked child of its own.  A child that dies before it sends
+    turns its pairs into error lines; if this process raises, its children
+    are killed and joined before the exception goes on."""
+    if len(parts) == 1:
+        return [_solve_part(grid, config)]
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for part in parts[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            args = (sender, [grid[i] for i in part], config)
+            child = context.Process(target=_send_part, args=args)
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # so that a child's death reads as EOF here
+        outcomes = [_solve_part([grid[i] for i in parts[0]], config)]
+        for (child, receiver), part in zip(children, parts[1:]):
+            try:
+                sent = receiver.recv()
+            except EOFError:
+                sent = None
+            child.join()
+            if sent is None:  # the child died before it sent
+                sent = [
+                    f"d={grid[i].d} n={grid[i].n}: its worker process exited with code "
+                    f"{child.exitcode} before sending a result"
+                    for i in part
+                ]
+            outcomes.append(sent)
+        return outcomes
+    finally:
+        for child, receiver in children:  # all joined, unless this process raised
+            receiver.close()
+            if child.exitcode is None:
+                child.kill()
+            child.join()
+
+
 def run_campaign(config: CampaignConfig) -> VerificationReport:
     """Process every pair of the grid; write CSV artifacts if output_dir set.
 
@@ -165,25 +281,16 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     grid = [HypersimplexParams(d, n) for d, n in config.pairs()]  # in grid order: `pairs` sorts
-    solved = find_roots_many(grid, config.solver)
-    verdicts = [None] * len(grid)
-    if config.certify:
-        ok = [i for i, outcome in enumerate(solved) if isinstance(outcome, RootSet)]
-        checked = verify_strip_many([grid[i] for i in ok], [solved[i].roots for i in ok])
-        for i, verdict in zip(ok, checked):
-            verdicts[i] = verdict
-    results = []
-    errors = []
-    for params, outcome, verdict in zip(grid, solved, verdicts):
-        try:
-            for failure in (outcome, verdict):
-                if isinstance(failure, Exception):
-                    raise failure
-            results.append((_row(params, outcome, verdict), outcome))
-        except Exception as exc:  # any failure in one pair is reported; the others go on
-            errors.append(_error_line(params.d, params.n, exc))
-
-    report = VerificationReport(rows=tuple(row for row, _ in results), errors=tuple(errors))
+    parts = _parts(grid)
+    outcomes = [None] * len(grid)
+    for part, solved in zip(parts, _run_parts(grid, parts, config)):
+        for i, outcome in zip(part, solved):
+            outcomes[i] = outcome
+    results = [outcome for outcome in outcomes if not isinstance(outcome, str)]
+    report = VerificationReport(
+        rows=tuple(row for row, _ in results),
+        errors=tuple(outcome for outcome in outcomes if isinstance(outcome, str)),
+    )
 
     if out is not None:
         write_report_csv(out / "report.csv", report)
@@ -195,18 +302,11 @@ def write_report_csv(path: Path, report: VerificationReport):
     lines = [REPORT_HEADER]
     for r in report.rows:
         lines.append(
-            ",".join(
-                [
-                    str(r.d),
-                    str(r.n),
-                    str(r.degree),
-                    "true" if r.certified else "false",
-                    _format_float(r.re_min),
-                    _format_float(r.re_max),
-                    _format_float(r.im_max),
-                    _format_float(r.max_residual),
-                    "0",  # pinned: timings vary from run to run; the CSV must not
-                ]
+            # the millis column is pinned to 0: timings vary from run to run; the CSV must not
+            "%d,%d,%d,%s,%.17g,%.17g,%.17g,%.17g,0"
+            % (
+                r.d, r.n, r.degree, "true" if r.certified else "false",
+                r.re_min, r.re_max, r.im_max, r.max_residual,
             )
         )
     Path(path).write_text("\n".join(lines) + "\n")
@@ -214,16 +314,7 @@ def write_report_csv(path: Path, report: VerificationReport):
 
 def roots_csv_lines(d: int, n: int, rootset: RootSet):
     for index, (root, res) in enumerate(zip(rootset.roots, rootset.residuals)):
-        yield ",".join(
-            [
-                str(d),
-                str(n),
-                str(index),
-                _format_float(root.real),
-                _format_float(root.imag),
-                _format_float(res),
-            ]
-        )
+        yield "%d,%d,%d,%.17g,%.17g,%.17g" % (d, n, index, root.real, root.imag, res)
 
 
 def write_roots_csv(path: Path, solved):

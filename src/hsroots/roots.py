@@ -77,7 +77,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -218,8 +217,8 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     degree = len(quotient) - 1
     if degree == 0:
         return np.empty(0, dtype=complex)
-    s1 = Fraction(-quotient[-2], quotient[-1])
-    centre = float(s1 / degree)
+    top, second = quotient[-1], quotient[-2]
+    centre = -second / (top * degree)  # int true division: the exact quotient, rounded once
     bits = max(1, centre.as_integer_ratio()[1].bit_length() - 1)
     x = _to_fixed(centre, bits)
     scaled = [c << (bits * (degree - k)) for k, c in enumerate(quotient)]
@@ -230,8 +229,11 @@ def _initial_points(params: HypersimplexParams, seed: int) -> np.ndarray:
     rho = 2.0 ** (log_dist / degree)
     h = 0.0
     if degree >= 3:
-        moment = s1 * s1 - 2 * Fraction(quotient[-3], quotient[-1]) - s1 * s1 / degree
-        h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
+        # M2 = (M - 1) s1**2 / M - 2 e2 over one integer denominator, rounded once
+        moment = ((degree - 1) * second**2 - 2 * degree * top * quotient[-3]) / (
+            degree * top**2
+        )
+        h = min(max(moment / (2 * degree * rho), 0.0), 0.75 * rho)
     phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
     unit = np.exp(1j * (2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase))
     # at h = 0 this rounds exactly as centre + rho * unit, the circle

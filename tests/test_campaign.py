@@ -1,4 +1,11 @@
+import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +19,36 @@ from hsroots.campaign import (
     ROOTS_HEADER,
     CampaignConfig,
     CampaignRow,
+    VerificationReport,
+    _parts,
     _row,
+    _work,
     roots_csv_lines,
     run_campaign,
+    write_report_csv,
 )
 from hsroots.ehrhart import HypersimplexParams
 from hsroots.errors import InvalidParams
-from hsroots.roots import SolverConfig, find_roots, find_roots_many
+from hsroots.roots import RootSet, SolverConfig, find_roots, find_roots_many
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    # a campaign joins every child it forks, whether it returns or raises
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def two_parts(monkeypatch):
+    """Every grid of two or more pairs runs in two processes, this one and
+    one forked child."""
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hsroots.campaign, "_PART_WORK", 1)
+
+
+def grid_of(config):
+    return [HypersimplexParams(d, n) for d, n in config.pairs()]
 
 
 def test_pairs_paper_grid():
@@ -238,6 +268,8 @@ def test_campaign_evaluates_each_row_count_once_per_round(monkeypatch):
     # evaluates nothing, the sweeps run in rounds 0..sweeps - 1 and the
     # certificates in rounds 0..sweeps.  Solved one pair after another,
     # this grid took 486 evaluations
+    # the recorder sees only this process's calls: keep the grid in it
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 1)
     config = CampaignConfig(d_min=4, d_max=5, certify=False)
     off_diagonal = [HypersimplexParams(d, n) for d, n in config.pairs() if n != 2 * d]
     solved = find_roots_many(off_diagonal, config.solver)
@@ -264,6 +296,8 @@ def test_campaign_certifies_each_row_count_in_one_batched_call(monkeypatch):
     # two per row count for the whole grid (2 in all), where certifying
     # pair by pair took one per pair (43); the solver's sweeps stay in
     # derivative mode and its residual certificates in value mode
+    # the recorders see only this process's calls: keep the grid in it
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 1)
     config = CampaignConfig(d_min=4, d_max=5, certify=True)
     row_counts = {min(d, n - d) for d, n in config.pairs()}
     modes, bound_calls = [], []
@@ -315,3 +349,148 @@ def test_numeric_pass_property(tmp_path):
     report = run_campaign(config)
     assert report.numeric_pass
     assert report.certified_count == 0
+
+
+def test_parts_balance_the_work_and_keep_small_grids_whole(monkeypatch):
+    paper = grid_of(CampaignConfig(d_min=4, d_max=7))
+    diagonal = grid_of(CampaignConfig(d_min=4, d_max=22, n_rule=DIAGONAL))
+    assert sum(map(_work, diagonal)) < 2 * hsroots.campaign._PART_WORK
+    assert sum(map(_work, paper)) >= 2 * hsroots.campaign._PART_WORK
+    for cpus, parts in ((1, 1), (2, 2), (8, sum(map(_work, paper)) // hsroots.campaign._PART_WORK)):
+        monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: cpus)
+        split = _parts(paper)
+        assert len(split) == parts
+        assert sorted(i for part in split for i in part) == list(range(len(paper)))
+        assert all(part == sorted(part) for part in split)  # each in input order
+        loads = [sum(_work(paper[i]) for i in part) for part in split]
+        assert max(loads) - min(loads) <= max(map(_work, paper))
+        assert len(_parts(diagonal)) == 1
+    # greedy, largest first, ties in input order, each to the first least-loaded part
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hsroots.campaign, "_PART_WORK", 1)
+    twins = [HypersimplexParams(2, 5), HypersimplexParams(3, 5), HypersimplexParams(2, 4)]
+    assert [_work(p) for p in twins] == [32, 32, 18]
+    assert _parts(twins) == [[0, 2], [1]]
+    monkeypatch.delattr(os, "fork")  # no "fork" start method: one process
+    assert _parts(paper) == [list(range(len(paper)))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_campaign_writes_the_bytes_of_one_process(tmp_path, monkeypatch, seed):
+    # certified pairs, numeric ones that fail the strip's domain (2d > n)
+    # and the diagonal, in two parts that each hold some of every kind
+    config = CampaignConfig(
+        d_min=3, d_max=6, n_rule="range", n_min=7, n_max=14, certify=True,
+        solver=SolverConfig(seed=seed),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(hsroots.campaign, "_usable_cpus", lambda: 1)
+        whole = run_campaign(replace(config, output_dir=tmp_path / "one"))
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(hsroots.campaign, "_PART_WORK", 1)
+    grid = grid_of(config)
+    parent, child = _parts(grid)
+    errors = {i for i, p in enumerate(grid) if 2 * p.d > p.n}
+    assert errors & set(parent) and errors & set(child)
+    assert set(child) - errors and set(parent) - errors
+    split = run_campaign(replace(config, output_dir=tmp_path / "two"))
+    assert split.errors == whole.errors and len(split.errors) == len(errors)
+    assert [replace(row, millis=0.0) for row in split.rows] == [
+        replace(row, millis=0.0) for row in whole.rows
+    ]
+    for name in ("report.csv", "roots.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_child_that_dies_turns_its_part_into_error_lines(tmp_path, monkeypatch, two_parts):
+    config = CampaignConfig(d_min=2, d_max=3, certify=True)
+    whole = run_campaign(replace(config, output_dir=tmp_path / "all"))
+    grid = grid_of(config)
+    _, lost = _parts(grid)
+    real, parent = hsroots.campaign._solve_part, os.getpid()
+
+    def dies_in_the_child(part, config):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(part, config)
+
+    monkeypatch.setattr(hsroots.campaign, "_solve_part", dies_in_the_child)
+    report = run_campaign(replace(config, output_dir=tmp_path / "died"))
+    assert report.errors == tuple(
+        f"d={grid[i].d} n={grid[i].n}: its worker process exited with code 3 "
+        "before sending a result"
+        for i in lost
+    )
+    gone = {(grid[i].d, grid[i].n) for i in lost}
+    kept = [(row.d, row.n) for row in whole.rows if (row.d, row.n) not in gone]
+    assert [(row.d, row.n) for row in report.rows] == kept != []
+    prefixes = tuple(f"{d},{n}," for d, n in gone)
+    for name in ("report.csv", "roots.csv"):
+        everything = (tmp_path / "all" / name).read_text().splitlines()
+        written = (tmp_path / "died" / name).read_text().splitlines()
+        assert written == [line for line in everything if not line.startswith(prefixes)]
+
+
+def test_error_in_this_process_kills_and_joins_the_child(monkeypatch, two_parts):
+    parent = os.getpid()
+
+    def fails_here_hangs_there(part, config):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise RuntimeError("this part exploded")
+
+    monkeypatch.setattr(hsroots.campaign, "_solve_part", fails_here_hangs_there)
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match="this part exploded"):
+        run_campaign(CampaignConfig(d_min=2, d_max=3, certify=False))
+    assert time.perf_counter() - started < 30  # killed, not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_imports_and_one_process_runs_load_no_multiprocessing():
+    src = str(Path(hsroots.campaign.__file__).resolve().parents[1])
+    code = (
+        "import sys, hsroots, hsroots.campaign as c\n"
+        "loaded = [sorted(m for m in sys.modules if m.startswith('multiprocessing'))]\n"
+        "c.run_campaign(c.CampaignConfig(d_min=2, d_max=3, n_rule='diagonal'))\n"
+        "loaded.append(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        "print(loaded)"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[[], []]"
+
+
+def test_csv_floats_keep_17_significant_digits(tmp_path):
+    # one %-format a line gives the bytes of f"{x:.17g}" a field
+    values = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e300, 0.1, -2.5]
+    rootset = RootSet(
+        roots=tuple(complex(x, y) for x, y in zip(values, reversed(values))),
+        residuals=tuple(values),
+        iterations=0,
+        converged=True,
+    )
+    assert list(roots_csv_lines(4, 9, rootset)) == [
+        ",".join(["4", "9", str(k), f"{z.real:.17g}", f"{z.imag:.17g}", f"{r:.17g}"])
+        for k, (z, r) in enumerate(zip(rootset.roots, rootset.residuals))
+    ]
+    assert next(roots_csv_lines(4, 9, rootset)) == "4,9,0,-0,-2.5,-0"
+    rows = tuple(
+        CampaignRow(d=4, n=9, certified=k % 2 == 0, re_min=values[k], re_max=values[k + 1],
+                    im_max=values[k + 2], max_residual=values[k + 3], millis=12.5,
+                    converged=True)
+        for k in range(len(values) - 3)
+    )
+    write_report_csv(tmp_path / "report.csv", VerificationReport(rows=rows, errors=()))
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[1:] == [
+        ",".join(["4", "9", "8", "true" if r.certified else "false",
+                  *(f"{x:.17g}" for x in (r.re_min, r.re_max, r.im_max, r.max_residual)), "0"])
+        for r in rows
+    ]
+    assert lines[1] == "4,9,8,true,-0,4.9406564584124654e-324,inf,-inf,0"
+    assert lines[3] == "4,9,8,true,inf,-inf,nan,1.0000000000000001e+300,0"

@@ -1303,6 +1303,48 @@ def test_seed_rotates_the_start_circle():
         assert abs(rotation[0] - 1) > 0.1
 
 
+def fraction_start(params, seed):
+    """`_initial_points` with the centre and the second moment taken as
+    `Fraction`s and then rounded, as the start was first written."""
+    roots = hsroots.roots
+    _, quotient = pinned_roots(params)
+    degree = len(quotient) - 1
+    s1 = Fraction(-quotient[-2], quotient[-1])
+    centre = float(s1 / degree)
+    bits = max(1, centre.as_integer_ratio()[1].bit_length() - 1)
+    x = roots._to_fixed(centre, bits)
+    scaled = [c << (bits * (degree - k)) for k, c in enumerate(quotient)]
+    re, im = roots._gaussian_horner(scaled, x, 0, 0)
+    if re == 0:
+        re, im = roots._gaussian_horner(scaled, x, 1 << (bits - 1), 0)
+    log_dist = (
+        roots._log2_int(re * re + im * im) / 2 - bits * degree - roots._log2_int(abs(quotient[-1]))
+    )
+    rho = 2.0 ** (log_dist / degree)
+    h = 0.0
+    if degree >= 3:
+        moment = s1 * s1 - 2 * Fraction(quotient[-3], quotient[-1]) - s1 * s1 / degree
+        h = min(max(float(moment) / (2 * degree * rho), 0.0), 0.75 * rho)
+    phase = 2.0 * math.pi * math.modf(_GOLDEN * (seed + 1))[0]
+    unit = np.exp(1j * (2.0 * math.pi * (np.arange(degree) + 0.5) / degree + phase))
+    return centre + (rho + h) * unit.real + 1j * ((rho - h) * unit.imag)
+
+
+def test_initial_points_round_as_the_fraction_formula():
+    # the centre and the second moment come from int true division, which
+    # rounds the exact quotient once, as float() of the Fraction does: every
+    # start point keeps its bits, for every pair with d = 2..11 and n <= 129
+    # (each with a free root), at seeds 0..3 in turn
+    compared = 0
+    for d in range(2, 12):
+        for n in range(d + 2, 130):
+            params, seed = HypersimplexParams(d, n), n % 4
+            start = _initial_points(params, seed)
+            assert start.tobytes() == fraction_start(params, seed).tobytes(), (d, n, seed)
+            compared += 1
+    assert compared == 1215
+
+
 def test_initial_points_keep_the_minor_axis_floor(monkeypatch):
     # the simplex roots -1..-19 lie on the real axis: the moment alone would
     # flatten the ellipse past b = 0, so b stops at rho / 4 and a at 7 rho / 4.

@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "ContourSpec", "MarginReport", "aida_bound", "check_aida", "check_d4_sum_bound",
-        "check_h_negative", "check_hidari", "check_migi", "f_term_modulus", "phi",
-        "rouche_margin",
+        "check_h_negative", "check_hidari", "check_migi", "phi", "rouche_margin",
     ),
     "campaign": ("CampaignConfig", "CampaignRow", "VerificationReport", "run_campaign"),
     "ehrhart": ("HypersimplexParams", "ehrhart_polynomial", "normalized_volume", "term_polynomial"),

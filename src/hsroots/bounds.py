@@ -12,11 +12,11 @@ rationals.
 The product terms come from the factor loop of `roots` (`_term_products`),
 in its value-only mode: no derivative rows are built.  `_ratios` evaluates
 the modulus ratios of all d rows on blocks of up to `_BLOCK` points, and
-`rouche_margin` sums them.  A row's bits do not depend on the other rows,
-so `phi` and `f_term_modulus` (a log2 modulus, so it keeps values beyond
-the double range) read row s of one such call of size 1, as `check_aida`
-does through `phi`.  The contour samples are made block by block as
-arrays (`ContourSpec.sample_blocks`).
+`rouche_margin` sums them.  `_log2_terms` takes them as log2 moduli, so
+it keeps values beyond the double range.  A row's bits do not depend on
+the other rows, so `phi` reads row s of one such call of size 1, as
+`check_aida` does through `phi`.  The contour samples are made block by
+block as arrays (`ContourSpec.sample_blocks`).
 
 The monotonicity checks never build a full product.  Both orders they
 compare are products over one arithmetic progression of factors
@@ -85,14 +85,6 @@ def _ratios(n: int, d: int, z: np.ndarray) -> np.ndarray:
     ratios[gap > 1020] = np.inf
     ratios[0] = 1.0
     return ratios
-
-
-def f_term_modulus(n: int, d: int, s: int, z: complex) -> float:
-    """log2 |C(n,s) * ((d-s)z + n-1-s) ... ((d-s)z + 1-s)|, -inf where a
-    factor vanishes; a log keeps moduli beyond the double range.  z must
-    be finite with d |z| + n <= 2**51 (DomainViolation)."""
-    n, d, s = _validate_indices(n, d, s)
-    return float(_log2_terms(n, d, _point(d, n, z))[s, 0])
 
 
 def phi(n: int, d: int, s: int, z: complex) -> float:

@@ -24,7 +24,9 @@ first part is solved in this process and each other in a forked child,
 which sends back its rows, RootSets and error lines (formatted there:
 tracebacks do not pickle).  As every pair gets the bits it gets alone, the
 split changes no byte of the output.  At W = 1 nothing is forked and
-`multiprocessing` is not imported.  A child that dies turns exactly its
+`multiprocessing` is not imported.  A part whose pipe or child cannot be
+made, as when the system is out of processes, is solved in this process
+after the first, with the same bytes.  A child that dies turns exactly its
 part's pairs into error lines; if this process raises, its children are
 killed and joined first.
 
@@ -230,7 +232,8 @@ def _send_part(sender, grid, config: CampaignConfig):
 
 def _run_parts(grid, parts, config: CampaignConfig) -> list:
     """Each part's `_solve_part` outcomes: the first part solved here, every
-    other in a forked child of its own.  A child that dies before it sends
+    other in a forked child of its own, or here too, after the first, where
+    its pipe or child cannot be made.  A child that dies before it sends
     turns its pairs into error lines; if this process raises, its children
     are killed and joined before the exception goes on."""
     if len(parts) == 1:
@@ -238,17 +241,26 @@ def _run_parts(grid, parts, config: CampaignConfig) -> list:
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    children = []
+    outcomes, here, children = [None] * len(parts), [0], []
     try:
-        for part in parts[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            args = (sender, [grid[i] for i in part], config)
-            child = context.Process(target=_send_part, args=args)
-            child.start()
-            children.append((child, receiver))
-            sender.close()  # so that a child's death reads as EOF here
-        outcomes = [_solve_part([grid[i] for i in parts[0]], config)]
-        for (child, receiver), part in zip(children, parts[1:]):
+        for k, part in enumerate(parts[1:], start=1):
+            try:
+                receiver, sender = context.Pipe(duplex=False)
+            except OSError:  # no pipe to be had: this process solves the part
+                here.append(k)
+                continue
+            with sender:  # closed here, so that a child's death reads as EOF
+                args = (sender, [grid[i] for i in part], config)
+                child = context.Process(target=_send_part, args=args)
+                try:
+                    child.start()
+                    children.append((child, receiver, k))
+                except OSError:  # no process to be had: likewise
+                    receiver.close()
+                    here.append(k)
+        for k in here:
+            outcomes[k] = _solve_part([grid[i] for i in parts[k]], config)
+        for child, receiver, k in children:
             try:
                 sent = receiver.recv()
             except EOFError:
@@ -258,12 +270,12 @@ def _run_parts(grid, parts, config: CampaignConfig) -> list:
                 sent = [
                     f"d={grid[i].d} n={grid[i].n}: its worker process exited with code "
                     f"{child.exitcode} before sending a result"
-                    for i in part
+                    for i in parts[k]
                 ]
-            outcomes.append(sent)
+            outcomes[k] = sent
         return outcomes
     finally:
-        for child, receiver in children:  # all joined, unless this process raised
+        for child, receiver, _ in children:  # all joined, unless this process raised
             receiver.close()
             if child.exitcode is None:
                 child.kill()

@@ -38,14 +38,15 @@ ellipse around the centroid of the free roots, which all lie close to it:
 Aberth's (1973) circle, stretched along the real axis to their exact
 second moment where that is positive, all read off q's integers (see
 `_initial_points`); each sweep evaluates only the roots still moving.  A
-solve (`_solve`) is a generator: it hands the driver its free roots, pinned
-count, tolerance and cap once as a `_Sweep`, gets (sweeps, settled) back
-when they are done, and then asks for p's values at its certificates, the
-free roots with their real-axis snap candidates.  The driver (`_Sweeps`)
-keeps the free roots of every sweeping pair in one padded array that stays
-in place across rounds, and each round takes one sweep of all of them: the
-round's `_eval_vec` calls, one per row count min(d, n - d) and cap, on
-contiguous slices of the points still moving, then one Ehrlich-Aberth
+solve (`_solve`) is a generator: it hands the driver its pair, free roots,
+tolerance, cap and ratio evaluator once as a `_Sweep`, gets (sweeps,
+settled) back when they are done, and asks for p's values at its
+certificates, the free roots with their real-axis snap candidates.
+The driver (`_Sweeps`) keeps the free roots of every sweeping pair in one
+padded array that stays in place across rounds, and each round takes one
+sweep of all of them: the round's evaluator calls, one per evaluator, row
+count min(d, n - d) and cap, on contiguous slices of the points still
+moving, then one Ehrlich-Aberth
 update of every such point in a fixed number of array operations per
 chunk, each point with the bits it gets alone.  So `find_roots_many` runs
 the sweeps of many pairs in lockstep, and `find_roots` is that driver on
@@ -54,11 +55,11 @@ the alternating-sum terms, which bound its rounding error.  Near n = 2d the
 sum cancels below that floor; a root whose value sinks into the noise leaves
 the double sweep, and the iterates are then refined by further sweeps of the
 same update whose Newton ratios come from fixed-point q and q' on the
-quotient's exact integer coefficients (`_exact_ratios`, pair by pair), each
-from `_gaussian_horner`, the one Gaussian-integer Horner loop, which the
-exact disks of `stability` run too.  Only each ratio is rounded to double;
-the repulsion and the update stay in doubles, and each exact sweep is one
-round with no evaluator call.
+quotient's exact integer coefficients (`_exact_ratios`, an evaluator like
+the others), each from `_gaussian_horner`, the one Gaussian-integer Horner
+loop, which the exact disks of `stability` run too.  Only each ratio is
+rounded to double; the repulsion and the update stay in doubles, and each
+exact sweep is one round with no product-form call.
 
 On the diagonal n = 2d, where that cancellation is deepest, the solver
 runs no sweep: p(z) = (z + 1) Q((z + 1)**2) with deg Q = d - 1
@@ -77,7 +78,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -610,29 +611,38 @@ def _gaussian_horner(coeffs: list, x: int, y: int, shift: int) -> Tuple[int, int
     return re, im
 
 
-def _exact_ratios(values: list, slopes: list, bits: int, points: np.ndarray) -> np.ndarray:
-    """Newton ratios p/p' at the points from `_gaussian_horner`, each rounded
-    once to double: the exact refinement's ratios (see `_Sweep`).
+def _fixed_quotient(d: int, n: int) -> Tuple[list, list, int]:
+    """(values, slopes, bits): the integers c_k << bits of the quotient q of
+    `pinned_roots` at (d, n), lowest first, and (k c_k) << bits of q', for
+    bits = 1.5 times the log2 spread of the c_k plus 96."""
+    quotient = _ehrhart_cached(d, n).quotient
+    logs = [_log2_int(abs(c)) for c in quotient if c]
+    bits = int(1.5 * (max(logs) - min(logs))) + 96
+    return [c << bits for c in quotient], [k * c << bits for k, c in enumerate(quotient)][1:], bits
 
-    `values` are the integer coefficients c_k << bits of p and `slopes` the
-    coefficients (k c_k) << bits of p', so with N the degree of p the
-    fixed-point values P and D at z = (x + iy) / 2**bits obey
-    |P / 2**bits - p(z)| <= 2**(1-bits) sum_{j<N} |z|**j and
-    |D / 2**bits - p'(z)| <= 2**(1-bits) sum_{j<N-1} |z|**j.
-    Python's int / int division rounds correctly; a ratio it cannot
-    represent comes back non-finite, as a double ratio would.
-    """
-    w = np.empty(points.size, dtype=complex)
-    for i, z in enumerate(points):
-        x, y = _to_fixed(z.real, bits), _to_fixed(z.imag, bits)
-        pr, pi = _gaussian_horner(values, x, y, bits)
-        dr, di = _gaussian_horner(slopes, x, y, bits)
-        norm = dr * dr + di * di
-        try:
-            w[i] = complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
-        except (ZeroDivisionError, OverflowError):
-            w[i] = math.inf
-    return w
+
+def _exact_ratios(d: int, n, z: np.ndarray):
+    """(w,): the exact refinement's Newton ratios q/q' at z (see `_Sweep`),
+    from q and q' in fixed point, within the truncation bound of
+    `_gaussian_horner`, on `_fixed_quotient`'s integers.  d and n are
+    `_eval_vec`'s: the row count, whose build has the same q, and n or
+    (n, count) runs; each point gets its bits alone.  Python's int / int
+    division rounds each ratio correctly to double; a ratio it cannot
+    represent comes back non-finite, as a double ratio would."""
+    w, lo = np.empty(z.size, dtype=complex), 0
+    for value, count in _runs(n, z.size):
+        values, slopes, bits = _fixed_quotient(d, value)
+        for i, point in enumerate(z[lo:lo + count], start=lo):
+            x, y = _to_fixed(point.real, bits), _to_fixed(point.imag, bits)
+            pr, pi = _gaussian_horner(values, x, y, bits)
+            dr, di = _gaussian_horner(slopes, x, y, bits)
+            norm = dr * dr + di * di
+            try:
+                w[i] = complex((pr * dr + pi * di) / norm, (pi * dr - pr * di) / norm)
+            except (ZeroDivisionError, OverflowError):
+                w[i] = math.inf
+        lo += count
+    return (w,)
 
 
 def _half_degree_factor(params: HypersimplexParams) -> list:
@@ -690,7 +700,8 @@ def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended
     points = np.concatenate((z, candidates))
     measured = np.empty(0)
     if points.size:
-        measured = _residuals(_coefficient_logs(params), points, (yield _eval_values, points))
+        values = yield _eval_values, params, points
+        measured = _residuals(_coefficient_logs(params), points, values)
     pinned, _ = pinned_roots(params)
     snapped = np.concatenate((z, -np.arange(1, pinned + 1) + 0j))
     residuals = np.concatenate((measured[:z.size], np.zeros(pinned)))
@@ -716,24 +727,24 @@ def _finish(params, z, tol, iterations, clean_exit, extended_bits=None, extended
 
 @dataclass(frozen=True, eq=False)
 class _Sweep:
-    """A solve's request for Ehrlich-Aberth sweeps of its free roots z,
-    which `_lockstep` moves in place and answers with (sweeps, settled).
+    """A solve's request for Ehrlich-Aberth sweeps of the free roots z of
+    its pair `params`, which `_lockstep` moves in place and answers with
+    (sweeps, settled).
 
     Each sweep moves the roots still moving by one update of `_Sweeps`,
-    with Newton ratios q/q' from `_eval_vec` and the `pinned` roots
-    -1, ..., -k, or, where `exact` is (values, slopes, bits), from
-    `_exact_ratios` on q's fixed-point coefficients.  A root leaves once its
-    correction is at most tol (1 + |z|), or once it is noise-limited (|p|
-    at most `_eval_vec`'s floor): from there its corrections only wander.
-    After `cap` sweeps every root stops.  `settled` is True when every root
-    left by the correction test; an empty z takes no sweep.
+    with Newton ratios q/q' from `evaluator`: `_eval_vec`, or `_exact_ratios`
+    on q's fixed-point integers.  A root leaves once its correction is at
+    most tol (1 + |z|), or once it is noise-limited (|p| at most
+    `_eval_vec`'s floor): from there its corrections only wander.  After
+    `cap` sweeps every root stops.  `settled` is True when every root left
+    by the correction test; an empty z takes no sweep.
     """
 
+    params: HypersimplexParams
     z: np.ndarray
-    pinned: int
     tol: float
     cap: int
-    exact: Optional[tuple] = None
+    evaluator: Callable
 
 
 def _solve(params: HypersimplexParams, config: SolverConfig):
@@ -748,20 +759,15 @@ def _solve(params: HypersimplexParams, config: SolverConfig):
     if n == 2 * d:
         return (yield from _half_degree_roots(params, tol))
 
-    pinned, quotient = pinned_roots(params)
     z = _initial_points(params, config.seed)
-    iterations, settled = yield _Sweep(z, pinned, tol, config.max_iterations)
+    iterations, settled = yield _Sweep(params, z, tol, config.max_iterations, _eval_vec)
     if settled:
         result = yield from _finish(params, z, tol, iterations, True)
         if result.converged:
             return result
 
-    logs = [_log2_int(abs(c)) for c in quotient if c]
-    bits = int(1.5 * (max(logs) - min(logs))) + 96
-    values = [c << bits for c in quotient]
-    slopes = [(k * c) << bits for k, c in enumerate(quotient)][1:]
-    exact = (values, slopes, bits)
-    sweeps, settled = yield _Sweep(z, pinned, tol, config.max_iterations, exact)
+    sweeps, settled = yield _Sweep(params, z, tol, config.max_iterations, _exact_ratios)
+    bits = _fixed_quotient(d, n)[2]
     return (yield from _finish(params, z, tol, iterations, settled, bits, sweeps))
 
 
@@ -778,23 +784,28 @@ _BATCH_ENTRIES = 1 << 12
 _NEG_ZERO = complex(-0.0, -0.0)
 
 
-def _packing_key(params: HypersimplexParams, i: int) -> tuple:
-    """Where pair i of params goes in a round: by row count min(d, n - d),
-    then n descending, then i."""
-    return _term_rows(params.d, params.n), -params.n, i
+def _packing_order(kinds: dict) -> list:
+    """The pairs i of `kinds`, i -> (evaluator, params), in packing order:
+    by evaluator, in order of first appearance, then row count
+    min(d, n - d), then n descending, then i."""
+    first = list(dict.fromkeys(evaluator for evaluator, _ in kinds.values()))
+    keys = {i: (first.index(e), _term_rows(p.d, p.n), -p.n, i) for i, (e, p) in kinds.items()}
+    return sorted(kinds, key=keys.get)
 
 
 def _packed(items) -> list:
-    """Cuts `items`, (key, rows, member, size) in packing order, into calls
-    (key, members): consecutive members of one key, up to `_BATCH_ENTRIES`
+    """Cuts `items`, (evaluator, params, member, size) in packing order,
+    into calls ((evaluator, rows), members): consecutive members of one
+    evaluator and row count rows = min(d, n - d), up to `_BATCH_ENTRIES`
     entries rows x points, and a larger member alone."""
     calls, entries = [], 0
-    for key, rows, member, size in items:
-        if not calls or calls[-1][0] != key or entries + size * rows > _BATCH_ENTRIES:
+    for evaluator, params, member, size in items:
+        key = evaluator, _term_rows(params.d, params.n)
+        if not calls or calls[-1][0] != key or entries + size * key[1] > _BATCH_ENTRIES:
             calls.append((key, []))
             entries = 0
         calls[-1][1].append(member)
-        entries += size * rows
+        entries += size * key[1]
     return calls
 
 
@@ -813,26 +824,25 @@ def _call(evaluator, rows: int, runs: list, z: np.ndarray, members: list, second
     return out
 
 
-def _evaluate(params_list: Sequence, requests: dict, seconds: list) -> dict:
+def _evaluate(requests: dict, seconds: list) -> dict:
     """Each request's share of its evaluator.
 
-    `requests` maps i to (evaluator, points) of pair params_list[i]; the
-    evaluator, `_eval_values` or `_value_bounds`, is the request's kind.
-    They are taken by kind, in order of first request, then row count
-    min(d, n - d), n descending and i, and cut by `_packed` into calls
-    evaluator(rows, runs, z) of one kind and row count, with whole pairs and
-    each pair's n as one (n, count) run; every output array is sliced back
-    per request, and the time shared out by `_call`.  If a call raises,
-    each of its requests gets the exception."""
-    kinds = list(dict.fromkeys(evaluator for evaluator, _ in requests.values()))
-    keys = {i: (kinds.index(requests[i][0]), *_packing_key(params_list[i], i)) for i in requests}
+    `requests` maps i to (evaluator, params, points): the evaluator,
+    `_eval_values` or `_value_bounds`, is the request's kind, and params
+    the pair whose p it evaluates.  They are taken in packing order
+    (`_packing_order`) and cut by `_packed` into calls
+    evaluator(rows, runs, z) of one kind and row count, with whole pairs
+    and each pair's n as one (n, count) run; every output array is sliced
+    back per request, and the time shared out by `_call`.  If a call
+    raises, each of its requests gets the exception."""
+    order = _packing_order({i: request[:2] for i, request in requests.items()})
     answers = {}
-    for (kind, rows), members in _packed(
-        (keys[i][:2], keys[i][1], i, requests[i][1].size) for i in sorted(requests, key=keys.get)
+    for (evaluator, rows), members in _packed(
+        (*requests[i][:2], i, requests[i][2].size) for i in order
     ):
-        runs = [(params_list[i].n, requests[i][1].size) for i in members]
-        z = np.concatenate([requests[i][1] for i in members])
-        out = _call(kinds[kind], rows, runs, z, members, seconds)
+        runs = [(requests[i][1].n, requests[i][2].size) for i in members]
+        z = np.concatenate([requests[i][2] for i in members])
+        out = _call(evaluator, rows, runs, z, members, seconds)
         lo = 0
         for i, (_, count) in zip(members, runs):
             answers[i] = out if isinstance(out, Exception) else tuple(a[lo:lo + count] for a in out)
@@ -847,15 +857,14 @@ class _Sweeps:
     Row r of `table` holds one pair's free roots, then inf up to the width
     of the widest pair, and `moving` marks the free roots still moving; the
     pinned -1, ..., -k are the same for every pair, so they come from one
-    shared row.  The rows are in packing order, double ratios before exact
-    ones, then row count min(d, n - d), n descending and input order, so
-    each `_eval_vec` call of a round, cut by `_packed`, takes one contiguous
-    slice of the round's moving points.  The table stays in place across
-    rounds; it is rebuilt only when pairs join or leave.
+    shared row.  The rows are in packing order (`_packing_order`), so each
+    call of a round, cut by `_packed`, takes one contiguous slice of the
+    round's moving points.  The table stays in place across rounds; it is
+    rebuilt only when pairs join or leave.
 
-    A round takes the Newton ratios w of every moving point, from
-    1 / (p'/p - sum_m 1 / (z + m)) in doubles or, for an exact row, from
-    `_exact_ratios` pair by pair, sets w to 0 where it is not finite, and
+    A round takes the Newton ratios w of every moving point from its row's
+    evaluator, as 1 / (p'/p - sum_m 1 / (z + m)) from `_eval_vec` or as
+    `_exact_ratios` returns them, sets w to 0 where it is not finite, and
     moves the point by the correction w / (1 - w sum_{j != i} 1 / (z_i - z_j)),
     over the pair's free roots, or by w where that denominator is 0, and not
     at all where the correction is not finite, all from the round's old
@@ -865,8 +874,8 @@ class _Sweeps:
     `_BATCH_ENTRIES` entries that bound the update's temporaries.
     """
 
-    def __init__(self, params_list: Sequence, seconds: list):
-        self.params_list, self.seconds = params_list, seconds
+    def __init__(self, seconds: list):
+        self.seconds = seconds
         self.requests = {}  # pair -> its _Sweep, in row order
         self.table = np.empty((0, 0), dtype=complex)
         self.moving = np.empty((0, 0), dtype=bool)
@@ -896,26 +905,20 @@ class _Sweeps:
             self.table, self.moving = table, moving
             self.sweeps = np.concatenate((self.sweeps, np.zeros(len(new), dtype=np.int64)))
             self.noisy = np.concatenate((self.noisy, np.zeros(len(new), dtype=bool)))
-            keys = [
-                (request.exact is not None, *_packing_key(self.params_list[i], i))
-                for i, request in self.requests.items()
-            ]
-            self._take(sorted(range(len(keys)), key=keys.__getitem__))
+            row = {i: r for r, i in enumerate(self.requests)}
+            kinds = {i: (request.evaluator, request.params) for i, request in self.requests.items()}
+            self._take([row[i] for i in _packing_order(kinds)])
         return answers
 
     def _take(self, index):
         """Keeps the rows `index`, in that order, and their per-row constants."""
         index = np.asarray(index, dtype=np.intp)
         members = list(self.requests)
-        members = [members[r] for r in index]
-        self.requests = {i: self.requests[i] for i in members}
-        params = [self.params_list[i] for i in members]
-        self.n = [p.n for p in params]
-        self.rows = [_term_rows(p.d, p.n) for p in params]
+        self.requests = {members[r]: self.requests[members[r]] for r in index}
         requests = list(self.requests.values())
-        self.doubles = sum(request.exact is None for request in requests)
         self.free = np.array([request.z.size for request in requests], dtype=np.intp)
-        self.pinned = np.array([request.pinned for request in requests], dtype=np.intp)
+        pinned = [pinned_roots(request.params)[0] for request in requests]
+        self.pinned = np.array(pinned, dtype=np.intp)
         self.tol = np.array([request.tol for request in requests], dtype=float)
         self.cap = np.array([request.cap for request in requests], dtype=np.int64)
         width = int(self.free.max(initial=0))
@@ -925,11 +928,11 @@ class _Sweeps:
     def round(self) -> dict:
         """One sweep of every row; returns the answers of the pairs whose
         sweeps ended: (sweeps, settled), or the exception of their failed
-        `_eval_vec` call or `_exact_ratios`, which ends exactly those pairs."""
+        evaluator call, which ends exactly the pairs in it."""
         if not self.requests:
             return {}
-        start, spent = time.perf_counter(), 0.0
-        members = list(self.requests)
+        start = time.perf_counter()
+        members, requests = list(self.requests), list(self.requests.values())
         width = self.table.shape[1]
         flat = np.flatnonzero(self.moving)
         owner, column = np.divmod(flat, width)
@@ -937,45 +940,36 @@ class _Sweeps:
         counts = np.bincount(owner, minlength=len(members)).tolist()
         bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
         self.sweeps += 1
-        failed = {}
-        split = bounds[self.doubles]
-        S, Sp, floor = np.empty(split, dtype=complex), np.empty(split, dtype=complex), np.empty(split)
-        calls = _packed((self.rows[r], self.rows[r], r, counts[r]) for r in range(self.doubles))
-        for rows, rs in calls:
-            lo, hi = bounds[rs[0]], bounds[rs[-1] + 1]
-            runs = [(self.n[r], counts[r]) for r in rs]
-            call_start = time.perf_counter()
-            out = _call(_eval_vec, rows, runs, z[lo:hi], [members[r] for r in rs], self.seconds)
-            spent += time.perf_counter() - call_start
-            if isinstance(out, Exception):
-                failed.update(dict.fromkeys(rs, out))
-                S[lo:hi] = Sp[lo:hi] = floor[lo:hi] = math.nan
-            else:
-                S[lo:hi], Sp[lo:hi], _, floor[lo:hi] = out
-        w = np.empty(z.size, dtype=complex)
-        for r in range(self.doubles, len(members)):
-            lo, hi = bounds[r], bounds[r + 1]
-            ratio_start = time.perf_counter()
-            try:
-                w[lo:hi] = _exact_ratios(*self.requests[members[r]].exact, z[lo:hi])
-            except Exception as exc:  # ends this pair's sweeps; the others go on
-                failed[r] = exc
-                w[lo:hi] = math.nan
-            elapsed = time.perf_counter() - ratio_start
-            self.seconds[members[r]] += elapsed
-            spent += elapsed
-
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             repulsion, poles = self._sums(z, owner, column, bounds)
-            w[:split] = 1.0 / (Sp / S - poles[:split])  # the shared exponent cancels in p'/p
+        w = np.full(z.size, complex(math.nan))
+        noisy = np.zeros(z.size, dtype=bool)
+        failed = {}
+        calls_start = time.perf_counter()
+        for (evaluator, rows), rs in _packed(
+            (request.evaluator, request.params, r, counts[r]) for r, request in enumerate(requests)
+        ):
+            lo, hi = bounds[rs[0]], bounds[rs[-1] + 1]
+            runs = [(requests[r].params.n, counts[r]) for r in rs]
+            out = _call(evaluator, rows, runs, z[lo:hi], [members[r] for r in rs], self.seconds)
+            if isinstance(out, Exception):
+                failed.update(dict.fromkeys(rs, out))
+            elif evaluator is _eval_vec:  # p and p': the shared exponent cancels in p'/p
+                S, Sp, _, floor = out
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    w[lo:hi] = 1.0 / (Sp / S - poles[lo:hi])
+                noisy[lo:hi] = np.abs(S) <= floor
+            else:
+                (w[lo:hi],) = out
+        spent = time.perf_counter() - calls_start
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w[~np.isfinite(w)] = 0.0
             denom = 1.0 - w * repulsion
             correction = np.where(denom != 0, w / denom, w)
         correction[~np.isfinite(correction)] = 0.0
         z -= correction
         done = np.abs(correction) <= self.tol[owner] * (1.0 + np.abs(z))
-        noisy = np.zeros(z.size, dtype=bool)
-        noisy[:split] = np.abs(S) <= floor
         self.table.ravel()[flat] = z
         self.noisy[owner[noisy & ~done]] = True
         self.moving.ravel()[flat[done | noisy]] = False
@@ -985,7 +979,7 @@ class _Sweeps:
         ended[list(failed)] = True
         answers = {}
         for r in np.flatnonzero(ended).tolist():
-            request = self.requests[members[r]]
+            request = requests[r]
             if r in failed:
                 answers[members[r]] = failed[r]
                 continue
@@ -1034,12 +1028,13 @@ class _Sweeps:
         return repulsion, poles
 
 
-def _lockstep(params_list: Sequence, steps: Sequence) -> list:
+def _lockstep(steps: Sequence) -> list:
     """Drives one step generator per pair in rounds.
 
-    A step yields what it needs next: (evaluator, points), a `_Sweep`, or
-    None.  Each round, the evaluator requests of all steps go to
-    `_evaluate`, and every sweeping pair takes one sweep in `_Sweeps.round`.
+    A step yields what it needs next, (evaluator, params, points) or a
+    `_Sweep`, each naming its pair, or None.  Each round, the
+    evaluator requests of all steps go to `_evaluate`, and every sweeping
+    pair takes one sweep in `_Sweeps.round`.
     A step gets its share of its call back by `send`, or by `throw` the
     exception of that call; (sweeps, settled) once its sweeps end, so it
     waits one round per sweep; and None for None, in the next round with
@@ -1049,7 +1044,7 @@ def _lockstep(params_list: Sequence, steps: Sequence) -> list:
     raised by its own step ends no other."""
     outcomes = [None] * len(steps)
     seconds = [0.0] * len(steps)
-    sweeps = _Sweeps(params_list, seconds)
+    sweeps = _Sweeps(seconds)
     live = dict(enumerate(steps))
     answers = dict.fromkeys(live)
     while live:
@@ -1074,7 +1069,7 @@ def _lockstep(params_list: Sequence, steps: Sequence) -> list:
         answers = dict.fromkeys(requests)
         answers.update(sweeps.join({i: r for i, r in requests.items() if isinstance(r, _Sweep)}))
         asked = {i: r for i, r in requests.items() if isinstance(r, tuple)}
-        answers.update(_evaluate(params_list, asked, seconds))
+        answers.update(_evaluate(asked, seconds))
         answers.update(sweeps.round())
     return [
         outcome if isinstance(outcome, Exception) else replace(outcome, seconds=spent)
@@ -1091,15 +1086,15 @@ def _only(outcomes: list):
 
 
 def find_roots_many(
-    params_list: Sequence[HypersimplexParams], config: Optional[SolverConfig] = None
+    pairs: Sequence[HypersimplexParams], config: Optional[SolverConfig] = None
 ) -> list:
     """`find_roots` for every pair, each solve (`_solve`) a step of `_lockstep`.
 
     The pairs sweep in lockstep: each round takes one double or exact sweep
     of every pair still sweeping, in one array step (`_Sweeps`), with one
-    `_eval_vec` call per row count min(d, n - d) and cap on the free roots
-    still moving; an exact sweep makes no call.  A pair off the diagonal
-    is evaluated in iterations + 1 rounds: in each round of its double
+    `_eval_vec` or `_exact_ratios` call per row count min(d, n - d) and cap
+    on the free roots still moving.  A pair off the diagonal is evaluated
+    in product form in iterations + 1 rounds: in each round of its double
     sweeps, and in one `_eval_values` call for its residual certificates on
     the free roots with their snap candidates (one more when its settled
     double result misses the certificate); at n = 2d only in that one, and
@@ -1110,7 +1105,7 @@ def find_roots_many(
     that ended its solve; a failed call ends exactly the pairs in it.
     """
     config = config or SolverConfig()
-    return _lockstep(params_list, [_solve(params, config) for params in params_list])
+    return _lockstep([_solve(params, config) for params in pairs])
 
 
 def find_roots(

@@ -15,9 +15,10 @@ shift 0, the solver's own exact Horner loop.
 rigorous float bounds, on |p(z_i)| (`roots._value_bounds`) and on the
 distance product (`roots._distance_product_lower`).  Each pair's
 certificate is a step generator (`_certify`) run by the solver's own
-driver (`roots._lockstep`), so the value bounds of all pairs come in
-batches: one call per row count min(d, n - d).  `verify_strip` is that
-driver on one pair, and `inclusion_strip` gives no disk a float bound.  A
+driver (`roots._lockstep`), whose one request names its pair and
+`_value_bounds`, so the value bounds of all pairs come in batches: one
+call per row count min(d, n - d).  `verify_strip` is that driver on one
+pair, and `inclusion_strip` gives no disk a float bound.  A
 side the disks do not prove, and every call without roots, goes to the
 Routh table, whose rows are rescaled only by positive constants (their
 gcd), which preserves the sign structure the table's first column
@@ -382,7 +383,7 @@ def _certify(params: HypersimplexParams, roots):
         points, count = _free_first(points, build.pinned)
         first = []
         if count:
-            values = yield _value_bounds, np.array(points[:count])
+            values = yield _value_bounds, params, np.array(points[:count])
             first = _float_radii(build.coeffs[-1], points, values)
         left_in, right_in = _disks(build.coeffs, points, -bound, Fraction(0), first)
     included = StabilityVerdict(STABLE, certifier="inclusion")
@@ -391,19 +392,18 @@ def _certify(params: HypersimplexParams, roots):
     return StripVerdict(left_ok=left, right_ok=right)
 
 
-def verify_strip_many(params_list: Sequence[HypersimplexParams], roots_list: Sequence) -> list:
+def verify_strip_many(pairs: Sequence[HypersimplexParams], roots_list: Sequence) -> list:
     """`verify_strip` for every pair, each certificate (`_certify`) a step
     of `roots._lockstep`.
 
-    roots_list[i] holds the numeric roots of params_list[i], or None.  The
+    roots_list[i] holds the numeric roots of pairs[i], or None.  The
     value bounds come from the solver's packing plan, one `_value_bounds`
     call per row count min(d, n - d) and cap, each point with the bits it
     gets alone, so every verdict is the one `verify_strip` gives.  Returns
     each pair's StripVerdict, or the exception that ended it; a failed
     call ends the pairs in it.
     """
-    pairs = zip(params_list, roots_list, strict=True)
-    return _lockstep(params_list, [_certify(*pair) for pair in pairs])
+    return _lockstep([_certify(*pair) for pair in zip(pairs, roots_list, strict=True)])
 
 
 def verify_strip(

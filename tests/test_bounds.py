@@ -14,7 +14,6 @@ from hsroots.bounds import (
     check_h_negative,
     check_migi,
     check_hidari,
-    f_term_modulus,
     geometric_factorial_sum,
     h_endpoint_chain_bound,
     h_value,
@@ -35,6 +34,7 @@ from hsroots.errors import (
     HypothesisViolation,
     InvalidParams,
 )
+from hsroots.roots import _point
 
 
 def phi_7_3_1_closed_form(beta: float) -> float:
@@ -56,23 +56,28 @@ def phi_7_3_1_closed_form(beta: float) -> float:
     )
 
 
-def test_f_term_modulus_constant_product():
+def log2_term(n: int, d: int, s: int, z: complex) -> float:
+    """Row s of `_log2_terms` at the one point `_point` makes of z."""
+    return float(_log2_terms(n, d, _point(d, n, z))[s, 0])
+
+
+def test_log2_terms_constant_product():
     # n=3, d=1, s=0 at z=0: |2 * 1| = 2
-    assert 2.0 ** f_term_modulus(3, 1, 0, 0j) == pytest.approx(2.0, rel=1e-14)
+    assert 2.0 ** log2_term(3, 1, 0, 0j) == pytest.approx(2.0, rel=1e-14)
 
 
-def test_f_term_modulus_zero_factor():
-    assert f_term_modulus(6, 3, 1, 0j) == -math.inf
+def test_log2_terms_zero_factor():
+    assert log2_term(6, 3, 1, 0j) == -math.inf
 
 
-def test_f_term_modulus_matches_radicand_structure():
+def test_log2_terms_match_radicand_structure():
     # n=7, d=3, s=2 at z = i*beta: 21*sqrt((b^2+16)(b^2+9)(b^2+4)(b^2+1)^2 b^2)
     for beta in (0.5, 1.0, 2.0, 7.5):
         b2 = beta * beta
         expected = 21.0 * math.sqrt(
             (b2 + 16) * (b2 + 9) * (b2 + 4) * (b2 + 1) ** 2 * b2
         )
-        got = 2.0 ** f_term_modulus(7, 3, 2, complex(0, beta))
+        got = 2.0 ** log2_term(7, 3, 2, complex(0, beta))
         assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -106,13 +111,18 @@ def test_single_point_ratios_reject_points_beyond_the_double_range():
     # came back as NaN; a vanishing factor still gives -inf and 0
     edge = (2.0**51 - 7) / 3
     for z in (complex("nan"), complex(0, math.inf), 1e300 + 0j, 1e200 + 0j, complex(0, 2 * edge)):
-        for call in (phi, f_term_modulus):
+        for call in (phi, log2_term):
             with pytest.raises(DomainViolation, match="2\\*\\*51"):
                 call(7, 3, 1, z)
-    assert math.isfinite(f_term_modulus(7, 3, 1, complex(0, edge)))
+    assert math.isfinite(log2_term(7, 3, 1, complex(0, edge)))
     assert math.isfinite(phi(7, 3, 1, complex(0, edge)))
-    assert f_term_modulus(6, 3, 1, 0j) == -math.inf
+    assert log2_term(6, 3, 1, 0j) == -math.inf
     assert phi(7, 3, 1, 0j) == 0.0
+    # a modulus beyond the double range is finite as a log: at z = 1000i,
+    # |3z + 1| ... |3z + 199| is about 2**2300
+    expected = sum(math.log2(abs(3000j + k)) for k in range(1, 200))
+    assert log2_term(200, 3, 0, 1000j) == pytest.approx(expected, rel=1e-13)
+    assert expected > 2000
     with pytest.raises(DomainViolation, match="2\\*\\*51"):
         check_aida(7, 3, 1, 1.0, 1e300)
 
@@ -286,7 +296,6 @@ def test_index_checks_require_a_hypersimplex_pair():
     for n, d in ((3, 3), (5, 0), (4, 6)):
         calls = (
             lambda: phi(n, d, 1, 1j),
-            lambda: f_term_modulus(n, d, 0, 1j),
             lambda: check_migi(n, d, 1),
             lambda: check_hidari(n, d, 1),
             lambda: aida_bound(n, d, 1, math.sqrt(2)),
@@ -300,7 +309,7 @@ def test_index_checks_require_a_hypersimplex_pair():
 def test_integer_arguments_must_be_integers():
     # a float or bool index is refused like a bad pair, before any evaluation
     calls = (
-        lambda: f_term_modulus(7.0, 3, 1, 1j),
+        lambda: phi(7.0, 3, 1, 1j),
         lambda: phi(7.5, 3, 1, 1j),
         lambda: phi(7, True, 1, 1j),
         lambda: check_migi(7, 3, 1.0),
@@ -318,7 +327,6 @@ def test_integer_arguments_must_be_integers():
 
 def test_numpy_integer_arguments_match_plain_ints():
     i = np.int64
-    assert f_term_modulus(i(7), i(3), i(1), 1j) == f_term_modulus(7, 3, 1, 1j)
     assert phi(i(7), i(3), i(2), 0.5 + 2j) == phi(7, 3, 2, 0.5 + 2j)
     assert check_migi(i(7), i(3), i(1)) is check_migi(7, 3, 1) is True
     assert check_hidari(i(14), i(4), i(2)) is check_hidari(14, 4, 2) is True
@@ -582,21 +590,6 @@ def test_blocking_changes_no_bits(monkeypatch):
     assert [rouche_margin(spec) for spec in specs] == whole
     assert [check_migi(12, 4, s) for s in range(1, 4)] == migi
     assert [check_hidari(23, 5, s) for s in range(1, 5)] == hidari
-
-
-def test_log2_terms_and_ratios_row_selection_changes_no_bits():
-    # f_term_modulus picks row s of one full call at its point, as phi does
-    # (see test_log2_terms_and_ratios_batch_independent)
-    for n, d in KERNEL_CASES:
-        z = kernel_points(n, d)
-        logs = _log2_terms(n, d, z)
-        for i, point in enumerate(z):
-            for s in range(d):
-                value = f_term_modulus(n, d, s, complex(point))
-                assert np.float64(value).tobytes() == logs[s, i].tobytes(), (n, d, s, point)
-    # the zero-factor points are among the compared ones
-    assert _log2_terms(7, 3, np.array([0j]))[2, 0] == -math.inf
-    assert _log2_terms(7, 3, np.array([complex(-1.0 / 3, 0.0)]))[0, 0] == -math.inf
 
 
 def sample_formula(spec: ContourSpec) -> list:

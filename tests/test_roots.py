@@ -24,6 +24,7 @@ from hsroots.roots import (
     _aligned_terms,
     _binomial_column,
     _eval_vec,
+    _exact_ratios,
     _gaussian_horner,
     _half_degree_factor,
     _initial_points,
@@ -240,18 +241,17 @@ def test_find_roots_deterministic_per_seed():
 
 
 def record_rounds(monkeypatch) -> list:
-    """Patches the solver's evaluators, `_exact_ratios` and the end of each
-    driver round (`_Sweeps.round`); returns the list that gets, round by
-    round, the (name, rows, runs, points) of each call made in it.  The last
-    entry is the empty round after the driver stops."""
+    """Patches the solver's evaluators and the end of each driver round
+    (`_Sweeps.round`); returns the list that gets, round by round, the
+    (name, rows, runs, points) of each call made in it.  The last entry is
+    the empty round after the driver stops."""
     rounds = [[]]
     for name in ("_eval_vec", "_eval_values", "_exact_ratios"):
         real = getattr(hsroots.roots, name)
 
-        def recorded(*args, name=name, real=real):
-            rows, runs = (None, None) if name == "_exact_ratios" else args[:2]
-            rounds[-1].append((name, rows, runs, args[-1].size))
-            return real(*args)
+        def recorded(rows, runs, z, name=name, real=real):
+            rounds[-1].append((name, rows, runs, z.size))
+            return real(rows, runs, z)
 
         monkeypatch.setattr(hsroots.roots, name, recorded)
     real_round = hsroots.roots._Sweeps.round
@@ -295,9 +295,9 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
     # of double sweeps, then in one `_eval_values` call for its
     # certificates with their snap candidates, also when it is refined in
     # exact arithmetic, as at (15, 31), whose exact sweeps take one round
-    # each; at n = 2d the roots are Q's eigenvalues mapped back, so only
-    # the certificates are evaluated, and at (1, 3) every root is pinned,
-    # so nothing is
+    # and one `_exact_ratios` call each; at n = 2d the roots are Q's
+    # eigenvalues mapped back, so only the certificates are evaluated, and
+    # at (1, 3) every root is pinned, so nothing is
     grid = CampaignConfig(d_min=4, d_max=5).pairs() + ((15, 31), (1, 3), (2, 4))
     params = [HypersimplexParams(d, n) for d, n in grid]
     rounds = record_rounds(monkeypatch)
@@ -317,6 +317,8 @@ def test_find_roots_many_makes_one_request_per_step(monkeypatch):
             expected = [(0, "_eval_values")]
         else:
             expected = [(r, "_eval_vec") for r in range(rs.iterations)]
+            exact = range(rs.iterations, rs.iterations + rs.extended_sweeps)
+            expected += [(r, "_exact_ratios") for r in exact]
             expected.append((rs.iterations + rs.extended_sweeps, "_eval_values"))
         assert seen == expected, (d, n)
 
@@ -344,18 +346,14 @@ class Doubler:
         return (2 * z,)
 
 
-def toy_step(kind, points, rounds=1):
-    """Asks `kind` `rounds` times for its points and returns every answer seen."""
+def toy_step(kind, pair, points, rounds=1):
+    """Asks `kind` `rounds` times for its points, as those of `pair`,
+    (d, n), and returns every answer seen."""
     seen = []
     for _ in range(rounds):
-        (value,) = yield kind, np.array(points, dtype=complex)
+        (value,) = yield kind, HypersimplexParams(*pair), np.array(points, dtype=complex)
         seen.append(tuple(value.tolist()))
     return Toy(tuple(seen))
-
-
-def toy_driver(steps, pairs):
-    """`_lockstep` over `steps`, one per (d, n) of `pairs`."""
-    return _lockstep([HypersimplexParams(d, n) for d, n in pairs], steps)
 
 
 def test_lockstep_ends_only_the_step_that_raises():
@@ -364,8 +362,7 @@ def test_lockstep_ends_only_the_step_that_raises():
         yield  # a generator that never reaches its yield
 
     toy = Doubler()
-    pairs = [(3, 7), (3, 7), (3, 7)]
-    out = toy_driver([toy_step(toy, [1j], 2), broken(), toy_step(toy, [2.0], 2)], pairs)
+    out = _lockstep([toy_step(toy, (3, 7), [1j], 2), broken(), toy_step(toy, (3, 7), [2.0], 2)])
     assert isinstance(out[1], ValueError)
     assert out[0] == Toy(((2j,), (2j,))) and out[2] == Toy(((4.0,), (4.0,)))
     assert toy.calls == [(3, [(7, 1), (7, 1)])] * 2
@@ -374,17 +371,21 @@ def test_lockstep_ends_only_the_step_that_raises():
 def test_lockstep_throws_a_failed_call_into_exactly_its_steps():
     # the exception is thrown at the yield, so a step may catch it; sent as
     # a value it would be unpacked as an answer and fail there instead
-    def catching(points):
+    def catching(pair, points):
         try:
-            yield toy, np.array(points, dtype=complex)
+            yield toy, HypersimplexParams(*pair), np.array(points, dtype=complex)
         except RuntimeError as exc:
             return Toy((str(exc),))
         return Toy(("answered",))
 
     toy = Doubler(fail_rows=3)
-    pairs = [(3, 7), (2, 7), (3, 8), (2, 9)]
-    steps = [catching([1.0]), catching([2.0]), toy_step(toy, [3.0]), toy_step(toy, [4.0])]
-    out = toy_driver(steps, pairs)
+    steps = [
+        catching((3, 7), [1.0]),
+        catching((2, 7), [2.0]),
+        toy_step(toy, (3, 8), [3.0]),
+        toy_step(toy, (2, 9), [4.0]),
+    ]
+    out = _lockstep(steps)
     assert toy.calls == [(2, [(9, 1), (7, 1)]), (3, [(8, 1), (7, 1)])]
     assert out[0] == Toy(("toy call of row count 3",)) and out[1] == Toy(("answered",))
     assert isinstance(out[2], RuntimeError) and str(out[2]) == "toy call of row count 3"
@@ -396,8 +397,8 @@ def test_lockstep_returns_in_input_order_with_seconds():
     # come back in input order, each with its own steps and call shares
     toy = Doubler()
     pairs = [(2, 5), (3, 9), (2, 8), (4, 9), (3, 7)]
-    steps = [toy_step(toy, [complex(k, k)], rounds=k + 1) for k in range(len(pairs))]
-    out = toy_driver(steps, pairs)
+    steps = [toy_step(toy, pair, [complex(k, k)], rounds=k + 1) for k, pair in enumerate(pairs)]
+    out = _lockstep(steps)
     for k, result in enumerate(out):
         assert result == Toy(((complex(2 * k, 2 * k),),) * (k + 1)), k
         assert result.seconds > 0, k
@@ -419,8 +420,11 @@ def test_lockstep_packs_calls_by_kind_and_row_count():
 
     kinds = [named("first", first), named("second", second)]
     pairs = [(3, 7), (2, 7), (3, 8), (2, 9), (3, 9)]
-    steps = [toy_step(kinds[kind], [float(k)], 2) for k, kind in enumerate([0, 1, 1, 0, 0])]
-    out = toy_driver(steps, pairs)
+    steps = [
+        toy_step(kinds[kind], pair, [float(k)], 2)
+        for k, (kind, pair) in enumerate(zip([0, 1, 1, 0, 0], pairs))
+    ]
+    out = _lockstep(steps)
     assert out == [Toy(((2.0 * k,),) * 2) for k in range(len(pairs))]
     assert first.calls == [(2, [(9, 1)]), (3, [(9, 1), (7, 1)])] * 2
     assert second.calls == [(2, [(7, 1)]), (3, [(8, 1)])] * 2
@@ -433,9 +437,9 @@ def test_lockstep_makes_no_call_for_a_step_that_never_yields():
         yield
 
     toy = Doubler()
-    out = toy_driver([direct(1), direct(2)], [(3, 7), (2, 7)])
+    out = _lockstep([direct(1), direct(2)])
     assert out == [Toy((1,)), Toy((2,))] and toy.calls == []
-    out = toy_driver([direct(1), toy_step(toy, [5.0])], [(3, 7), (2, 7)])
+    out = _lockstep([direct(1), toy_step(toy, (2, 7), [5.0])])
     assert out == [Toy((1,)), Toy(((10.0,),))] and toy.calls == [(2, [(7, 1)])]
 
 
@@ -444,16 +448,16 @@ def test_lockstep_answers_a_none_request_with_none_and_no_call():
     # and a round in which every step says None makes no call at all
     def sometimes(points):
         first = yield None
-        (value,) = yield toy, np.array(points, dtype=complex)
+        (value,) = yield toy, HypersimplexParams(3, 7), np.array(points, dtype=complex)
         last = yield None
         return Toy((first, tuple(value.tolist()), last))
 
     toy = Doubler()
-    out = toy_driver([sometimes([1.0]), toy_step(toy, [2.0], 3)], [(3, 7), (2, 7)])
+    out = _lockstep([sometimes([1.0]), toy_step(toy, (2, 7), [2.0], 3)])
     assert out == [Toy((None, (2.0,), None)), Toy(((4.0,),) * 3)]
     assert toy.calls == [(2, [(7, 1)]), (2, [(7, 1)]), (3, [(7, 1)]), (2, [(7, 1)])]
     toy = Doubler()
-    out = toy_driver([sometimes([1.0])], [(3, 7)])
+    out = _lockstep([sometimes([1.0])])
     assert out == [Toy((None, (2.0,), None))] and toy.calls == [(3, [(7, 1)])]
 
 
@@ -747,6 +751,12 @@ def test_eval_vec_batch_equals_single(d, n):
         assert as_bytes(_eval_vec(d, pair_n, part)) == as_bytes(own)
         start += part.size
     if len(ns) > 1:
+        # the exact ratios take the same runs: here the first two n
+        size = runs[0][1] + runs[1][1]
+        batch = _exact_ratios(d, runs[:2], z[:size])
+        for i in range(size):
+            one = _exact_ratios(d, point_n[i], z[i:i + 1])
+            assert as_bytes(one) == as_bytes(tuple(a[i:i + 1] for a in batch))
         with pytest.raises(ValueError, match="non-increasing"):
             _eval_vec(d, runs[::-1], np.concatenate(parts[::-1]))
         with pytest.raises(ValueError, match="one row count"):
@@ -954,22 +964,21 @@ def test_each_exact_sweep_is_one_round_without_a_request(monkeypatch):
 
 def test_a_failed_exact_sweep_ends_only_its_own_pair(monkeypatch):
     # (15, 31) and (16, 33) are both refined in fixed point, and their exact
-    # sweeps share the array step of one round; an exception in the second
-    # exact ratios of the first ends that pair alone, the other's exact
-    # ratios still run in that round, and every other RootSet is the one
-    # find_roots returns on its own
+    # sweeps share the array step of one round, but not a call, as their row
+    # counts differ; an exception in the second exact ratios of the first
+    # ends that pair alone, the other's exact ratios still run in that
+    # round, and every other RootSet is the one find_roots returns on its own
     grid = [(15, 31), (16, 33), (4, 20), (5, 10), (1, 3)]
     params = [HypersimplexParams(d, n) for d, n in grid]
     alone = [find_roots(p) for p in params]
     assert alone[1].extended_bits is not None
-    doomed = len(pinned_roots(params[0])[1])
     real, calls = hsroots.roots._exact_ratios, []
 
-    def flaky(values, slopes, bits, points):
-        calls.append(len(values) == doomed)
+    def flaky(rows, runs, z):
+        calls.append(rows == 15)
         if calls[-1] and calls.count(True) == 2:
             raise ArithmeticError("fixed point failed")
-        return real(values, slopes, bits, points)
+        return real(rows, runs, z)
 
     monkeypatch.setattr(hsroots.roots, "_exact_ratios", flaky)
     solved = find_roots_many(params)
@@ -981,7 +990,7 @@ def test_a_failed_exact_sweep_ends_only_its_own_pair(monkeypatch):
 MIXED_GRID = CampaignConfig(d_min=4, d_max=5).pairs() + (
     (15, 31), (16, 33), (9, 96), (2, 64), (1, 3), (2, 4)
 )
-CAPPED_GRID = ((4, 20), (5, 12), (15, 31), (2, 64), (2, 4), (1, 3))
+CAPPED_GRID = ((4, 20), (4, 21), (5, 12), (15, 31), (2, 64), (2, 4), (1, 3))
 
 
 @pytest.mark.parametrize("entries", [None, 256])
@@ -990,19 +999,27 @@ def test_find_roots_many_equals_find_roots_on_a_mixed_grid(entries, monkeypatch)
     # the paper grid d = 4..5, (15, 31) and (16, 33) refined in fixed
     # point, the tall (9, 96), (2, 64) with its centre pinned, (1, 3) with
     # every root pinned and the diagonal (2, 4); and at max_iterations = 3,
-    # where (4, 20) stops at the cap and is refined.  With `_BATCH_ENTRIES`
+    # where (4, 20) and (4, 21) stop at the cap and are refined, their
+    # exact ratios in shared calls of row count 4.  With `_BATCH_ENTRIES`
     # at 256 the sweep update's chunks hold a few small pairs each, padded
     # to the widest, and every larger pair alone, and each row count's sweep
     # points go to several calls
     configs = [(MIXED_GRID, SolverConfig()), (CAPPED_GRID, SolverConfig(max_iterations=3))]
     alone = [[find_roots(HypersimplexParams(d, n), config) for d, n in grid] for grid, config in configs]
-    stopped = alone[1][CAPPED_GRID.index((4, 20))]
-    assert stopped.iterations == 3 and stopped.extended_bits is not None
+    for pair in ((4, 20), (4, 21)):
+        stopped = alone[1][CAPPED_GRID.index(pair)]
+        assert stopped.iterations == 3 and stopped.extended_bits is not None, pair
     if entries is not None:
         monkeypatch.setattr(hsroots.roots, "_BATCH_ENTRIES", entries)
+    rounds = record_rounds(monkeypatch)
     for (grid, config), expected in zip(configs, alone):
+        rounds[:] = [[]]
         solved = find_roots_many([HypersimplexParams(d, n) for d, n in grid], config)
         assert list(map(repr, solved)) == list(map(repr, expected))
+    if entries is None:
+        exact = [runs for calls in rounds for name, _, runs, _ in calls if name == "_exact_ratios"]
+        shared = [[n for n, _ in runs] for runs in exact if runs[0][0] in (20, 21)]
+        assert shared == [[21, 20]] * alone[1][CAPPED_GRID.index((4, 20))].extended_sweeps
 
 
 def test_a_failed_sweep_call_ends_exactly_its_pairs(monkeypatch):
